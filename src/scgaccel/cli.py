@@ -24,7 +24,8 @@ from .errors import AccelError
 from .link import DeviceEmulator, HostClient, SocketTransport
 from .metrics import evaluate, synth_windows
 from .modeltools import (BatchNorm, FloatLayerParams, FloatModel, PackedModel,
-                         quantize_model, random_model)
+                         quantize_model, random_input, random_model,
+                         random_small_net)
 from .pipeline import INPUT_SCALE, INPUT_ZERO_POINT, golden_predict
 from .qnn import (Activation, LayerKind, LayerSpec, NetworkSpec, PoolMode,
                   QuantTensor, infer_window, zscore_quantize)
@@ -384,12 +385,9 @@ def cmd_selftest(args) -> int:
 
     mismatches = 0
     for trial in range(args.sweeps):
-        net = NetworkSpec.default() if trial % 4 == 0 else _random_small_net(rng)
+        net = NetworkSpec.default() if trial % 4 == 0 else random_small_net(rng)
         model = random_model(net, rng)
-        x = QuantTensor(rng.integers(0, 256, size=(net.layers[0].c_in,
-                                                   net.input_length),
-                                     dtype=np.uint8).astype(np.uint8),
-                        zero_point=int(rng.integers(0, 256)))
+        x = random_input(rng, net)
         gold, _ = infer_window(model.to_network_spec(net.input_length),
                                model.to_weight_set(), x)
         machine = SimMachine()
@@ -407,8 +405,7 @@ def cmd_selftest(args) -> int:
     client = HostClient(host_end, timeout=30.0)
     net = NetworkSpec.default()
     model = random_model(net, rng)
-    x = QuantTensor(rng.integers(0, 256, size=(1, 512), dtype=np.uint8),
-                    zero_point=128)
+    x = random_input(rng, net)
     try:
         client.load_model(model)
         remote, _ = client.run(x)
@@ -427,28 +424,6 @@ def cmd_selftest(args) -> int:
                  f"accuracy {summary.accuracy:.2%}, recalls {recalls}")
     print("selftest", "PASSED" if ok else "FAILED")
     return 0 if ok else 1
-
-
-def _random_small_net(rng) -> NetworkSpec:
-    depth = int(rng.integers(1, 4))
-    layers = []
-    c_in = int(rng.integers(1, 5))
-    length = int(rng.integers(2, 9)) * (2 ** depth)
-    length = min(length, 48)
-    length -= length % (2 ** depth)
-    length = max(length, 2 ** depth)
-    for _ in range(depth):
-        c_out = int(rng.integers(1, 9))
-        k = int(rng.choice([1, 3, 5, 9]))
-        layers.append(LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=c_out,
-                                kernel=k, padding=k // 2,
-                                pool_mode=PoolMode.MAXPOOL2,
-                                activation=Activation.RELU_SATURATE))
-        c_in = c_out
-    layers.append(LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=c_in, c_out=3,
-                            kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
-                            activation=Activation.SIGNED_BYPASS))
-    return NetworkSpec(layers=tuple(layers), input_length=length, num_classes=3)
 
 
 def _expand_confusion(cm) -> np.ndarray:

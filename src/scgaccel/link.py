@@ -9,7 +9,8 @@ are capped at 4 KB; model images are chunked into LOAD_WEIGHTS frames with
 consecutive sequence numbers and the transfer is sealed by VERIFY_MEM, whose
 payload is the host's SHA-256 digest of the canonical model bytes.  The
 device answers with its own readback digest so either side can detect
-corruption.
+corruption.  A RESULT payload is one i32 per class, then the u32 cycle count
+and the u8 predicted class; the host derives the class count from its length.
 """
 
 from __future__ import annotations
@@ -318,7 +319,8 @@ class DeviceEmulator:
 
     def _result_frame(self, seq: int) -> Frame:
         logits, cycles = self.last_result
-        payload = struct.pack("<iiiIB", *(int(v) for v in logits.values),
+        payload = struct.pack(f"<{logits.values.size}iIB",
+                              *(int(v) for v in logits.values),
                               cycles & 0xFFFFFFFF, logits.predicted_class)
         return Frame(Command.RESULT, seq=seq, payload=payload)
 
@@ -452,5 +454,8 @@ class HostClient:
         reply = self.request(Frame(Command.RUN_INFERENCE, seq=0))
         if reply.command != Command.RESULT:
             raise ProtocolError("no inference result returned")
-        l0, l1, l2, cycles, _pred = struct.unpack("<iiiIB", reply.payload)
-        return Logits(np.array([l0, l1, l2], dtype=np.int32)), cycles
+        n_classes, tail = divmod(len(reply.payload) - 5, 4)
+        if n_classes < 1 or tail:
+            raise ProtocolError(f"RESULT payload of {len(reply.payload)} bytes")
+        *values, cycles, _pred = struct.unpack(f"<{n_classes}iIB", reply.payload)
+        return Logits(np.array(values, dtype=np.int32)), cycles

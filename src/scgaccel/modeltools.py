@@ -8,6 +8,7 @@ binary format, and SRAM image packing.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (BadMagicError, CapacityError, ConfigError, SerializationError,
                      ShapeError, TruncationError)
 from .qnn import (INT32_MAX, INT32_MIN, Activation, LayerKind, LayerSpec,
-                  LayerWeights, NetworkSpec, PoolMode, WeightSet)
+                  LayerWeights, NetworkSpec, PoolMode, QuantTensor, WeightSet)
 
 MAGIC = b"SANN"
 FORMAT_VERSION = 1
@@ -134,24 +135,32 @@ def derive_requant_constants(s_in: float, s_w: float, s_out: float) -> tuple[int
 # Packing
 # ---------------------------------------------------------------------------
 
-def pack_weight_bytes(flat: np.ndarray) -> np.ndarray:
-    """Pack signed bytes two per 16-bit word, low byte first; zero-padded tail."""
-    raw = np.asarray(flat, dtype=np.int8).astype(np.uint8)
-    if raw.size % 2 != 0:
-        raw = np.concatenate([raw, np.zeros(1, dtype=np.uint8)])
-    return (raw[0::2].astype(np.uint16)
-            | (raw[1::2].astype(np.uint16) << 8))
+def pack_weight_bytes(rows: np.ndarray) -> np.ndarray:
+    """Pack bytes two per 16-bit word, low byte first.
+
+    Each row of a [C, L] array starts on a fresh word, so an odd-length row
+    ends in a zero high byte: the channel-aligned layout shared by the weight
+    image, the input buffer and the activation buffers.  A 1-D array is one
+    row; signed bytes are stored as their two's-complement bit pattern.
+    """
+    raw = np.atleast_2d(np.asarray(rows).astype(np.uint8))
+    if raw.shape[1] % 2 != 0:
+        raw = np.pad(raw, ((0, 0), (0, 1)))
+    # a little-endian word holds its low byte first
+    return raw.view("<u2").reshape(-1).astype(np.uint16, copy=False)
 
 
-def unpack_weight_bytes(words: np.ndarray, count: int) -> np.ndarray:
-    """Inverse of pack_weight_bytes; returns `count` signed bytes."""
-    words = np.asarray(words, dtype=np.uint16)
-    lo = (words & 0xFF).astype(np.uint8)
-    hi = (words >> 8).astype(np.uint8)
-    raw = np.empty(2 * words.size, dtype=np.uint8)
-    raw[0::2] = lo
-    raw[1::2] = hi
-    return raw[:count].view(np.int8)
+def unpack_weight_bytes(words: np.ndarray, count: int,
+                        channels: int | None = None) -> np.ndarray:
+    """Inverse of pack_weight_bytes, as signed bytes.
+
+    Returns the first `count` bytes of a single row, or a [channels, count]
+    array when the words hold `channels` channel-aligned rows.  View the
+    result as uint8 for activations.
+    """
+    words = np.ascontiguousarray(words, dtype="<u2").reshape(channels or 1, -1)
+    rows = words.view(np.uint8)[:, :count].astype(np.int8)
+    return rows if channels is not None else rows[0]
 
 
 def pack_sram_image(ws: WeightSet) -> tuple[np.ndarray, list[int]]:
@@ -292,7 +301,8 @@ class PackedModel:
             biases.append(np.frombuffer(blob, dtype="<i4", count=spec.c_out,
                                         offset=off).astype(np.int32))
             off += nbytes
-        total_words = sum((s.c_out * s.c_in * s.kernel + 1) // 2 for s in specs)
+        layer_words = [(s.c_out * s.c_in * s.kernel + 1) // 2 for s in specs]
+        total_words = sum(layer_words)
         if off + 2 * total_words > len(blob):
             raise TruncationError("weight image truncated")
         words = np.frombuffer(blob, dtype="<u2", count=total_words,
@@ -300,10 +310,7 @@ class PackedModel:
         off += 2 * total_words
         if off != len(blob):
             raise SerializationError(f"{len(blob) - off} trailing bytes")
-        bases, addr = [], 0
-        for s in specs:
-            bases.append(addr)
-            addr += (s.c_out * s.c_in * s.kernel + 1) // 2
+        bases = list(itertools.accumulate(layer_words[:-1], initial=0))
         return PackedModel(layers=specs, biases=biases, weight_words=words,
                            layer_word_base=bases)
 
@@ -413,7 +420,7 @@ def quantize_model(fm: FloatModel, input_scale: float = 1.0 / 32.0,
 
 
 # ---------------------------------------------------------------------------
-# Random models for equivalence testing
+# Random models, geometries and inputs for equivalence testing
 # ---------------------------------------------------------------------------
 
 def random_model(net: NetworkSpec, rng: np.random.Generator,
@@ -439,3 +446,31 @@ def random_model(net: NetworkSpec, rng: np.random.Generator,
     rnet = NetworkSpec(layers=tuple(specs), input_length=net.input_length,
                        num_classes=net.num_classes)
     return PackedModel.from_weights(rnet, WeightSet(layers=q_layers))
+
+
+def random_small_net(rng: np.random.Generator,
+                     max_channels: int = 8, max_length: int = 48) -> NetworkSpec:
+    """Random small conv stack + FC head with a maxpool-compatible length."""
+    depth = int(rng.integers(1, 4))
+    length = int(rng.integers(1, max_length // (2 ** depth) + 1)) * (2 ** depth)
+    layers = []
+    c_in = int(rng.integers(1, max_channels // 2 + 1))
+    for _ in range(depth):
+        c_out = int(rng.integers(1, max_channels + 1))
+        k = int(rng.choice([1, 3, 5, 9]))
+        layers.append(LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=c_out,
+                                kernel=k, padding=int(rng.integers(0, k // 2 + 1)),
+                                pool_mode=PoolMode.MAXPOOL2,
+                                activation=Activation.RELU_SATURATE))
+        c_in = c_out
+    layers.append(LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=c_in, c_out=3,
+                            kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
+                            activation=Activation.SIGNED_BYPASS))
+    return NetworkSpec(layers=tuple(layers), input_length=length, num_classes=3)
+
+
+def random_input(rng: np.random.Generator, net: NetworkSpec) -> QuantTensor:
+    """Uniform u8 input window for `net` with a random zero point."""
+    data = rng.integers(0, 256, size=(net.layers[0].c_in, net.input_length),
+                        dtype=np.uint8)
+    return QuantTensor(data, zero_point=int(rng.integers(0, 256)))

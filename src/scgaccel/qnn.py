@@ -273,6 +273,16 @@ def gap_shift_acc(acc: np.ndarray) -> np.ndarray:
     return np.sum(acc >> GAP_SHIFT, axis=1)
 
 
+def round_shift(p, shift: int):
+    """Arithmetic right shift rounding to nearest, ties away from zero.
+
+    Built from operators only (no branch on the sign), so the same definition
+    is bit-exact on int64 arrays and cheap on Python ints; shift 0 is exact.
+    """
+    mag = (abs(p) + ((1 << shift) >> 1)) >> shift
+    return mag * (1 - 2 * (p < 0))
+
+
 def requantize(acc, multiplier: int, shift: int, activation: Activation,
                out_zero_point: int = 0):
     """Scale a 32-bit accumulator back to the activation format.
@@ -284,13 +294,7 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
     if not 0 <= shift <= 63:
         raise ConfigError("shift must be in [0, 63]")
     acc = np.asarray(acc, dtype=np.int64)
-    p = acc * np.int64(multiplier)
-    if shift == 0:
-        r = p
-    else:
-        half = np.int64(1) << np.int64(shift - 1)
-        mag = (np.abs(p) + half) >> np.int64(shift)
-        r = np.where(p < 0, -mag, mag)
+    r = round_shift(acc * np.int64(multiplier), int(shift))
     if activation == Activation.RELU_SATURATE:
         r = np.clip(r + out_zero_point, 0, 255)
         return r.astype(np.uint8)

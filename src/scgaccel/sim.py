@@ -5,15 +5,23 @@ ping-pong activation buffers, bias/scale storage), the six-PE systolic
 cluster, the staged 32x32 serial multiplier in the requantization engine,
 the result packer, and the nested-loop control FSM.
 
-Two execution paths share the same arithmetic definitions:
+Two execution paths produce bit-identical outputs and identical cycle splits:
 
-* ``run_inference`` executes layers with vectorized integer math while
-  accounting cycles at loop-nest granularity (7 prime + K compute per
-  channel group, 6 cycles per requantized output).  This is the fast path
-  used for full-network runs.
-* ``start``/``step`` drive a per-clock micro model that walks the same loop
-  nest one cycle at a time, emitting a structured trace event per cycle.
-  Both paths produce bit-identical outputs and identical cycle splits.
+* ``run_inference`` is the fast path used for full-network runs.  Each layer
+  unpacks its input plane from simulated memory, runs the golden ``qnn`` ops
+  on it (conv, pooling, requantization), packs the result back into the
+  ping-pong buffer and takes its cycle split from ``cyclemodel.layer_cycles``.
+* ``start``/``step`` drive a per-clock micro model that walks the loop nest
+  one cycle at a time with its own multiplier, packer and address counters,
+  emitting a structured trace event per cycle.  It is the independent check
+  of the fast path.
+
+Batch overhang: the array always computes whole batches of six positions, so
+a layer whose input length is not a multiple of six has overhang lanes past
+its end.  Those lanes read the zero point, their accumulators are
+overflow-checked like every other lane (an overflow there is a ``SimFault``
+even though the golden model never computes the position), and their
+results are never stored.
 """
 
 from __future__ import annotations
@@ -21,18 +29,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict, replace
 
-from numpy.lib.stride_tricks import sliding_window_view
-
 import numpy as np
 
-from .cyclemodel import (LayerCycles, PE_COUNT, PRIME_CYCLES,
-                         REQUANT_CYCLES_TABLE, array_efficiency,
-                         system_efficiency)
-from .errors import (CapacityError, ConfigError, MemoryFault, ShapeError,
-                     SimFault, StateError)
-from .modeltools import PackedModel, unpack_weight_bytes
+from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
+                         array_efficiency, layer_cycles, system_efficiency)
+from .errors import (AccumulatorOverflow, CapacityError, ConfigError,
+                     MemoryFault, ShapeError, SimFault, StateError)
+from .modeltools import PackedModel, pack_weight_bytes, unpack_weight_bytes
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
-                  Logits, PoolMode, QuantTensor)
+                  LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
+                  conv1d_acc, gap_shift_acc, maxpool2_acc, requantize,
+                  round_shift)
 
 WEIGHT_ADDR_LIMIT = 1 << 15      # 15-bit address space, MSB selects the bank
 INPUT_BANKS = 2
@@ -47,29 +54,20 @@ REQUANT_OVERHEAD = REQUANT_CYCLES_TABLE - REQUANT_MUL_STAGES
 # Serial 32x32 -> 64 multiplier
 # ---------------------------------------------------------------------------
 
-def _split_halves(v: int) -> tuple[int, int]:
-    """Signed upper half and unsigned lower half of a 32-bit operand."""
-    return v >> 16, v & 0xFFFF
+def _partial_products(a, b):
+    """The serial multiplier's four partial products, in stage order.
 
-
-def mul64signed(a: int, b: int) -> int:
-    """Full signed 64-bit product via the 4-stage sum-of-products decomposition."""
-    ah, al = _split_halves(int(a))
-    bh, bl = _split_halves(int(b))
-    p = al * bl
-    p += (al * bh) << 16
-    p += (ah * bl) << 16
-    p += (ah * bh) << 32
-    return p
-
-
-def mul64signed_array(a: np.ndarray, b) -> np.ndarray:
-    """Vectorized mul64signed over int64 arrays holding i32 operands."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    Each operand splits into a signed upper and an unsigned lower 16-bit
+    half.  Works on Python ints and elementwise on int64 arrays of i32s.
+    """
     ah, al = a >> 16, a & 0xFFFF
     bh, bl = b >> 16, b & 0xFFFF
-    return al * bl + ((al * bh) << 16) + ((ah * bl) << 16) + ((ah * bh) << 32)
+    return al * bl, (al * bh) << 16, (ah * bl) << 16, (ah * bh) << 32
+
+
+def mul64signed(a, b):
+    """Full signed 64-bit product: the sum of the four partial products."""
+    return sum(_partial_products(a, b))
 
 
 class RequantUnit:
@@ -93,24 +91,12 @@ class RequantUnit:
         """Advance one multiplier stage; returns True when the product is done."""
         if not self.busy:
             raise StateError("requant unit idle")
-        a, b = self._ops
-        ah, al = _split_halves(a)
-        bh, bl = _split_halves(b)
-        partial = (al * bl, (al * bh) << 16, (ah * bl) << 16, (ah * bh) << 32)
-        self.product_acc += partial[self.stage]
+        self.product_acc += _partial_products(*self._ops)[self.stage]
         self.stage += 1
         if self.stage == REQUANT_MUL_STAGES:
             self.busy = False
             return True
         return False
-
-
-def _round_shift(p: int, shift: int) -> int:
-    if shift == 0:
-        return p
-    half = 1 << (shift - 1)
-    mag = (abs(p) + half) >> shift
-    return -mag if p < 0 else mag
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +122,6 @@ class MemorySubsystem:
         if base < 0 or base + n_words > WEIGHT_ADDR_LIMIT:
             raise MemoryFault(f"weight region [{base}, {base + n_words}) out of range")
         return self.weight_mem[base:base + n_words]
-
-    # Input buffer: even words live in bank 0, odd words in bank 1, so the
-    # prime phase can stream two samples per cycle.
-    def input_word_index(self, word: int) -> tuple[int, int]:
-        return word & 1, word >> 1
 
     def read_input_byte(self, byte_index: int) -> int:
         word = byte_index >> 1
@@ -169,19 +150,14 @@ class SystolicCluster:
     def __init__(self):
         self.x_pipe = [0] * PE_COUNT          # u8 samples, X[0..5]
         self.acc = [0] * PE_COUNT             # signed 32-bit accumulators
-        self.broadcast_weight = 0
-        self.broadcast_bias = 0
-        self.phase = "idle"
 
     def shift_in(self, sample: int):
         self.x_pipe = [sample] + self.x_pipe[:-1]
 
     def load_bias(self, bias: int):
-        self.broadcast_bias = bias
         self.acc = [bias] * PE_COUNT
 
     def mac_all(self, weight: int, zero_point: int):
-        self.broadcast_weight = weight
         # X[j] currently holds the sample for output position j of this batch
         for j in range(PE_COUNT):
             self.acc[j] += (self.x_pipe[j] - zero_point) * weight
@@ -243,11 +219,9 @@ class CycleEvent:
 @dataclass
 class _LayerResult:
     """Recorded per-layer output image for debug readback."""
-    words: np.ndarray
-    c_out: int
+    spec: LayerSpec
     w_out: int
-    zero_point: int
-    signed: bool
+    words: np.ndarray     # empty for the signed logit layer
 
 
 class SimMachine:
@@ -299,11 +273,7 @@ class SimMachine:
             raise ShapeError(f"input needs {total_words} words, buffer has "
                              f"{INPUT_BANKS * INPUT_BANK_WORDS}")
         self.mem.input_words[:] = 0
-        flat = np.zeros(2 * total_words, dtype=np.uint8)
-        for c in range(x.channels):
-            flat[2 * c * wpc:2 * c * wpc + x.length] = x.data[c]
-        self.mem.input_words[:total_words] = (
-            flat[0::2].astype(np.uint16) | (flat[1::2].astype(np.uint16) << 8))
+        self.mem.input_words[:total_words] = pack_weight_bytes(x.data)
         self.input_len = x.length
         self.input_channels = x.channels
         self.input_zero_point = x.zero_point
@@ -315,44 +285,15 @@ class SimMachine:
         wpc = (self.input_len + 1) // 2
         return self.mem.read_input_byte(2 * channel * wpc + t)
 
-    # -- geometry helpers ---------------------------------------------------
-
-    def _layer_lengths(self) -> list[int]:
-        lengths, w = [], self.input_len
-        for spec in self.model.layers:
-            lengths.append(w)
-            w = spec.out_length(w)
-        return lengths
-
     def _read_plane(self, li: int, w_in: int, c_in: int) -> tuple[np.ndarray, int]:
-        """Input activation plane [c_in, w_in] (int64) and its zero point."""
+        """Input activation plane [c_in, w_in] (u8) and its zero point."""
+        n_words = c_in * ((w_in + 1) // 2)
         if li == 0:
-            wpc = (w_in + 1) // 2
-            total = c_in * wpc
-            flat = np.empty(2 * total, dtype=np.uint8)
-            words = self.mem.input_words[:total]
-            flat[0::2] = (words & 0xFF).astype(np.uint8)
-            flat[1::2] = (words >> 8).astype(np.uint8)
-            plane = np.stack([flat[2 * c * wpc:2 * c * wpc + w_in]
-                              for c in range(c_in)])
-            return plane.astype(np.int64), self.input_zero_point
-        prev = self.model.layers[li - 1]
-        wpc = (w_in + 1) // 2
-        buf = self.mem.read_buf
-        plane = np.empty((c_in, w_in), dtype=np.int64)
-        for c in range(c_in):
-            words = buf[c * wpc:(c + 1) * wpc]
-            row = np.empty(2 * wpc, dtype=np.uint8)
-            row[0::2] = (words & 0xFF).astype(np.uint8)
-            row[1::2] = (words >> 8).astype(np.uint8)
-            plane[c] = row[:w_in]
-        return plane, prev.out_zero_point
-
-    def _layer_weight_geometry(self, li: int):
-        spec = self.model.layers[li]
-        base = self.model.layer_word_base[li]
-        n = spec.c_out * spec.c_in * spec.kernel
-        return spec, base, n
+            words, zp = self.mem.input_words[:n_words], self.input_zero_point
+        else:
+            words = self.mem.read_buf[:n_words]
+            zp = self.model.layers[li - 1].out_zero_point
+        return unpack_weight_bytes(words, w_in, c_in).view(np.uint8), zp
 
     # -- fast path -----------------------------------------------------------
 
@@ -367,7 +308,7 @@ class SimMachine:
         self._run_cycles = []
         self._mac_count = 0
         start_cycle = self.cycle_counter
-        lengths = self._layer_lengths()
+        lengths = self.model.to_network_spec(self.input_len).layer_input_lengths()
         logits = None
         for li, (spec, w_in) in enumerate(zip(self.model.layers, lengths)):
             logits = self._run_layer_fast(li, spec, w_in)
@@ -377,99 +318,49 @@ class SimMachine:
         return logits, self.cycle_counter - start_cycle, list(self._run_cycles)
 
     def _run_layer_fast(self, li: int, spec, w_in: int):
+        """One layer: the golden ops on the plane held in simulated memory."""
         mem = self.mem
+        lc = layer_cycles(spec, w_in)
         plane, zp = self._read_plane(li, w_in, spec.c_in)
-        n_batches = -(-w_in // PE_COUNT)
-        t_total = n_batches * PE_COUNT
-        k, pad = spec.kernel, spec.padding
-
-        base = self.model.layer_word_base[li]
+        # whole batches of six; the overhang lanes read the zero point
+        ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
+        ext[:, :w_in] = plane
         n_weights = spec.c_out * spec.c_in * spec.kernel
-        words = mem.weight_region(base, (n_weights + 1) // 2)
-        w = unpack_weight_bytes(words, n_weights).reshape(
-            spec.c_out, spec.c_in, spec.kernel).astype(np.int64)
-        bias = mem.bias_rom[li].astype(np.int64)
-        multiplier, shift = mem.scale_regs[li]
-
-        # positions t in [0, t_total); taps t + k - pad; out-of-range reads
-        # see the zero point (zero after offset subtraction)
-        lo = -pad
-        hi = t_total - 1 + (k - 1) - pad
-        ext = np.zeros((spec.c_in, hi - lo + 1), dtype=np.int64)
-        src_lo, src_hi = max(0, lo), min(w_in, hi + 1)
-        ext[:, src_lo - lo:src_hi - lo] = plane[:, src_lo:src_hi] - zp
-        windows = sliding_window_view(ext, k, axis=1)[:, :t_total, :]
-        acc = np.einsum("ock,ctk->ot", w, windows) + bias[:, np.newaxis]
-        if acc.min() < INT32_MIN or acc.max() > INT32_MAX:
+        words = mem.weight_region(self.model.layer_word_base[li],
+                                  (n_weights + 1) // 2)
+        lw = LayerWeights(unpack_weight_bytes(words, n_weights).reshape(
+            spec.c_out, spec.c_in, spec.kernel), mem.bias_rom[li])
+        try:
+            acc = conv1d_acc(QuantTensor(ext, zero_point=zp), spec, lw)[:, :w_in]
+        except AccumulatorOverflow as exc:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
-                           f"{self.cycle_counter}")
-        self._mac_count += spec.c_out * t_total * spec.c_in * spec.kernel
+                           f"{self.cycle_counter}") from exc
+        self._mac_count += PE_COUNT * lc.compute
 
-        prime = spec.c_out * n_batches * spec.c_in * PRIME_CYCLES
-        compute = spec.c_out * n_batches * spec.c_in * spec.kernel
-
-        signed = spec.activation == Activation.SIGNED_BYPASS
         if spec.pool_mode == PoolMode.MAXPOOL2:
-            pooled = np.maximum(acc[:, 0::2], acc[:, 1::2])   # [c_out, t_total/2]
-            n_outputs = spec.c_out * (t_total // 2)
-            w_out = w_in // 2
-            kept = pooled[:, :w_out]
+            acc = maxpool2_acc(acc)
         elif spec.pool_mode == PoolMode.GLOBAL_AVG:
-            if w_in != GAP_LENGTH:
-                raise ConfigError(f"GAP layer requires input length {GAP_LENGTH}")
-            kept = np.sum(acc[:, :GAP_LENGTH] >> GAP_SHIFT, axis=1, keepdims=True)
-            pooled = kept
-            n_outputs = spec.c_out
-            w_out = 1
-        else:  # bypass: every valid position flows straight to the requantizer
-            pooled = acc[:, :w_in]
-            kept = pooled
-            n_outputs = spec.c_out * w_in
-            w_out = w_in
-
-        # Requantization through the serial-multiplier decomposition (equal to
-        # the golden direct product by construction, asserted in tests).
-        p = mul64signed_array(pooled, multiplier)
-        r = self._round_shift_array(p, shift)
-        if signed:
-            out = np.clip(r[:, :w_out], INT32_MIN, INT32_MAX).astype(np.int32)
+            acc = gap_shift_acc(acc)[:, np.newaxis]
+        multiplier, shift = mem.scale_regs[li]
+        out = requantize(acc, multiplier, shift, spec.activation, spec.out_zero_point)
+        logits = None
+        if spec.activation == Activation.SIGNED_BYPASS:
             logits = Logits(out[:, 0])
-            self._layer_results[li] = _LayerResult(
-                words=np.zeros(0, dtype=np.uint16), c_out=spec.c_out, w_out=w_out,
-                zero_point=0, signed=True)
         else:
-            out = np.clip(r + spec.out_zero_point, 0, 255).astype(np.uint8)
-            out = out[:, :w_out]
-            wpc = (w_out + 1) // 2
-            img = np.zeros(spec.c_out * wpc, dtype=np.uint16)
-            for c in range(spec.c_out):
-                row = np.zeros(2 * wpc, dtype=np.uint8)
-                row[:w_out] = out[c]
-                img[c * wpc:(c + 1) * wpc] = (
-                    row[0::2].astype(np.uint16) | (row[1::2].astype(np.uint16) << 8))
+            img = pack_weight_bytes(out)
             mem.write_buf[:img.size] = img
-            self._layer_results[li] = _LayerResult(
-                words=img.copy(), c_out=spec.c_out, w_out=w_out,
-                zero_point=spec.out_zero_point, signed=False)
-            logits = None
-
-        requant = n_outputs * REQUANT_CYCLES_TABLE
-        lc = LayerCycles(prime=prime, compute=compute, requant=requant,
-                         n_batches=n_batches, n_outputs=n_outputs,
-                         array_eff=array_efficiency(spec.kernel), sys_eff=0.0)
-        lc.sys_eff = system_efficiency(lc)
         self._run_cycles.append(lc)
         self.cycle_counter += lc.total
-        mem.toggle()
+        self._finish_layer(li, spec, out.shape[1])
         return logits
 
-    @staticmethod
-    def _round_shift_array(p: np.ndarray, shift: int) -> np.ndarray:
-        if shift == 0:
-            return p
-        half = np.int64(1) << np.int64(shift - 1)
-        mag = (np.abs(p) + half) >> np.int64(shift)
-        return np.where(p < 0, -mag, mag)
+    def _finish_layer(self, li: int, spec, w_out: int):
+        """Snapshot the output image from the write buffer, then swap buffers."""
+        n_words = 0 if spec.activation == Activation.SIGNED_BYPASS \
+            else spec.c_out * ((w_out + 1) // 2)
+        self._layer_results[li] = _LayerResult(spec, w_out,
+                                               self.mem.write_buf[:n_words].copy())
+        self.mem.toggle()
 
     # -- micro (per-cycle) path ---------------------------------------------
 
@@ -510,7 +401,7 @@ class SimMachine:
         return CycleEvent(cycle=self.cycle_counter, **kw)
 
     def _micro_run(self):
-        lengths = self._layer_lengths()
+        lengths = self.model.to_network_spec(self.input_len).layer_input_lengths()
         for li, (spec, w_in) in enumerate(zip(self.model.layers, lengths)):
             yield from self._micro_layer(li, spec, w_in)
         if self._logits is None:
@@ -538,23 +429,18 @@ class SimMachine:
 
         prime = compute = requant = 0
         n_outputs = 0
-        w_out = spec.out_length(w_in)
-        wpc_out = (w_out + 1) // 2
         packer = ResultPacker(mem.write_buf, 0)
         logits = np.zeros(spec.c_out, dtype=np.int64) if signed else None
-        out_img_rows = [] if not signed else None
 
         if spec.pool_mode == PoolMode.GLOBAL_AVG and w_in != GAP_LENGTH:
             raise ConfigError(f"GAP layer requires input length {GAP_LENGTH}")
 
         for o in range(spec.c_out):
             gap_acc = 0
-            channel_bytes = []
             for b in range(n_batches):
                 base_t = b * PE_COUNT
                 for c in range(spec.c_in):
                     # prime: load bias on a fresh group, then fill the pipe
-                    cluster.phase = "prime"
                     if c == 0:
                         cluster.load_bias(int(mem.bias_rom[li][o]))
                     yield self._emit(state="prime", layer=li, c_out=o, batch=b,
@@ -574,7 +460,6 @@ class SimMachine:
                     window = [self._micro_sample(li, w_in, zp, c, base_t - pad + i)
                               for i in range(PE_COUNT)]
                     cluster.x_pipe = list(window)
-                    cluster.phase = "compute"
                     for kk in range(k):
                         idx = (o * spec.c_in + c) * k + kk
                         reads = []
@@ -607,7 +492,6 @@ class SimMachine:
                         requant += REQUANT_CYCLES_TABLE
                         n_outputs += 1
                         if base_t + 2 * m < w_in:   # overhang results are dropped
-                            channel_bytes.append(int(value))
                             packer.push(int(value))
                 elif spec.pool_mode == PoolMode.GLOBAL_AVG:
                     for j in range(PE_COUNT):
@@ -625,7 +509,6 @@ class SimMachine:
                                 if base_t + j == 0:   # logit = position 0
                                     logits[o] = value
                             else:
-                                channel_bytes.append(int(value))
                                 packer.push(int(value))
             if spec.pool_mode == PoolMode.GLOBAL_AVG:
                 value = yield from self._micro_requant(
@@ -636,13 +519,9 @@ class SimMachine:
                 if signed:
                     logits[o] = value
                 else:
-                    channel_bytes.append(int(value))
                     packer.push(int(value))
             if not signed:
                 packer.flush()
-                row = np.zeros(2 * wpc_out, dtype=np.uint8)
-                row[:len(channel_bytes)] = channel_bytes
-                out_img_rows.append(row)
 
         lc = LayerCycles(prime=prime, compute=compute, requant=requant,
                          n_batches=n_batches, n_outputs=n_outputs,
@@ -653,17 +532,7 @@ class SimMachine:
         if signed:
             self._logits = Logits(np.clip(logits, INT32_MIN, INT32_MAX)
                                   .astype(np.int32))
-            self._layer_results[li] = _LayerResult(
-                words=np.zeros(0, dtype=np.uint16), c_out=spec.c_out,
-                w_out=w_out, zero_point=0, signed=True)
-        else:
-            flat = np.concatenate(out_img_rows)
-            img = (flat[0::2].astype(np.uint16)
-                   | (flat[1::2].astype(np.uint16) << 8))
-            self._layer_results[li] = _LayerResult(
-                words=img.copy(), c_out=spec.c_out, w_out=w_out,
-                zero_point=spec.out_zero_point, signed=False)
-        mem.toggle()
+        self._finish_layer(li, spec, spec.out_length(w_in))
 
     def _micro_weight(self, li: int, spec, idx: int) -> int:
         base = self.model.layer_word_base[li]
@@ -679,7 +548,7 @@ class SimMachine:
             yield self._emit(state="requant", layer=li, c_out=o, batch=b,
                              c_in=-1, k=-1, note="mul-stage")
         p = self.requant_unit.product_acc
-        r = _round_shift(p, shift)
+        r = round_shift(p, shift)
         if signed:
             value = max(INT32_MIN, min(INT32_MAX, r))
         else:
@@ -697,17 +566,10 @@ class SimMachine:
                 or self._layer_results[layer] is None:
             raise StateError(f"layer {layer} has not been executed")
         res = self._layer_results[layer]
-        if res.signed:
+        if res.spec.activation == Activation.SIGNED_BYPASS:
             raise StateError("signed logit layers have no activation tensor")
-        wpc = (res.w_out + 1) // 2
-        data = np.empty((res.c_out, res.w_out), dtype=np.uint8)
-        for c in range(res.c_out):
-            words = res.words[c * wpc:(c + 1) * wpc]
-            row = np.empty(2 * wpc, dtype=np.uint8)
-            row[0::2] = (words & 0xFF).astype(np.uint8)
-            row[1::2] = (words >> 8).astype(np.uint8)
-            data[c] = row[:res.w_out]
-        return QuantTensor(data, zero_point=res.zero_point)
+        data = unpack_weight_bytes(res.words, res.w_out, res.spec.c_out).view(np.uint8)
+        return QuantTensor(data, zero_point=res.spec.out_zero_point)
 
     @property
     def last_logits(self) -> Logits | None:

@@ -5,36 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scgaccel.modeltools import random_model
-from scgaccel.qnn import (Activation, LayerKind, LayerSpec, NetworkSpec,
-                          PoolMode, QuantTensor)
+from scgaccel.modeltools import random_input, random_model, random_small_net
+from scgaccel.qnn import NetworkSpec
 
-
-def random_small_net(rng: np.random.Generator,
-                     max_channels: int = 8, max_length: int = 48) -> NetworkSpec:
-    """Random small conv stack + FC head with a maxpool-compatible length."""
-    depth = int(rng.integers(1, 4))
-    length = int(rng.integers(1, max_length // (2 ** depth) + 1)) * (2 ** depth)
-    layers = []
-    c_in = int(rng.integers(1, max_channels // 2 + 1))
-    for _ in range(depth):
-        c_out = int(rng.integers(1, max_channels + 1))
-        k = int(rng.choice([1, 3, 5, 9]))
-        layers.append(LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=c_out,
-                                kernel=k, padding=int(rng.integers(0, k // 2 + 1)),
-                                pool_mode=PoolMode.MAXPOOL2,
-                                activation=Activation.RELU_SATURATE))
-        c_in = c_out
-    layers.append(LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=c_in, c_out=3,
-                            kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
-                            activation=Activation.SIGNED_BYPASS))
-    return NetworkSpec(layers=tuple(layers), input_length=length, num_classes=3)
-
-
-def random_input(rng: np.random.Generator, net: NetworkSpec) -> QuantTensor:
-    data = rng.integers(0, 256, size=(net.layers[0].c_in, net.input_length),
-                        dtype=np.uint8).astype(np.uint8)
-    return QuantTensor(data, zero_point=int(rng.integers(0, 256)))
+__all__ = ["random_input", "random_small_net"]
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Framing, protocol state machine, and host/device end-to-end behavior."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,24 @@ def test_end_to_end_matches_golden(rng):
     gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     assert np.array_equal(remote.values, gold.values)
     assert cycles == 2_255_250
+
+
+def test_four_class_round_trip_matches_golden(rng):
+    base = NetworkSpec.default(l3_width=16)
+    net = NetworkSpec(layers=base.layers[:-1] + (replace(base.layers[-1], c_out=4),),
+                      num_classes=4)
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    host_end, _ = serve_in_thread(DeviceEmulator())
+    client = HostClient(host_end, timeout=30.0)
+    try:
+        client.load_model(model)
+        remote, _ = client.run(x)
+    finally:
+        client.close()
+    gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
+    assert remote.values.shape == (4,)
+    assert np.array_equal(remote.values, gold.values)
 
 
 class _CorruptingTransport(Transport):

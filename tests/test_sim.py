@@ -7,16 +7,41 @@ import pytest
 from conftest import random_input, random_small_net
 from scgaccel.cyclemodel import network_report
 from scgaccel.errors import (CapacityError, MemoryFault, ShapeError,
-                             StateError)
-from scgaccel.modeltools import random_model
-from scgaccel.qnn import (INT32_MAX, INT32_MIN, NetworkSpec, QuantTensor,
-                          infer_window)
+                             SimFault, StateError)
+from scgaccel.modeltools import PackedModel, random_model
+from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, Activation,
+                          LayerKind, LayerSpec, LayerWeights, NetworkSpec,
+                          PoolMode, QuantTensor, WeightSet, infer_window)
+from scgaccel.qnn import round_shift as _round_shift
 from scgaccel.sim import (RequantUnit, ResultPacker, SimMachine,
-                          WEIGHT_ADDR_LIMIT, _round_shift, mul64signed,
-                          mul64signed_array)
+                          WEIGHT_ADDR_LIMIT, mul64signed)
 
 EDGE_OPERANDS = [0, 1, -1, 1 << 15, -(1 << 15), (1 << 15) - 1, -((1 << 15) - 1),
                  INT32_MAX, INT32_MIN, INT32_MIN + 1, INT32_MAX - 1]
+
+_RELU = dict(kind=LayerKind.CONV1D, activation=Activation.RELU_SATURATE)
+_FC = dict(kind=LayerKind.FULLY_CONNECTED, kernel=1, padding=0,
+           pool_mode=PoolMode.BYPASS, activation=Activation.SIGNED_BYPASS)
+
+
+def every_kind_net() -> NetworkSpec:
+    """Maxpool conv, bypass-ReLU conv, GAP conv at length 64, FC head."""
+    return NetworkSpec(layers=(
+        LayerSpec(c_in=1, c_out=4, kernel=9, padding=4,
+                  pool_mode=PoolMode.MAXPOOL2, **_RELU),
+        LayerSpec(c_in=4, c_out=4, kernel=5, padding=2,
+                  pool_mode=PoolMode.BYPASS, **_RELU),
+        LayerSpec(c_in=4, c_out=8, kernel=3, padding=1,
+                  pool_mode=PoolMode.GLOBAL_AVG, **_RELU),
+        LayerSpec(c_in=8, c_out=3, **_FC),
+    ), input_length=2 * GAP_LENGTH)
+
+
+def small_nets(rng, count: int, **kw):
+    """`count` random small nets, then the net with every layer kind."""
+    for _ in range(count):
+        yield random_small_net(rng, **kw)
+    yield every_kind_net()
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +52,7 @@ def test_mul64signed_million_random_pairs():
     rng = np.random.default_rng(0)
     a = rng.integers(INT32_MIN, INT32_MAX + 1, size=1_000_000, dtype=np.int64)
     b = rng.integers(INT32_MIN, INT32_MAX + 1, size=1_000_000, dtype=np.int64)
-    assert np.array_equal(mul64signed_array(a, b), a * b)
+    assert np.array_equal(mul64signed(a, b), a * b)
 
 
 def test_mul64signed_edge_cross_product():
@@ -41,7 +66,7 @@ def test_mul64signed_scalar_matches_array():
     for _ in range(200):
         a = int(rng.integers(INT32_MIN, INT32_MAX + 1))
         b = int(rng.integers(INT32_MIN, INT32_MAX + 1))
-        assert mul64signed(a, b) == int(mul64signed_array(
+        assert mul64signed(a, b) == int(mul64signed(
             np.array([a]), np.array([b]))[0])
 
 
@@ -156,8 +181,7 @@ def test_fast_path_matches_golden_default_topology(rng):
 
 
 def test_fast_path_matches_golden_small_geometries(rng):
-    for _ in range(30):
-        net = random_small_net(rng)
+    for net in small_nets(rng, 30):
         model = random_model(net, rng)
         x = random_input(rng, net)
         gold, snaps = infer_window(model.to_network_spec(net.input_length),
@@ -186,6 +210,33 @@ def test_fast_cycles_match_analytical_model(rng):
                 == (want.prime, want.compute, want.requant)
 
 
+def test_batch_overhang_lane_overflow_is_a_fault():
+    # L0 sees 4 samples, so its one batch of six has overhang lanes t = 4, 5.
+    # Lane 4 sees samples 3, 4, 5: sample 3 is 127 above the zero point and
+    # 4, 5 read the zero point, so acc = bias + 127 * 127 overflows there,
+    # while every stored lane fits.
+    net = NetworkSpec(layers=(
+        LayerSpec(c_in=1, c_out=1, kernel=3, padding=1,
+                  pool_mode=PoolMode.BYPASS, **_RELU),
+        LayerSpec(c_in=1, c_out=3, **_FC),
+    ), input_length=4, num_classes=3)
+    ws = WeightSet(layers=[
+        LayerWeights(weights=[[[127, -127, -127]]], biases=[INT32_MAX - 100]),
+        LayerWeights(weights=[[[1]], [[-1]], [[2]]], biases=[0, 0, 0]),
+    ])
+    x = QuantTensor(np.array([[128, 128, 255, 255]], dtype=np.uint8),
+                    zero_point=128)
+    gold, _ = infer_window(net, ws, x)     # golden never computes lane 4
+    assert gold.values.shape == (3,)
+    model = PackedModel.from_weights(net, ws)
+    for run in (SimMachine.run_inference, SimMachine.run_micro):
+        machine = SimMachine()
+        machine.load_model(model)
+        machine.load_input(x)
+        with pytest.raises(SimFault):
+            run(machine)
+
+
 def test_rerun_is_deterministic(default_pair):
     _, model, x = default_pair
     machine = SimMachine()
@@ -202,8 +253,7 @@ def test_rerun_is_deterministic(default_pair):
 # ---------------------------------------------------------------------------
 
 def test_micro_path_matches_fast_path(rng):
-    for _ in range(6):
-        net = random_small_net(rng, max_channels=6, max_length=24)
+    for net in small_nets(rng, 6, max_channels=6, max_length=24):
         model = random_model(net, rng)
         x = random_input(rng, net)
         fast = SimMachine()
