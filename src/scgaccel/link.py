@@ -24,8 +24,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import (AccelError, CrcError, FramingError, ProtocolError,
-                     TransportError, VerificationError)
+from .errors import (AccelError, CapacityError, CrcError, FramingError,
+                     ProtocolError, TransportError, VerificationError)
 from .modeltools import PackedModel
 from .qnn import Logits, QuantTensor
 from .sim import SimMachine
@@ -264,6 +264,11 @@ class DeviceEmulator:
         if self.mode == DeviceMode.LOADING:
             try:
                 model = PackedModel.from_bytes(bytes(self._staging))
+                # RESULT names the class in a u8; 256 logits take 1029 bytes,
+                # well inside the frame cap
+                if model.layers[-1].c_out > 256:
+                    raise CapacityError(f"{model.layers[-1].c_out} classes do not "
+                                        "fit a RESULT frame")
                 self.machine.load_model(model)
             except AccelError:
                 self.mode = DeviceMode.IDLE
@@ -330,7 +335,8 @@ class DeviceEmulator:
         """Run the single-session command loop until the stream closes.
 
         Malformed traffic never crashes the loop: bad frames are NACKed and
-        the decoder resynchronizes on the next SOF.
+        the decoder resynchronizes on the next SOF, and a request whose
+        handler raises is NACKed with LOAD_ERROR.
         """
         decoder = FrameDecoder()
         try:
@@ -352,7 +358,11 @@ class DeviceEmulator:
                         continue
                     if frame is None:
                         break
-                    transport.send(encode_frame(self.handle_frame(frame)))
+                    try:
+                        reply = self.handle_frame(frame)
+                    except AccelError:
+                        reply = self._nack(frame.seq, NackReason.LOAD_ERROR)
+                    transport.send(encode_frame(reply))
         except TransportError:
             pass
         finally:

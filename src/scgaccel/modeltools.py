@@ -14,12 +14,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BadMagicError, CapacityError, ConfigError, SerializationError,
                      ShapeError, TruncationError)
 from .qnn import (INT32_MAX, INT32_MIN, Activation, LayerKind, LayerSpec,
-                  LayerWeights, NetworkSpec, PoolMode, QuantTensor, WeightSet)
+                  LayerWeights, NetworkSpec, PoolMode, QuantTensor, WeightSet,
+                  conv1d_gemm)
 
 MAGIC = b"SANN"
 FORMAT_VERSION = 1
@@ -143,7 +143,8 @@ def pack_weight_bytes(rows: np.ndarray) -> np.ndarray:
     image, the input buffer and the activation buffers.  A 1-D array is one
     row; signed bytes are stored as their two's-complement bit pattern.
     """
-    raw = np.atleast_2d(np.asarray(rows).astype(np.uint8))
+    # C order: the word view below needs each row's bytes contiguous
+    raw = np.atleast_2d(np.asarray(rows).astype(np.uint8, order="C"))
     if raw.shape[1] % 2 != 0:
         raw = np.pad(raw, ((0, 0), (0, 1)))
     # a little-endian word holds its low byte first
@@ -337,13 +338,8 @@ def float_layer_forward(spec: LayerSpec, params: FloatLayerParams,
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != spec.c_in:
         raise ShapeError("channel mismatch in float forward")
-    w_in = x.shape[1]
-    k, pad = spec.kernel, spec.padding
-    left, right = pad, max(k - 1 - pad, 0)
-    xp = np.zeros((spec.c_in, left + w_in + right))
-    xp[:, left:left + w_in] = x
-    windows = sliding_window_view(xp, k, axis=1)[:, :w_in, :]
-    y = np.einsum("ock,ctk->ot", params.weights, windows) + params.bias[:, np.newaxis]
+    y = conv1d_gemm(x[np.newaxis], params.weights, spec.padding)[0] \
+        + params.bias[:, np.newaxis]
     if params.bn is not None:
         bn = params.bn
         factor = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)

@@ -1,7 +1,8 @@
 """Bit-exact integer-only golden model of the 5-layer 1D CNN.
 
-All arithmetic is done on wide integers (int64 intermediates checked against
-the 32-bit accumulator budget), so every result here is the contract the
+All arithmetic is exact: int64 intermediates checked against the 32-bit
+accumulator budget, and conv products summed in float64, which is exact on
+these integers (see conv1d_gemm).  So every result here is the contract the
 cycle-accurate simulator has to match exactly.
 """
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AccumulatorOverflow, ConfigError, ShapeError
 
@@ -88,6 +88,13 @@ class LayerSpec:
             raise ConfigError("channel counts and kernel must be >= 1")
         if self.padding < 0:
             raise ConfigError("padding must be >= 0")
+        # the SANN descriptor's field widths
+        if self.c_in > 0xFFFF or self.c_out > 0xFFFF:
+            raise ConfigError("channel counts must fit in u16")
+        if self.kernel > 0xFF or self.padding > 0xFF:
+            raise ConfigError("kernel and padding must fit in u8")
+        if not 0 <= self.out_zero_point <= 255:
+            raise ConfigError("output zero point must be in [0, 255]")
         if self.kind == LayerKind.FULLY_CONNECTED:
             if self.kernel != 1 or self.padding != 0:
                 raise ConfigError("FC layers are 1x1 convolutions without padding")
@@ -219,25 +226,50 @@ def zscore_quantize(window, zero_point: int = 128,
     return QuantTensor(q[np.newaxis, :], scale=scale_divisor, zero_point=zero_point)
 
 
+def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
+    """Stride-1 convolution of x [B, C, L] with w [O, C, K] -> float64 [B, O, L].
+
+    out[b, o, t] = sum over c, j of w[o, c, j] * x[b, c, t + j - pad], with
+    taps outside [0, L) reading zero.  The B inputs lie side by side in one
+    channel-major plane, each in a zero-margined segment of seg = pad + L +
+    max(K - 1 - pad, 0) columns, and each tap is one float64 GEMM over a
+    shifted view of it, so no im2col buffer is built.
+
+    Exact on integer operands while every partial sum stays below 2^53.  The
+    SANN field widths that LayerSpec enforces (c_in <= 65535, K <= 255) and
+    u8 activations minus a u8 zero point (|x| <= 255) times i8 weights
+    (|w| <= 128) give a worst case of 65535*255*255*128 ~ 5.5e11 < 2^53.
+    """
+    b, c, n = x.shape
+    o, k = w.shape[0], w.shape[2]
+    seg = pad + n + max(k - 1 - pad, 0)
+    # one spare zero segment at the end lets every tap read B*seg columns,
+    # so each GEMM writes whole contiguous rows; output column b*seg + t
+    # reads plane column b*seg + t + j at tap j
+    plane = np.zeros((c, b + 1, seg))
+    plane[:, :b, pad:pad + n] = x.transpose(1, 0, 2)
+    plane = plane.reshape(c, (b + 1) * seg)
+    taps = w.transpose(2, 0, 1).astype(np.float64)    # [K, O, C]
+    span = b * seg
+    out = taps[0] @ plane[:, :span]
+    for j in range(1, k):
+        out += taps[j] @ plane[:, j:j + span]
+    return out.reshape(o, b, seg)[:, :, :n].transpose(1, 0, 2)
+
+
 def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray:
     """Stride-1 integer convolution into the signed 32-bit accumulator map.
 
     Out-of-range taps read the zero point, i.e. contribute nothing after the
-    offset subtraction; output length equals input length.
+    offset subtraction; output length equals input length.  The products are
+    summed by conv1d_gemm, exactly, and the bias is added in int64.
     """
     if x.channels != layer.c_in:
         raise ShapeError(f"input has {x.channels} channels, layer expects {layer.c_in}")
     if lw.weights.shape != (layer.c_out, layer.c_in, layer.kernel):
         raise ShapeError("weight tensor does not match layer geometry")
-    w_in = x.length
-    k, pad = layer.kernel, layer.padding
-    # Offsets t + k - pad for t in [0, w_in): indices span [-pad, w_in - 1 + k - 1 - pad].
-    left = pad
-    right = max(k - 1 - pad, 0)
-    xoff = np.zeros((layer.c_in, left + w_in + right), dtype=np.int64)
-    xoff[:, left:left + w_in] = x.data.astype(np.int64) - x.zero_point
-    windows = sliding_window_view(xoff, k, axis=1)[:, :w_in, :]  # [c_in, w_in, K]
-    acc = np.einsum("ock,ctk->ot", lw.weights.astype(np.int64), windows)
+    xoff = np.subtract(x.data, x.zero_point, dtype=np.float64)
+    acc = conv1d_gemm(xoff[np.newaxis], lw.weights, layer.padding)[0].astype(np.int64)
     acc += lw.biases.astype(np.int64)[:, np.newaxis]
     if acc.min() < INT32_MIN or acc.max() > INT32_MAX:
         raise AccumulatorOverflow(

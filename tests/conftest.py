@@ -4,11 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scgaccel.modeltools import random_input, random_model, random_small_net
 from scgaccel.qnn import NetworkSpec
 
-__all__ = ["random_input", "random_small_net"]
+__all__ = ["einsum_conv", "random_input", "random_small_net"]
+
+
+def einsum_conv(x, w, pad):
+    """Reference stride-1 conv of x [B, C, L] with w [O, C, K] -> [B, O, L].
+
+    An einsum over sliding windows of a zero-padded copy of x; exact on
+    int64 operands.
+    """
+    b, c, n = x.shape
+    k = w.shape[2]
+    xp = np.zeros((b, c, pad + n + max(k - 1 - pad, 0)), dtype=np.result_type(x, w))
+    xp[:, :, pad:pad + n] = x
+    windows = sliding_window_view(xp, k, axis=2)[:, :, :n, :]   # [B, C, L, K]
+    return np.einsum("ock,bctk->bot", w, windows)
 
 
 @pytest.fixture

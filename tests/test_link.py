@@ -16,7 +16,8 @@ from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
                            Transport, crc8, decode_frame, encode_frame,
                            machine_digest, model_digest, serve_in_thread)
 from scgaccel.modeltools import PackedModel, random_model
-from scgaccel.qnn import NetworkSpec, infer_window
+from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
+                          NetworkSpec, PoolMode, WeightSet, infer_window)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,68 @@ def test_four_class_round_trip_matches_golden(rng):
     gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     assert remote.values.shape == (4,)
     assert np.array_equal(remote.values, gold.values)
+
+
+def _wide_head_model(n_classes):
+    """Tiny conv + FC model with `n_classes` logits, of which class 0 wins."""
+    conv = LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=2, kernel=1, padding=0,
+                     pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE)
+    head = LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=2, c_out=n_classes,
+                     kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.SIGNED_BYPASS)
+    net = NetworkSpec(layers=(conv, head), input_length=8, num_classes=n_classes)
+    ws = WeightSet(layers=[
+        LayerWeights(weights=np.ones((2, 1, 1)), biases=np.zeros(2)),
+        LayerWeights(weights=np.zeros((n_classes, 2, 1)),
+                     biases=-1000 * np.arange(n_classes))])
+    return PackedModel.from_weights(net, ws)
+
+
+def test_model_whose_result_cannot_fit_is_rejected_at_verify(rng):
+    # RESULT carries the predicted class in a u8, and 1023 logits would also
+    # make a 4097-byte payload, one over the frame cap
+    device = DeviceEmulator()
+    host_end, thread = serve_in_thread(device)
+    client = HostClient(host_end, timeout=30.0)
+    try:
+        for n_classes in (257, 1023):
+            with pytest.raises(ProtocolError):
+                client.load_model(_wide_head_model(n_classes))
+            assert thread.is_alive() and not device.model_loaded
+        widest = _wide_head_model(256)
+        client.load_model(widest)
+        x = random_input(rng, widest.to_network_spec(8))
+        remote, _ = client.run(x)
+        assert remote.values.tolist() == (-1000 * np.arange(256)).tolist()
+        model = _small_model(rng)
+        x = random_input(rng, model.to_network_spec())
+        client.load_model(model)
+        remote, _ = client.run(x)
+    finally:
+        client.close()
+    gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
+    assert np.array_equal(remote.values, gold.values)
+
+
+def test_serve_nacks_a_request_whose_handler_raises(rng):
+    # a RESULT that cannot be framed, from a model placed in the machine
+    # without the VERIFY check
+    device = DeviceEmulator()
+    model = _wide_head_model(1023)
+    device.machine.load_model(model)
+    device.model_loaded = True
+    host_end, thread = serve_in_thread(device)
+    client = HostClient(host_end, timeout=30.0)
+    try:
+        with pytest.raises(ProtocolError, match="LOAD_ERROR"):
+            client.run(random_input(rng, model.to_network_spec(8)))
+        assert thread.is_alive()
+        reply = client.request(Frame(Command.VERIFY_MEM, seq=0))
+        assert reply.command == Command.ACK
+    finally:
+        client.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 class _CorruptingTransport(Transport):

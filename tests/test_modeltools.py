@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import einsum_conv
 from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
                              SerializationError, TruncationError)
 from scgaccel.modeltools import (BatchNorm, FloatLayerParams, FloatModel,
@@ -64,6 +65,24 @@ def test_fold_matches_unfolded_forward_to_1e6():
         with_bn = float_layer_forward(spec, params, x)
         folded = float_layer_forward(spec, fold_batchnorm(params), x)
         assert np.max(np.abs(with_bn - folded)) < 1e-6
+
+
+def test_float_layer_forward_matches_einsum_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        c_in, c_out = (int(v) for v in rng.integers(1, 6, size=2))
+        k = int(rng.choice([1, 3, 5, 9]))
+        pad = int(rng.integers(0, k + 2))
+        spec = LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=c_out, kernel=k,
+                         padding=pad, pool_mode=PoolMode.BYPASS,
+                         activation=Activation.SIGNED_BYPASS)
+        params = _random_layer_params(rng, c_out=c_out, c_in=c_in, k=k,
+                                      with_bn=False)
+        x = rng.normal(size=(c_in, int(rng.integers(1, 40))))
+        expect = einsum_conv(x[np.newaxis], params.weights, pad)[0] \
+            + params.bias[:, np.newaxis]
+        got = float_layer_forward(spec, params, x)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
 
 
 def test_fold_requires_bn():
@@ -134,6 +153,16 @@ def test_pack_unpack_round_trip():
         words = pack_weight_bytes(flat)
         assert words.size == (n + 1) // 2
         assert np.array_equal(unpack_weight_bytes(words, n), flat)
+
+
+@pytest.mark.parametrize("length", [6, 7])
+def test_pack_weight_bytes_ignores_memory_order(length):
+    rows = np.random.default_rng(13).integers(0, 256, size=(3, length),
+                                               dtype=np.uint8)
+    expect = pack_weight_bytes(rows)
+    assert np.array_equal(pack_weight_bytes(np.asfortranarray(rows)), expect)
+    assert np.array_equal(pack_weight_bytes(np.ascontiguousarray(rows.T).T), expect)
+    assert np.array_equal(pack_weight_bytes(rows.astype(np.int8, order="F")), expect)
 
 
 def test_default_network_weight_word_count():

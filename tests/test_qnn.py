@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import einsum_conv
 from scgaccel.errors import AccumulatorOverflow, ConfigError, ShapeError
 from scgaccel.qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN,
                           Activation, LayerKind, LayerSpec, Logits,
                           NetworkSpec, LayerWeights, PoolMode, QuantTensor,
-                          WeightSet, conv1d_acc, gap_shift_acc, infer_window,
-                          maxpool2_acc, requantize, zscore_quantize)
+                          WeightSet, conv1d_acc, conv1d_gemm, gap_shift_acc,
+                          infer_window, maxpool2_acc, requantize,
+                          zscore_quantize)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,65 @@ def test_gap_element_shift_differs_from_sum_shift():
     acc = np.full((1, GAP_LENGTH), 63, dtype=np.int64)  # each >> 6 == 0
     assert gap_shift_acc(acc)[0] == 0
     assert (acc.sum() >> GAP_SHIFT) != 0
+
+
+# ---------------------------------------------------------------------------
+# The float64 GEMM conv is exact on integers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sample, zp", [(255, 0), (0, 255)])
+def test_conv_exact_at_worst_case_magnitudes(sample, zp):
+    # |x - zp| = 255 against weights -128 and 127, with biases that put the
+    # accumulator exactly on INT32_MAX and on INT32_MIN; 63 channels make the
+    # sums odd and above 2^24, so a float32 sum would round them
+    c_in, k, pad, w_in = 63, 9, 4, 16
+    spec = LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=2, kernel=k,
+                     padding=pad, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.RELU_SATURATE)
+    x = np.full((c_in, w_in), sample, dtype=np.uint8)
+    w = np.stack([np.full((c_in, k), 127), np.full((c_in, k), -128)]).astype(np.int8)
+    sums = oracle_conv(x.tolist(), zp, w.tolist(), [0, 0], pad)
+    # the channel whose sums are positive reaches the top, the other the bottom
+    edge = [INT32_MAX - max(row) if max(row) > 0 else INT32_MIN - min(row)
+            for row in sums]
+    acc = conv1d_acc(QuantTensor(x, zero_point=zp), spec,
+                     LayerWeights(weights=w, biases=edge))
+    assert acc.max() == INT32_MAX and acc.min() == INT32_MIN
+    assert acc.tolist() == oracle_conv(x.tolist(), zp, w.tolist(), edge, pad)
+    for o in range(2):
+        beyond = list(edge)
+        beyond[o] += 1 if edge[o] > 0 else -1
+        with pytest.raises(AccumulatorOverflow):
+            conv1d_acc(QuantTensor(x, zero_point=zp), spec,
+                       LayerWeights(weights=w, biases=beyond))
+
+
+def test_conv_gemm_batch_matches_einsum_reference():
+    # several inputs share one plane; their margins must keep them apart
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        b, c, o = (int(v) for v in rng.integers(1, 5, size=3))
+        k = int(rng.choice([1, 2, 3, 5, 9]))
+        n = int(rng.integers(1, 20))
+        pad = int(rng.integers(0, k + 2))
+        x = rng.integers(-255, 256, size=(b, c, n))
+        w = rng.integers(-128, 128, size=(o, c, k))
+        got = conv1d_gemm(x, w, pad)
+        assert got.dtype == np.float64 and got.shape == (b, o, n)
+        assert np.array_equal(got, einsum_conv(x, w, pad))
+
+
+def test_conv_gemm_exact_at_widest_layer_spec():
+    widest = LayerSpec(kind=LayerKind.CONV1D, c_in=0xFFFF, c_out=0xFFFF,
+                       kernel=0xFF, padding=0xFF, pool_mode=PoolMode.BYPASS,
+                       activation=Activation.RELU_SATURATE, out_zero_point=255)
+    # every partial sum of one output is an integer below 2^53, so exact
+    assert widest.c_in * widest.kernel * 255 * 128 < 2 ** 53
+    # all 65535 channels at the extreme magnitude, summed over three taps
+    x = np.full((1, widest.c_in, 3), 255.0)
+    w = np.full((1, widest.c_in, 3), -128, dtype=np.int8)
+    got = conv1d_gemm(x, w, 1)
+    assert got[0, 0].tolist() == [-128 * 255 * widest.c_in * n for n in (2, 3, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +338,16 @@ def test_layer_spec_validation():
         LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3, padding=1,
                   pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE,
                   stride=2)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c_in", 0x10000), ("c_out", 0x10000), ("kernel", 0x100),
+    ("padding", 0x100), ("out_zero_point", 256), ("out_zero_point", -1)])
+def test_layer_spec_enforces_sann_field_widths(field, value):
+    fields = dict(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3, padding=1,
+                  pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE)
+    with pytest.raises(ConfigError):
+        LayerSpec(**{**fields, field: value})
 
 
 def test_network_spec_validation():

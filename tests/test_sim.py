@@ -153,6 +153,23 @@ def test_input_buffer_round_trip(default_pair):
     assert got == x.data[0].tolist()
 
 
+def test_load_input_accepts_any_memory_order(rng):
+    net = NetworkSpec(layers=(
+        LayerSpec(c_in=2, c_out=3, kernel=3, padding=1,
+                  pool_mode=PoolMode.MAXPOOL2, **_RELU),
+        LayerSpec(c_in=3, c_out=3, **_FC),
+    ), input_length=8, num_classes=3)
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    gold, _ = infer_window(model.to_network_spec(net.input_length),
+                           model.to_weight_set(), x)
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(QuantTensor(np.asfortranarray(x.data), zero_point=x.zero_point))
+    sim, _, _ = machine.run_inference()
+    assert np.array_equal(sim.values, gold.values)
+
+
 def test_export_model_round_trip(default_pair):
     _, model, _ = default_pair
     machine = SimMachine()
