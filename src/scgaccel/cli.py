@@ -21,7 +21,7 @@ import numpy as np
 from .cyclemodel import (DEFAULT_CLOCK_HZ, DEFAULT_POWER_MW, RequantConvention,
                          network_report)
 from .errors import AccelError
-from .link import DeviceEmulator, HostClient, SocketTransport
+from .link import DeviceEmulator, HostClient, SocketTransport, Transport
 from .metrics import evaluate, synth_windows
 from .modeltools import (BatchNorm, FloatLayerParams, FloatModel, PackedModel,
                          quantize_model, random_input, random_model,
@@ -91,12 +91,16 @@ def _read_window(path: str, fmt: str, c_in: int, zero_point: int) -> QuantTensor
     return QuantTensor(samples.reshape(c_in, -1).copy(), zero_point=zero_point)
 
 
-def _connect(addr: str) -> HostClient:
+def _parse_address(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdigit() or int(port) > 0xFFFF:
         raise UsageError(f"address must be host:port, got {addr!r}")
+    return host, int(port)
+
+
+def _connect(addr: str) -> HostClient:
     try:
-        sock = socket.create_connection((host, int(port)), timeout=10.0)
+        sock = socket.create_connection(_parse_address(addr), timeout=10.0)
     except OSError as exc:
         raise UsageError(f"cannot connect to {addr}: {exc}")
     return HostClient(SocketTransport(sock), timeout=30.0)
@@ -264,7 +268,7 @@ def cmd_pack(args) -> int:
 # serve / load / run
 # ---------------------------------------------------------------------------
 
-class _StdioTransport:
+class _StdioTransport(Transport):
     """Byte-stream transport over this process's stdin/stdout."""
 
     def send(self, data: bytes):
@@ -283,10 +287,8 @@ def cmd_serve(args) -> int:
     if args.transport == "stdio":
         device.serve(_StdioTransport())
         return 0
-    host, _, port = args.transport.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError("serve needs --transport stdio or host:port")
-    with socket.create_server((host, int(port))) as server:
+    host, port = _parse_address(args.transport)
+    with socket.create_server((host, port)) as server:
         print(f"listening on {host}:{port}", file=sys.stderr)
         while True:
             conn, peer = server.accept()
@@ -415,23 +417,16 @@ def cmd_selftest(args) -> int:
     ok &= _check("protocol round trip", np.array_equal(remote.values, gold.values),
                  f"logits {[int(v) for v in remote.values]}")
 
-    published = [[9469, 39, 383], [55, 9914, 125], [44, 45, 9926]]
-    labels = np.repeat([0, 1, 2], [sum(row) for row in published])
-    summary = evaluate(labels, pred_classes=_expand_confusion(published))
+    published = np.array([[9469, 39, 383], [55, 9914, 125], [44, 45, 9926]])
+    labels = np.repeat([0, 1, 2], published.sum(axis=1))
+    preds = np.repeat(np.tile([0, 1, 2], 3), published.ravel())
+    summary = evaluate(labels, pred_classes=preds)
     recalls = [round(r * 100, 2) for r in summary.recall]
     ok &= _check("metrics reproduction", abs(summary.accuracy - 0.9770) < 1e-4
                  and recalls == [95.73, 98.22, 99.11],
                  f"accuracy {summary.accuracy:.2%}, recalls {recalls}")
     print("selftest", "PASSED" if ok else "FAILED")
     return 0 if ok else 1
-
-
-def _expand_confusion(cm) -> np.ndarray:
-    preds = []
-    for row in cm:
-        for pred, count in enumerate(row):
-            preds.extend([pred] * count)
-    return np.asarray(preds)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scgaccel", description="Accelerator software twin toolkit")
     parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--input", required=True, help="signal file or - for stdin")
+    window.add_argument("--format", choices=["f32", "u8"], default="f32")
+    window.add_argument("--zero-point", type=int, default=INPUT_ZERO_POINT)
 
     p = sub.add_parser("analyze", help="analytical cycle/throughput report")
     p.add_argument("--model", help="packed model file (default topology if omitted)")
@@ -454,11 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("infer", help="run one window through golden model/simulator")
+    p = sub.add_parser("infer", parents=[window],
+                       help="run one window through golden model/simulator")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True, help="signal file or - for stdin")
-    p.add_argument("--format", choices=["f32", "u8"], default="f32")
-    p.add_argument("--zero-point", type=int, default=INPUT_ZERO_POINT)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--golden", dest="mode", action="store_const",
                        const="golden")
@@ -467,11 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_infer, mode=None)
 
-    p = sub.add_parser("trace", help="per-cycle simulator trace prefix")
+    p = sub.add_parser("trace", parents=[window],
+                       help="per-cycle simulator trace prefix")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["f32", "u8"], default="f32")
-    p.add_argument("--zero-point", type=int, default=INPUT_ZERO_POINT)
     p.add_argument("--cycles", type=int, required=True)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_trace)
@@ -493,11 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_load)
 
-    p = sub.add_parser("run", help="run one window on a remote device")
+    p = sub.add_parser("run", parents=[window],
+                       help="run one window on a remote device")
     p.add_argument("--connect", required=True, help="host:port")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["f32", "u8"], default="f32")
-    p.add_argument("--zero-point", type=int, default=INPUT_ZERO_POINT)
     p.add_argument("--channels", type=int, default=1)
     p.set_defaults(func=cmd_run)
 

@@ -45,23 +45,20 @@ class LayerCycles:
     n_batches: int
     n_outputs: int  # pooled outputs over all batches, padding positions included
     array_eff: float
-    sys_eff: float
 
     @property
     def total(self) -> int:
         return self.prime + self.compute + self.requant
 
+    @property
+    def sys_eff(self) -> float:
+        """Useful compute relative to total layer time."""
+        return self.compute / self.total if self.compute else 0.0
+
 
 def array_efficiency(kernel: int) -> float:
     """Fraction of array cycles doing arithmetic: K / (K + 7)."""
     return kernel / (kernel + PRIME_CYCLES)
-
-
-def system_efficiency(cycles: LayerCycles) -> float:
-    """Useful compute relative to total layer time."""
-    if cycles.compute == 0:
-        return 0.0
-    return cycles.compute / cycles.total
 
 
 def pooled_outputs(layer: LayerSpec, w_in: int, n_batches: int) -> int:
@@ -85,11 +82,9 @@ def layer_cycles(layer: LayerSpec, w_in: int,
     per_output = (REQUANT_CYCLES_TABLE if convention == RequantConvention.TABLE1
                   else REQUANT_CYCLES_FORMULA)
     requant = n_outputs * per_output
-    lc = LayerCycles(prime=prime, compute=compute, requant=requant,
-                     n_batches=n_batches, n_outputs=n_outputs,
-                     array_eff=array_efficiency(layer.kernel), sys_eff=0.0)
-    lc.sys_eff = system_efficiency(lc)
-    return lc
+    return LayerCycles(prime=prime, compute=compute, requant=requant,
+                       n_batches=n_batches, n_outputs=n_outputs,
+                       array_eff=array_efficiency(layer.kernel))
 
 
 @dataclass
@@ -149,7 +144,8 @@ class CycleReport:
         return {
             "convention": self.convention.value,
             "clock_hz": self.clock_hz,
-            "layers": [asdict(l) | {"total": l.total} for l in self.layers],
+            "layers": [asdict(l) | {"sys_eff": l.sys_eff, "total": l.total}
+                       for l in self.layers],
             "totals": {
                 "prime": self.total_prime,
                 "compute": self.total_compute,

@@ -26,9 +26,7 @@ FORMAT_VERSION = 1
 DESCRIPTOR_SIZE = 16
 HEADER_SIZE = len(MAGIC) + 2 + 1  # magic + u16 version + u8 layer_count
 
-WEIGHT_MEM_WORDS = 32768          # two 16Kx16 banks
-WEIGHT_MEM_BYTES = 2 * WEIGHT_MEM_WORDS
-BANK_SELECT_BIT = 14              # address MSB selects lower/upper bank
+WEIGHT_MEM_WORDS = 32768          # two 16Kx16 banks, a 15-bit word address
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +162,26 @@ def unpack_weight_bytes(words: np.ndarray, count: int,
     return rows if channels is not None else rows[0]
 
 
-def pack_sram_image(ws: WeightSet) -> tuple[np.ndarray, list[int]]:
+def layer_word_count(spec: LayerSpec) -> int:
+    """Words a layer's weights take in the SRAM image, two INT8 per word."""
+    return (spec.c_out * spec.c_in * spec.kernel + 1) // 2
+
+
+def layer_weights(spec: LayerSpec, words: np.ndarray) -> np.ndarray:
+    """A layer's int8 weights [c_out, c_in, K] from the words at its base."""
+    n = spec.c_out * spec.c_in * spec.kernel
+    return unpack_weight_bytes(words, n).reshape(spec.c_out, spec.c_in, spec.kernel)
+
+
+def pack_sram_image(ws: WeightSet) -> np.ndarray:
     """Lay out all layer weights in controller traversal order.
 
     Each layer starts on a word boundary so its fetch address is a pure
-    counter from the layer base; returns the image and per-layer bases.
+    counter from the layer base (`PackedModel.layer_word_base`).
     """
-    bases: list[int] = []
     chunks: list[np.ndarray] = []
     addr = 0
     for i, lw in enumerate(ws.layers):
-        bases.append(addr)
         words = pack_weight_bytes(lw.weights.reshape(-1))
         addr += words.size
         if addr > WEIGHT_MEM_WORDS:
@@ -182,7 +189,7 @@ def pack_sram_image(ws: WeightSet) -> tuple[np.ndarray, list[int]]:
                 f"layer {i} exceeds weight memory: {addr} > {WEIGHT_MEM_WORDS} words")
         chunks.append(words)
     image = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint16)
-    return image.astype(np.uint16), bases
+    return image.astype(np.uint16)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +207,18 @@ class PackedModel:
     layers: list[LayerSpec]
     biases: list[np.ndarray]          # i32 per output channel per layer
     weight_words: np.ndarray          # uint16 SRAM image, layer-aligned
-    layer_word_base: list[int]
     version: int = FORMAT_VERSION
 
     def __post_init__(self):
         self.weight_words = np.asarray(self.weight_words, dtype=np.uint16)
         self.biases = [np.asarray(b, dtype=np.int32) for b in self.biases]
         self.validate()
+
+    @property
+    def layer_word_base(self) -> list[int]:
+        """Word address of each layer's first weight in the SRAM image."""
+        return list(itertools.accumulate(
+            (layer_word_count(s) for s in self.layers[:-1]), initial=0))
 
     def validate(self) -> None:
         if len(self.biases) != len(self.layers):
@@ -215,13 +227,11 @@ class PackedModel:
         for i, spec in enumerate(self.layers):
             if self.biases[i].shape != (spec.c_out,):
                 raise SerializationError(f"layer {i}: bias count != c_out")
-            if self.layer_word_base[i] != expect_words:
-                raise SerializationError(f"layer {i}: unexpected base address")
-            expect_words += (spec.c_out * spec.c_in * spec.kernel + 1) // 2
+            expect_words += layer_word_count(spec)
         if self.weight_words.size != expect_words:
             raise SerializationError(
                 f"weight image has {self.weight_words.size} words, expected {expect_words}")
-        if 2 * self.weight_words.size > WEIGHT_MEM_BYTES:
+        if self.weight_words.size > WEIGHT_MEM_WORDS:
             raise CapacityError("weight image exceeds the 64 KB weight memory")
 
     # -- construction -------------------------------------------------------
@@ -229,26 +239,19 @@ class PackedModel:
     @staticmethod
     def from_weights(net: NetworkSpec, ws: WeightSet) -> "PackedModel":
         ws.check_against(net)
-        image, bases = pack_sram_image(ws)
         return PackedModel(layers=list(net.layers),
                            biases=[lw.biases.copy() for lw in ws.layers],
-                           weight_words=image, layer_word_base=bases)
+                           weight_words=pack_sram_image(ws))
 
     def to_network_spec(self, input_length: int = 512) -> NetworkSpec:
         return NetworkSpec(layers=tuple(self.layers), input_length=input_length,
                            num_classes=self.layers[-1].c_out)
 
     def to_weight_set(self) -> WeightSet:
-        layers = []
-        for i, spec in enumerate(self.layers):
-            n = spec.c_out * spec.c_in * spec.kernel
-            base = self.layer_word_base[i]
-            words = self.weight_words[base:base + (n + 1) // 2]
-            flat = unpack_weight_bytes(words, n)
-            layers.append(LayerWeights(
-                weights=flat.reshape(spec.c_out, spec.c_in, spec.kernel),
-                biases=self.biases[i].copy()))
-        return WeightSet(layers=layers)
+        return WeightSet(layers=[
+            LayerWeights(weights=layer_weights(spec, self.weight_words[base:]),
+                         biases=b.copy())
+            for spec, b, base in zip(self.layers, self.biases, self.layer_word_base)])
 
     # -- wire format --------------------------------------------------------
 
@@ -302,8 +305,7 @@ class PackedModel:
             biases.append(np.frombuffer(blob, dtype="<i4", count=spec.c_out,
                                         offset=off).astype(np.int32))
             off += nbytes
-        layer_words = [(s.c_out * s.c_in * s.kernel + 1) // 2 for s in specs]
-        total_words = sum(layer_words)
+        total_words = sum(layer_word_count(s) for s in specs)
         if off + 2 * total_words > len(blob):
             raise TruncationError("weight image truncated")
         words = np.frombuffer(blob, dtype="<u2", count=total_words,
@@ -311,9 +313,7 @@ class PackedModel:
         off += 2 * total_words
         if off != len(blob):
             raise SerializationError(f"{len(blob) - off} trailing bytes")
-        bases = list(itertools.accumulate(layer_words[:-1], initial=0))
-        return PackedModel(layers=specs, biases=biases, weight_words=words,
-                           layer_word_base=bases)
+        return PackedModel(layers=specs, biases=biases, weight_words=words)
 
     def param_bytes_int8(self) -> int:
         """Parameter payload in the INT8 format: weight bytes + i32 biases."""

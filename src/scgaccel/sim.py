@@ -12,9 +12,20 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   on it (conv, pooling, requantization), packs the result back into the
   ping-pong buffer and takes its cycle split from ``cyclemodel.layer_cycles``.
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
-  one cycle at a time with its own multiplier, packer and address counters,
-  emitting a structured trace event per cycle.  It is the independent check
-  of the fast path.
+  one cycle at a time with its own MAC, multiplier stages, saturation,
+  packer and address counters, emitting a structured trace event per cycle.
+  It is the independent check of the fast path.  The sample pipe is a shift
+  register: priming shifts six samples in, in position order, so lane j then
+  holds the sample for output position j, and each tap shifts one more in
+  the same way.  A weight word is fetched (and traced) at an even weight
+  index or a channel group's first tap and held, so the next odd tap takes
+  its high byte without a second read.  Each layer's cycle split is counted
+  from the events it emits.
+
+Both paths share one run set-up and one layer walk, which hands each layer
+its index, spec, input length, input zero point and weight base.  The weight
+layout (``layer_word_count``, ``layer_weights``, ``layer_word_base``) is
+defined in ``modeltools``.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past
@@ -32,16 +43,16 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
-                         array_efficiency, layer_cycles, system_efficiency)
+                         array_efficiency, layer_cycles)
 from .errors import (AccumulatorOverflow, CapacityError, ConfigError,
                      MemoryFault, ShapeError, SimFault, StateError)
-from .modeltools import PackedModel, pack_weight_bytes, unpack_weight_bytes
+from .modeltools import (WEIGHT_MEM_WORDS, PackedModel, layer_weights,
+                         layer_word_count, pack_weight_bytes, unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
                   LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
                   conv1d_acc, gap_shift_acc, maxpool2_acc, requantize,
                   round_shift)
 
-WEIGHT_ADDR_LIMIT = 1 << 15      # 15-bit address space, MSB selects the bank
 INPUT_BANKS = 2
 INPUT_BANK_WORDS = 256
 PINGPONG_WORDS = 16384
@@ -105,7 +116,7 @@ class RequantUnit:
 
 class MemorySubsystem:
     def __init__(self):
-        self.weight_mem = np.zeros(WEIGHT_ADDR_LIMIT, dtype=np.uint16)
+        self.weight_mem = np.zeros(WEIGHT_MEM_WORDS, dtype=np.uint16)
         self.bias_rom: list[np.ndarray] = []
         self.scale_regs: list[tuple[int, int]] = []
         self.input_words = np.zeros(INPUT_BANKS * INPUT_BANK_WORDS, dtype=np.uint16)
@@ -114,21 +125,21 @@ class MemorySubsystem:
         self.pingpong_toggle = 0
 
     def read_weight_word(self, addr: int) -> int:
-        if not 0 <= addr < WEIGHT_ADDR_LIMIT:
+        if not 0 <= addr < WEIGHT_MEM_WORDS:
             raise MemoryFault(f"weight address 0x{addr:04X} outside 15-bit space")
         return int(self.weight_mem[addr])
 
     def weight_region(self, base: int, n_words: int) -> np.ndarray:
-        if base < 0 or base + n_words > WEIGHT_ADDR_LIMIT:
+        if base < 0 or base + n_words > WEIGHT_MEM_WORDS:
             raise MemoryFault(f"weight region [{base}, {base + n_words}) out of range")
         return self.weight_mem[base:base + n_words]
 
-    def read_input_byte(self, byte_index: int) -> int:
-        word = byte_index >> 1
-        if word >= INPUT_BANKS * INPUT_BANK_WORDS:
-            raise MemoryFault(f"input buffer byte {byte_index} out of range")
-        w = int(self.input_words[word])
-        return w & 0xFF if byte_index % 2 == 0 else w >> 8
+    def read_byte(self, words: np.ndarray, byte_index: int) -> int:
+        """One byte of the input or a ping-pong buffer, low byte first."""
+        if not 0 <= byte_index < 2 * words.size:
+            raise MemoryFault(f"buffer byte {byte_index} out of range")
+        word = int(words[byte_index >> 1])
+        return word >> 8 if byte_index % 2 else word & 0xFF
 
     @property
     def read_buf(self) -> np.ndarray:
@@ -152,7 +163,8 @@ class SystolicCluster:
         self.acc = [0] * PE_COUNT             # signed 32-bit accumulators
 
     def shift_in(self, sample: int):
-        self.x_pipe = [sample] + self.x_pipe[:-1]
+        """Every sample moves one lane down; the new one enters lane 5."""
+        self.x_pipe = self.x_pipe[1:] + [sample]
 
     def load_bias(self, bias: int):
         self.acc = [bias] * PE_COUNT
@@ -241,14 +253,13 @@ class SimMachine:
         self._gen = None
         self._run_cycles: list[LayerCycles] = []
         self._mac_count = 0
+        self._split: dict[str, int] = {}
 
     # -- loading ------------------------------------------------------------
 
     def load_model(self, model: PackedModel):
         if model.weight_words.size == 0:
             raise CapacityError("model has an empty weight image")
-        if model.weight_words.size > WEIGHT_ADDR_LIMIT:
-            raise CapacityError("weight image exceeds the 32K-word address space")
         model.validate()
         self.mem.weight_mem[:] = 0
         self.mem.weight_mem[:model.weight_words.size] = model.weight_words
@@ -283,17 +294,44 @@ class SimMachine:
 
     def read_input_sample(self, channel: int, t: int) -> int:
         wpc = (self.input_len + 1) // 2
-        return self.mem.read_input_byte(2 * channel * wpc + t)
+        return self.mem.read_byte(self.mem.input_words, 2 * channel * wpc + t)
 
-    def _read_plane(self, li: int, w_in: int, c_in: int) -> tuple[np.ndarray, int]:
-        """Input activation plane [c_in, w_in] (u8) and its zero point."""
-        n_words = c_in * ((w_in + 1) // 2)
-        if li == 0:
-            words, zp = self.mem.input_words[:n_words], self.input_zero_point
-        else:
-            words = self.mem.read_buf[:n_words]
-            zp = self.model.layers[li - 1].out_zero_point
-        return unpack_weight_bytes(words, w_in, c_in).view(np.uint8), zp
+    def _act_words(self, li: int) -> np.ndarray:
+        """The buffer holding layer li's input plane."""
+        return self.mem.input_words if li == 0 else self.mem.read_buf
+
+    # -- run set-up shared by both paths ------------------------------------
+
+    def _begin_run(self) -> list[tuple]:
+        """Reset the run state; returns the layer walk.
+
+        Each entry is (index, spec, input length, input zero point, weight
+        base) in execution order.
+        """
+        if self.model is None or not self._input_loaded:
+            raise StateError("model and input must be loaded before running")
+        self.mem.pingpong_toggle = 0
+        self._run_cycles = []
+        self._mac_count = 0
+        self._logits = None
+        layers = self.model.layers
+        lengths = self.model.to_network_spec(self.input_len).layer_input_lengths()
+        zero_points = [self.input_zero_point] + [s.out_zero_point for s in layers[:-1]]
+        return list(zip(range(len(layers)), layers, lengths, zero_points,
+                        self.model.layer_word_base))
+
+    def _end_run(self):
+        if self._logits is None:
+            raise SimFault("network produced no logits")
+
+    def _finish_layer(self, li: int, spec, w_out: int, lc: LayerCycles):
+        """Record the split, snapshot the output image, then swap buffers."""
+        self._run_cycles.append(lc)
+        n_words = 0 if spec.activation == Activation.SIGNED_BYPASS \
+            else spec.c_out * ((w_out + 1) // 2)
+        self._layer_results[li] = _LayerResult(spec, w_out,
+                                               self.mem.write_buf[:n_words].copy())
+        self.mem.toggle()
 
     # -- fast path -----------------------------------------------------------
 
@@ -302,34 +340,23 @@ class SimMachine:
 
         Returns (Logits, cycles_this_run, per-layer LayerCycles).
         """
-        if self.model is None or not self._input_loaded:
-            raise StateError("model and input must be loaded before running")
-        self.mem.pingpong_toggle = 0
-        self._run_cycles = []
-        self._mac_count = 0
         start_cycle = self.cycle_counter
-        lengths = self.model.to_network_spec(self.input_len).layer_input_lengths()
-        logits = None
-        for li, (spec, w_in) in enumerate(zip(self.model.layers, lengths)):
-            logits = self._run_layer_fast(li, spec, w_in)
-        if logits is None:
-            raise SimFault("network produced no logits")
-        self._logits = logits
-        return logits, self.cycle_counter - start_cycle, list(self._run_cycles)
+        for layer in self._begin_run():
+            self._run_layer_fast(*layer)
+        self._end_run()
+        return self._logits, self.cycle_counter - start_cycle, list(self._run_cycles)
 
-    def _run_layer_fast(self, li: int, spec, w_in: int):
+    def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int):
         """One layer: the golden ops on the plane held in simulated memory."""
         mem = self.mem
         lc = layer_cycles(spec, w_in)
-        plane, zp = self._read_plane(li, w_in, spec.c_in)
+        words = self._act_words(li)[:spec.c_in * ((w_in + 1) // 2)]
         # whole batches of six; the overhang lanes read the zero point
         ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
-        ext[:, :w_in] = plane
-        n_weights = spec.c_out * spec.c_in * spec.kernel
-        words = mem.weight_region(self.model.layer_word_base[li],
-                                  (n_weights + 1) // 2)
-        lw = LayerWeights(unpack_weight_bytes(words, n_weights).reshape(
-            spec.c_out, spec.c_in, spec.kernel), mem.bias_rom[li])
+        ext[:, :w_in] = unpack_weight_bytes(words, w_in, spec.c_in).view(np.uint8)
+        lw = LayerWeights(
+            layer_weights(spec, mem.weight_region(base, layer_word_count(spec))),
+            mem.bias_rom[li])
         try:
             acc = conv1d_acc(QuantTensor(ext, zero_point=zp), spec, lw)[:, :w_in]
         except AccumulatorOverflow as exc:
@@ -343,35 +370,22 @@ class SimMachine:
             acc = gap_shift_acc(acc)[:, np.newaxis]
         multiplier, shift = mem.scale_regs[li]
         out = requantize(acc, multiplier, shift, spec.activation, spec.out_zero_point)
-        logits = None
         if spec.activation == Activation.SIGNED_BYPASS:
-            logits = Logits(out[:, 0])
+            self._logits = Logits(out[:, 0])
         else:
             img = pack_weight_bytes(out)
+            if img.size > mem.write_buf.size:
+                raise MemoryFault(f"layer {li}: {img.size}-word output image "
+                                  "overflows the ping-pong buffer")
             mem.write_buf[:img.size] = img
-        self._run_cycles.append(lc)
         self.cycle_counter += lc.total
-        self._finish_layer(li, spec, out.shape[1])
-        return logits
-
-    def _finish_layer(self, li: int, spec, w_out: int):
-        """Snapshot the output image from the write buffer, then swap buffers."""
-        n_words = 0 if spec.activation == Activation.SIGNED_BYPASS \
-            else spec.c_out * ((w_out + 1) // 2)
-        self._layer_results[li] = _LayerResult(spec, w_out,
-                                               self.mem.write_buf[:n_words].copy())
-        self.mem.toggle()
+        self._finish_layer(li, spec, out.shape[1], lc)
 
     # -- micro (per-cycle) path ---------------------------------------------
 
     def start(self):
         """Arm the per-cycle stepper; each step() then advances one clock."""
-        if self.model is None or not self._input_loaded:
-            raise StateError("model and input must be loaded before running")
-        self.mem.pingpong_toggle = 0
-        self._run_cycles = []
-        self._mac_count = 0
-        self._gen = self._micro_run()
+        self._gen = self._micro_run(self._begin_run())
 
     def step(self) -> CycleEvent:
         if self._gen is None:
@@ -396,39 +410,33 @@ class SimMachine:
                 break
         return self._logits, self.cycle_counter - start_cycle, list(self._run_cycles)
 
-    def _emit(self, **kw) -> CycleEvent:
+    def _emit(self, state: str, **kw) -> CycleEvent:
+        """One clock: the event it traces, counted into the layer's split."""
         self.cycle_counter += 1
-        return CycleEvent(cycle=self.cycle_counter, **kw)
+        self._split[state] += 1
+        event = CycleEvent(cycle=self.cycle_counter, state=state, **kw)
+        self._mac_count += event.macs
+        return event
 
-    def _micro_run(self):
-        lengths = self.model.to_network_spec(self.input_len).layer_input_lengths()
-        for li, (spec, w_in) in enumerate(zip(self.model.layers, lengths)):
-            yield from self._micro_layer(li, spec, w_in)
-        if self._logits is None:
-            raise SimFault("network produced no logits")
+    def _micro_run(self, layers):
+        for layer in layers:
+            yield from self._micro_layer(*layer)
+        self._end_run()
 
-    def _micro_sample(self, li: int, w_in: int, zp: int, c: int, t: int) -> int:
-        """Activation read with zero-point padding outside [0, w_in)."""
-        if t < 0 or t >= w_in:
-            return zp
-        if li == 0:
-            return self.read_input_sample(c, t)
-        wpc = (w_in + 1) // 2
-        word = int(self.mem.read_buf[c * wpc + (t >> 1)])
-        return word & 0xFF if t % 2 == 0 else word >> 8
-
-    def _micro_layer(self, li: int, spec, w_in: int):
+    def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int):
         mem = self.mem
         cluster = self.cluster
         n_batches = -(-w_in // PE_COUNT)
         k, pad = spec.kernel, spec.padding
-        base = self.model.layer_word_base[li]
         multiplier, shift = mem.scale_regs[li]
-        zp = self.input_zero_point if li == 0 else self.model.layers[li - 1].out_zero_point
         signed = spec.activation == Activation.SIGNED_BYPASS
+        act_words, wpc = self._act_words(li), (w_in + 1) // 2
 
-        prime = compute = requant = 0
-        n_outputs = 0
+        def sample(c: int, t: int) -> int:
+            """Activation read with zero-point padding outside [0, w_in)."""
+            return mem.read_byte(act_words, 2 * c * wpc + t) if 0 <= t < w_in else zp
+
+        self._split = dict.fromkeys(("prime", "compute", "requant"), 0)
         packer = ResultPacker(mem.write_buf, 0)
         logits = np.zeros(spec.c_out, dtype=np.int64) if signed else None
 
@@ -439,45 +447,35 @@ class SimMachine:
             gap_acc = 0
             for b in range(n_batches):
                 base_t = b * PE_COUNT
+                t0 = base_t - pad          # lane 0's sample at tap 0
                 for c in range(spec.c_in):
                     # prime: load bias on a fresh group, then fill the pipe
                     if c == 0:
                         cluster.load_bias(int(mem.bias_rom[li][o]))
-                    yield self._emit(state="prime", layer=li, c_out=o, batch=b,
+                    yield self._emit("prime", layer=li, c_out=o, batch=b,
                                      c_in=c, k=-1,
                                      note="bias" if c == 0 else "")
-                    prime += 1
                     for i in range(PE_COUNT):
-                        t = base_t - pad + i
-                        sample = self._micro_sample(li, w_in, zp, c, t)
-                        cluster.shift_in(sample)
-                        yield self._emit(state="prime", layer=li, c_out=o,
+                        cluster.shift_in(sample(c, t0 + i))
+                        yield self._emit("prime", layer=li, c_out=o,
                                          batch=b, c_in=c, k=-1,
-                                         reads=[{"mem": "act", "t": t}])
-                        prime += 1
-                    # the pipe now holds x[base_t - pad .. base_t - pad + 5]
-                    # in reverse shift order; expose it positionally
-                    window = [self._micro_sample(li, w_in, zp, c, base_t - pad + i)
-                              for i in range(PE_COUNT)]
-                    cluster.x_pipe = list(window)
+                                         reads=[{"mem": "act", "t": t0 + i}])
+                    # lane j now holds x[t0 + j]; each tap shifts one more in
                     for kk in range(k):
                         idx = (o * spec.c_in + c) * k + kk
                         reads = []
+                        # a fetch at an even index or a group's first tap;
+                        # an odd tap takes the high byte of the held word
                         if idx % 2 == 0 or kk == 0:
                             addr = base + idx // 2
-                            mem.read_weight_word(addr)
+                            word = mem.read_weight_word(addr)
                             reads.append({"mem": "weight", "addr": addr})
-                        weight = int(self._micro_weight(li, spec, idx))
-                        cluster.mac_all(weight, zp)
-                        self._mac_count += PE_COUNT
-                        # shift the next sample in for tap kk+1
-                        nxt = self._micro_sample(li, w_in, zp, c,
-                                                 base_t - pad + kk + 1 + (PE_COUNT - 1))
-                        cluster.x_pipe = cluster.x_pipe[1:] + [nxt]
-                        yield self._emit(state="compute", layer=li, c_out=o,
+                        byte = word >> 8 if idx % 2 else word & 0xFF
+                        cluster.mac_all(byte - 256 if byte >= 128 else byte, zp)
+                        cluster.shift_in(sample(c, t0 + kk + PE_COUNT))
+                        yield self._emit("compute", layer=li, c_out=o,
                                          batch=b, c_in=c, k=kk, reads=reads,
                                          macs=PE_COUNT)
-                        compute += 1
                 # overflow is checked on the completed group, mirroring the
                 # final-accumulator check of the golden model and fast path
                 if max(cluster.acc) > INT32_MAX or min(cluster.acc) < INT32_MIN:
@@ -489,8 +487,6 @@ class SimMachine:
                         pooled = max(cluster.acc[2 * m], cluster.acc[2 * m + 1])
                         value = yield from self._micro_requant(
                             li, o, b, pooled, multiplier, shift, spec, signed=False)
-                        requant += REQUANT_CYCLES_TABLE
-                        n_outputs += 1
                         if base_t + 2 * m < w_in:   # overhang results are dropped
                             packer.push(int(value))
                 elif spec.pool_mode == PoolMode.GLOBAL_AVG:
@@ -503,8 +499,6 @@ class SimMachine:
                             value = yield from self._micro_requant(
                                 li, o, b, cluster.acc[j], multiplier, shift,
                                 spec, signed=signed)
-                            requant += REQUANT_CYCLES_TABLE
-                            n_outputs += 1
                             if signed:
                                 if base_t + j == 0:   # logit = position 0
                                     logits[o] = value
@@ -514,8 +508,6 @@ class SimMachine:
                 value = yield from self._micro_requant(
                     li, o, n_batches - 1, gap_acc, multiplier, shift, spec,
                     signed=signed)
-                requant += REQUANT_CYCLES_TABLE
-                n_outputs += 1
                 if signed:
                     logits[o] = value
                 else:
@@ -523,29 +515,21 @@ class SimMachine:
             if not signed:
                 packer.flush()
 
-        lc = LayerCycles(prime=prime, compute=compute, requant=requant,
-                         n_batches=n_batches, n_outputs=n_outputs,
-                         array_eff=array_efficiency(spec.kernel), sys_eff=0.0)
-        lc.sys_eff = system_efficiency(lc)
-        self._run_cycles.append(lc)
-
         if signed:
             self._logits = Logits(np.clip(logits, INT32_MIN, INT32_MAX)
                                   .astype(np.int32))
-        self._finish_layer(li, spec, spec.out_length(w_in))
-
-    def _micro_weight(self, li: int, spec, idx: int) -> int:
-        base = self.model.layer_word_base[li]
-        word = self.mem.read_weight_word(base + idx // 2)
-        byte = word & 0xFF if idx % 2 == 0 else word >> 8
-        return byte - 256 if byte >= 128 else byte
+        split = self._split
+        self._finish_layer(li, spec, spec.out_length(w_in), LayerCycles(
+            **split, n_batches=n_batches,
+            n_outputs=split["requant"] // REQUANT_CYCLES_TABLE,
+            array_eff=array_efficiency(k)))
 
     def _micro_requant(self, li, o, b, acc, multiplier, shift, spec, signed):
         """Six requant cycles: four multiplier stages plus two of overhead."""
         self.requant_unit.start(acc, multiplier)
         for _ in range(REQUANT_MUL_STAGES):
             self.requant_unit.step()
-            yield self._emit(state="requant", layer=li, c_out=o, batch=b,
+            yield self._emit("requant", layer=li, c_out=o, batch=b,
                              c_in=-1, k=-1, note="mul-stage")
         p = self.requant_unit.product_acc
         r = round_shift(p, shift)
@@ -554,7 +538,7 @@ class SimMachine:
         else:
             value = max(0, min(255, r + spec.out_zero_point))
         for _ in range(REQUANT_OVERHEAD):
-            yield self._emit(state="requant", layer=li, c_out=o, batch=b,
+            yield self._emit("requant", layer=li, c_out=o, batch=b,
                              c_in=-1, k=-1, note="pack")
         return value
 
@@ -583,11 +567,10 @@ class SimMachine:
         """Reconstruct a PackedModel from live machine memory (for verification)."""
         if self.model is None:
             raise StateError("no model loaded")
-        n_words = self.model.weight_words.size
         layers = [replace(spec, requant_multiplier=m, requant_shift=s)
                   for spec, (m, s) in zip(self.model.layers, self.mem.scale_regs)]
+        n_words = sum(layer_word_count(spec) for spec in layers)
         return PackedModel(
             layers=layers,
             biases=[b.copy() for b in self.mem.bias_rom],
-            weight_words=self.mem.weight_mem[:n_words].copy(),
-            layer_word_base=list(self.model.layer_word_base))
+            weight_words=self.mem.weight_mem[:n_words].copy())

@@ -7,9 +7,10 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scgaccel.modeltools import random_input, random_model, random_small_net
-from scgaccel.qnn import NetworkSpec
+from scgaccel.qnn import (Activation, LayerKind, LayerSpec, NetworkSpec,
+                          PoolMode)
 
-__all__ = ["einsum_conv", "random_input", "random_small_net"]
+__all__ = ["einsum_conv", "random_input", "random_small_net", "wide_image_net"]
 
 
 def einsum_conv(x, w, pad):
@@ -24,6 +25,21 @@ def einsum_conv(x, w, pad):
     xp[:, :, pad:pad + n] = x
     windows = sliding_window_view(xp, k, axis=2)[:, :, :n, :]   # [B, C, L, K]
     return np.einsum("ock,bctk->bot", w, windows)
+
+
+def wide_image_net() -> NetworkSpec:
+    """A net that passes VERIFY but whose layer-0 output image does not fit.
+
+    Layer 0 writes 65 channels of 512 samples, 65 * 256 = 16,640 words, into
+    the 16,384-word ping-pong buffer.
+    """
+    return NetworkSpec(layers=(
+        LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=65, kernel=3, padding=1,
+                  pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE),
+        LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=65, c_out=3, kernel=1,
+                  padding=0, pool_mode=PoolMode.BYPASS,
+                  activation=Activation.SIGNED_BYPASS),
+    ), input_length=512)
 
 
 @pytest.fixture

@@ -87,6 +87,16 @@ def test_missing_subcommand_is_usage_error():
     assert main(["analyze", "--bogus-flag"]) == 2
 
 
+@pytest.mark.parametrize("addr", ["localhost", ":7000", "localhost:",
+                                  "localhost:port", "localhost:65536"])
+def test_malformed_address_is_usage_error(addr, model_file, window_file, capsys):
+    # each is rejected before any socket is opened
+    assert main(["serve", "--transport", addr, "--once"]) == 2
+    assert main(["load", "--connect", addr, "--model", model_file]) == 2
+    assert main(["run", "--connect", addr, "--input", window_file]) == 2
+    assert capsys.readouterr().err.count("address must be host:port") == 3
+
+
 def test_trace_emits_json_lines(model_file, window_file, tmp_path, capsys):
     out_file = tmp_path / "trace.jsonl"
     assert main(["trace", "--model", model_file, "--input", window_file,

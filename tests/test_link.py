@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_input
+from conftest import random_input, wide_image_net
 from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
@@ -276,6 +276,30 @@ def test_model_whose_result_cannot_fit_is_rejected_at_verify(rng):
         remote, _ = client.run(x)
     finally:
         client.close()
+    gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
+    assert np.array_equal(remote.values, gold.values)
+
+
+def test_run_whose_image_overflows_the_pingpong_buffer_is_nacked(rng):
+    # the model passes VERIFY; its layer-0 output image only fails at RUN
+    wide = random_model(wide_image_net(), rng)
+    device = DeviceEmulator()
+    host_end, thread = serve_in_thread(device)
+    client = HostClient(host_end, timeout=30.0)
+    try:
+        client.load_model(wide)
+        with pytest.raises(ProtocolError, match="LOAD_ERROR"):
+            client.run(random_input(rng, wide_image_net()))
+        assert thread.is_alive()
+        net = NetworkSpec.default()
+        model = random_model(net, rng)
+        x = random_input(rng, net)
+        client.load_model(model)
+        remote, _ = client.run(x)
+    finally:
+        client.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
     gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     assert np.array_equal(remote.values, gold.values)
 

@@ -189,7 +189,7 @@ def test_pack_sram_image_capacity_error_names_layer():
     layer = LayerWeights(weights=np.zeros((64, 64, 9), dtype=np.int8),
                          biases=np.zeros(64, dtype=np.int32))
     ws = WeightSet(layers=[layer])
-    assert pack_sram_image(ws)[0].size == 18_432
+    assert pack_sram_image(ws).size == 18_432
     ws.layers.append(layer)
     with pytest.raises(CapacityError, match="layer 1"):
         pack_sram_image(ws)

@@ -1,20 +1,22 @@
 """Cycle-accurate simulator: arithmetic units, memories, and both execution
 paths against the golden model."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import random_input, random_small_net
-from scgaccel.cyclemodel import network_report
+from conftest import random_input, random_small_net, wide_image_net
+from scgaccel.cyclemodel import PE_COUNT, layer_cycles, network_report
 from scgaccel.errors import (CapacityError, MemoryFault, ShapeError,
                              SimFault, StateError)
 from scgaccel.modeltools import PackedModel, random_model
+from scgaccel.modeltools import WEIGHT_MEM_WORDS as WEIGHT_ADDR_LIMIT
 from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, Activation,
                           LayerKind, LayerSpec, LayerWeights, NetworkSpec,
                           PoolMode, QuantTensor, WeightSet, infer_window)
 from scgaccel.qnn import round_shift as _round_shift
-from scgaccel.sim import (RequantUnit, ResultPacker, SimMachine,
-                          WEIGHT_ADDR_LIMIT, mul64signed)
+from scgaccel.sim import RequantUnit, ResultPacker, SimMachine, mul64signed
 
 EDGE_OPERANDS = [0, 1, -1, 1 << 15, -(1 << 15), (1 << 15) - 1, -((1 << 15) - 1),
                  INT32_MAX, INT32_MIN, INT32_MIN + 1, INT32_MAX - 1]
@@ -254,6 +256,19 @@ def test_batch_overhang_lane_overflow_is_a_fault():
             run(machine)
 
 
+def test_fast_path_faults_on_an_image_over_the_pingpong_buffer(rng):
+    net = wide_image_net()
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
+    assert gold.values.shape == (3,)
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(x)
+    with pytest.raises(MemoryFault, match="ping-pong"):
+        machine.run_inference()
+
+
 def test_rerun_is_deterministic(default_pair):
     _, model, x = default_pair
     machine = SimMachine()
@@ -318,6 +333,43 @@ def test_trace_is_reproducible(rng):
     # events carry monotonically increasing cycle numbers
     cycles = [__import__("json").loads(e)["cycle"] for e in traces[0]]
     assert cycles == list(range(cycles[0], cycles[0] + 100))
+
+
+def test_trace_event_counts_match_split_and_fetch_rule(rng):
+    for net in small_nets(rng, 3, max_channels=4, max_length=24):
+        model = random_model(net, rng)
+        x = random_input(rng, net)
+        machine = SimMachine()
+        machine.load_model(model)
+        machine.load_input(x)
+        machine.start()
+        states, weight_reads, act_reads = Counter(), Counter(), Counter()
+        while True:
+            try:
+                event = machine.step()
+            except StateError:
+                break
+            states[event.layer, event.state] += 1
+            for read in event.reads:
+                if read["mem"] == "weight":
+                    weight_reads[event.layer] += 1
+                else:
+                    act_reads[event.layer, event.c_out, event.batch,
+                              event.c_in] += 1
+        _, _, split = machine.run_micro()
+        for li, (spec, w_in) in enumerate(zip(net.layers,
+                                              net.layer_input_lengths())):
+            want = layer_cycles(spec, w_in)
+            got = tuple(states[li, s] for s in ("prime", "compute", "requant"))
+            assert got == (split[li].prime, split[li].compute, split[li].requant)
+            assert got == (want.prime, want.compute, want.requant)
+            # a word is fetched at an even weight index or a group's first tap
+            fetches = sum(idx % 2 == 0 or idx % spec.kernel == 0
+                          for idx in range(spec.c_out * spec.c_in * spec.kernel))
+            assert weight_reads[li] == want.n_batches * fetches
+            groups = [key for key in act_reads if key[0] == li]
+            assert len(groups) == spec.c_out * want.n_batches * spec.c_in
+            assert all(act_reads[key] == PE_COUNT for key in groups)
 
 
 def test_step_requires_start(default_pair):
