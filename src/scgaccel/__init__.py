@@ -9,7 +9,8 @@ Subpackages:
 * ``sim``        -- cycle-accurate microarchitecture simulator
 * ``link``       -- packet protocol, device emulator, host client
 * ``metrics``    -- synthetic dataset and classification metrics
-* ``pipeline``   -- end-to-end glue (quantize windows, batch inference)
+* ``pipeline``   -- end-to-end glue (quantize windows, golden prediction,
+  reference model)
 """
 
 from .qnn import (Activation, LayerKind, LayerSpec, Logits, NetworkSpec,

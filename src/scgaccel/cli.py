@@ -20,15 +20,16 @@ import numpy as np
 
 from .cyclemodel import (DEFAULT_CLOCK_HZ, DEFAULT_POWER_MW, RequantConvention,
                          network_report)
-from .errors import AccelError
+from .errors import AccelError, StateError
 from .link import DeviceEmulator, HostClient, SocketTransport, Transport
 from .metrics import evaluate, synth_windows
 from .modeltools import (BatchNorm, FloatLayerParams, FloatModel, PackedModel,
-                         quantize_model, random_input, random_model,
-                         random_small_net)
-from .pipeline import INPUT_SCALE, INPUT_ZERO_POINT, golden_predict
-from .qnn import (Activation, LayerKind, LayerSpec, NetworkSpec, PoolMode,
-                  QuantTensor, infer_window, zscore_quantize)
+                         calibrate_activation_scales, quantize_model,
+                         random_input, random_model, random_small_net)
+from .pipeline import golden_predict
+from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, Activation, LayerKind,
+                  LayerSpec, NetworkSpec, PoolMode, QuantTensor, infer_window,
+                  zscore_quantize)
 from .sim import SimMachine
 
 
@@ -83,7 +84,7 @@ def _read_window(path: str, fmt: str, c_in: int, zero_point: int) -> QuantTensor
                              f"{c_in} channels")
         if c_in != 1:
             raise UsageError("raw f32 input supports single-channel models only")
-        return zscore_quantize(samples, INPUT_ZERO_POINT, INPUT_SCALE)
+        return zscore_quantize(samples)
     samples = np.frombuffer(blob, dtype=np.uint8)
     if samples.size == 0 or samples.size % c_in != 0:
         raise UsageError(f"u8 input length {samples.size} not divisible by "
@@ -187,12 +188,14 @@ def cmd_trace(args) -> int:
     machine.load_input(x)
     machine.start()
     lines = []
-    for _ in range(args.cycles):
-        try:
+    try:
+        for _ in range(args.cycles):
             lines.append(machine.step().to_json())
-        except AccelError:
-            break
-    _emit("\n".join(lines), args.out)
+    except StateError:
+        pass    # the run ended before --cycles
+    finally:
+        # a fault still writes the lines traced up to it, then exits 1
+        _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -226,8 +229,7 @@ def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
                                 pool_mode=PoolMode[d["pool"]],
                                 activation=Activation[d["activation"]])
                       for d in layout)
-        net = NetworkSpec(layers=specs, input_length=input_length,
-                          num_classes=specs[-1].c_out)
+        net = NetworkSpec(layers=specs, input_length=input_length)
     else:
         w3 = archive.get("w3")
         l3_width = w3.shape[0] if w3 is not None else 128
@@ -254,7 +256,7 @@ def cmd_pack(args) -> int:
     if calib is None:
         calib = synth_windows(64, seed=args.seed,
                               window_len=fm.net.input_length).windows
-    model = quantize_model(fm, input_scale=INPUT_SCALE, calib_windows=calib)
+    model = quantize_model(fm, calibrate_activation_scales(fm, calib, INPUT_SCALE))
     blob = model.to_bytes()
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -421,7 +423,7 @@ def cmd_selftest(args) -> int:
     labels = np.repeat([0, 1, 2], published.sum(axis=1))
     preds = np.repeat(np.tile([0, 1, 2], 3), published.ravel())
     summary = evaluate(labels, pred_classes=preds)
-    recalls = [round(r * 100, 2) for r in summary.recall]
+    recalls = [round(r * 100, 2) for r in summary.recall.tolist()]
     ok &= _check("metrics reproduction", abs(summary.accuracy - 0.9770) < 1e-4
                  and recalls == [95.73, 98.22, 99.11],
                  f"accuracy {summary.accuracy:.2%}, recalls {recalls}")

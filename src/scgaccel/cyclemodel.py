@@ -92,7 +92,7 @@ class CycleReport:
     layers: list[LayerCycles]
     convention: RequantConvention
     clock_hz: float
-    specs: list[LayerSpec] | None = None
+    specs: list[LayerSpec]
     avg_power_mw: float | None = None
     measured_latency_s: float | None = None
     total_prime: int = field(init=False)
@@ -170,14 +170,10 @@ class CycleReport:
         header = (f"{'Layer':<6}{'Cin->Cout':>11}{'K':>4}{'Prime':>12}"
                   f"{'Compute':>12}{'Requant':>10}{'ArrayEff':>10}{'SysEff':>9}")
         lines = [header, "-" * len(header)]
-        for i, lc in enumerate(self.layers):
-            if self.specs is not None:
-                spec = self.specs[i]
-                chans, k = f"{spec.c_in}->{spec.c_out}", str(spec.kernel)
-            else:
-                chans, k = "", ""
+        for i, (spec, lc) in enumerate(zip(self.specs, self.layers)):
+            chans = f"{spec.c_in}->{spec.c_out}"
             lines.append(
-                f"L{i:<5}{chans:>11}{k:>4}{lc.prime:>12,}{lc.compute:>12,}"
+                f"L{i:<5}{chans:>11}{spec.kernel:>4}{lc.prime:>12,}{lc.compute:>12,}"
                 f"{lc.requant:>10,}{lc.array_eff:>9.1%}{lc.sys_eff:>9.1%}")
         lines.append("-" * len(header))
         lines.append(f"{'Total':<21}{self.total_prime:>12,}{self.total_compute:>12,}"

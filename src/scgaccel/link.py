@@ -60,12 +60,12 @@ class NackReason(IntEnum):
     NO_RESULT = 0x09
 
 
-def crc8(data: bytes, poly: int = 0x07, init: int = 0x00) -> int:
-    crc = init
+def crc8(data: bytes) -> int:
+    crc = 0
     for byte in data:
         crc ^= byte
         for _ in range(8):
-            crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
     return crc
 
 
@@ -213,7 +213,6 @@ def machine_digest(machine: SimMachine) -> bytes:
 class DeviceMode(IntEnum):
     IDLE = 0
     LOADING = 1
-    RUNNING = 2
 
 
 class DeviceEmulator:
@@ -307,13 +306,10 @@ class DeviceEmulator:
             return self._nack(frame.seq, NackReason.BUSY)
         if not self.model_loaded:
             return self._nack(frame.seq, NackReason.NO_MODEL)
-        self.mode = DeviceMode.RUNNING
         try:
             logits, cycles, _ = self.machine.run_inference()
         except AccelError:
-            self.mode = DeviceMode.IDLE
             return self._nack(frame.seq, NackReason.LOAD_ERROR)
-        self.mode = DeviceMode.IDLE
         self.last_result = (logits, cycles)
         return self._result_frame(frame.seq)
 
@@ -407,7 +403,12 @@ class HostClient:
             self._decoder.feed(data)
 
     def request(self, frame: Frame) -> Frame:
-        """Send one frame, wait for the response, retrying on NACK/timeout."""
+        """Send one frame, wait for the response, retrying on NACK/timeout.
+
+        A corrupt reply counts as lost, and a timeout drops any partial
+        reply, whose corrupted length would hold back later ones.  Repeated
+        LOAD_WEIGHTS chunks are re-ACKed; the other commands are idempotent.
+        """
         last_reason = None
         for _ in range(self.retries + 1):
             self.transport.send(encode_frame(frame))
@@ -415,6 +416,10 @@ class HostClient:
                 reply = self._recv_frame()
             except TransportError:
                 last_reason = "timeout"
+                self._decoder = FrameDecoder()
+                continue
+            except FramingError as exc:    # CrcError included
+                last_reason = exc
                 continue
             if reply.command == Command.NACK:
                 reason = NackReason(reply.payload[0]) if reply.payload else None

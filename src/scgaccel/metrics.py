@@ -20,6 +20,7 @@ NUM_CLASSES = 3
 SAMPLE_RATE_HZ = 1000
 WINDOW_LEN = 512
 EVENT_GUARD_S = 0.05       # minimum event distance from a background center
+HEART_RATE_BPM = (55.0, 95.0)   # per-window heart rate, drawn uniformly
 
 SYS_FREQ_HZ = 55.0
 SYS_DURATION_S = 0.10
@@ -53,9 +54,8 @@ def _burst(length: int, center: int, freq_hz: float, duration_s: float,
     return amplitude * envelope * np.sin(2 * np.pi * freq_hz * t + phase)
 
 
-def synth_windows(n: int, noise: float = 0.15,
-                  heart_rate_range: tuple[float, float] = (55.0, 95.0),
-                  seed: int = 0, window_len: int = WINDOW_LEN) -> LabeledWindowSet:
+def synth_windows(n: int, noise: float = 0.15, seed: int = 0,
+                  window_len: int = WINDOW_LEN) -> LabeledWindowSet:
     """Deterministic synthetic dataset with near-equal class counts."""
     if n <= 0:
         raise ConfigError("n must be positive")
@@ -66,7 +66,7 @@ def synth_windows(n: int, noise: float = 0.15,
     guard = int(EVENT_GUARD_S * SAMPLE_RATE_HZ)
     for i in range(n):
         label = i % NUM_CLASSES     # round-robin keeps proportions within 1
-        hr = rng.uniform(*heart_rate_range)
+        hr = rng.uniform(*HEART_RATE_BPM)
         period = int(round(60.0 / hr * SAMPLE_RATE_HZ))
         sig = rng.normal(0.0, noise, size=window_len) if noise > 0 \
             else np.zeros(window_len)

@@ -19,7 +19,7 @@ from .errors import (BadMagicError, CapacityError, ConfigError, SerializationErr
                      ShapeError, TruncationError)
 from .qnn import (INT32_MAX, INT32_MIN, Activation, LayerKind, LayerSpec,
                   LayerWeights, NetworkSpec, PoolMode, QuantTensor, WeightSet,
-                  conv1d_gemm)
+                  conv1d_gemm, zscore)
 
 MAGIC = b"SANN"
 FORMAT_VERSION = 1
@@ -207,7 +207,6 @@ class PackedModel:
     layers: list[LayerSpec]
     biases: list[np.ndarray]          # i32 per output channel per layer
     weight_words: np.ndarray          # uint16 SRAM image, layer-aligned
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         self.weight_words = np.asarray(self.weight_words, dtype=np.uint16)
@@ -244,8 +243,7 @@ class PackedModel:
                            weight_words=pack_sram_image(ws))
 
     def to_network_spec(self, input_length: int = 512) -> NetworkSpec:
-        return NetworkSpec(layers=tuple(self.layers), input_length=input_length,
-                           num_classes=self.layers[-1].c_out)
+        return NetworkSpec(layers=tuple(self.layers), input_length=input_length)
 
     def to_weight_set(self) -> WeightSet:
         return WeightSet(layers=[
@@ -258,7 +256,7 @@ class PackedModel:
     def to_bytes(self) -> bytes:
         out = bytearray()
         out += MAGIC
-        out += struct.pack("<HB", self.version, len(self.layers))
+        out += struct.pack("<HB", FORMAT_VERSION, len(self.layers))
         for spec in self.layers:
             out += _DESCRIPTOR.pack(int(spec.kind), int(spec.pool_mode),
                                     int(spec.activation), spec.kernel, spec.padding,
@@ -379,22 +377,15 @@ def calibrate_activation_scales(fm: FloatModel, windows: np.ndarray,
     scales = [input_scale]
     maxima = np.zeros(len(fm.layers))
     for window in np.atleast_2d(windows):
-        z = (window - window.mean()) / (window.std() or 1.0)
-        for i, act in enumerate(float_forward(fm, z)):
+        for i, act in enumerate(float_forward(fm, zscore(window))):
             maxima[i] = max(maxima[i], float(np.max(np.abs(act))))
     for i, m in enumerate(maxima):
         scales.append(max(m, 1e-12) / 255.0)
     return scales
 
 
-def quantize_model(fm: FloatModel, input_scale: float = 1.0 / 32.0,
-                   act_scales: list[float] | None = None,
-                   calib_windows: np.ndarray | None = None) -> PackedModel:
+def quantize_model(fm: FloatModel, act_scales: list[float]) -> PackedModel:
     """Full float-to-device pipeline: fold, quantize, derive requant constants."""
-    if act_scales is None:
-        if calib_windows is None:
-            raise ConfigError("need either act_scales or calibration windows")
-        act_scales = calibrate_activation_scales(fm, calib_windows, input_scale)
     if len(act_scales) != len(fm.layers) + 1:
         raise ConfigError("need one scale per layer boundary")
     specs: list[LayerSpec] = []
@@ -410,8 +401,7 @@ def quantize_model(fm: FloatModel, input_scale: float = 1.0 / 32.0,
                                pool_mode=spec.pool_mode, activation=spec.activation,
                                requant_multiplier=mult, requant_shift=shift))
         q_layers.append(lw)
-    net = NetworkSpec(layers=tuple(specs), input_length=fm.net.input_length,
-                      num_classes=fm.net.num_classes)
+    net = NetworkSpec(layers=tuple(specs), input_length=fm.net.input_length)
     return PackedModel.from_weights(net, WeightSet(layers=q_layers))
 
 
@@ -419,18 +409,20 @@ def quantize_model(fm: FloatModel, input_scale: float = 1.0 / 32.0,
 # Random models, geometries and inputs for equivalence testing
 # ---------------------------------------------------------------------------
 
-def random_model(net: NetworkSpec, rng: np.random.Generator,
-                 weight_range: int = 64) -> PackedModel:
+RANDOM_WEIGHT_RANGE = 64         # random_model weights are uniform in [-64, 64]
+
+
+def random_model(net: NetworkSpec, rng: np.random.Generator) -> PackedModel:
     """Random INT8 model with requant shifts sized to keep activations lively."""
     specs, q_layers = [], []
     for spec in net.layers:
         n = spec.c_in * spec.kernel
-        w = rng.integers(-weight_range, weight_range + 1,
+        w = rng.integers(-RANDOM_WEIGHT_RANGE, RANDOM_WEIGHT_RANGE + 1,
                          size=(spec.c_out, spec.c_in, spec.kernel)).astype(np.int8)
         b = rng.integers(-1000, 1000, size=spec.c_out).astype(np.int32)
         mult = int(rng.integers(1 << 30, 1 << 31))
         # random-walk accumulator sigma ~ sqrt(n) * sigma_w * sigma_x
-        sigma = math.sqrt(n) * (weight_range / math.sqrt(3)) * 74.0
+        sigma = math.sqrt(n) * (RANDOM_WEIGHT_RANGE / math.sqrt(3)) * 74.0
         shift = min(max(31 + round(math.log2(max(sigma, 1.0) / 64.0)), 1), 62)
         if spec.activation == Activation.SIGNED_BYPASS:
             shift = max(shift - 4, 1)  # keep logits spread out
@@ -439,8 +431,7 @@ def random_model(net: NetworkSpec, rng: np.random.Generator,
                                pool_mode=spec.pool_mode, activation=spec.activation,
                                requant_multiplier=mult, requant_shift=shift))
         q_layers.append(LayerWeights(weights=w, biases=b))
-    rnet = NetworkSpec(layers=tuple(specs), input_length=net.input_length,
-                       num_classes=net.num_classes)
+    rnet = NetworkSpec(layers=tuple(specs), input_length=net.input_length)
     return PackedModel.from_weights(rnet, WeightSet(layers=q_layers))
 
 
@@ -462,7 +453,7 @@ def random_small_net(rng: np.random.Generator,
     layers.append(LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=c_in, c_out=3,
                             kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
                             activation=Activation.SIGNED_BYPASS))
-    return NetworkSpec(layers=tuple(layers), input_length=length, num_classes=3)
+    return NetworkSpec(layers=tuple(layers), input_length=length)
 
 
 def random_input(rng: np.random.Generator, net: NetworkSpec) -> QuantTensor:

@@ -1,4 +1,4 @@
-"""End-to-end pipeline glue: window quantization, batch inference, and a
+"""End-to-end pipeline glue: window quantization, golden prediction, and a
 constructed (not trained) reference model for the synthetic dataset.
 
 The reference model uses a fixed filter bank tuned to the two burst
@@ -16,14 +16,13 @@ from .metrics import (DIA_FREQ_HZS, LabeledWindowSet, SAMPLE_RATE_HZ,
 from .modeltools import (FloatLayerParams, FloatModel, PackedModel,
                          calibrate_activation_scales, float_forward,
                          quantize_model)
-from .qnn import NetworkSpec, QuantTensor, infer_window, zscore_quantize
-
-INPUT_ZERO_POINT = 128
-INPUT_SCALE = 1.0 / 32.0
+from .qnn import INPUT_ZERO_POINT  # noqa: F401 (re-exported with INPUT_SCALE)
+from .qnn import (INPUT_SCALE, NetworkSpec, QuantTensor, infer_window, zscore,
+                  zscore_quantize)
 
 
 def quantize_windows(windows: np.ndarray) -> list[QuantTensor]:
-    return [zscore_quantize(w, INPUT_ZERO_POINT, INPUT_SCALE) for w in windows]
+    return [zscore_quantize(w) for w in windows]
 
 
 def golden_predict(model: PackedModel, windows: np.ndarray,
@@ -32,8 +31,7 @@ def golden_predict(model: PackedModel, windows: np.ndarray,
     net = model.to_network_spec(input_length=windows.shape[1])
     ws = model.to_weight_set()
     logits = np.zeros((len(windows), net.num_classes), dtype=np.int64)
-    for i, window in enumerate(windows):
-        x = zscore_quantize(window, INPUT_ZERO_POINT, INPUT_SCALE)
+    for i, x in enumerate(quantize_windows(windows)):
         out, _ = infer_window(net, ws, x)
         logits[i] = out.values
     probs = softmax(logits, scale=logit_scale)
@@ -92,8 +90,7 @@ def build_reference_model(calib: LabeledWindowSet, seed: int = 7,
 
     feats = np.zeros((len(calib), l3_width))
     for i, window in enumerate(calib.windows):
-        z = (window - window.mean()) / (window.std() or 1.0)
-        feats[i] = float_forward(fm, z)[-2][:, 0]
+        feats[i] = float_forward(fm, zscore(window))[-2][:, 0]
     mus = np.stack([feats[calib.labels == c].mean(axis=0) for c in range(3)])
     # argmax of f.mu_c - |mu_c|^2/2 is unchanged by subtracting the common f.mu_bar
     head_w = mus - mus.mean(axis=0)
@@ -102,6 +99,6 @@ def build_reference_model(calib: LabeledWindowSet, seed: int = 7,
     fm = FloatModel(net=net, layers=params)
 
     scales = calibrate_activation_scales(fm, calib.windows[:64], INPUT_SCALE)
-    model = quantize_model(fm, input_scale=INPUT_SCALE, act_scales=scales)
+    model = quantize_model(fm, scales)
     logit_scale = scales[-1]
     return model, logit_scale

@@ -4,6 +4,10 @@ All arithmetic is exact: int64 intermediates checked against the 32-bit
 accumulator budget, and conv products summed in float64, which is exact on
 these integers (see conv1d_gemm).  So every result here is the contract the
 cycle-accurate simulator has to match exactly.
+
+Like the simulator's run_inference and start(), infer_window rejects a maxpool
+input of odd length with ConfigError (NetworkSpec.layer_input_lengths); only
+the op-level maxpool2_acc pads an odd tail with INT32_MIN.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ INT32_MAX = (1 << 31) - 1
 # Fixed feature depth the GAP shifter is hardwired for (1 << GAP_SHIFT elements).
 GAP_LENGTH = 64
 GAP_SHIFT = 6
+
+# the deployed input format: z-scored samples as u8, 32 steps per sigma
+INPUT_ZERO_POINT = 128
+INPUT_SCALE = 1.0 / 32.0
 
 
 class LayerKind(IntEnum):
@@ -44,7 +52,6 @@ class QuantTensor:
     """Channel-major 8-bit activation map with quantization metadata."""
 
     data: np.ndarray  # uint8, shape [channels, length]
-    scale: float = 1.0
     zero_point: int = 0
 
     def __post_init__(self):
@@ -79,11 +86,8 @@ class LayerSpec:
     requant_multiplier: int = 1 << 30
     requant_shift: int = 30
     out_zero_point: int = 0  # optional output offset, 0 in the default scheme
-    stride: int = 1
 
     def __post_init__(self):
-        if self.stride != 1:
-            raise ConfigError("datapath is strictly stride-one")
         if self.c_in < 1 or self.c_out < 1 or self.kernel < 1:
             raise ConfigError("channel counts and kernel must be >= 1")
         if self.padding < 0:
@@ -124,7 +128,6 @@ class NetworkSpec:
 
     layers: tuple[LayerSpec, ...]
     input_length: int = 512
-    num_classes: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -133,8 +136,10 @@ class NetworkSpec:
         for a, b in zip(self.layers, self.layers[1:]):
             if a.c_out != b.c_in:
                 raise ConfigError(f"channel chain broken: {a.c_out} -> {b.c_in}")
-        if self.layers[-1].c_out != self.num_classes:
-            raise ConfigError("last layer must emit num_classes channels")
+
+    @property
+    def num_classes(self) -> int:
+        return self.layers[-1].c_out
 
     def layer_input_lengths(self) -> list[int]:
         """Spatial input length seen by each layer."""
@@ -208,22 +213,23 @@ class Logits:
         return int(np.argmax(self.values))
 
 
-def zscore_quantize(window, zero_point: int = 128,
-                    scale_divisor: float = 1.0 / 32.0) -> QuantTensor:
+def zscore(window: np.ndarray) -> np.ndarray:
+    """Per-window z-score in the window's own dtype; a flat window maps to 0."""
+    return (window - window.mean()) / (window.std() or 1.0)
+
+
+def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
+                    scale_divisor: float = INPUT_SCALE) -> QuantTensor:
     """Per-window z-score normalize then quantize to a 1-channel u8 tensor."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1 or window.size == 0:
         raise ShapeError("window must be a non-empty 1-D array")
     if scale_divisor <= 0:
         raise ConfigError("scale_divisor must be positive")
-    mean = window.mean()
-    std = window.std()
-    if std == 0.0:
-        std = 1.0  # flat window carries no information; output is all-zero-point
-    z = (window - mean) / std / scale_divisor
+    z = zscore(window) / scale_divisor
     q = np.where(z >= 0, np.floor(z + 0.5), np.ceil(z - 0.5)) + zero_point
     q = np.clip(q, 0, 255).astype(np.uint8)
-    return QuantTensor(q[np.newaxis, :], scale=scale_divisor, zero_point=zero_point)
+    return QuantTensor(q[np.newaxis, :], zero_point=zero_point)
 
 
 def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
@@ -344,6 +350,7 @@ def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
     if x.length != net.input_length or x.channels != net.layers[0].c_in:
         raise ShapeError(f"input {x.channels}x{x.length} does not match network "
                          f"{net.layers[0].c_in}x{net.input_length}")
+    net.layer_input_lengths()   # the simulator's geometry checks
     snapshots: list[QuantTensor] = []
     cur = x
     logits = None

@@ -178,9 +178,9 @@ class SystolicCluster:
 class ResultPacker:
     """Adapts the 8-bit result stream to 16-bit buffer words, channel aligned."""
 
-    def __init__(self, target: np.ndarray, base_word: int):
+    def __init__(self, target: np.ndarray):
         self.target = target
-        self.word_addr = base_word
+        self.word_addr = 0
         self.pending: int | None = None
 
     def push(self, byte: int):
@@ -245,7 +245,6 @@ class SimMachine:
         self.trace_sink = trace_sink
         self.model: PackedModel | None = None
         self.input_len = 0
-        self.input_channels = 0
         self.input_zero_point = 0
         self._input_loaded = False
         self._layer_results: list[_LayerResult | None] = []
@@ -286,7 +285,6 @@ class SimMachine:
         self.mem.input_words[:] = 0
         self.mem.input_words[:total_words] = pack_weight_bytes(x.data)
         self.input_len = x.length
-        self.input_channels = x.channels
         self.input_zero_point = x.zero_point
         self._input_loaded = True
         self._logits = None
@@ -437,7 +435,7 @@ class SimMachine:
             return mem.read_byte(act_words, 2 * c * wpc + t) if 0 <= t < w_in else zp
 
         self._split = dict.fromkeys(("prime", "compute", "requant"), 0)
-        packer = ResultPacker(mem.write_buf, 0)
+        packer = ResultPacker(mem.write_buf)
         logits = np.zeros(spec.c_out, dtype=np.int64) if signed else None
 
         if spec.pool_mode == PoolMode.GLOBAL_AVG and w_in != GAP_LENGTH:

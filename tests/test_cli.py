@@ -7,7 +7,8 @@ import pytest
 
 from scgaccel.cli import main
 from scgaccel.modeltools import PackedModel, random_model
-from scgaccel.qnn import NetworkSpec
+from scgaccel.qnn import (INT32_MAX, Activation, LayerKind, LayerSpec,
+                          LayerWeights, NetworkSpec, PoolMode, WeightSet)
 
 
 @pytest.fixture
@@ -108,6 +109,33 @@ def test_trace_emits_json_lines(model_file, window_file, tmp_path, capsys):
     assert [json.loads(l)["cycle"] for l in lines] == list(range(1, 51))
 
 
+def test_trace_fault_writes_the_lines_before_it_and_exits_1(tmp_path, capsys):
+    # batch-overhang overflow: lane 4 of layer 0's one batch overflows when
+    # its channel group completes, after 7 prime and 3 compute cycles
+    net = NetworkSpec(layers=(
+        LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3, padding=1,
+                  pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE),
+        LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=1, c_out=3, kernel=1,
+                  padding=0, pool_mode=PoolMode.BYPASS,
+                  activation=Activation.SIGNED_BYPASS),
+    ), input_length=4)
+    ws = WeightSet(layers=[
+        LayerWeights(weights=[[[127, -127, -127]]], biases=[INT32_MAX - 100]),
+        LayerWeights(weights=[[[1]], [[-1]], [[2]]], biases=[0, 0, 0]),
+    ])
+    model_file = tmp_path / "model.bin"
+    model_file.write_bytes(PackedModel.from_weights(net, ws).to_bytes())
+    window_file = tmp_path / "window.u8"
+    window_file.write_bytes(bytes([128, 128, 255, 255]))
+    out_file = tmp_path / "trace.jsonl"
+    assert main(["trace", "--model", str(model_file), "--input", str(window_file),
+                 "--format", "u8", "--cycles", "1000",
+                 "--out", str(out_file)]) == 1
+    assert "overflow" in capsys.readouterr().err
+    lines = out_file.read_text().strip().splitlines()
+    assert [json.loads(l)["cycle"] for l in lines] == list(range(1, 11))
+
+
 def test_synth_then_eval_round_trip(model_file, tmp_path, capsys):
     data = tmp_path / "ds.npz"
     assert main(["synth", "--n", "12", "--seed", "3", "--out", str(data)]) == 0
@@ -145,3 +173,4 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+    assert "recalls [95.73, 98.22, 99.11]" in out

@@ -1,6 +1,7 @@
 """Framing, protocol state machine, and host/device end-to-end behavior."""
 
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from scgaccel.errors import (CrcError, FramingError, ProtocolError,
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
                            FrameDecoder, HostClient, NackReason, SOF,
                            Transport, crc8, decode_frame, encode_frame,
-                           machine_digest, model_digest, serve_in_thread)
+                           machine_digest, memory_pair, model_digest,
+                           serve_in_thread)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
                           NetworkSpec, PoolMode, WeightSet, infer_window)
@@ -223,8 +225,7 @@ def test_end_to_end_matches_golden(rng):
 
 def test_four_class_round_trip_matches_golden(rng):
     base = NetworkSpec.default(l3_width=16)
-    net = NetworkSpec(layers=base.layers[:-1] + (replace(base.layers[-1], c_out=4),),
-                      num_classes=4)
+    net = NetworkSpec(layers=base.layers[:-1] + (replace(base.layers[-1], c_out=4),))
     model = random_model(net, rng)
     x = random_input(rng, net)
     host_end, _ = serve_in_thread(DeviceEmulator())
@@ -246,7 +247,7 @@ def _wide_head_model(n_classes):
     head = LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=2, c_out=n_classes,
                      kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
                      activation=Activation.SIGNED_BYPASS)
-    net = NetworkSpec(layers=(conv, head), input_length=8, num_classes=n_classes)
+    net = NetworkSpec(layers=(conv, head), input_length=8)
     ws = WeightSet(layers=[
         LayerWeights(weights=np.ones((2, 1, 1)), biases=np.zeros(2)),
         LayerWeights(weights=np.zeros((n_classes, 2, 1)),
@@ -326,17 +327,20 @@ def test_serve_nacks_a_request_whose_handler_raises(rng):
 
 
 class _CorruptingTransport(Transport):
-    """Flips one byte of the Nth outgoing frame, once."""
+    """Flips one byte of the Nth outgoing frame, once: byte `index`, or the
+    middle one."""
 
-    def __init__(self, inner: Transport, corrupt_send: int):
+    def __init__(self, inner: Transport, corrupt_send: int,
+                 index: int | None = None):
         self.inner = inner
         self.remaining = corrupt_send
+        self.index = index
 
     def send(self, data: bytes):
         self.remaining -= 1
         if self.remaining == 0:
             data = bytearray(data)
-            data[len(data) // 2] ^= 0x40
+            data[len(data) // 2 if self.index is None else self.index] ^= 0x40
             data = bytes(data)
         self.inner.send(data)
 
@@ -356,6 +360,28 @@ def test_corrupted_chunk_recovered_by_retransmission(rng):
                         timeout=30.0)
     try:
         client.load_model(model)   # chunk 3 is corrupted, NACKed, resent
+        remote, _ = client.run(x)
+    finally:
+        client.close()
+    gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
+    assert np.array_equal(remote.values, gold.values)
+
+
+@pytest.mark.parametrize("index, timeout", [
+    (2, 30.0),   # seq byte: the reply fails its CRC
+    (3, 0.5),    # length byte: the reply declares 64 payload bytes
+])
+def test_corrupted_reply_recovered_by_retransmission(rng, index, timeout):
+    model = _small_model(rng)
+    x = random_input(rng, model.to_network_spec())
+    host_end, device_end = memory_pair()
+    # the device's 2nd frame is the ACK of chunk 1
+    threading.Thread(target=DeviceEmulator().serve,
+                     args=(_CorruptingTransport(device_end, 2, index),),
+                     daemon=True).start()
+    client = HostClient(host_end, timeout=timeout)
+    try:
+        client.load_model(model)
         remote, _ = client.run(x)
     finally:
         client.close()

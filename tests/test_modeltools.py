@@ -8,6 +8,7 @@ from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
                              SerializationError, TruncationError)
 from scgaccel.modeltools import (BatchNorm, FloatLayerParams, FloatModel,
                                  PackedModel, WEIGHT_MEM_WORDS,
+                                 calibrate_activation_scales,
                                  derive_requant_constants, float_layer_forward,
                                  fold_batchnorm, pack_sram_image,
                                  pack_weight_bytes, param_bytes_fp32,
@@ -267,7 +268,7 @@ def test_quantize_model_produces_valid_packed_model():
             bias=rng.normal(0, 0.05, s.c_out), bn=bn))
     fm = FloatModel(net=net, layers=params)
     calib = rng.normal(size=(8, 512))
-    model = quantize_model(fm, calib_windows=calib)
+    model = quantize_model(fm, calibrate_activation_scales(fm, calib, 1/32))
     model.validate()
     assert len(model.layers) == 5
     for spec in model.layers:
@@ -278,13 +279,3 @@ def test_quantize_model_produces_valid_packed_model():
     logits, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     assert logits.values.shape == (3,)
     assert isinstance(x, QuantTensor)
-
-
-def test_quantize_model_requires_scales_or_calibration():
-    rng = np.random.default_rng(11)
-    net = NetworkSpec.default(l3_width=16)
-    fm = FloatModel(net=net, layers=[
-        FloatLayerParams(weights=rng.normal(size=(s.c_out, s.c_in, s.kernel)),
-                         bias=np.zeros(s.c_out)) for s in net.layers])
-    with pytest.raises(ConfigError):
-        quantize_model(fm)

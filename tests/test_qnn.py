@@ -334,10 +334,6 @@ def test_layer_spec_validation():
     with pytest.raises(ConfigError):
         LayerSpec(kind=LayerKind.CONV1D, c_in=0, c_out=3, kernel=3, padding=1,
                   pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE)
-    with pytest.raises(ConfigError):
-        LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3, padding=1,
-                  pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE,
-                  stride=2)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import random_input, random_small_net, wide_image_net
 from scgaccel.cyclemodel import PE_COUNT, layer_cycles, network_report
-from scgaccel.errors import (CapacityError, MemoryFault, ShapeError,
-                             SimFault, StateError)
+from scgaccel.errors import (CapacityError, ConfigError, MemoryFault,
+                             ShapeError, SimFault, StateError)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.modeltools import WEIGHT_MEM_WORDS as WEIGHT_ADDR_LIMIT
 from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, Activation,
@@ -114,7 +114,7 @@ def test_weight_memory_fault_outside_15_bit_space(default_pair):
 
 def test_packer_pairs_bytes_and_flushes_tail():
     target = np.zeros(4, dtype=np.uint16)
-    packer = ResultPacker(target, 0)
+    packer = ResultPacker(target)
     for byte in (0x11, 0x22, 0x33):
         packer.push(byte)
     packer.flush()
@@ -125,7 +125,7 @@ def test_packer_pairs_bytes_and_flushes_tail():
 
 
 def test_packer_overflow_fault():
-    packer = ResultPacker(np.zeros(1, dtype=np.uint16), 0)
+    packer = ResultPacker(np.zeros(1, dtype=np.uint16))
     packer.push(1)
     packer.push(2)
     with pytest.raises(MemoryFault):
@@ -160,7 +160,7 @@ def test_load_input_accepts_any_memory_order(rng):
         LayerSpec(c_in=2, c_out=3, kernel=3, padding=1,
                   pool_mode=PoolMode.MAXPOOL2, **_RELU),
         LayerSpec(c_in=3, c_out=3, **_FC),
-    ), input_length=8, num_classes=3)
+    ), input_length=8)
     model = random_model(net, rng)
     x = random_input(rng, net)
     gold, _ = infer_window(model.to_network_spec(net.input_length),
@@ -238,7 +238,7 @@ def test_batch_overhang_lane_overflow_is_a_fault():
         LayerSpec(c_in=1, c_out=1, kernel=3, padding=1,
                   pool_mode=PoolMode.BYPASS, **_RELU),
         LayerSpec(c_in=1, c_out=3, **_FC),
-    ), input_length=4, num_classes=3)
+    ), input_length=4)
     ws = WeightSet(layers=[
         LayerWeights(weights=[[[127, -127, -127]]], biases=[INT32_MAX - 100]),
         LayerWeights(weights=[[[1]], [[-1]], [[2]]], biases=[0, 0, 0]),
@@ -253,6 +253,24 @@ def test_batch_overhang_lane_overflow_is_a_fault():
         machine.load_model(model)
         machine.load_input(x)
         with pytest.raises(SimFault):
+            run(machine)
+
+
+def test_odd_maxpool_input_is_rejected_by_golden_and_both_sim_paths(rng):
+    net = NetworkSpec(layers=(
+        LayerSpec(c_in=1, c_out=2, kernel=3, padding=1,
+                  pool_mode=PoolMode.MAXPOOL2, **_RELU),
+        LayerSpec(c_in=2, c_out=3, **_FC),
+    ), input_length=7)
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    with pytest.raises(ConfigError):
+        infer_window(net, model.to_weight_set(), x)
+    for run in (SimMachine.run_inference, SimMachine.run_micro):
+        machine = SimMachine()
+        machine.load_model(model)
+        machine.load_input(x)
+        with pytest.raises(ConfigError):
             run(machine)
 
 
