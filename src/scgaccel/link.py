@@ -11,6 +11,23 @@ payload is the host's SHA-256 digest of the canonical model bytes.  The
 device answers with its own readback digest so either side can detect
 corruption.  A RESULT payload is one i32 per class, then the u32 cycle count
 and the u8 predicted class; the host derives the class count from its length.
+
+Replies are matched to requests by seq, which the device echoes.  The chunks
+of a transfer are numbered 0, 1, 2, ...; every other request takes the seq
+one past the previous request's, counting 1 to 255 and then 1 again.  Seq 0
+is skipped there: it names only the first chunk of a transfer and the
+device's reply to a frame it could not read.  Consecutive requests thus
+never share a seq.  The host takes as the answer to its outstanding request
+only a frame with that request's seq and a kind the command returns (ACK,
+or RESULT for RUN_INFERENCE and READ_RESULT, or a NACK), and drops any other
+frame.  Such a frame is a late reply to an earlier request, one that was
+retransmitted after a timeout or given up on; the device answers in order,
+so every late reply is read and dropped while the host waits on the next
+request, long before its seq comes round again.  A BAD_CRC NACK carries seq
+0, because the device cannot trust the seq of a frame that fails its CRC;
+the host takes it as a request to retransmit, whatever request is
+outstanding.  Each attempt waits at most `timeout`, dropped frames included,
+so a request gives up after at most (retries + 1) * timeout.
 """
 
 from __future__ import annotations
@@ -19,6 +36,7 @@ import hashlib
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -60,12 +78,29 @@ class NackReason(IntEnum):
     NO_RESULT = 0x09
 
 
-def crc8(data: bytes) -> int:
-    crc = 0
-    for byte in data:
-        crc ^= byte
+def _crc8_table() -> bytes:
+    """CRC-8 (poly 0x07, init 0x00) of each single byte, by the bit-serial rule."""
+    table = bytearray(256)
+    for byte in range(256):
+        crc = byte
         for _ in range(8):
             crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        table[byte] = crc
+    return bytes(table)
+
+
+_CRC8_TABLE = _crc8_table()
+
+
+def crc8(data: bytes) -> int:
+    """CRC-8 (poly 0x07, init 0x00) by table look-up (Sarwate 1988).
+
+    The register is as wide as a byte, so the 8 bit steps for one byte only
+    depend on `crc ^ byte` and take one look-up.
+    """
+    crc = 0
+    for byte in data:
+        crc = _CRC8_TABLE[crc ^ byte]
     return crc
 
 
@@ -130,16 +165,6 @@ class FrameDecoder:
                 raise FramingError(f"unknown command 0x{command:02X}")
             return Frame(command=cmd, seq=seq,
                          payload=body[4:4 + length])
-
-
-def decode_frame(data: bytes) -> Frame:
-    """One-shot decode of a single complete frame."""
-    dec = FrameDecoder()
-    dec.feed(data)
-    frame = dec.next_frame()
-    if frame is None:
-        raise FramingError("incomplete frame")
-    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +357,10 @@ class DeviceEmulator:
 
         Malformed traffic never crashes the loop: bad frames are NACKed and
         the decoder resynchronizes on the next SOF, and a request whose
-        handler raises is NACKed with LOAD_ERROR.
+        handler raises an `AccelError` (a model, input or result the machine
+        cannot take) is NACKed with LOAD_ERROR.  Any other exception is a bug
+        in the twin, not bad traffic, so it is not caught: it ends the loop,
+        the transport is closed, and the error surfaces with its traceback.
         """
         decoder = FrameDecoder()
         try:
@@ -380,6 +408,16 @@ def serve_in_thread(device: DeviceEmulator) -> tuple[Transport, threading.Thread
 # Host client
 # ---------------------------------------------------------------------------
 
+# the kind of reply each request is answered with, besides a NACK
+_REPLY_KIND = {
+    Command.LOAD_WEIGHTS: Command.ACK,
+    Command.LOAD_INPUT: Command.ACK,
+    Command.VERIFY_MEM: Command.ACK,
+    Command.RUN_INFERENCE: Command.RESULT,
+    Command.READ_RESULT: Command.RESULT,
+}
+
+
 class HostClient:
     """Blocking stop-and-wait client."""
 
@@ -388,32 +426,52 @@ class HostClient:
         self.timeout = timeout
         self.retries = retries
         self._decoder = FrameDecoder()
+        self._last_seq = 0
 
     def close(self):
         self.transport.close()
 
-    def _recv_frame(self) -> Frame:
+    def _next_seq(self) -> int:
+        """Seq of a non-load request: one past the last request's, 1 to 255."""
+        return self._last_seq % 255 + 1
+
+    def _recv_frame(self, deadline: float) -> Frame:
         while True:
             frame = self._decoder.next_frame()
             if frame is not None:
                 return frame
-            data = self.transport.recv(timeout=self.timeout)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TransportError("receive timeout")
+            data = self.transport.recv(timeout=remaining)
             if not data:
                 raise TransportError("connection closed by device")
             self._decoder.feed(data)
 
+    def _recv_reply(self, request: Frame, deadline: float) -> Frame:
+        """The next frame that answers `request`; late replies are dropped."""
+        kinds = (_REPLY_KIND.get(request.command), Command.NACK)
+        bad_crc = bytes([NackReason.BAD_CRC])
+        while True:
+            reply = self._recv_frame(deadline)
+            if reply.command == Command.NACK and reply.payload == bad_crc:
+                return reply    # its seq is 0: the device could not read ours
+            if reply.seq == request.seq and reply.command in kinds:
+                return reply
+
     def request(self, frame: Frame) -> Frame:
-        """Send one frame, wait for the response, retrying on NACK/timeout.
+        """Send one frame, wait for its reply, retrying on NACK/timeout.
 
         A corrupt reply counts as lost, and a timeout drops any partial
         reply, whose corrupted length would hold back later ones.  Repeated
         LOAD_WEIGHTS chunks are re-ACKed; the other commands are idempotent.
         """
         last_reason = None
+        self._last_seq = frame.seq
         for _ in range(self.retries + 1):
             self.transport.send(encode_frame(frame))
             try:
-                reply = self._recv_frame()
+                reply = self._recv_reply(frame, time.monotonic() + self.timeout)
             except TransportError:
                 last_reason = "timeout"
                 self._decoder = FrameDecoder()
@@ -436,23 +494,17 @@ class HostClient:
         blob = model.to_bytes()
         seq = 0
         for off in range(0, len(blob), CHUNK_SIZE):
-            chunk = blob[off:off + CHUNK_SIZE]
-            reply = self.request(Frame(Command.LOAD_WEIGHTS, seq=seq, payload=chunk))
-            if reply.command != Command.ACK:
-                raise ProtocolError(f"unexpected reply {reply.command.name} during load")
+            self.request(Frame(Command.LOAD_WEIGHTS, seq=seq,
+                               payload=blob[off:off + CHUNK_SIZE]))
             seq = (seq + 1) % 256
-        digest = model_digest(model)
-        reply = self.request(Frame(Command.VERIFY_MEM, seq=seq, payload=digest))
-        if reply.command != Command.ACK:
-            raise ProtocolError("verification did not complete")
-        if reply.payload != digest:
-            raise VerificationError("device readback digest mismatch")
+        self.verify(model)
 
     def verify(self, model: PackedModel):
         """Re-check device memory against the host's model."""
         digest = model_digest(model)
-        reply = self.request(Frame(Command.VERIFY_MEM, seq=0, payload=digest))
-        if reply.command != Command.ACK or reply.payload != digest:
+        reply = self.request(Frame(Command.VERIFY_MEM, seq=self._next_seq(),
+                                   payload=digest))
+        if reply.payload != digest:
             raise VerificationError("device readback digest mismatch")
 
     def run(self, window, zero_point: int = 128) -> tuple[Logits, int]:
@@ -463,12 +515,8 @@ class HostClient:
         else:
             samples = np.asarray(window, dtype=np.uint8).reshape(-1)
         payload = bytes([zero_point]) + samples.tobytes()
-        reply = self.request(Frame(Command.LOAD_INPUT, seq=0, payload=payload))
-        if reply.command != Command.ACK:
-            raise ProtocolError("input load failed")
-        reply = self.request(Frame(Command.RUN_INFERENCE, seq=0))
-        if reply.command != Command.RESULT:
-            raise ProtocolError("no inference result returned")
+        self.request(Frame(Command.LOAD_INPUT, seq=self._next_seq(), payload=payload))
+        reply = self.request(Frame(Command.RUN_INFERENCE, seq=self._next_seq()))
         n_classes, tail = divmod(len(reply.payload) - 5, 4)
         if n_classes < 1 or tail:
             raise ProtocolError(f"RESULT payload of {len(reply.payload)} bytes")

@@ -2,6 +2,7 @@
 
 import struct
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -14,22 +15,50 @@ from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
                            FrameDecoder, HostClient, NackReason, SOF,
-                           Transport, crc8, decode_frame, encode_frame,
-                           machine_digest, memory_pair, model_digest,
-                           serve_in_thread)
+                           Transport, crc8, encode_frame, machine_digest,
+                           memory_pair, model_digest, serve_in_thread)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
                           NetworkSpec, PoolMode, WeightSet, infer_window)
+from scgaccel.sim import SimMachine
 
 
 # ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
 
+def _crc8_bitwise(data: bytes) -> int:
+    """Reference CRC-8 (poly 0x07, init 0x00), one shift per bit."""
+    crc = 0
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+    return crc
+
+
+def decode_frame(data: bytes) -> Frame | None:
+    """One-shot decode of a single complete frame."""
+    decoder = FrameDecoder()
+    decoder.feed(data)
+    return decoder.next_frame()
+
+
 def test_crc8_known_vectors():
     assert crc8(b"") == 0x00
     assert crc8(b"\x00") == 0x00
     assert crc8(b"123456789") == 0xF4   # standard CRC-8/SMBUS check value
+
+
+def test_crc8_matches_bitwise_reference_on_every_byte():
+    for byte in range(256):
+        assert crc8(bytes([byte])) == _crc8_bitwise(bytes([byte])), byte
+
+
+@given(data=st.binary(max_size=5000))
+@settings(max_examples=200, deadline=None)
+def test_crc8_matches_bitwise_reference(data):
+    assert crc8(data) == _crc8_bitwise(data)
 
 
 def test_frame_round_trip_simple():
@@ -387,6 +416,108 @@ def test_corrupted_reply_recovered_by_retransmission(rng, index, timeout):
         client.close()
     gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     assert np.array_equal(remote.values, gold.values)
+
+
+class _SlowOnceMachine(SimMachine):
+    """Sleeps `delay` seconds in its first run_inference."""
+
+    def __init__(self, delay: float):
+        super().__init__()
+        self.delay = delay
+
+    def run_inference(self):
+        delay, self.delay = self.delay, 0.0
+        time.sleep(delay)
+        return super().run_inference()
+
+
+def test_session_stays_in_step_after_a_run_outlasts_the_timeout(rng):
+    # the slow RUN is retransmitted and answered twice; the late RESULT must
+    # not be taken as the reply to the next window's LOAD_INPUT
+    model = _small_model(rng)
+    net, ws = model.to_network_spec(), model.to_weight_set()
+    windows = [random_input(rng, net) for _ in range(11)]
+    host_end, thread = serve_in_thread(DeviceEmulator(_SlowOnceMachine(0.3)))
+    client = HostClient(host_end, timeout=0.2)
+    try:
+        client.load_model(model)
+        remote = [client.run(x)[0] for x in windows]
+    finally:
+        client.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    for x, got in zip(windows, remote):
+        gold, _ = infer_window(net, ws, x)
+        assert np.array_equal(got.values, gold.values)
+
+
+class _WrongRepliesTransport(Transport):
+    """A peer that answers each request every 10 ms with frames that do not
+    answer it: its seq on the wrong kind, and the right kind on another seq.
+    Like a socket, it returns within the receive timeout."""
+
+    def __init__(self):
+        self.seq = 0
+
+    def send(self, data: bytes):
+        self.seq = decode_frame(data).seq
+
+    def recv(self, timeout=None):
+        time.sleep(min(0.01, timeout))
+        return (encode_frame(Frame(Command.RESULT, seq=self.seq))
+                + encode_frame(Frame(Command.ACK, seq=(self.seq + 1) % 256)))
+
+    def close(self):
+        pass
+
+
+def test_replies_that_do_not_answer_the_request_are_dropped():
+    timeout, retries = 0.2, 2
+    client = HostClient(_WrongRepliesTransport(), timeout=timeout, retries=retries)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="no valid response to LOAD_INPUT"):
+        client.run(np.zeros(16, dtype=np.uint8))
+    elapsed = time.monotonic() - start
+    # every attempt waits out its timeout, however many frames arrive; the
+    # margin is for scheduling on a loaded host, not for another attempt
+    assert (retries + 1) * timeout <= elapsed < (retries + 1) * timeout + 0.15
+
+
+class _EchoTransport(Transport):
+    """A peer that answers each request at once with the reply kind the
+    request expects, on its seq, and records the requests."""
+
+    def __init__(self):
+        self.requests: list[Frame] = []
+        self.pending = b""
+
+    def send(self, data: bytes):
+        frame = decode_frame(data)
+        self.requests.append(frame)
+        payload = frame.payload if frame.command == Command.VERIFY_MEM else b""
+        self.pending += encode_frame(Frame(Command.ACK, seq=frame.seq, payload=payload))
+
+    def recv(self, timeout=None):
+        data, self.pending = self.pending, b""
+        return data
+
+    def close(self):
+        pass
+
+
+def test_request_seqs_follow_the_transfer_and_wrap_past_zero(rng):
+    model = _small_model(rng)
+    peer = _EchoTransport()
+    client = HostClient(peer)
+    client.load_model(model)
+    for _ in range(300):
+        client.verify(model)
+    seqs = [frame.seq for frame in peer.requests]
+    n_chunks = -(-len(model.to_bytes()) // CHUNK_SIZE)
+    assert seqs[:n_chunks] == list(range(n_chunks))
+    # VERIFY seals the transfer with the next seq; later requests count on
+    # to 255 and then start again at 1
+    assert seqs[n_chunks:] == [(n_chunks - 2 + k) % 255 + 1 for k in range(1, 302)]
 
 
 def test_digest_mismatch_after_host_side_mutation(rng):
