@@ -41,29 +41,6 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str | None) -> dict:
-    """Key=value defaults file; unknown keys are rejected."""
-    cfg = {"clock_hz": float(DEFAULT_CLOCK_HZ), "power_mw": DEFAULT_POWER_MW,
-           "requant_convention": "table1"}
-    if path is None:
-        return cfg
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in cfg:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = value if key == "requant_convention" else float(value)
-    return cfg
-
-
 def _read_model(path: str) -> PackedModel:
     try:
         return PackedModel.from_bytes(open(path, "rb").read())
@@ -120,18 +97,14 @@ def _emit(text: str, out: str | None):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    clock = args.clock_hz or cfg["clock_hz"]
-    power = cfg["power_mw"] if args.power_mw is None else args.power_mw
-    convention = RequantConvention(args.requant_convention
-                                   or cfg["requant_convention"])
     if args.model:
         net = _read_model(args.model).to_network_spec(args.input_length)
     else:
         net = NetworkSpec.default()
-    report = network_report(net, clock_hz=clock, avg_power_mw=power,
+    report = network_report(net, clock_hz=args.clock_hz,
+                            avg_power_mw=args.power_mw,
                             measured_latency_s=args.measured_latency_s,
-                            convention=convention)
+                            convention=RequantConvention(args.requant_convention))
     print(report.to_json() if args.json else report.to_text())
     return 0
 
@@ -438,7 +411,6 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scgaccel", description="Accelerator software twin toolkit")
-    parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--input", required=True, help="signal file or - for stdin")
@@ -448,10 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analytical cycle/throughput report")
     p.add_argument("--model", help="packed model file (default topology if omitted)")
     p.add_argument("--input-length", type=int, default=512)
-    p.add_argument("--clock-hz", type=float)
-    p.add_argument("--power-mw", type=float)
+    # a float, so --json prints the default clock as 24000000.0
+    p.add_argument("--clock-hz", type=float, default=float(DEFAULT_CLOCK_HZ))
+    p.add_argument("--power-mw", type=float, default=DEFAULT_POWER_MW)
     p.add_argument("--measured-latency-s", type=float)
-    p.add_argument("--requant-convention", choices=["table1", "formula"])
+    p.add_argument("--requant-convention", choices=["table1", "formula"],
+                   default="table1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

@@ -23,11 +23,15 @@ or RESULT for RUN_INFERENCE and READ_RESULT, or a NACK), and drops any other
 frame.  Such a frame is a late reply to an earlier request, one that was
 retransmitted after a timeout or given up on; the device answers in order,
 so every late reply is read and dropped while the host waits on the next
-request, long before its seq comes round again.  A BAD_CRC NACK carries seq
-0, because the device cannot trust the seq of a frame that fails its CRC;
-the host takes it as a request to retransmit, whatever request is
-outstanding.  Each attempt waits at most `timeout`, dropped frames included,
-so a request gives up after at most (retries + 1) * timeout.
+request, long before its seq comes round again.  The device answers a frame
+it could not read with a seq-0 NACK: BAD_CRC if it fails its CRC, so its seq
+cannot be trusted, or BAD_LENGTH if it declares a payload over the cap.  The
+host retransmits on either, whatever request is outstanding; a BAD_LENGTH
+on the request's own seq is a rejection.  The device rescans an unreadable
+frame for the next SOF and may NACK many false ones, so once the host has
+retransmitted on a seq-0 NACK it drops more as stale.  Each attempt waits at most
+`timeout`, dropped frames included, so a request gives up after at most
+(retries + 1) * timeout.
 """
 
 from __future__ import annotations
@@ -235,17 +239,12 @@ def machine_digest(machine: SimMachine) -> bytes:
 # Device emulator
 # ---------------------------------------------------------------------------
 
-class DeviceMode(IntEnum):
-    IDLE = 0
-    LOADING = 1
-
-
 class DeviceEmulator:
     """Single-session command loop wrapping a SimMachine."""
 
     def __init__(self, machine: SimMachine | None = None):
         self.machine = machine or SimMachine()
-        self.mode = DeviceMode.IDLE
+        self.loading = False     # a LOAD_WEIGHTS transfer is open
         self.model_loaded = False
         self.last_result: tuple[Logits, int] | None = None
         self._staging = bytearray()
@@ -273,8 +272,8 @@ class DeviceEmulator:
             # new transfer resets staging regardless of prior state
             self._staging = bytearray()
             self._expected_seq = 0
-            self.mode = DeviceMode.LOADING
-        if self.mode != DeviceMode.LOADING:
+            self.loading = True
+        if not self.loading:
             return self._nack(frame.seq, NackReason.BAD_SEQ)
         if frame.seq == (self._expected_seq - 1) % 256:
             return Frame(Command.ACK, seq=frame.seq)   # duplicate after lost ACK
@@ -285,7 +284,7 @@ class DeviceEmulator:
         return Frame(Command.ACK, seq=frame.seq)
 
     def _on_verify(self, frame: Frame) -> Frame:
-        if self.mode == DeviceMode.LOADING:
+        if self.loading:
             try:
                 model = PackedModel.from_bytes(bytes(self._staging))
                 # RESULT names the class in a u8; 256 logits take 1029 bytes,
@@ -295,10 +294,10 @@ class DeviceEmulator:
                                         "fit a RESULT frame")
                 self.machine.load_model(model)
             except AccelError:
-                self.mode = DeviceMode.IDLE
+                self.loading = False
                 return self._nack(frame.seq, NackReason.LOAD_ERROR)
             self.model_loaded = True
-            self.mode = DeviceMode.IDLE
+            self.loading = False
             self._staging = bytearray()
         if not self.model_loaded:
             return self._nack(frame.seq, NackReason.NO_MODEL)
@@ -308,7 +307,7 @@ class DeviceEmulator:
         return Frame(Command.ACK, seq=frame.seq, payload=digest)
 
     def _on_load_input(self, frame: Frame) -> Frame:
-        if self.mode == DeviceMode.LOADING:
+        if self.loading:
             return self._nack(frame.seq, NackReason.BUSY)
         if not self.model_loaded:
             return self._nack(frame.seq, NackReason.NO_MODEL)
@@ -327,7 +326,7 @@ class DeviceEmulator:
         return Frame(Command.ACK, seq=frame.seq)
 
     def _on_run(self, frame: Frame) -> Frame:
-        if self.mode == DeviceMode.LOADING:
+        if self.loading:
             return self._nack(frame.seq, NackReason.BUSY)
         if not self.model_loaded:
             return self._nack(frame.seq, NackReason.NO_MODEL)
@@ -391,7 +390,7 @@ class DeviceEmulator:
             pass
         finally:
             # clean teardown: an interrupted load leaves the device idle
-            self.mode = DeviceMode.IDLE
+            self.loading = False
             self._staging = bytearray()
             transport.close()
 
@@ -416,6 +415,13 @@ _REPLY_KIND = {
     Command.RUN_INFERENCE: Command.RESULT,
     Command.READ_RESULT: Command.RESULT,
 }
+
+
+def _unread(reply: Frame) -> bool:
+    """A NACK the device sends for a frame it could not read."""
+    return reply.command == Command.NACK and reply.seq == 0 \
+        and reply.payload in (bytes([NackReason.BAD_CRC]),
+                              bytes([NackReason.BAD_LENGTH]))
 
 
 class HostClient:
@@ -448,15 +454,16 @@ class HostClient:
                 raise TransportError("connection closed by device")
             self._decoder.feed(data)
 
-    def _recv_reply(self, request: Frame, deadline: float) -> Frame:
-        """The next frame that answers `request`; late replies are dropped."""
+    def _recv_reply(self, request: Frame, deadline: float, stale: bool) -> Frame:
+        """The next frame that answers `request`; late replies are dropped,
+        and so are seq-0 NACKs if they are `stale`."""
         kinds = (_REPLY_KIND.get(request.command), Command.NACK)
-        bad_crc = bytes([NackReason.BAD_CRC])
         while True:
             reply = self._recv_frame(deadline)
-            if reply.command == Command.NACK and reply.payload == bad_crc:
-                return reply    # its seq is 0: the device could not read ours
-            if reply.seq == request.seq and reply.command in kinds:
+            if _unread(reply):
+                if not stale:
+                    return reply
+            elif reply.seq == request.seq and reply.command in kinds:
                 return reply
 
     def request(self, frame: Frame) -> Frame:
@@ -470,8 +477,9 @@ class HostClient:
         self._last_seq = frame.seq
         for _ in range(self.retries + 1):
             self.transport.send(encode_frame(frame))
+            stale = last_reason in (NackReason.BAD_CRC, NackReason.BAD_LENGTH)
             try:
-                reply = self._recv_reply(frame, time.monotonic() + self.timeout)
+                reply = self._recv_reply(frame, time.monotonic() + self.timeout, stale)
             except TransportError:
                 last_reason = "timeout"
                 self._decoder = FrameDecoder()
@@ -482,7 +490,7 @@ class HostClient:
             if reply.command == Command.NACK:
                 reason = NackReason(reply.payload[0]) if reply.payload else None
                 last_reason = reason
-                if reason in (NackReason.BAD_CRC, NackReason.BAD_SEQ):
+                if reason == NackReason.BAD_SEQ or _unread(reply):
                     continue   # retransmit the same frame
                 raise ProtocolError(f"device rejected {frame.command.name}: "
                                     f"{reason.name if reason else 'unknown'}")
@@ -507,14 +515,9 @@ class HostClient:
         if reply.payload != digest:
             raise VerificationError("device readback digest mismatch")
 
-    def run(self, window, zero_point: int = 128) -> tuple[Logits, int]:
+    def run(self, window: QuantTensor) -> tuple[Logits, int]:
         """Load a quantized input window and trigger inference."""
-        if isinstance(window, QuantTensor):
-            samples = window.data.reshape(-1)
-            zero_point = window.zero_point
-        else:
-            samples = np.asarray(window, dtype=np.uint8).reshape(-1)
-        payload = bytes([zero_point]) + samples.tobytes()
+        payload = bytes([window.zero_point]) + window.data.tobytes()
         self.request(Frame(Command.LOAD_INPUT, seq=self._next_seq(), payload=payload))
         reply = self.request(Frame(Command.RUN_INFERENCE, seq=self._next_seq()))
         n_classes, tail = divmod(len(reply.payload) - 5, 4)

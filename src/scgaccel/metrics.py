@@ -19,6 +19,7 @@ CLASS_NAMES = ("background", "systolic", "diastolic")
 NUM_CLASSES = 3
 SAMPLE_RATE_HZ = 1000
 WINDOW_LEN = 512
+ECE_BINS = 10
 EVENT_GUARD_S = 0.05       # minimum event distance from a background center
 HEART_RATE_BPM = (55.0, 95.0)   # per-window heart rate, drawn uniformly
 
@@ -126,12 +127,12 @@ class EvalSummary:
         }
 
 
-def confusion_matrix(labels, preds, n_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion_matrix(labels, preds) -> np.ndarray:
     labels = np.asarray(labels)
     preds = np.asarray(preds)
     if labels.shape != preds.shape:
         raise ShapeError("labels and predictions must align")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(cm, (labels, preds), 1)
     return cm
 
@@ -155,16 +156,14 @@ def summary_from_confusion(cm: np.ndarray) -> EvalSummary:
                        accuracy=accuracy)
 
 
-def expected_calibration_error(confidences, correct, n_bins: int = 10) -> float:
-    """ECE over equal-width confidence bins: sum_b (n_b/N) |acc_b - conf_b|."""
+def expected_calibration_error(confidences, correct) -> float:
+    """ECE over ECE_BINS equal-width bins: sum_b (n_b/N) |acc_b - conf_b|."""
     confidences = np.asarray(confidences, dtype=np.float64)
     correct = np.asarray(correct, dtype=np.float64)
     n = confidences.size
-    if n == 0:
-        return 0.0
-    bins = np.minimum((confidences * n_bins).astype(int), n_bins - 1)
+    bins = np.minimum((confidences * ECE_BINS).astype(int), ECE_BINS - 1)
     ece = 0.0
-    for b in range(n_bins):
+    for b in range(ECE_BINS):
         mask = bins == b
         nb = int(mask.sum())
         if nb == 0:
@@ -187,32 +186,28 @@ def average_precision(scores, positives) -> float:
     return float(precision[hits].sum() / n_pos)
 
 
-def evaluate(labels, probs=None, pred_classes=None, confidences=None,
-             n_classes: int = NUM_CLASSES, n_bins: int = 10) -> EvalSummary:
+def evaluate(labels, probs=None, pred_classes=None) -> EvalSummary:
     """Window-level evaluation.
 
-    Either per-class probabilities (`probs`, [n, n_classes]) or predicted
-    classes plus max-confidences can be supplied; AP is only available with
-    full probabilities.
+    Either per-class probabilities (`probs`, [n, NUM_CLASSES]) or predicted
+    classes can be supplied; ECE and AP are only available with probabilities.
     """
     labels = np.asarray(labels)
     if probs is not None:
         probs = np.asarray(probs, dtype=np.float64)
-        if probs.shape != (labels.size, n_classes):
-            raise ShapeError("probs must be [n, n_classes]")
+        if probs.shape != (labels.size, NUM_CLASSES):
+            raise ShapeError("probs must be [n, NUM_CLASSES]")
         pred_classes = probs.argmax(axis=1)
-        confidences = probs.max(axis=1)
     if pred_classes is None:
         raise ShapeError("need probs or pred_classes")
     pred_classes = np.asarray(pred_classes)
     if pred_classes.shape != labels.shape:
         raise ShapeError("labels and predictions must align")
-    cm = confusion_matrix(labels, pred_classes, n_classes)
+    cm = confusion_matrix(labels, pred_classes)
     summary = summary_from_confusion(cm)
-    if confidences is not None:
-        correct = (pred_classes == labels)
-        summary.ece = expected_calibration_error(confidences, correct, n_bins)
     if probs is not None:
+        summary.ece = expected_calibration_error(probs.max(axis=1),
+                                                 pred_classes == labels)
         for cls in (1, 2):   # event classes, one-vs-rest
             summary.average_precision[cls] = average_precision(
                 probs[:, cls], labels == cls)

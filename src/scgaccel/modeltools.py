@@ -313,18 +313,6 @@ class PackedModel:
             raise SerializationError(f"{len(blob) - off} trailing bytes")
         return PackedModel(layers=specs, biases=biases, weight_words=words)
 
-    def param_bytes_int8(self) -> int:
-        """Parameter payload in the INT8 format: weight bytes + i32 biases."""
-        n_w = sum(s.c_out * s.c_in * s.kernel for s in self.layers)
-        n_b = sum(s.c_out for s in self.layers)
-        return n_w + 4 * n_b
-
-
-def param_bytes_fp32(net: NetworkSpec) -> int:
-    n_w = sum(s.c_out * s.c_in * s.kernel for s in net.layers)
-    n_b = sum(s.c_out for s in net.layers)
-    return 4 * (n_w + n_b)
-
 
 # ---------------------------------------------------------------------------
 # Float reference forward (for folding checks and activation calibration)

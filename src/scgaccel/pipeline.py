@@ -63,15 +63,14 @@ def _front_end_bank(c_out: int, taps: int, rng: np.random.Generator) -> np.ndarr
     return w[:, np.newaxis, :]
 
 
-def build_reference_model(calib: LabeledWindowSet, seed: int = 7,
-                          l3_width: int = 128):
+def build_reference_model(calib: LabeledWindowSet, seed: int = 7):
     """Construct a quantized model for the synthetic task.
 
     Returns (PackedModel, logit_scale); accuracy comes from the fixed filter
     bank plus a closed-form nearest-class-mean head, not from training.
     """
     rng = np.random.default_rng(seed)
-    net = NetworkSpec.default(l3_width=l3_width)
+    net = NetworkSpec.default()
     params: list[FloatLayerParams] = []
     for i, spec in enumerate(net.layers[:-1]):
         if i == 0:
@@ -88,7 +87,7 @@ def build_reference_model(calib: LabeledWindowSet, seed: int = 7,
         bias=np.zeros(head_spec.c_out)))
     fm = FloatModel(net=net, layers=params)
 
-    feats = np.zeros((len(calib), l3_width))
+    feats = np.zeros((len(calib), net.layers[-1].c_in))
     for i, window in enumerate(calib.windows):
         feats[i] = float_forward(fm, zscore(window))[-2][:, 0]
     mus = np.stack([feats[calib.labels == c].mean(axis=0) for c in range(3)])

@@ -340,6 +340,17 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
     return r.astype(np.int32)
 
 
+def pool_requantize(acc: np.ndarray, layer: LayerSpec, multiplier: int,
+                    shift: int) -> np.ndarray:
+    """A layer's conv output through its maxpool or GAP, then requantized."""
+    if layer.pool_mode == PoolMode.MAXPOOL2:
+        acc = maxpool2_acc(acc)
+    elif layer.pool_mode == PoolMode.GLOBAL_AVG:
+        acc = gap_shift_acc(acc)[:, np.newaxis]
+    return requantize(acc, multiplier, shift, layer.activation,
+                      layer.out_zero_point)
+
+
 def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
     """Run the full golden pipeline; returns (Logits, per-layer snapshots).
 
@@ -355,13 +366,8 @@ def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
     cur = x
     logits = None
     for layer, lw in zip(net.layers, ws.layers):
-        acc = conv1d_acc(cur, layer, lw)
-        if layer.pool_mode == PoolMode.MAXPOOL2:
-            acc = maxpool2_acc(acc)
-        elif layer.pool_mode == PoolMode.GLOBAL_AVG:
-            acc = gap_shift_acc(acc)[:, np.newaxis]
-        out = requantize(acc, layer.requant_multiplier, layer.requant_shift,
-                         layer.activation, layer.out_zero_point)
+        out = pool_requantize(conv1d_acc(cur, layer, lw), layer,
+                              layer.requant_multiplier, layer.requant_shift)
         if layer.activation == Activation.RELU_SATURATE:
             cur = QuantTensor(out, zero_point=layer.out_zero_point)
             snapshots.append(cur)

@@ -50,8 +50,7 @@ from .modeltools import (WEIGHT_MEM_WORDS, PackedModel, layer_weights,
                          layer_word_count, pack_weight_bytes, unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
                   LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
-                  conv1d_acc, gap_shift_acc, maxpool2_acc, requantize,
-                  round_shift)
+                  conv1d_acc, pool_requantize, round_shift)
 
 INPUT_BANKS = 2
 INPUT_BANK_WORDS = 256
@@ -79,35 +78,6 @@ def _partial_products(a, b):
 def mul64signed(a, b):
     """Full signed 64-bit product: the sum of the four partial products."""
     return sum(_partial_products(a, b))
-
-
-class RequantUnit:
-    """Staged requantization engine state (one result per 4 multiplier cycles)."""
-
-    def __init__(self):
-        self.stage = 0
-        self.product_acc = 0
-        self.busy = False
-        self._ops = (0, 0)
-
-    def start(self, acc: int, multiplier: int):
-        if self.busy:
-            raise StateError("requant unit busy")
-        self.stage = 0
-        self.product_acc = 0
-        self.busy = True
-        self._ops = (int(acc), int(multiplier))
-
-    def step(self) -> bool:
-        """Advance one multiplier stage; returns True when the product is done."""
-        if not self.busy:
-            raise StateError("requant unit idle")
-        self.product_acc += _partial_products(*self._ops)[self.stage]
-        self.stage += 1
-        if self.stage == REQUANT_MUL_STAGES:
-            self.busy = False
-            return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +210,6 @@ class SimMachine:
     def __init__(self, trace_sink=None):
         self.mem = MemorySubsystem()
         self.cluster = SystolicCluster()
-        self.requant_unit = RequantUnit()
         self.cycle_counter = 0
         self.trace_sink = trace_sink
         self.model: PackedModel | None = None
@@ -289,10 +258,6 @@ class SimMachine:
         self._input_loaded = True
         self._logits = None
         self._gen = None
-
-    def read_input_sample(self, channel: int, t: int) -> int:
-        wpc = (self.input_len + 1) // 2
-        return self.mem.read_byte(self.mem.input_words, 2 * channel * wpc + t)
 
     def _act_words(self, li: int) -> np.ndarray:
         """The buffer holding layer li's input plane."""
@@ -361,13 +326,7 @@ class SimMachine:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
                            f"{self.cycle_counter}") from exc
         self._mac_count += PE_COUNT * lc.compute
-
-        if spec.pool_mode == PoolMode.MAXPOOL2:
-            acc = maxpool2_acc(acc)
-        elif spec.pool_mode == PoolMode.GLOBAL_AVG:
-            acc = gap_shift_acc(acc)[:, np.newaxis]
-        multiplier, shift = mem.scale_regs[li]
-        out = requantize(acc, multiplier, shift, spec.activation, spec.out_zero_point)
+        out = pool_requantize(acc, spec, *mem.scale_regs[li])
         if spec.activation == Activation.SIGNED_BYPASS:
             self._logits = Logits(out[:, 0])
         else:
@@ -523,13 +482,13 @@ class SimMachine:
             array_eff=array_efficiency(k)))
 
     def _micro_requant(self, li, o, b, acc, multiplier, shift, spec, signed):
-        """Six requant cycles: four multiplier stages plus two of overhead."""
-        self.requant_unit.start(acc, multiplier)
-        for _ in range(REQUANT_MUL_STAGES):
-            self.requant_unit.step()
+        """Six requant cycles: four multiplier stages, each adding one partial
+        product, plus two of overhead."""
+        p = 0
+        for partial in _partial_products(int(acc), int(multiplier)):
+            p += partial
             yield self._emit("requant", layer=li, c_out=o, batch=b,
                              c_in=-1, k=-1, note="mul-stage")
-        p = self.requant_unit.product_acc
         r = round_shift(p, shift)
         if signed:
             value = max(INT32_MIN, min(INT32_MAX, r))

@@ -43,17 +43,9 @@ def test_analyze_json_schema(capsys):
     assert d["energy_uj"] == pytest.approx(816.5, abs=0.05)
 
 
-def test_config_file_overrides_clock(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("clock_hz = 48000000\n# comment\n")
-    assert main(["--config", str(cfg), "analyze", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["clock_hz"] == 48_000_000.0
-
-
-def test_config_file_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("frequency = 1\n")
-    assert main(["--config", str(cfg), "analyze"]) == 2
+def test_analyze_rejects_a_zero_clock(capsys):
+    assert main(["analyze", "--clock-hz", "0"]) == 1
+    assert "clock_hz must be positive" in capsys.readouterr().err
 
 
 def test_infer_both_reports_exact_match(model_file, window_file, capsys):

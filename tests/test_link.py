@@ -19,7 +19,8 @@ from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
                            memory_pair, model_digest, serve_in_thread)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
-                          NetworkSpec, PoolMode, WeightSet, infer_window)
+                          NetworkSpec, PoolMode, QuantTensor, WeightSet,
+                          infer_window)
 from scgaccel.sim import SimMachine
 
 
@@ -396,6 +397,63 @@ def test_corrupted_chunk_recovered_by_retransmission(rng):
     assert np.array_equal(remote.values, gold.values)
 
 
+def test_unreadable_length_is_retransmitted_at_once(rng):
+    # byte 4 is the high byte of chunk 2's length: 0x1000 becomes 0x5000,
+    # over the cap, and the device answers with a seq-0 BAD_LENGTH NACK
+    timeout = 1.0
+    model = random_model(NetworkSpec.default(), rng)
+    host_end, _ = serve_in_thread(DeviceEmulator())
+    client = HostClient(_CorruptingTransport(host_end, 3, 4), timeout=timeout)
+    start = time.monotonic()
+    try:
+        client.load_model(model)
+    finally:
+        client.close()
+    assert time.monotonic() - start < timeout / 2
+
+
+def test_one_unreadable_frame_costs_one_retransmit(rng):
+    # the LOAD_INPUT frame's high length byte is corrupted; the device drops
+    # its SOF and rescans the payload, where each 0xA5 0xFF pair reads as a
+    # frame over the cap: 201 seq-0 BAD_LENGTH NACKs answer the one frame
+    # (the 0xFF tail keeps the last false SOF from declaring a short frame
+    # that would swallow the retransmit)
+    timeout = 1.0
+    model = _small_model(rng)
+    samples = np.full((1, 512), 0xFF, dtype=np.uint8)
+    samples[0, :400] = np.tile([0xA5, 0xFF], 200)
+    x = QuantTensor(samples, zero_point=128)
+    input_send = -(-len(model.to_bytes()) // CHUNK_SIZE) + 2   # after VERIFY
+    host_end, _ = serve_in_thread(DeviceEmulator())
+    client = HostClient(_CorruptingTransport(host_end, input_send, 4),
+                        timeout=timeout)
+    try:
+        client.load_model(model)
+        start = time.monotonic()
+        remote, _ = client.run(x)
+        elapsed = time.monotonic() - start
+    finally:
+        client.close()
+    gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
+    assert np.array_equal(remote.values, gold.values)
+    assert elapsed < timeout / 2
+
+
+def test_a_rejected_input_length_is_not_retransmitted(rng):
+    # 1026 samples need 513 words of the 512-word input buffer: the device
+    # reads the frame and NACKs BAD_LENGTH on its seq
+    host_end, _ = serve_in_thread(DeviceEmulator())
+    client = HostClient(host_end, timeout=30.0)
+    try:
+        client.load_model(_small_model(rng))
+        with pytest.raises(ProtocolError,
+                           match="device rejected LOAD_INPUT: BAD_LENGTH"):
+            client.run(QuantTensor(np.zeros((1, 1026), dtype=np.uint8),
+                                   zero_point=128))
+    finally:
+        client.close()
+
+
 @pytest.mark.parametrize("index, timeout", [
     (2, 30.0),   # seq byte: the reply fails its CRC
     (3, 0.5),    # length byte: the reply declares 64 payload bytes
@@ -476,7 +534,7 @@ def test_replies_that_do_not_answer_the_request_are_dropped():
     client = HostClient(_WrongRepliesTransport(), timeout=timeout, retries=retries)
     start = time.monotonic()
     with pytest.raises(ProtocolError, match="no valid response to LOAD_INPUT"):
-        client.run(np.zeros(16, dtype=np.uint8))
+        client.run(QuantTensor(np.zeros((1, 16), dtype=np.uint8), zero_point=128))
     elapsed = time.monotonic() - start
     # every attempt waits out its timeout, however many frames arrive; the
     # margin is for scheduling on a loaded host, not for another attempt
@@ -589,6 +647,5 @@ def test_mid_load_teardown_leaves_device_idle(rng):
     host_end.close()               # hang up mid-transfer
     thread.join(timeout=10.0)
     assert not thread.is_alive()
-    from scgaccel.link import DeviceMode
-    assert device.mode == DeviceMode.IDLE
+    assert not device.loading
     assert not device.model_loaded

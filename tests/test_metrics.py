@@ -61,7 +61,7 @@ def test_published_confusion_reproduction():
 
 def test_perfect_predictions():
     labels = np.repeat([0, 1, 2], 10)
-    s = evaluate(labels, pred_classes=labels, confidences=np.ones(30))
+    s = evaluate(labels, probs=np.eye(3)[labels])
     assert np.array_equal(s.confusion, 10 * np.eye(3, dtype=int))
     assert s.f1.tolist() == [1.0, 1.0, 1.0]
     assert s.macro_f1 == 1.0 and s.accuracy == 1.0

@@ -11,9 +11,9 @@ from scgaccel.modeltools import (BatchNorm, FloatLayerParams, FloatModel,
                                  calibrate_activation_scales,
                                  derive_requant_constants, float_layer_forward,
                                  fold_batchnorm, pack_sram_image,
-                                 pack_weight_bytes, param_bytes_fp32,
-                                 quantize_model, quantize_weights,
-                                 random_model, unpack_weight_bytes)
+                                 pack_weight_bytes, quantize_model,
+                                 quantize_weights, random_model,
+                                 unpack_weight_bytes)
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
                           NetworkSpec, PoolMode, WeightSet)
 
@@ -176,13 +176,6 @@ def test_default_network_weight_word_count():
     assert model.layer_word_base == [0, 72, 2376, 11592, 32072]
     # fits the 32K-word space with the last word below the limit
     assert model.layer_word_base[-1] + 192 <= WEIGHT_MEM_WORDS
-
-
-def test_int8_format_size_ratio():
-    net = NetworkSpec.default()
-    model = random_model(net, np.random.default_rng(9))
-    ratio = model.param_bytes_int8() / param_bytes_fp32(net)
-    assert 0.25 < ratio < 0.30
 
 
 def test_pack_sram_image_capacity_error_names_layer():

@@ -16,7 +16,7 @@ from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, Activation,
                           LayerKind, LayerSpec, LayerWeights, NetworkSpec,
                           PoolMode, QuantTensor, WeightSet, infer_window)
 from scgaccel.qnn import round_shift as _round_shift
-from scgaccel.sim import RequantUnit, ResultPacker, SimMachine, mul64signed
+from scgaccel.sim import ResultPacker, SimMachine, mul64signed
 
 EDGE_OPERANDS = [0, 1, -1, 1 << 15, -(1 << 15), (1 << 15) - 1, -((1 << 15) - 1),
                  INT32_MAX, INT32_MIN, INT32_MIN + 1, INT32_MAX - 1]
@@ -70,21 +70,6 @@ def test_mul64signed_scalar_matches_array():
         b = int(rng.integers(INT32_MIN, INT32_MAX + 1))
         assert mul64signed(a, b) == int(mul64signed(
             np.array([a]), np.array([b]))[0])
-
-
-def test_requant_unit_four_stages():
-    unit = RequantUnit()
-    unit.start(-123456789, (1 << 30) + 12345)
-    steps = 0
-    while not unit.step():
-        steps += 1
-    assert steps + 1 == 4
-    assert unit.product_acc == -123456789 * ((1 << 30) + 12345)
-    with pytest.raises(StateError):
-        unit.step()     # idle after completion
-    unit.start(5, 7)
-    with pytest.raises(StateError):
-        unit.start(5, 7)   # busy
 
 
 def test_round_shift_matches_golden_definition():
@@ -151,7 +136,8 @@ def test_input_buffer_round_trip(default_pair):
     machine = SimMachine()
     machine.load_model(model)
     machine.load_input(x)
-    got = [machine.read_input_sample(0, t) for t in range(x.length)]
+    got = [machine.mem.read_byte(machine.mem.input_words, t)
+           for t in range(x.length)]
     assert got == x.data[0].tolist()
 
 
