@@ -100,7 +100,8 @@ def cmd_analyze(args) -> int:
     if args.model:
         net = _read_model(args.model).to_network_spec(args.input_length)
     else:
-        net = NetworkSpec.default()
+        net = NetworkSpec(NetworkSpec.default().layers,
+                          input_length=args.input_length)
     report = network_report(net, clock_hz=args.clock_hz,
                             avg_power_mw=args.power_mw,
                             measured_latency_s=args.measured_latency_s,

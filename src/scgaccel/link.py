@@ -488,7 +488,12 @@ class HostClient:
                 last_reason = exc
                 continue
             if reply.command == Command.NACK:
-                reason = NackReason(reply.payload[0]) if reply.payload else None
+                try:
+                    reason = NackReason(reply.payload[0]) if reply.payload else None
+                except ValueError:
+                    raise ProtocolError(
+                        f"device rejected {frame.command.name} with unknown "
+                        f"NACK reason 0x{reply.payload[0]:02X}") from None
                 last_reason = reason
                 if reason == NackReason.BAD_SEQ or _unread(reply):
                     continue   # retransmit the same frame

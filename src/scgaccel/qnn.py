@@ -1,8 +1,9 @@
 """Bit-exact integer-only golden model of the 5-layer 1D CNN.
 
 All arithmetic is exact: int64 intermediates checked against the 32-bit
-accumulator budget, and conv products summed in float64, which is exact on
-these integers (see conv1d_gemm).  So every result here is the contract the
+accumulator budget, and conv products summed in float32 where a layer's
+worst-case sum stays below 2^24, else in float64; both are exact on these
+integers (see conv1d_gemm).  So every result here is the contract the
 cycle-accurate simulator has to match exactly.
 
 Like the simulator's run_inference and start(), infer_window rejects a maxpool
@@ -233,22 +234,43 @@ def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
 
 
 def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 convolution of x [B, C, L] with w [O, C, K] -> float64 [B, O, L].
+    """Stride-1 convolution of x [B, C, L] with w [O, C, K] -> [B, O, L].
 
     out[b, o, t] = sum over c, j of w[o, c, j] * x[b, c, t + j - pad], with
-    taps outside [0, L) reading zero.  The B inputs lie side by side in one
-    channel-major plane, each in a zero-margined segment of seg = pad + L +
-    max(K - 1 - pad, 0) columns, and each tap is one float64 GEMM over a
-    shifted view of it, so no im2col buffer is built.
+    taps outside [0, L) reading zero.  The form follows x's dtype, and so
+    does the result:
 
-    Exact on integer operands while every partial sum stays below 2^53.  The
-    SANN field widths that LayerSpec enforces (c_in <= 65535, K <= 255) and
-    u8 activations minus a u8 zero point (|x| <= 255) times i8 weights
-    (|w| <= 128) give a worst case of 65535*255*255*128 ~ 5.5e11 < 2^53.
+    - float32: one [B, C*K, L] im2col of the zero-margined input, built by K
+      slice copies, and one GEMM of w as [O, C*K] against it.
+    - anything else, in float64: the B inputs lie side by side in one
+      channel-major plane, each in a zero-margined segment of seg = pad + L +
+      max(K - 1 - pad, 0) columns, and each tap is one GEMM over a shifted
+      view of it, so no im2col buffer is built.
+
+    Exact on integer operands while the sum of |products| of one output stays
+    below 2^24 in float32 or 2^53 in float64, since every partial sum, in
+    any order the BLAS takes, is an integer no larger than that.  With u8
+    activations minus a u8 zero point (|x| <= 255) and i8 weights
+    (|w| <= 128), float32 holds for C*K*255*128 < 2^24, i.e. C*K <= 514,
+    which conv1d_acc checks; every layer of the default net qualifies.
+    float64 holds for any layer the SANN field widths that LayerSpec
+    enforces allow (c_in <= 65535, K <= 255): 65535*255*255*128 ~ 5.5e11.
+
+    float64, which the float forward also uses, keeps the per-tap form.  On
+    a shared 2-vCPU host with the benchmark pinned to one CPU, the one-GEMM
+    form in float64 raised eval-golden set-up by up to 52%: OpenBLAS threads
+    its larger dgemm calls, and with one BLAS thread it was faster instead.
     """
     b, c, n = x.shape
     o, k = w.shape[0], w.shape[2]
     seg = pad + n + max(k - 1 - pad, 0)
+    if x.dtype == np.float32:
+        plane = np.zeros((b, c, seg), dtype=np.float32)
+        plane[:, :, pad:pad + n] = x
+        cols = np.empty((b, c, k, n), dtype=np.float32)
+        for j in range(k):
+            cols[:, :, j] = plane[:, :, j:j + n]
+        return w.reshape(o, c * k).astype(np.float32) @ cols.reshape(b, c * k, n)
     # one spare zero segment at the end lets every tap read B*seg columns,
     # so each GEMM writes whole contiguous rows; output column b*seg + t
     # reads plane column b*seg + t + j at tap j
@@ -268,13 +290,16 @@ def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray
 
     Out-of-range taps read the zero point, i.e. contribute nothing after the
     offset subtraction; output length equals input length.  The products are
-    summed by conv1d_gemm, exactly, and the bias is added in int64.
+    summed by conv1d_gemm, exactly: in float32 when C*K*255*128 < 2^24,
+    else in float64.  The bias is added in int64.
     """
     if x.channels != layer.c_in:
         raise ShapeError(f"input has {x.channels} channels, layer expects {layer.c_in}")
     if lw.weights.shape != (layer.c_out, layer.c_in, layer.kernel):
         raise ShapeError("weight tensor does not match layer geometry")
-    xoff = np.subtract(x.data, x.zero_point, dtype=np.float64)
+    exact32 = layer.c_in * layer.kernel * 255 * 128 < 1 << 24
+    xoff = np.subtract(x.data, x.zero_point,
+                       dtype=np.float32 if exact32 else np.float64)
     acc = conv1d_gemm(xoff[np.newaxis], lw.weights, layer.padding)[0].astype(np.int64)
     acc += lw.biases.astype(np.int64)[:, np.newaxis]
     if acc.min() < INT32_MIN or acc.max() > INT32_MAX:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scgaccel.cli import main
+from scgaccel.cyclemodel import network_report
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (INT32_MAX, Activation, LayerKind, LayerSpec,
                           LayerWeights, NetworkSpec, PoolMode, WeightSet)
@@ -41,6 +42,14 @@ def test_analyze_json_schema(capsys):
     assert d["totals"]["cycles"] == 2_255_250
     assert d["mmacs_per_s"] == pytest.approx(67.0, abs=0.05)
     assert d["energy_uj"] == pytest.approx(816.5, abs=0.05)
+
+
+def test_analyze_input_length_applies_to_the_default_topology(capsys):
+    assert main(["analyze", "--input-length", "256", "--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    net = NetworkSpec(NetworkSpec.default().layers, input_length=256)
+    cycles = network_report(net).total_cycles
+    assert d["totals"]["cycles"] == cycles != 2_255_250
 
 
 def test_analyze_rejects_a_zero_clock(capsys):

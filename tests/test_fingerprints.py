@@ -1,8 +1,9 @@
 """Byte-identity of the integer-only outputs.
 
 Each value is the SHA-256 of an output that no code change may move: the
-`analyze` report, the SANN bytes of seeded random models, and the per-clock
-trace stream of the net with every layer kind.  Only integer-only artefacts
+`analyze` report, the SANN bytes of seeded random models, the golden logits
+and ReLU snapshots of those models, and the per-clock trace stream of the net
+with every layer kind.  Only integer-only artefacts
 are pinned; `build_reference_model` goes through float BLAS, whose last bits
 are not portable across machines.
 """
@@ -15,7 +16,7 @@ import pytest
 from scgaccel.cli import main
 from scgaccel.errors import StateError
 from scgaccel.modeltools import random_input, random_model
-from scgaccel.qnn import NetworkSpec
+from scgaccel.qnn import NetworkSpec, infer_window
 from scgaccel.sim import SimMachine
 from test_sim import every_kind_net
 
@@ -49,6 +50,14 @@ SANN = {
     7: "5e77677475ecb17562a850f9403e86243de8e0167d97ffabdb346e777195f65d",
 }
 
+# logits, then every ReLU snapshot, of 16 random_input windows drawn after
+# the random model from the same generator
+GOLDEN = {
+    1: "c9bfa54c0cd9e9bcb5659f64a0ba41ab117b5e24cc99a2a3ede50aeb38012078",
+    4242: "210ca0c1fe86be4c52b16ceac94f89e49214eeceb0b0fd98d135e68a9bd0d373",
+    7: "359b5ed2421edbcd51a40142f738fa2660f364fafed5632d694c278fadd32672",
+}
+
 # 10,418 events
 EVERY_KIND_TRACE = \
     "316fcb67f1931782c6d66a344925af5341e9d97e6b0c77229e30e55e7a581447"
@@ -68,6 +77,20 @@ def test_analyze_output(flags, tmp_path, capsys):
 def test_random_model_bytes(seed):
     model = random_model(NetworkSpec.default(), np.random.default_rng(seed))
     assert _sha(model.to_bytes()) == SANN[seed]
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN))
+def test_golden_outputs(seed):
+    rng = np.random.default_rng(seed)
+    net = NetworkSpec.default()
+    ws = random_model(net, rng).to_weight_set()
+    digest = hashlib.sha256()
+    for _ in range(16):
+        logits, snapshots = infer_window(net, ws, random_input(rng, net))
+        digest.update(logits.values.tobytes())
+        for snap in snapshots:
+            digest.update(snap.data.tobytes())
+    assert digest.hexdigest() == GOLDEN[seed]
 
 
 def test_every_kind_trace_stream():

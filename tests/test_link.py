@@ -541,6 +541,32 @@ def test_replies_that_do_not_answer_the_request_are_dropped():
     assert (retries + 1) * timeout <= elapsed < (retries + 1) * timeout + 0.15
 
 
+class _NackTransport(Transport):
+    """A peer that NACKs every request on its seq with one reason byte."""
+
+    def __init__(self, reason: int):
+        self.reason = reason
+        self.pending = b""
+
+    def send(self, data: bytes):
+        seq = decode_frame(data).seq
+        self.pending += encode_frame(Frame(Command.NACK, seq=seq,
+                                           payload=bytes([self.reason])))
+
+    def recv(self, timeout=None):
+        data, self.pending = self.pending, b""
+        return data
+
+    def close(self):
+        pass
+
+
+def test_a_nack_reason_outside_the_protocol_is_a_protocol_error():
+    client = HostClient(_NackTransport(0xEE), timeout=0.2)
+    with pytest.raises(ProtocolError, match="READ_RESULT.*NACK reason 0xEE"):
+        client.request(Frame(Command.READ_RESULT, seq=1))
+
+
 class _EchoTransport(Transport):
     """A peer that answers each request at once with the reply kind the
     request expects, on its seq, and records the requests."""

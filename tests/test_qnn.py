@@ -132,7 +132,7 @@ def test_gap_element_shift_differs_from_sum_shift():
 
 
 # ---------------------------------------------------------------------------
-# The float64 GEMM conv is exact on integers
+# The GEMM conv is exact on integers, in float32 and in float64
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sample, zp", [(255, 0), (0, 255)])
@@ -172,9 +172,34 @@ def test_conv_gemm_batch_matches_einsum_reference():
         pad = int(rng.integers(0, k + 2))
         x = rng.integers(-255, 256, size=(b, c, n))
         w = rng.integers(-128, 128, size=(o, c, k))
-        got = conv1d_gemm(x, w, pad)
-        assert got.dtype == np.float64 and got.shape == (b, o, n)
-        assert np.array_equal(got, einsum_conv(x, w, pad))
+        # int64 takes the per-tap float64 form, float32 (C*K <= 36, under
+        # the 2^24 bound) the one-GEMM form
+        for xin, dtype in ((x, np.float64), (x.astype(np.float32), np.float32)):
+            got = conv1d_gemm(xin, w, pad)
+            assert got.dtype == dtype and got.shape == (b, o, n)
+            assert np.array_equal(got, einsum_conv(x, w, pad))
+
+
+@pytest.mark.parametrize("c_in, k, small", [(257, 2, None), (103, 5, (40, 3))])
+def test_conv_exact_at_the_float32_bound(c_in, k, small):
+    # C*K = 514, the largest that sums in float32: every product is
+    # (0 - 255) * -128 = 255*128 and the sum, 514*255*128 = 16,776,960, is
+    # just under 2^24.  C*K = 515 sums in float64: 514 such products and one
+    # of 255*3 make 16,777,725, odd and above 2^24, which float32 cannot hold.
+    assert (c_in * k * 255 * 128 < 1 << 24) == (small is None)
+    spec = LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=1, kernel=k,
+                     padding=0, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.RELU_SATURATE)
+    x = np.zeros((c_in, k), dtype=np.uint8)
+    w = np.full((1, c_in, k), -128, dtype=np.int8)
+    if small is not None:
+        w[0][small] = -3
+    acc = conv1d_acc(QuantTensor(x, zero_point=255), spec,
+                     LayerWeights(weights=w, biases=[0]))
+    expect = 16_776_960 if small is None else 16_777_725
+    assert acc[0, 0] == expect
+    ref = einsum_conv(x[np.newaxis].astype(np.int64) - 255, w.astype(np.int64), 0)
+    assert np.array_equal(acc, ref[0])
 
 
 def test_conv_gemm_exact_at_widest_layer_spec():
