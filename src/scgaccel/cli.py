@@ -265,6 +265,7 @@ def cmd_serve(args) -> int:
         return 0
     host, port = _parse_address(args.transport)
     with socket.create_server((host, port)) as server:
+        host, port = server.getsockname()[:2]    # port 0 binds a free one
         print(f"listening on {host}:{port}", file=sys.stderr)
         while True:
             conn, peer = server.accept()

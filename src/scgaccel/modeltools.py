@@ -220,6 +220,10 @@ class PackedModel:
             (layer_word_count(s) for s in self.layers[:-1]), initial=0))
 
     def validate(self) -> None:
+        try:
+            NetworkSpec(tuple(self.layers))
+        except ConfigError as exc:
+            raise SerializationError(f"invalid layout: {exc}") from exc
         if len(self.biases) != len(self.layers):
             raise SerializationError("bias table layer count mismatch")
         expect_words = 0
@@ -276,8 +280,6 @@ class PackedModel:
         version, layer_count = struct.unpack_from("<HB", blob, 4)
         if version != FORMAT_VERSION:
             raise SerializationError(f"unsupported format version {version}")
-        if layer_count == 0:
-            raise SerializationError("model has no layers")
         off = HEADER_SIZE
         specs: list[LayerSpec] = []
         for i in range(layer_count):

@@ -6,6 +6,10 @@ worst-case sum stays below 2^24, else in float64; both are exact on these
 integers (see conv1d_gemm).  So every result here is the contract the
 cycle-accurate simulator has to match exactly.
 
+NetworkSpec is the one layout rule: ReLU conv layers, then one FC head whose
+signed i32 outputs are the logits.  A lone LayerSpec may be anything its
+fields allow, such as the signed convs of the op-level tests.
+
 Like the simulator's run_inference and start(), infer_window rejects a maxpool
 input of odd length with ConfigError (NetworkSpec.layer_input_lengths); only
 the op-level maxpool2_acc pads an odd tail with INT32_MIN.
@@ -125,18 +129,28 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """The whole network: an ordered layer chain plus input geometry."""
+    """ReLU conv layers, then one FC head, plus the input length; the SANN
+    loader, the simulator and VERIFY check a model's layout by building one."""
 
     layers: tuple[LayerSpec, ...]
     input_length: int = 512
+    # (kind, activation) of every layer before the head, held here since
+    # enum member look-ups are slow and each model load builds a NetworkSpec
+    _RELU_CONV = (LayerKind.CONV1D, Activation.RELU_SATURATE)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.layers:
+        layers = tuple(self.layers)
+        object.__setattr__(self, "layers", layers)
+        if not layers:
             raise ConfigError("network needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
+        for a, b in zip(layers, layers[1:]):
+            if (a.kind, a.activation) != self._RELU_CONV:
+                raise ConfigError("every layer before the head must be a ReLU conv")
             if a.c_out != b.c_in:
                 raise ConfigError(f"channel chain broken: {a.c_out} -> {b.c_in}")
+        # LayerSpec forces an FC layer to bypass pooling and emit signed logits
+        if layers[-1].kind != LayerKind.FULLY_CONNECTED:
+            raise ConfigError("the last layer must be the fully-connected head")
 
     @property
     def num_classes(self) -> int:
@@ -379,25 +393,22 @@ def pool_requantize(acc: np.ndarray, layer: LayerSpec, multiplier: int,
 def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
     """Run the full golden pipeline; returns (Logits, per-layer snapshots).
 
-    Snapshots hold the post-requantization QuantTensor of every ReLU layer;
-    the final signed logits are returned separately.
+    Snapshots hold the post-requantization QuantTensor of every layer before
+    the head; the head's signed outputs are the logits.
     """
     ws.check_against(net)
     if x.length != net.input_length or x.channels != net.layers[0].c_in:
         raise ShapeError(f"input {x.channels}x{x.length} does not match network "
                          f"{net.layers[0].c_in}x{net.input_length}")
     net.layer_input_lengths()   # the simulator's geometry checks
+
+    def forward(cur: QuantTensor, layer: LayerSpec, lw: LayerWeights):
+        return pool_requantize(conv1d_acc(cur, layer, lw), layer,
+                               layer.requant_multiplier, layer.requant_shift)
+
     snapshots: list[QuantTensor] = []
     cur = x
-    logits = None
-    for layer, lw in zip(net.layers, ws.layers):
-        out = pool_requantize(conv1d_acc(cur, layer, lw), layer,
-                              layer.requant_multiplier, layer.requant_shift)
-        if layer.activation == Activation.RELU_SATURATE:
-            cur = QuantTensor(out, zero_point=layer.out_zero_point)
-            snapshots.append(cur)
-        else:
-            logits = Logits(out[:, 0])
-    if logits is None:
-        raise ConfigError("network has no signed-output classification layer")
-    return logits, snapshots
+    for layer, lw in zip(net.layers[:-1], ws.layers):
+        cur = QuantTensor(forward(cur, layer, lw), zero_point=layer.out_zero_point)
+        snapshots.append(cur)
+    return Logits(forward(cur, net.layers[-1], ws.layers[-1])[:, 0]), snapshots

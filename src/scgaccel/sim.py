@@ -44,8 +44,8 @@ import numpy as np
 
 from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
                          array_efficiency, layer_cycles)
-from .errors import (AccumulatorOverflow, CapacityError, ConfigError,
-                     MemoryFault, ShapeError, SimFault, StateError)
+from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
+                     SimFault, StateError)
 from .modeltools import (WEIGHT_MEM_WORDS, PackedModel, layer_weights,
                          layer_word_count, pack_weight_bytes, unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
@@ -226,8 +226,6 @@ class SimMachine:
     # -- loading ------------------------------------------------------------
 
     def load_model(self, model: PackedModel):
-        if model.weight_words.size == 0:
-            raise CapacityError("model has an empty weight image")
         model.validate()
         self.mem.weight_mem[:] = 0
         self.mem.weight_mem[:model.weight_words.size] = model.weight_words
@@ -283,10 +281,6 @@ class SimMachine:
         return list(zip(range(len(layers)), layers, lengths, zero_points,
                         self.model.layer_word_base))
 
-    def _end_run(self):
-        if self._logits is None:
-            raise SimFault("network produced no logits")
-
     def _finish_layer(self, li: int, spec, w_out: int, lc: LayerCycles):
         """Record the split, snapshot the output image, then swap buffers."""
         self._run_cycles.append(lc)
@@ -306,7 +300,6 @@ class SimMachine:
         start_cycle = self.cycle_counter
         for layer in self._begin_run():
             self._run_layer_fast(*layer)
-        self._end_run()
         return self._logits, self.cycle_counter - start_cycle, list(self._run_cycles)
 
     def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int):
@@ -378,7 +371,6 @@ class SimMachine:
     def _micro_run(self, layers):
         for layer in layers:
             yield from self._micro_layer(*layer)
-        self._end_run()
 
     def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int):
         mem = self.mem
@@ -443,7 +435,7 @@ class SimMachine:
                     for m in range(PE_COUNT // 2):
                         pooled = max(cluster.acc[2 * m], cluster.acc[2 * m + 1])
                         value = yield from self._micro_requant(
-                            li, o, b, pooled, multiplier, shift, spec, signed=False)
+                            li, o, b, pooled, multiplier, shift, spec)
                         if base_t + 2 * m < w_in:   # overhang results are dropped
                             packer.push(int(value))
                 elif spec.pool_mode == PoolMode.GLOBAL_AVG:
@@ -454,8 +446,7 @@ class SimMachine:
                     for j in range(PE_COUNT):
                         if base_t + j < w_in:
                             value = yield from self._micro_requant(
-                                li, o, b, cluster.acc[j], multiplier, shift,
-                                spec, signed=signed)
+                                li, o, b, cluster.acc[j], multiplier, shift, spec)
                             if signed:
                                 if base_t + j == 0:   # logit = position 0
                                     logits[o] = value
@@ -463,25 +454,19 @@ class SimMachine:
                                 packer.push(int(value))
             if spec.pool_mode == PoolMode.GLOBAL_AVG:
                 value = yield from self._micro_requant(
-                    li, o, n_batches - 1, gap_acc, multiplier, shift, spec,
-                    signed=signed)
-                if signed:
-                    logits[o] = value
-                else:
-                    packer.push(int(value))
-            if not signed:
-                packer.flush()
+                    li, o, n_batches - 1, gap_acc, multiplier, shift, spec)
+                packer.push(int(value))
+            packer.flush()   # a no-op for the head, which pushes nothing
 
         if signed:
-            self._logits = Logits(np.clip(logits, INT32_MIN, INT32_MAX)
-                                  .astype(np.int32))
+            self._logits = Logits(logits)
         split = self._split
         self._finish_layer(li, spec, spec.out_length(w_in), LayerCycles(
             **split, n_batches=n_batches,
             n_outputs=split["requant"] // REQUANT_CYCLES_TABLE,
             array_eff=array_efficiency(k)))
 
-    def _micro_requant(self, li, o, b, acc, multiplier, shift, spec, signed):
+    def _micro_requant(self, li, o, b, acc, multiplier, shift, spec):
         """Six requant cycles: four multiplier stages, each adding one partial
         product, plus two of overhead."""
         p = 0
@@ -490,7 +475,7 @@ class SimMachine:
             yield self._emit("requant", layer=li, c_out=o, batch=b,
                              c_in=-1, k=-1, note="mul-stage")
         r = round_shift(p, shift)
-        if signed:
+        if spec.activation == Activation.SIGNED_BYPASS:
             value = max(INT32_MIN, min(INT32_MAX, r))
         else:
             value = max(0, min(255, r + spec.out_zero_point))

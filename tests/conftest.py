@@ -10,7 +10,8 @@ from scgaccel.modeltools import random_input, random_model, random_small_net
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, NetworkSpec,
                           PoolMode)
 
-__all__ = ["einsum_conv", "random_input", "random_small_net", "wide_image_net"]
+__all__ = ["einsum_conv", "random_input", "random_small_net", "signed_conv_blob",
+           "wide_image_net"]
 
 
 def einsum_conv(x, w, pad):
@@ -40,6 +41,15 @@ def wide_image_net() -> NetworkSpec:
                   padding=0, pool_mode=PoolMode.BYPASS,
                   activation=Activation.SIGNED_BYPASS),
     ), input_length=512)
+
+
+def signed_conv_blob() -> bytes:
+    """SANN bytes that break only the layout rule: the seed-1 default model
+    with descriptor 0's activation byte (offset 9) set to signed."""
+    blob = bytearray(random_model(NetworkSpec.default(),
+                                  np.random.default_rng(1)).to_bytes())
+    blob[9] = Activation.SIGNED_BYPASS
+    return bytes(blob)
 
 
 @pytest.fixture

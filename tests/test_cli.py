@@ -1,15 +1,22 @@
 """CLI surface: exit codes, output formats, and command plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import signed_conv_blob
 from scgaccel.cli import main
 from scgaccel.cyclemodel import network_report
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (INT32_MAX, Activation, LayerKind, LayerSpec,
                           LayerWeights, NetworkSpec, PoolMode, WeightSet)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -78,10 +85,13 @@ def test_infer_missing_model_is_usage_error(window_file, capsys):
                  "--input", window_file]) == 2
 
 
-def test_infer_corrupt_model_is_runtime_error(tmp_path, window_file):
+def test_infer_corrupt_model_is_runtime_error(tmp_path, window_file, capsys):
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"SANN\x01\x00\x05garbage")
-    assert main(["infer", "--model", str(bad), "--input", window_file]) == 1
+    for blob, reason in ((b"SANN\x01\x00\x05garbage", "descriptor 0 truncated"),
+                         (signed_conv_blob(), "invalid layout")):
+        bad.write_bytes(blob)
+        assert main(["infer", "--model", str(bad), "--input", window_file]) == 1
+        assert reason in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():
@@ -135,6 +145,34 @@ def test_trace_fault_writes_the_lines_before_it_and_exits_1(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
     lines = out_file.read_text().strip().splitlines()
     assert [json.loads(l)["cycle"] for l in lines] == list(range(1, 11))
+
+
+def test_load_and_run_over_loopback_match_golden(model_file, window_file, capsys):
+    # port 0: the server binds an ephemeral port and prints it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    server = subprocess.Popen(
+        [sys.executable, "-u", "-m", "scgaccel.cli", "serve",
+         "--transport", "127.0.0.1:0"],
+        stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        line = server.stderr.readline()
+        assert line.startswith("listening on 127.0.0.1:"), line
+        addr = line.split()[-1]
+        assert addr != "127.0.0.1:0"
+        assert main(["load", "--connect", addr, "--model", model_file]) == 0
+        assert main(["run", "--connect", addr, "--input", window_file]) == 0
+        run_out = capsys.readouterr().out
+        assert main(["infer", "--model", model_file, "--input", window_file,
+                     "--golden", "--json"]) == 0
+        golden = json.loads(capsys.readouterr().out)["golden_logits"]
+    finally:
+        server.kill()
+        server.wait(timeout=10.0)
+        server.stderr.close()
+    assert "model loaded and verified" in run_out
+    assert f"logits {golden} " in run_out
+    assert "cycles 2,255,250" in run_out
 
 
 def test_synth_then_eval_round_trip(model_file, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_input, wide_image_net
+from conftest import random_input, signed_conv_blob, wide_image_net
 from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
@@ -207,6 +207,27 @@ def test_corrupted_upload_fails_verification(rng):
     assert reply.payload[0] == NackReason.VERIFY_FAIL
 
 
+@pytest.mark.parametrize("payload", [
+    b"\x80",                    # a zero point and no samples
+    b"\x80" + b"\x00" * 7,      # 7 samples for 2 input channels
+])
+def test_load_input_of_a_bad_length_is_nacked(rng, payload):
+    net = NetworkSpec(layers=(
+        LayerSpec(kind=LayerKind.CONV1D, c_in=2, c_out=3, kernel=3, padding=1,
+                  pool_mode=PoolMode.MAXPOOL2, activation=Activation.RELU_SATURATE),
+        LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=3, c_out=3, kernel=1,
+                  padding=0, pool_mode=PoolMode.BYPASS,
+                  activation=Activation.SIGNED_BYPASS),
+    ), input_length=8)
+    device = DeviceEmulator()
+    seq = _load_via_frames(device, random_model(net, rng))
+    assert device.handle_frame(Frame(Command.VERIFY_MEM, seq=seq)).command \
+        == Command.ACK
+    reply = device.handle_frame(Frame(Command.LOAD_INPUT, payload=payload))
+    assert reply.command == Command.NACK
+    assert reply.payload[0] == NackReason.BAD_LENGTH
+
+
 def test_commands_require_model():
     device = DeviceEmulator()
     for cmd in (Command.LOAD_INPUT, Command.RUN_INFERENCE):
@@ -309,6 +330,25 @@ def test_model_whose_result_cannot_fit_is_rejected_at_verify(rng):
         client.close()
     gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     assert np.array_equal(remote.values, gold.values)
+
+
+def test_model_with_a_bad_layout_is_rejected_at_verify(rng):
+    blob = signed_conv_blob()
+    device = DeviceEmulator()
+    host_end, thread = serve_in_thread(device)
+    client = HostClient(host_end, timeout=30.0)
+    try:
+        chunks = range(0, len(blob), CHUNK_SIZE)
+        for seq, off in enumerate(chunks):
+            client.request(Frame(Command.LOAD_WEIGHTS, seq=seq,
+                                 payload=blob[off:off + CHUNK_SIZE]))
+        with pytest.raises(ProtocolError, match="VERIFY_MEM: LOAD_ERROR"):
+            client.request(Frame(Command.VERIFY_MEM, seq=len(chunks)))
+        assert thread.is_alive() and not device.model_loaded
+    finally:
+        client.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 def test_run_whose_image_overflows_the_pingpong_buffer_is_nacked(rng):
@@ -541,17 +581,18 @@ def test_replies_that_do_not_answer_the_request_are_dropped():
     assert (retries + 1) * timeout <= elapsed < (retries + 1) * timeout + 0.15
 
 
-class _NackTransport(Transport):
-    """A peer that NACKs every request on its seq with one reason byte."""
+class _ScriptedTransport(Transport):
+    """A peer that answers each request at once, on its seq, with the
+    (command, payload) that `replies` gives for the request's command."""
 
-    def __init__(self, reason: int):
-        self.reason = reason
+    def __init__(self, replies: dict):
+        self.replies = replies
         self.pending = b""
 
     def send(self, data: bytes):
-        seq = decode_frame(data).seq
-        self.pending += encode_frame(Frame(Command.NACK, seq=seq,
-                                           payload=bytes([self.reason])))
+        frame = decode_frame(data)
+        command, payload = self.replies[frame.command]
+        self.pending += encode_frame(Frame(command, seq=frame.seq, payload=payload))
 
     def recv(self, timeout=None):
         data, self.pending = self.pending, b""
@@ -562,9 +603,27 @@ class _NackTransport(Transport):
 
 
 def test_a_nack_reason_outside_the_protocol_is_a_protocol_error():
-    client = HostClient(_NackTransport(0xEE), timeout=0.2)
+    client = HostClient(_ScriptedTransport({
+        Command.READ_RESULT: (Command.NACK, b"\xEE")}), timeout=0.2)
     with pytest.raises(ProtocolError, match="READ_RESULT.*NACK reason 0xEE"):
         client.request(Frame(Command.READ_RESULT, seq=1))
+
+
+@pytest.mark.parametrize("size", [0, 4, 10])
+def test_a_result_payload_not_4n_plus_5_bytes_is_a_protocol_error(size):
+    client = HostClient(_ScriptedTransport({
+        Command.LOAD_INPUT: (Command.ACK, b""),
+        Command.RUN_INFERENCE: (Command.RESULT, bytes(size))}), timeout=0.2)
+    with pytest.raises(ProtocolError, match=f"RESULT payload of {size} bytes"):
+        client.run(QuantTensor(np.zeros((1, 16), dtype=np.uint8), zero_point=128))
+
+
+def test_a_verify_ack_with_another_digest_is_a_verification_error(rng):
+    model = _small_model(rng)
+    client = HostClient(_ScriptedTransport({
+        Command.VERIFY_MEM: (Command.ACK, bytes(32))}), timeout=0.2)
+    with pytest.raises(VerificationError, match="digest mismatch"):
+        client.verify(model)
 
 
 class _EchoTransport(Transport):

@@ -1,19 +1,22 @@
 """Folding, quantization, packing, and the weight binary format."""
 
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import einsum_conv
+from conftest import einsum_conv, signed_conv_blob
 from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
                              SerializationError, TruncationError)
-from scgaccel.modeltools import (BatchNorm, FloatLayerParams, FloatModel,
-                                 PackedModel, WEIGHT_MEM_WORDS,
-                                 calibrate_activation_scales,
+from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, BatchNorm,
+                                 FloatLayerParams, FloatModel, PackedModel,
+                                 WEIGHT_MEM_WORDS, calibrate_activation_scales,
                                  derive_requant_constants, float_layer_forward,
-                                 fold_batchnorm, pack_sram_image,
-                                 pack_weight_bytes, quantize_model,
-                                 quantize_weights, random_model,
-                                 unpack_weight_bytes)
+                                 fold_batchnorm, layer_word_count,
+                                 pack_sram_image, pack_weight_bytes,
+                                 quantize_model, quantize_weights,
+                                 random_model, unpack_weight_bytes)
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
                           NetworkSpec, PoolMode, WeightSet)
 
@@ -229,6 +232,20 @@ def test_deserialize_error_kinds(default_pair):
         PackedModel.from_bytes(bad_version)
     with pytest.raises(SerializationError):
         PackedModel.from_bytes(blob[:4] + b"\x01\x00\x00")   # zero layers
+
+
+def test_deserialize_rejects_a_bad_layout():
+    with pytest.raises(SerializationError, match="ReLU conv"):
+        PackedModel.from_bytes(signed_conv_blob())
+    # layer 1 takes 8 channels from layer 0's 16; the weight image shrinks to
+    # match, so every size field is consistent and only the chain is broken
+    model = random_model(NetworkSpec.default(), np.random.default_rng(1))
+    narrow = replace(model.layers[1], c_in=8)
+    blob = bytearray(model.to_bytes())
+    struct.pack_into("<H", blob, HEADER_SIZE + DESCRIPTOR_SIZE + 6, narrow.c_in)
+    del blob[-2 * (layer_word_count(model.layers[1]) - layer_word_count(narrow)):]
+    with pytest.raises(SerializationError, match="channel chain broken"):
+        PackedModel.from_bytes(bytes(blob))
 
 
 def test_descriptor_size_is_stable(default_pair):

@@ -5,6 +5,8 @@ numpy vectorization, so any shortcut in the library implementation shows up
 as a mismatch rather than a shared bug.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,6 +378,23 @@ def test_network_spec_validation():
     assert good.layer_input_lengths() == [512, 256, 128, 64, 1]
     with pytest.raises(ConfigError):
         NetworkSpec(layers=(good.layers[0], good.layers[2]), input_length=512)
+
+
+def test_network_spec_layout_rule():
+    # ReLU conv layers, then one FC head; nothing else is a network
+    conv = LayerSpec(kind=LayerKind.CONV1D, c_in=3, c_out=3, kernel=3,
+                     padding=1, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.RELU_SATURATE)
+    signed_conv = replace(conv, activation=Activation.SIGNED_BYPASS)
+    head = LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=3, c_out=3, kernel=1,
+                     padding=0, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.SIGNED_BYPASS)
+    for layers in ((conv, signed_conv, head),    # signed conv before the head
+                   (conv, head, head),           # FC layer before the head
+                   (conv, conv)):                # conv head
+        with pytest.raises(ConfigError):
+            NetworkSpec(layers=layers, input_length=12)
+    assert NetworkSpec(layers=(head,), input_length=12).num_classes == 3
 
 
 def test_quant_tensor_validation():

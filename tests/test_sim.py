@@ -242,12 +242,25 @@ def test_batch_overhang_lane_overflow_is_a_fault():
             run(machine)
 
 
-def test_odd_maxpool_input_is_rejected_by_golden_and_both_sim_paths(rng):
-    net = NetworkSpec(layers=(
-        LayerSpec(c_in=1, c_out=2, kernel=3, padding=1,
-                  pool_mode=PoolMode.MAXPOOL2, **_RELU),
-        LayerSpec(c_in=2, c_out=3, **_FC),
-    ), input_length=7)
+_ODD_MAXPOOL = NetworkSpec(layers=(
+    LayerSpec(c_in=1, c_out=2, kernel=3, padding=1,
+              pool_mode=PoolMode.MAXPOOL2, **_RELU),
+    LayerSpec(c_in=2, c_out=3, **_FC),
+), input_length=7)
+
+# the GAP layer sees 32 samples, not the GAP_LENGTH = 64 it is wired for
+_SHORT_GAP = NetworkSpec(layers=(
+    LayerSpec(c_in=1, c_out=2, kernel=3, padding=1,
+              pool_mode=PoolMode.MAXPOOL2, **_RELU),
+    LayerSpec(c_in=2, c_out=2, kernel=3, padding=1,
+              pool_mode=PoolMode.GLOBAL_AVG, **_RELU),
+    LayerSpec(c_in=2, c_out=3, **_FC),
+), input_length=GAP_LENGTH)
+
+
+@pytest.mark.parametrize("net", [_ODD_MAXPOOL, _SHORT_GAP],
+                         ids=["odd-maxpool", "short-gap"])
+def test_wrong_pool_input_length_is_rejected_by_golden_and_both_sim_paths(rng, net):
     model = random_model(net, rng)
     x = random_input(rng, net)
     with pytest.raises(ConfigError):
