@@ -118,7 +118,7 @@ def cmd_infer(args) -> int:
     model = _read_model(args.model)
     x = _read_window(args.input, args.format, model.layers[0].c_in,
                      args.zero_point)
-    mode = args.mode or "both"
+    mode = args.mode
     out: dict = {"mode": mode}
     if mode in ("golden", "both"):
         logits, _ = infer_window(model.to_network_spec(x.length),
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sim", dest="mode", action="store_const", const="sim")
     group.add_argument("--both", dest="mode", action="store_const", const="both")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_infer, mode=None)
+    p.set_defaults(func=cmd_infer, mode="both")
 
     p = sub.add_parser("trace", parents=[window],
                        help="per-cycle simulator trace prefix")

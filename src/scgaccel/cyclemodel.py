@@ -162,8 +162,8 @@ class CycleReport:
             "energy_uj": self.energy_uj,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         """Aligned table mirroring the per-layer cycle breakdown."""

@@ -27,11 +27,13 @@ request, long before its seq comes round again.  The device answers a frame
 it could not read with a seq-0 NACK: BAD_CRC if it fails its CRC, so its seq
 cannot be trusted, or BAD_LENGTH if it declares a payload over the cap.  The
 host retransmits on either, whatever request is outstanding; a BAD_LENGTH
-on the request's own seq is a rejection.  The device rescans an unreadable
-frame for the next SOF and may NACK many false ones, so once the host has
-retransmitted on a seq-0 NACK it drops more as stale.  Each attempt waits at most
-`timeout`, dropped frames included, so a request gives up after at most
-(retries + 1) * timeout.
+on the request's own seq is a rejection.  Either decoder drops all it holds
+at an unreadable frame, since a false SOF in the rest would wait for bytes
+and swallow the retransmit; but the rest of the frame may still be in
+flight, and its false SOFs draw more NACKs, so once the host has
+retransmitted on a seq-0 NACK it drops more as stale.  Each attempt waits
+at most `timeout`, dropped frames included, so a request gives up after at
+most (retries + 1) * timeout.
 """
 
 from __future__ import annotations
@@ -139,8 +141,11 @@ class FrameDecoder:
     def next_frame(self):
         """Return the next Frame, or None if more bytes are needed.
 
-        Raises CrcError / FramingError for a corrupted candidate frame; the
-        decoder has already discarded its SOF so parsing can resume.
+        A candidate it cannot read, one that declares a payload over the cap
+        or fails its CRC, raises FramingError / CrcError after the decoder
+        drops every byte it holds: a false SOF in the rest would wait for
+        bytes and swallow the next frame.  A readable frame of an unknown
+        command raises FramingError once it has been consumed.
         """
         while True:
             sof = self._buf.find(bytes([SOF]))
@@ -153,16 +158,16 @@ class FrameDecoder:
                 return None
             command, seq, length = struct.unpack_from("<BBH", self._buf, 1)
             if length > MAX_PAYLOAD:
-                del self._buf[:1]
+                self._buf.clear()
                 raise FramingError(f"declared payload {length} exceeds {MAX_PAYLOAD}")
             total = FRAME_OVERHEAD + length
             if len(self._buf) < total:
                 return None
             body = bytes(self._buf[1:HEADER_SIZE + length])
-            crc = self._buf[HEADER_SIZE + length]
-            del self._buf[:total]
-            if crc8(body) != crc:
+            if crc8(body) != self._buf[HEADER_SIZE + length]:
+                self._buf.clear()
                 raise CrcError("frame CRC mismatch")
+            del self._buf[:total]
             try:
                 cmd = Command(command)
             except ValueError:

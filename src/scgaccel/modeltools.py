@@ -326,8 +326,7 @@ def float_layer_forward(spec: LayerSpec, params: FloatLayerParams,
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != spec.c_in:
         raise ShapeError("channel mismatch in float forward")
-    y = conv1d_gemm(x[np.newaxis], params.weights, spec.padding)[0] \
-        + params.bias[:, np.newaxis]
+    y = conv1d_gemm(x, params.weights, spec.padding) + params.bias[:, np.newaxis]
     if params.bn is not None:
         bn = params.bn
         factor = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)

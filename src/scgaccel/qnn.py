@@ -4,7 +4,8 @@ All arithmetic is exact: int64 intermediates checked against the 32-bit
 accumulator budget, and conv products summed in float32 where a layer's
 worst-case sum stays below 2^24, else in float64; both are exact on these
 integers (see conv1d_gemm).  So every result here is the contract the
-cycle-accurate simulator has to match exactly.
+cycle-accurate simulator has to match exactly.  Every function takes one
+window, as the accelerator classifies one per inference.
 
 NetworkSpec is the one layout rule: ReLU conv layers, then one FC head whose
 signed i32 outputs are the logits.  A lone LayerSpec may be anything its
@@ -248,18 +249,17 @@ def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
 
 
 def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 convolution of x [B, C, L] with w [O, C, K] -> [B, O, L].
+    """Stride-1 convolution of one window x [C, L] with w [O, C, K] -> [O, L].
 
-    out[b, o, t] = sum over c, j of w[o, c, j] * x[b, c, t + j - pad], with
-    taps outside [0, L) reading zero.  The form follows x's dtype, and so
+    out[o, t] = sum over c, j of w[o, c, j] * x[c, t + j - pad], with taps
+    outside [0, L) reading zero.  Both forms read one zero-margined plane
+    [C, pad + L + max(K - 1 - pad, 0)]; the form follows x's dtype, and so
     does the result:
 
-    - float32: one [B, C*K, L] im2col of the zero-margined input, built by K
-      slice copies, and one GEMM of w as [O, C*K] against it.
-    - anything else, in float64: the B inputs lie side by side in one
-      channel-major plane, each in a zero-margined segment of seg = pad + L +
-      max(K - 1 - pad, 0) columns, and each tap is one GEMM over a shifted
-      view of it, so no im2col buffer is built.
+    - float32: one [C*K, L] im2col of the plane, built by K slice copies,
+      and one GEMM of w as [O, C*K] against it.
+    - anything else, in float64: one GEMM per tap j over plane[:, j:j + L],
+      so no im2col buffer is built.
 
     Exact on integer operands while the sum of |products| of one output stays
     below 2^24 in float32 or 2^53 in float64, since every partial sum, in
@@ -275,32 +275,26 @@ def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
     form in float64 raised eval-golden set-up by up to 52%: OpenBLAS threads
     its larger dgemm calls, and with one BLAS thread it was faster instead.
     """
-    b, c, n = x.shape
+    c, n = x.shape
     o, k = w.shape[0], w.shape[2]
-    seg = pad + n + max(k - 1 - pad, 0)
-    if x.dtype == np.float32:
-        plane = np.zeros((b, c, seg), dtype=np.float32)
-        plane[:, :, pad:pad + n] = x
-        cols = np.empty((b, c, k, n), dtype=np.float32)
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    plane = np.zeros((c, pad + n + max(k - 1 - pad, 0)), dtype=dtype)
+    plane[:, pad:pad + n] = x
+    if dtype == np.float32:
+        cols = np.empty((c, k, n), dtype=np.float32)
         for j in range(k):
-            cols[:, :, j] = plane[:, :, j:j + n]
-        return w.reshape(o, c * k).astype(np.float32) @ cols.reshape(b, c * k, n)
-    # one spare zero segment at the end lets every tap read B*seg columns,
-    # so each GEMM writes whole contiguous rows; output column b*seg + t
-    # reads plane column b*seg + t + j at tap j
-    plane = np.zeros((c, b + 1, seg))
-    plane[:, :b, pad:pad + n] = x.transpose(1, 0, 2)
-    plane = plane.reshape(c, (b + 1) * seg)
+            cols[:, j] = plane[:, j:j + n]
+        return w.reshape(o, c * k).astype(np.float32) @ cols.reshape(c * k, n)
     taps = w.transpose(2, 0, 1).astype(np.float64)    # [K, O, C]
-    span = b * seg
-    out = taps[0] @ plane[:, :span]
+    out = taps[0] @ plane[:, :n]
     for j in range(1, k):
-        out += taps[j] @ plane[:, j:j + span]
-    return out.reshape(o, b, seg)[:, :, :n].transpose(1, 0, 2)
+        out += taps[j] @ plane[:, j:j + n]
+    return out
 
 
 def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray:
-    """Stride-1 integer convolution into the signed 32-bit accumulator map.
+    """Stride-1 integer convolution of one window into the signed 32-bit
+    accumulator map [c_out, length].
 
     Out-of-range taps read the zero point, i.e. contribute nothing after the
     offset subtraction; output length equals input length.  The products are
@@ -314,7 +308,7 @@ def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray
     exact32 = layer.c_in * layer.kernel * 255 * 128 < 1 << 24
     xoff = np.subtract(x.data, x.zero_point,
                        dtype=np.float32 if exact32 else np.float64)
-    acc = conv1d_gemm(xoff[np.newaxis], lw.weights, layer.padding)[0].astype(np.int64)
+    acc = conv1d_gemm(xoff, lw.weights, layer.padding).astype(np.int64)
     acc += lw.biases.astype(np.int64)[:, np.newaxis]
     if acc.min() < INT32_MIN or acc.max() > INT32_MAX:
         raise AccumulatorOverflow(

@@ -226,7 +226,7 @@ class SimMachine:
     # -- loading ------------------------------------------------------------
 
     def load_model(self, model: PackedModel):
-        model.validate()
+        # a PackedModel is validated when it is built, and nothing mutates one
         self.mem.weight_mem[:] = 0
         self.mem.weight_mem[:model.weight_words.size] = model.weight_words
         self.mem.bias_rom = [b.copy() for b in model.biases]

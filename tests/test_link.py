@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_input, signed_conv_blob, wide_image_net
 from scgaccel.errors import (CrcError, FramingError, ProtocolError,
-                             VerificationError)
+                             TransportError, VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
                            FrameDecoder, HostClient, NackReason, SOF,
                            Transport, crc8, encode_frame, machine_digest,
@@ -452,15 +452,16 @@ def test_unreadable_length_is_retransmitted_at_once(rng):
     assert time.monotonic() - start < timeout / 2
 
 
-def test_one_unreadable_frame_costs_one_retransmit(rng):
-    # the LOAD_INPUT frame's high length byte is corrupted; the device drops
-    # its SOF and rescans the payload, where each 0xA5 0xFF pair reads as a
-    # frame over the cap: 201 seq-0 BAD_LENGTH NACKs answer the one frame
-    # (the 0xFF tail keeps the last false SOF from declaring a short frame
-    # that would swallow the retransmit)
+@pytest.mark.parametrize("tail", [0xFF, 0x00], ids=["tail-ff", "tail-00"])
+def test_one_unreadable_frame_costs_one_retransmit(rng, tail):
+    # the LOAD_INPUT frame's high length byte is corrupted, so it declares a
+    # payload over the cap: the device drops all it holds and sends one
+    # seq-0 BAD_LENGTH NACK.  The payload's 0xA5 bytes are false SOFs; with
+    # the 0x00 tail, the last pair but one reads as a 255-byte frame, which
+    # would swallow the retransmit if the decoder rescanned the payload
     timeout = 1.0
     model = _small_model(rng)
-    samples = np.full((1, 512), 0xFF, dtype=np.uint8)
+    samples = np.full((1, 512), tail, dtype=np.uint8)
     samples[0, :400] = np.tile([0xA5, 0xFF], 200)
     x = QuantTensor(samples, zero_point=128)
     input_send = -(-len(model.to_bytes()) // CHUNK_SIZE) + 2   # after VERIFY
@@ -602,6 +603,40 @@ class _ScriptedTransport(Transport):
         pass
 
 
+class _UnreadableOnceTransport(Transport):
+    """A peer that answers the first request with three seq-0 BAD_CRC
+    NACKs, as the rest of an unreadable frame arriving late can draw, and
+    the retransmit with an ACK on its seq; one frame per receive."""
+
+    def __init__(self):
+        self.sends = 0
+        self.pending: list[Frame] = []
+
+    def send(self, data: bytes):
+        self.sends += 1
+        if self.sends == 1:
+            self.pending += [Frame(Command.NACK, seq=0,
+                                   payload=bytes([NackReason.BAD_CRC]))] * 3
+        else:
+            self.pending.append(Frame(Command.ACK, seq=decode_frame(data).seq))
+
+    def recv(self, timeout=None):
+        if not self.pending:
+            raise TransportError("receive timeout")
+        return encode_frame(self.pending.pop(0))
+
+    def close(self):
+        pass
+
+
+def test_seq0_nacks_after_a_retransmit_are_dropped_as_stale():
+    transport = _UnreadableOnceTransport()
+    client = HostClient(transport, timeout=0.2, retries=1)
+    reply = client.request(Frame(Command.VERIFY_MEM, seq=1))
+    assert reply.command == Command.ACK and reply.seq == 1
+    assert transport.sends == 2
+
+
 def test_a_nack_reason_outside_the_protocol_is_a_protocol_error():
     client = HostClient(_ScriptedTransport({
         Command.READ_RESULT: (Command.NACK, b"\xEE")}), timeout=0.2)
@@ -688,7 +723,6 @@ def test_fuzz_10k_frames_never_crashes_service(rng):
         host_end.send(blob)
     # flush the device's NACK storm, then quiesce the line with one frame
     # whose reply marks the end of the garbage responses
-    from scgaccel.errors import TransportError
     host_end.send(encode_frame(Frame(Command.READ_RESULT, seq=0)))
     try:
         while host_end.recv(timeout=0.5):

@@ -248,6 +248,39 @@ def test_deserialize_rejects_a_bad_layout():
         PackedModel.from_bytes(bytes(blob))
 
 
+def _over_capacity(fields):
+    # a conv 256->256 with K=1 and an FC 256->3 take 32,768 + 384 = 33,152
+    # words, a layout NetworkSpec accepts whose image exceeds the memory
+    relu = LayerSpec(kind=LayerKind.CONV1D, c_in=256, c_out=256, kernel=1,
+                     padding=0, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.RELU_SATURATE)
+    head = LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=256, c_out=3,
+                     kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.SIGNED_BYPASS)
+    words = layer_word_count(relu) + layer_word_count(head)
+    assert words == 33_152 > WEIGHT_MEM_WORDS
+    return dict(layers=[relu, head], biases=[np.zeros(256), np.zeros(3)],
+                weight_words=np.zeros(words))
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (lambda f: dict(f, biases=f["biases"][:-1]),
+     SerializationError, "bias table layer count"),
+    (lambda f: dict(f, biases=[f["biases"][0][:-1]] + f["biases"][1:]),
+     SerializationError, "layer 0: bias count"),
+    (lambda f: dict(f, weight_words=f["weight_words"][:-1]),
+     SerializationError, "weight image has"),
+    (_over_capacity, CapacityError, "64 KB"),
+], ids=["bias-list", "bias-array", "weight-image", "capacity"])
+def test_packed_model_rejects_fields_that_do_not_match(edit, error, match):
+    model = random_model(NetworkSpec.default(l3_width=16),
+                         np.random.default_rng(1))
+    fields = dict(layers=model.layers, biases=model.biases,
+                  weight_words=model.weight_words)
+    with pytest.raises(error, match=match):
+        PackedModel(**edit(fields))
+
+
 def test_descriptor_size_is_stable(default_pair):
     _, model, _ = default_pair
     header = 4 + 2 + 1

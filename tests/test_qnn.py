@@ -164,22 +164,21 @@ def test_conv_exact_at_worst_case_magnitudes(sample, zp):
                        LayerWeights(weights=w, biases=beyond))
 
 
-def test_conv_gemm_batch_matches_einsum_reference():
-    # several inputs share one plane; their margins must keep them apart
+def test_conv_gemm_matches_einsum_reference():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        b, c, o = (int(v) for v in rng.integers(1, 5, size=3))
+        c, o = (int(v) for v in rng.integers(1, 5, size=2))
         k = int(rng.choice([1, 2, 3, 5, 9]))
         n = int(rng.integers(1, 20))
         pad = int(rng.integers(0, k + 2))
-        x = rng.integers(-255, 256, size=(b, c, n))
+        x = rng.integers(-255, 256, size=(c, n))
         w = rng.integers(-128, 128, size=(o, c, k))
         # int64 takes the per-tap float64 form, float32 (C*K <= 36, under
         # the 2^24 bound) the one-GEMM form
         for xin, dtype in ((x, np.float64), (x.astype(np.float32), np.float32)):
             got = conv1d_gemm(xin, w, pad)
-            assert got.dtype == dtype and got.shape == (b, o, n)
-            assert np.array_equal(got, einsum_conv(x, w, pad))
+            assert got.dtype == dtype and got.shape == (o, n)
+            assert np.array_equal(got, einsum_conv(x[np.newaxis], w, pad)[0])
 
 
 @pytest.mark.parametrize("c_in, k, small", [(257, 2, None), (103, 5, (40, 3))])
@@ -211,10 +210,10 @@ def test_conv_gemm_exact_at_widest_layer_spec():
     # every partial sum of one output is an integer below 2^53, so exact
     assert widest.c_in * widest.kernel * 255 * 128 < 2 ** 53
     # all 65535 channels at the extreme magnitude, summed over three taps
-    x = np.full((1, widest.c_in, 3), 255.0)
+    x = np.full((widest.c_in, 3), 255.0)
     w = np.full((1, widest.c_in, 3), -128, dtype=np.int8)
     got = conv1d_gemm(x, w, 1)
-    assert got[0, 0].tolist() == [-128 * 255 * widest.c_in * n for n in (2, 3, 2)]
+    assert got[0].tolist() == [-128 * 255 * widest.c_in * n for n in (2, 3, 2)]
 
 
 # ---------------------------------------------------------------------------
