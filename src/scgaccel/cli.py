@@ -50,22 +50,22 @@ def _read_model(path: str) -> PackedModel:
 
 def _read_window(path: str, fmt: str, c_in: int, zero_point: int) -> QuantTensor:
     """Raw f32 window (z-scored and quantized) or already-quantized u8."""
+    if c_in < 1:
+        raise UsageError(f"channels must be >= 1, got {c_in}")
+    if not 0 <= zero_point <= 255:
+        raise UsageError(f"zero point must be in [0, 255], got {zero_point}")
     try:
         blob = sys.stdin.buffer.read() if path == "-" else open(path, "rb").read()
     except OSError as exc:
         raise UsageError(f"cannot read input {path}: {exc}")
-    if fmt == "f32":
-        samples = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-        if samples.size == 0 or samples.size % c_in != 0:
-            raise UsageError(f"f32 input length {samples.size} not divisible by "
-                             f"{c_in} channels")
-        if c_in != 1:
-            raise UsageError("raw f32 input supports single-channel models only")
-        return zscore_quantize(samples)
-    samples = np.frombuffer(blob, dtype=np.uint8)
+    if fmt == "f32" and c_in != 1:
+        raise UsageError("raw f32 input supports single-channel models only")
+    samples = np.frombuffer(blob, dtype="<f4" if fmt == "f32" else np.uint8)
     if samples.size == 0 or samples.size % c_in != 0:
-        raise UsageError(f"u8 input length {samples.size} not divisible by "
+        raise UsageError(f"{fmt} input length {samples.size} not divisible by "
                          f"{c_in} channels")
+    if fmt == "f32":
+        return zscore_quantize(samples)
     return QuantTensor(samples.reshape(c_in, -1).copy(), zero_point=zero_point)
 
 
@@ -287,9 +287,9 @@ def cmd_load(args) -> int:
 
 
 def cmd_run(args) -> int:
+    x = _read_window(args.input, args.format, args.channels, args.zero_point)
     client = _connect(args.connect)
     try:
-        x = _read_window(args.input, args.format, args.channels, args.zero_point)
         logits, cycles = client.run(x)
     finally:
         client.close()
@@ -315,6 +315,8 @@ def cmd_eval(args) -> int:
     try:
         archive = np.load(args.data, allow_pickle=False)
         windows, labels = archive["windows"], archive["labels"]
+        if windows.ndim != 2:
+            raise ValueError(f"windows must be [n][length], not {windows.shape}")
     except (OSError, KeyError, ValueError) as exc:
         raise UsageError(f"cannot read dataset {args.data}: {exc}")
     logits, probs, preds = golden_predict(model, windows, args.logit_scale)

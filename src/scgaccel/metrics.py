@@ -132,6 +132,9 @@ def confusion_matrix(labels, preds) -> np.ndarray:
     preds = np.asarray(preds)
     if labels.shape != preds.shape:
         raise ShapeError("labels and predictions must align")
+    for name, a in (("labels", labels), ("predictions", preds)):
+        if a.dtype.kind not in "iu" or not np.all((a >= 0) & (a < NUM_CLASSES)):
+            raise ShapeError(f"{name} must be class indices in [0, {NUM_CLASSES})")
     cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(cm, (labels, preds), 1)
     return cm

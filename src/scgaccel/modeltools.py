@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,8 +196,8 @@ def pack_sram_image(ws: WeightSet) -> np.ndarray:
 # PackedModel and the weight binary format
 # ---------------------------------------------------------------------------
 
-_DESCRIPTOR = struct.Struct("<BBBBBBHHiBB")  # kind, pool, act, K, pad, shift,
-                                             # c_in, c_out, multiplier, out_zp, reserved
+_DESCRIPTOR = struct.Struct("<BBBBBBHHiH")  # kind, pool, act, K, pad, shift, c_in,
+                                            # c_out, multiplier, reserved (bytes 14-15)
 
 
 @dataclass
@@ -265,7 +265,7 @@ class PackedModel:
             out += _DESCRIPTOR.pack(int(spec.kind), int(spec.pool_mode),
                                     int(spec.activation), spec.kernel, spec.padding,
                                     spec.requant_shift, spec.c_in, spec.c_out,
-                                    spec.requant_multiplier, spec.out_zero_point, 0)
+                                    spec.requant_multiplier, 0)
         for b in self.biases:
             out += b.astype("<i4").tobytes()
         out += self.weight_words.astype("<u2").tobytes()
@@ -286,15 +286,17 @@ class PackedModel:
             if off + DESCRIPTOR_SIZE > len(blob):
                 raise TruncationError(f"descriptor {i} truncated")
             (kind, pool, act, kernel, padding, shift,
-             c_in, c_out, multiplier, out_zp, _res) = _DESCRIPTOR.unpack_from(blob, off)
+             c_in, c_out, multiplier, reserved) = _DESCRIPTOR.unpack_from(blob, off)
             off += DESCRIPTOR_SIZE
+            if reserved:
+                raise SerializationError(f"descriptor {i}: reserved bytes 14-15 not 0")
             try:
                 specs.append(LayerSpec(kind=LayerKind(kind), c_in=c_in, c_out=c_out,
                                        kernel=kernel, padding=padding,
                                        pool_mode=PoolMode(pool),
                                        activation=Activation(act),
                                        requant_multiplier=multiplier,
-                                       requant_shift=shift, out_zero_point=out_zp))
+                                       requant_shift=shift))
             except (ValueError, ConfigError) as exc:
                 raise SerializationError(f"descriptor {i} invalid: {exc}") from exc
         biases: list[np.ndarray] = []
@@ -385,10 +387,7 @@ def quantize_model(fm: FloatModel, act_scales: list[float]) -> PackedModel:
         s_in, s_out = act_scales[i], act_scales[i + 1]
         lw, s_w = quantize_weights(params, s_in)
         mult, shift = derive_requant_constants(s_in, s_w, s_out)
-        specs.append(LayerSpec(kind=spec.kind, c_in=spec.c_in, c_out=spec.c_out,
-                               kernel=spec.kernel, padding=spec.padding,
-                               pool_mode=spec.pool_mode, activation=spec.activation,
-                               requant_multiplier=mult, requant_shift=shift))
+        specs.append(replace(spec, requant_multiplier=mult, requant_shift=shift))
         q_layers.append(lw)
     net = NetworkSpec(layers=tuple(specs), input_length=fm.net.input_length)
     return PackedModel.from_weights(net, WeightSet(layers=q_layers))
@@ -415,10 +414,7 @@ def random_model(net: NetworkSpec, rng: np.random.Generator) -> PackedModel:
         shift = min(max(31 + round(math.log2(max(sigma, 1.0) / 64.0)), 1), 62)
         if spec.activation == Activation.SIGNED_BYPASS:
             shift = max(shift - 4, 1)  # keep logits spread out
-        specs.append(LayerSpec(kind=spec.kind, c_in=spec.c_in, c_out=spec.c_out,
-                               kernel=spec.kernel, padding=spec.padding,
-                               pool_mode=spec.pool_mode, activation=spec.activation,
-                               requant_multiplier=mult, requant_shift=shift))
+        specs.append(replace(spec, requant_multiplier=mult, requant_shift=shift))
         q_layers.append(LayerWeights(weights=w, biases=b))
     rnet = NetworkSpec(layers=tuple(specs), input_length=net.input_length)
     return PackedModel.from_weights(rnet, WeightSet(layers=q_layers))

@@ -8,8 +8,9 @@ cycle-accurate simulator has to match exactly.  Every function takes one
 window, as the accelerator classifies one per inference.
 
 NetworkSpec is the one layout rule: ReLU conv layers, then one FC head whose
-signed i32 outputs are the logits.  A lone LayerSpec may be anything its
-fields allow, such as the signed convs of the op-level tests.
+signed i32 outputs are the logits; only the input has a zero point, every ReLU
+output is u8 at zero point 0.  A lone LayerSpec may be anything its fields
+allow, such as the signed convs of the op-level tests.
 
 Like the simulator's run_inference and start(), infer_window rejects a maxpool
 input of odd length with ConfigError (NetworkSpec.layer_input_lengths); only
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import ClassVar
 
 import numpy as np
 
@@ -91,7 +93,7 @@ class LayerSpec:
     activation: Activation
     requant_multiplier: int = 1 << 30
     requant_shift: int = 30
-    out_zero_point: int = 0  # optional output offset, 0 in the default scheme
+    out_zero_point: ClassVar[int] = 0   # a ReLU output's range starts at 0
 
     def __post_init__(self):
         if self.c_in < 1 or self.c_out < 1 or self.kernel < 1:
@@ -103,8 +105,6 @@ class LayerSpec:
             raise ConfigError("channel counts must fit in u16")
         if self.kernel > 0xFF or self.padding > 0xFF:
             raise ConfigError("kernel and padding must fit in u8")
-        if not 0 <= self.out_zero_point <= 255:
-            raise ConfigError("output zero point must be in [0, 255]")
         if self.kind == LayerKind.FULLY_CONNECTED:
             if self.kernel != 1 or self.padding != 0:
                 raise ConfigError("FC layers are 1x1 convolutions without padding")
@@ -360,7 +360,7 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
 
     64-bit product, round to nearest with ties away from zero, then either
     unsigned saturation to [0, 255] (fused ReLU) or signed 32-bit saturation
-    for raw logits.
+    for raw logits.  out_zero_point is an op-level offset; the network passes 0.
     """
     if not 0 <= shift <= 63:
         raise ConfigError("shift must be in [0, 63]")
@@ -380,8 +380,7 @@ def pool_requantize(acc: np.ndarray, layer: LayerSpec, multiplier: int,
         acc = maxpool2_acc(acc)
     elif layer.pool_mode == PoolMode.GLOBAL_AVG:
         acc = gap_shift_acc(acc)[:, np.newaxis]
-    return requantize(acc, multiplier, shift, layer.activation,
-                      layer.out_zero_point)
+    return requantize(acc, multiplier, shift, layer.activation)
 
 
 def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
@@ -403,6 +402,6 @@ def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
     snapshots: list[QuantTensor] = []
     cur = x
     for layer, lw in zip(net.layers[:-1], ws.layers):
-        cur = QuantTensor(forward(cur, layer, lw), zero_point=layer.out_zero_point)
+        cur = QuantTensor(forward(cur, layer, lw))
         snapshots.append(cur)
     return Logits(forward(cur, net.layers[-1], ws.layers[-1])[:, 0]), snapshots

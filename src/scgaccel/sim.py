@@ -23,9 +23,9 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   from the events it emits.
 
 Both paths share one run set-up and one layer walk, which hands each layer
-its index, spec, input length, input zero point and weight base.  The weight
-layout (``layer_word_count``, ``layer_weights``, ``layer_word_base``) is
-defined in ``modeltools``.
+its index, spec, input length, input zero point (the input's, then 0 for the
+ReLU outputs) and weight base.  The weight layout (``layer_word_count``,
+``layer_weights``, ``layer_word_base``) is defined in ``modeltools``.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past
@@ -267,7 +267,7 @@ class SimMachine:
         """Reset the run state; returns the layer walk.
 
         Each entry is (index, spec, input length, input zero point, weight
-        base) in execution order.
+        base) in execution order: the input's zero point, then 0 (ReLU outputs).
         """
         if self.model is None or not self._input_loaded:
             raise StateError("model and input must be loaded before running")
@@ -277,7 +277,7 @@ class SimMachine:
         self._logits = None
         layers = self.model.layers
         lengths = self.model.to_network_spec(self.input_len).layer_input_lengths()
-        zero_points = [self.input_zero_point] + [s.out_zero_point for s in layers[:-1]]
+        zero_points = [self.input_zero_point] + [0] * (len(layers) - 1)
         return list(zip(range(len(layers)), layers, lengths, zero_points,
                         self.model.layer_word_base))
 
@@ -478,7 +478,7 @@ class SimMachine:
         if spec.activation == Activation.SIGNED_BYPASS:
             value = max(INT32_MIN, min(INT32_MAX, r))
         else:
-            value = max(0, min(255, r + spec.out_zero_point))
+            value = max(0, min(255, r))
         for _ in range(REQUANT_OVERHEAD):
             yield self._emit("requant", layer=li, c_out=o, batch=b,
                              c_in=-1, k=-1, note="pack")
@@ -495,7 +495,7 @@ class SimMachine:
         if res.spec.activation == Activation.SIGNED_BYPASS:
             raise StateError("signed logit layers have no activation tensor")
         data = unpack_weight_bytes(res.words, res.w_out, res.spec.c_out).view(np.uint8)
-        return QuantTensor(data, zero_point=res.spec.out_zero_point)
+        return QuantTensor(data)
 
     @property
     def last_logits(self) -> Logits | None:

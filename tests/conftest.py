@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from scgaccel.modeltools import random_input, random_model, random_small_net
+from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, random_input,
+                                 random_model, random_small_net)
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, NetworkSpec,
                           PoolMode)
 
-__all__ = ["einsum_conv", "random_input", "random_small_net", "signed_conv_blob",
-           "wide_image_net"]
+__all__ = ["einsum_conv", "random_input", "random_small_net", "reserved_byte_blobs",
+           "seed1_blob", "signed_conv_blob", "wide_image_net"]
 
 
 def einsum_conv(x, w, pad):
@@ -43,13 +44,30 @@ def wide_image_net() -> NetworkSpec:
     ), input_length=512)
 
 
+def seed1_blob() -> bytes:
+    """SANN bytes of the random model of seed 1 on the default network."""
+    return random_model(NetworkSpec.default(), np.random.default_rng(1)).to_bytes()
+
+
 def signed_conv_blob() -> bytes:
     """SANN bytes that break only the layout rule: the seed-1 default model
     with descriptor 0's activation byte (offset 9) set to signed."""
-    blob = bytearray(random_model(NetworkSpec.default(),
-                                  np.random.default_rng(1)).to_bytes())
+    blob = bytearray(seed1_blob())
     blob[9] = Activation.SIGNED_BYPASS
     return bytes(blob)
+
+
+def reserved_byte_blobs() -> dict[str, bytes]:
+    """SANN bytes that break only the reserved-byte rule, by id: the seed-1
+    default model with byte 14 or 15 of descriptor 0 or of the head
+    (descriptor 4) set to 1."""
+    base, blobs = seed1_blob(), {}
+    for descriptor in (0, 4):
+        for byte in (14, 15):
+            blob = bytearray(base)
+            blob[HEADER_SIZE + descriptor * DESCRIPTOR_SIZE + byte] = 1
+            blobs[f"descriptor{descriptor}-byte{byte}"] = bytes(blob)
+    return blobs
 
 
 @pytest.fixture

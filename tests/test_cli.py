@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,28 @@ def test_malformed_address_is_usage_error(addr, model_file, window_file, capsys)
     assert capsys.readouterr().err.count("address must be host:port") == 3
 
 
+def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
+                                             capsys):
+    # a port with no server: run checks its window before it connects
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        closed = f"127.0.0.1:{sock.getsockname()[1]}"
+    u8_file = tmp_path / "window.u8"
+    u8_file.write_bytes(bytes(512))
+    u8 = ["--input", str(u8_file), "--format", "u8"]
+    for argv, message in [
+            (["run", "--connect", closed, "--input", window_file,
+              "--channels", "0"], "channels must be >= 1"),
+            (["infer", "--model", model_file, *u8, "--zero-point", "256"],
+             "zero point must be in [0, 255]"),
+            (["trace", "--model", model_file, *u8, "--cycles", "5",
+              "--zero-point", "-1"], "zero point must be in [0, 255]"),
+            (["run", "--connect", closed, *u8, "--zero-point", "256"],
+             "zero point must be in [0, 255]")]:
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err
+
+
 def test_trace_emits_json_lines(model_file, window_file, tmp_path, capsys):
     out_file = tmp_path / "trace.jsonl"
     assert main(["trace", "--model", model_file, "--input", window_file,
@@ -188,6 +211,18 @@ def test_synth_then_eval_round_trip(model_file, tmp_path, capsys):
     assert 0.0 <= summary["accuracy"] <= 1.0
     rows = json.loads(dump_file.read_text())
     assert len(rows) == 12 and set(rows[0]) == {"label", "pred", "logits"}
+
+
+def test_eval_refuses_a_malformed_dataset(model_file, tmp_path, capsys):
+    data = tmp_path / "ds.npz"
+    windows = np.random.default_rng(3).normal(size=(2, 512)).astype(np.float32)
+    np.savez(data, windows=windows[0], labels=[0])
+    assert main(["eval", "--model", model_file, "--data", str(data)]) == 2
+    assert "windows must be [n][length]" in capsys.readouterr().err
+    for labels in ([7, 0], [-1, 0]):
+        np.savez(data, windows=windows, labels=labels)
+        assert main(["eval", "--model", model_file, "--data", str(data)]) == 1
+        assert "labels must be class indices in [0, 3)" in capsys.readouterr().err
 
 
 def test_pack_produces_loadable_model(tmp_path, rng, capsys):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_input, signed_conv_blob, wide_image_net
+from conftest import (random_input, reserved_byte_blobs, signed_conv_blob,
+                      wide_image_net)
 from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              TransportError, VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
@@ -333,18 +334,22 @@ def test_model_whose_result_cannot_fit_is_rejected_at_verify(rng):
 
 
 def test_model_with_a_bad_layout_is_rejected_at_verify(rng):
-    blob = signed_conv_blob()
+    # a signed conv layer, then a non-zero reserved descriptor byte, one
+    # upload after another on the same serve loop
     device = DeviceEmulator()
     host_end, thread = serve_in_thread(device)
     client = HostClient(host_end, timeout=30.0)
     try:
-        chunks = range(0, len(blob), CHUNK_SIZE)
-        for seq, off in enumerate(chunks):
-            client.request(Frame(Command.LOAD_WEIGHTS, seq=seq,
-                                 payload=blob[off:off + CHUNK_SIZE]))
-        with pytest.raises(ProtocolError, match="VERIFY_MEM: LOAD_ERROR"):
-            client.request(Frame(Command.VERIFY_MEM, seq=len(chunks)))
-        assert thread.is_alive() and not device.model_loaded
+        for blob in [signed_conv_blob(), *reserved_byte_blobs().values()]:
+            chunks = range(0, len(blob), CHUNK_SIZE)
+            for seq, off in enumerate(chunks):
+                client.request(Frame(Command.LOAD_WEIGHTS, seq=seq,
+                                     payload=blob[off:off + CHUNK_SIZE]))
+            with pytest.raises(ProtocolError, match="VERIFY_MEM: LOAD_ERROR"):
+                client.request(Frame(Command.VERIFY_MEM, seq=len(chunks)))
+            assert thread.is_alive() and not device.model_loaded
+        client.load_model(random_model(NetworkSpec.default(), rng))
+        assert device.model_loaded
     finally:
         client.close()
     thread.join(timeout=10.0)

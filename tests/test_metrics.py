@@ -71,6 +71,12 @@ def test_perfect_predictions():
 def test_evaluate_shape_errors():
     with pytest.raises(ShapeError):
         evaluate(np.zeros(5, dtype=int), pred_classes=np.zeros(4, dtype=int))
+    # a class outside the head: -1 would count as class 2, 3 would index past
+    # the matrix, and a float label is no class index
+    for labels, preds in (([-1, 0], [2, 0]), ([3, 0], [0, 0]),
+                          ([0, 0], [0, 3]), ([1.0, 0.0], [1, 0])):
+        with pytest.raises(ShapeError, match="class indices"):
+            evaluate(labels, pred_classes=preds)
     with pytest.raises(ShapeError):
         evaluate(np.zeros(5, dtype=int), probs=np.zeros((5, 2)))
     with pytest.raises(ShapeError):

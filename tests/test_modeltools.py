@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import einsum_conv, signed_conv_blob
+from conftest import einsum_conv, reserved_byte_blobs, seed1_blob, signed_conv_blob
 from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
                              SerializationError, TruncationError)
 from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, BatchNorm,
@@ -246,6 +246,29 @@ def test_deserialize_rejects_a_bad_layout():
     del blob[-2 * (layer_word_count(model.layers[1]) - layer_word_count(narrow)):]
     with pytest.raises(SerializationError, match="channel chain broken"):
         PackedModel.from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("blob", [pytest.param(blob, id=name) for name, blob
+                                  in reserved_byte_blobs().items()])
+def test_deserialize_rejects_a_nonzero_reserved_byte(blob):
+    with pytest.raises(SerializationError, match="descriptor [04]: reserved"):
+        PackedModel.from_bytes(blob)
+
+
+def test_header_and_descriptor_bytes_are_refused_or_round_trip():
+    # flip each byte of the header and the five descriptors with three masks:
+    # the loader either refuses the blob or reads a model that writes the
+    # same bytes back, so no byte is accepted and then dropped
+    blob = seed1_blob()
+    for off in range(HEADER_SIZE + 5 * DESCRIPTOR_SIZE):    # 87 bytes
+        for mask in (0x01, 0x80, 0xFF):
+            mutated = bytearray(blob)
+            mutated[off] ^= mask
+            try:
+                back = PackedModel.from_bytes(bytes(mutated))
+            except SerializationError:
+                continue
+            assert back.to_bytes() == mutated, f"offset {off}, mask {mask:#04x}"
 
 
 def _over_capacity(fields):

@@ -206,7 +206,7 @@ def test_conv_exact_at_the_float32_bound(c_in, k, small):
 def test_conv_gemm_exact_at_widest_layer_spec():
     widest = LayerSpec(kind=LayerKind.CONV1D, c_in=0xFFFF, c_out=0xFFFF,
                        kernel=0xFF, padding=0xFF, pool_mode=PoolMode.BYPASS,
-                       activation=Activation.RELU_SATURATE, out_zero_point=255)
+                       activation=Activation.RELU_SATURATE)
     # every partial sum of one output is an integer below 2^53, so exact
     assert widest.c_in * widest.kernel * 255 * 128 < 2 ** 53
     # all 65535 channels at the extreme magnitude, summed over three taps
@@ -363,13 +363,23 @@ def test_layer_spec_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("c_in", 0x10000), ("c_out", 0x10000), ("kernel", 0x100),
-    ("padding", 0x100), ("out_zero_point", 256), ("out_zero_point", -1)])
+    ("c_in", 0x10000), ("c_out", 0x10000), ("kernel", 0x100), ("padding", 0x100)])
 def test_layer_spec_enforces_sann_field_widths(field, value):
     fields = dict(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3, padding=1,
                   pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE)
     with pytest.raises(ConfigError):
         LayerSpec(**{**fields, field: value})
+
+
+def test_output_zero_point_is_a_constant_not_a_field():
+    fields = dict(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3, padding=1,
+                  pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE)
+    spec = LayerSpec(**fields)
+    assert spec.out_zero_point == LayerSpec.out_zero_point == 0
+    with pytest.raises(TypeError):
+        LayerSpec(**fields, out_zero_point=0)
+    with pytest.raises(TypeError):
+        replace(spec, out_zero_point=0)
 
 
 def test_network_spec_validation():
