@@ -181,29 +181,39 @@ def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
     """Float parameters from an .npz archive.
 
     Expected keys: per-layer `w{i}` [c_out, c_in, K] and `b{i}` [c_out],
-    optional `bn{i}_gamma/beta/mean/var`, optional `calib` [n, input_length]
-    calibration windows, optional scalar `input_length`.  Geometry comes from
-    the default topology unless a `layout` JSON string overrides it.
+    optional `bn{i}_gamma/beta/mean/var` (all four or none), optional `calib`
+    [n, input_length] windows, and a `layout` JSON string that overrides the
+    default topology, with a scalar `input_length` (the default runs at 512).
     """
     try:
         archive = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read float model {path}: {exc}")
+
+    def need(key: str) -> np.ndarray:
+        if key not in archive:
+            raise UsageError(f"{path}: missing array {key!r}")
+        return archive[key]
     n_layers = sum(1 for key in archive.files if key.startswith("w")
                    and key[1:].isdigit())
     if n_layers == 0:
         raise UsageError(f"{path}: no w0..wN weight arrays found")
-    input_length = int(archive["input_length"]) if "input_length" in archive \
-        else 512
+    input_length = int(archive.get("input_length", 512))
     if "layout" in archive:
-        layout = json.loads(str(archive["layout"]))
-        specs = tuple(LayerSpec(kind=LayerKind[d["kind"]],
-                                c_in=d["c_in"], c_out=d["c_out"],
-                                kernel=d["kernel"], padding=d["padding"],
-                                pool_mode=PoolMode[d["pool"]],
-                                activation=Activation[d["activation"]])
-                      for d in layout)
+        try:
+            specs = tuple(LayerSpec(kind=LayerKind[d["kind"]],
+                                    c_in=d["c_in"], c_out=d["c_out"],
+                                    kernel=d["kernel"], padding=d["padding"],
+                                    pool_mode=PoolMode[d["pool"]],
+                                    activation=Activation[d["activation"]])
+                          for d in json.loads(str(archive["layout"])))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"{path}: 'layout' is not a JSON list of layer "
+                             f"objects: {exc!r}")
         net = NetworkSpec(layers=specs, input_length=input_length)
+    elif input_length != 512:
+        raise UsageError(f"{path}: 'input_length' {input_length} needs a "
+                         "'layout'; the default topology runs at 512 samples")
     else:
         w3 = archive.get("w3")
         l3_width = w3.shape[0] if w3 is not None else 128
@@ -213,14 +223,12 @@ def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
                          f"{len(net.layers)} layers")
     params = []
     for i in range(n_layers):
+        bn_keys = [f"bn{i}_{part}" for part in ("gamma", "beta", "mean", "var")]
         bn = None
-        if f"bn{i}_gamma" in archive:
-            bn = BatchNorm(gamma=archive[f"bn{i}_gamma"],
-                           beta=archive[f"bn{i}_beta"],
-                           running_mean=archive[f"bn{i}_mean"],
-                           running_var=archive[f"bn{i}_var"])
-        params.append(FloatLayerParams(weights=archive[f"w{i}"],
-                                       bias=archive[f"b{i}"], bn=bn))
+        if any(key in archive for key in bn_keys):
+            bn = BatchNorm(*(need(key) for key in bn_keys))
+        params.append(FloatLayerParams(weights=need(f"w{i}"),
+                                       bias=need(f"b{i}"), bn=bn))
     calib = archive["calib"] if "calib" in archive else None
     return FloatModel(net=net, layers=params), calib
 

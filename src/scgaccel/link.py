@@ -249,10 +249,8 @@ class DeviceEmulator:
 
     def __init__(self, machine: SimMachine | None = None):
         self.machine = machine or SimMachine()
-        self.loading = False     # a LOAD_WEIGHTS transfer is open
-        self.model_loaded = False
         self.last_result: tuple[Logits, int] | None = None
-        self._staging = bytearray()
+        self._staging: bytearray | None = None   # set while a transfer is open
         self._expected_seq = 0
 
     # -- request handling ---------------------------------------------------
@@ -277,8 +275,7 @@ class DeviceEmulator:
             # new transfer resets staging regardless of prior state
             self._staging = bytearray()
             self._expected_seq = 0
-            self.loading = True
-        if not self.loading:
+        if self._staging is None:
             return self._nack(frame.seq, NackReason.BAD_SEQ)
         if frame.seq == (self._expected_seq - 1) % 256:
             return Frame(Command.ACK, seq=frame.seq)   # duplicate after lost ACK
@@ -289,9 +286,10 @@ class DeviceEmulator:
         return Frame(Command.ACK, seq=frame.seq)
 
     def _on_verify(self, frame: Frame) -> Frame:
-        if self.loading:
+        if self._staging is not None:
+            blob, self._staging = bytes(self._staging), None
             try:
-                model = PackedModel.from_bytes(bytes(self._staging))
+                model = PackedModel.from_bytes(blob)
                 # RESULT names the class in a u8; 256 logits take 1029 bytes,
                 # well inside the frame cap
                 if model.layers[-1].c_out > 256:
@@ -299,12 +297,8 @@ class DeviceEmulator:
                                         "fit a RESULT frame")
                 self.machine.load_model(model)
             except AccelError:
-                self.loading = False
                 return self._nack(frame.seq, NackReason.LOAD_ERROR)
-            self.model_loaded = True
-            self.loading = False
-            self._staging = bytearray()
-        if not self.model_loaded:
+        if self.machine.model is None:
             return self._nack(frame.seq, NackReason.NO_MODEL)
         digest = machine_digest(self.machine)
         if frame.payload and frame.payload != digest:
@@ -312,9 +306,9 @@ class DeviceEmulator:
         return Frame(Command.ACK, seq=frame.seq, payload=digest)
 
     def _on_load_input(self, frame: Frame) -> Frame:
-        if self.loading:
+        if self._staging is not None:
             return self._nack(frame.seq, NackReason.BUSY)
-        if not self.model_loaded:
+        if self.machine.model is None:
             return self._nack(frame.seq, NackReason.NO_MODEL)
         if len(frame.payload) < 2:
             return self._nack(frame.seq, NackReason.BAD_LENGTH)
@@ -331,9 +325,9 @@ class DeviceEmulator:
         return Frame(Command.ACK, seq=frame.seq)
 
     def _on_run(self, frame: Frame) -> Frame:
-        if self.loading:
+        if self._staging is not None:
             return self._nack(frame.seq, NackReason.BUSY)
-        if not self.model_loaded:
+        if self.machine.model is None:
             return self._nack(frame.seq, NackReason.NO_MODEL)
         try:
             logits, cycles, _ = self.machine.run_inference()
@@ -395,8 +389,7 @@ class DeviceEmulator:
             pass
         finally:
             # clean teardown: an interrupted load leaves the device idle
-            self.loading = False
-            self._staging = bytearray()
+            self._staging = None
             transport.close()
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import (BadMagicError, CapacityError, ConfigError, SerializationError,
                      ShapeError, TruncationError)
-from .qnn import (INT32_MAX, INT32_MIN, Activation, LayerKind, LayerSpec,
-                  LayerWeights, NetworkSpec, PoolMode, QuantTensor, WeightSet,
-                  conv1d_gemm, zscore)
+from .qnn import (INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT, Activation, LayerKind,
+                  LayerSpec, LayerWeights, NetworkSpec, PoolMode, QuantTensor,
+                  WeightSet, conv1d_gemm, zscore)
 
 MAGIC = b"SANN"
 FORMAT_VERSION = 1
@@ -122,8 +122,9 @@ def derive_requant_constants(s_in: float, s_w: float, s_out: float) -> tuple[int
         multiplier //= 2
         exponent += 1
     shift = 31 - exponent
-    if shift > 62:
-        raise ConfigError(f"requant ratio {ratio:g} too small: shift {shift} > 62")
+    if shift > MAX_REQUANT_SHIFT:
+        raise ConfigError(f"requant ratio {ratio:g} too small: "
+                          f"shift {shift} > {MAX_REQUANT_SHIFT}")
     if shift < 0:
         raise ConfigError(f"requant ratio {ratio:g} too large for the datapath")
     return multiplier, shift
@@ -141,25 +142,20 @@ def pack_weight_bytes(rows: np.ndarray) -> np.ndarray:
     image, the input buffer and the activation buffers.  A 1-D array is one
     row; signed bytes are stored as their two's-complement bit pattern.
     """
-    # C order: the word view below needs each row's bytes contiguous
-    raw = np.atleast_2d(np.asarray(rows).astype(np.uint8, order="C"))
-    if raw.shape[1] % 2 != 0:
-        raw = np.pad(raw, ((0, 0), (0, 1)))
+    rows = np.atleast_2d(np.asarray(rows))
+    c, n = rows.shape
+    raw = np.zeros((c, n + n % 2), dtype=np.uint8)
+    raw[:, :n] = rows    # wraps signed bytes to their bit pattern
     # a little-endian word holds its low byte first
     return raw.view("<u2").reshape(-1).astype(np.uint16, copy=False)
 
 
-def unpack_weight_bytes(words: np.ndarray, count: int,
-                        channels: int | None = None) -> np.ndarray:
-    """Inverse of pack_weight_bytes, as signed bytes.
-
-    Returns the first `count` bytes of a single row, or a [channels, count]
-    array when the words hold `channels` channel-aligned rows.  View the
-    result as uint8 for activations.
-    """
-    words = np.ascontiguousarray(words, dtype="<u2").reshape(channels or 1, -1)
-    rows = words.view(np.uint8)[:, :count].astype(np.int8)
-    return rows if channels is not None else rows[0]
+def unpack_weight_bytes(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
+    """Inverse of pack_weight_bytes: the [channels, count] u8 bytes of the
+    `channels` channel-aligned rows at the start of `words`."""
+    wpc = (count + 1) // 2
+    words = np.ascontiguousarray(words[:channels * wpc], dtype="<u2")
+    return words.reshape(channels, wpc).view(np.uint8)[:, :count].copy()
 
 
 def layer_word_count(spec: LayerSpec) -> int:
@@ -170,7 +166,8 @@ def layer_word_count(spec: LayerSpec) -> int:
 def layer_weights(spec: LayerSpec, words: np.ndarray) -> np.ndarray:
     """A layer's int8 weights [c_out, c_in, K] from the words at its base."""
     n = spec.c_out * spec.c_in * spec.kernel
-    return unpack_weight_bytes(words, n).reshape(spec.c_out, spec.c_in, spec.kernel)
+    return unpack_weight_bytes(words, n).view(np.int8).reshape(
+        spec.c_out, spec.c_in, spec.kernel)
 
 
 def pack_sram_image(ws: WeightSet) -> np.ndarray:

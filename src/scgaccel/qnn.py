@@ -38,6 +38,10 @@ GAP_SHIFT = 6
 INPUT_ZERO_POINT = 128
 INPUT_SCALE = 1.0 / 32.0
 
+# A layer's requant shift: at 63, round_shift's int64 rounding term
+# overflows on the product INT32_MIN * INT32_MIN = 2^62.
+MAX_REQUANT_SHIFT = 62
+
 
 class LayerKind(IntEnum):
     CONV1D = 0
@@ -114,8 +118,8 @@ class LayerSpec:
                 raise ConfigError("FC layers emit signed logits")
         if not INT32_MIN <= self.requant_multiplier <= INT32_MAX:
             raise ConfigError("requant multiplier must fit in i32")
-        if not 0 <= self.requant_shift <= 63:
-            raise ConfigError("requant shift must be in [0, 63]")
+        if not 0 <= self.requant_shift <= MAX_REQUANT_SHIFT:
+            raise ConfigError(f"requant shift must be in [0, {MAX_REQUANT_SHIFT}]")
 
     def out_length(self, w_in: int) -> int:
         """Spatial length after conv (stride 1, resolution preserving) and pooling."""
@@ -240,6 +244,8 @@ def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1 or window.size == 0:
         raise ShapeError("window must be a non-empty 1-D array")
+    if not np.isfinite(window).all():
+        raise ShapeError("window samples must be finite")
     if scale_divisor <= 0:
         raise ConfigError("scale_divisor must be positive")
     z = zscore(window) / scale_divisor
@@ -361,6 +367,7 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
     64-bit product, round to nearest with ties away from zero, then either
     unsigned saturation to [0, 255] (fused ReLU) or signed 32-bit saturation
     for raw logits.  out_zero_point is an op-level offset; the network passes 0.
+    Shift 63 is exact but for the product 2^62; a layer stops at 62.
     """
     if not 0 <= shift <= 63:
         raise ConfigError("shift must be in [0, 63]")
@@ -373,9 +380,11 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
     return r.astype(np.int32)
 
 
-def pool_requantize(acc: np.ndarray, layer: LayerSpec, multiplier: int,
-                    shift: int) -> np.ndarray:
-    """A layer's conv output through its maxpool or GAP, then requantized."""
+def layer_step(x: QuantTensor, layer: LayerSpec, lw: LayerWeights,
+               multiplier: int, shift: int, length: int | None = None) -> np.ndarray:
+    """One layer: conv, keep the first `length` positions (all by default),
+    maxpool or GAP, then requantize."""
+    acc = conv1d_acc(x, layer, lw)[:, :length]
     if layer.pool_mode == PoolMode.MAXPOOL2:
         acc = maxpool2_acc(acc)
     elif layer.pool_mode == PoolMode.GLOBAL_AVG:
@@ -394,14 +403,11 @@ def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
         raise ShapeError(f"input {x.channels}x{x.length} does not match network "
                          f"{net.layers[0].c_in}x{net.input_length}")
     net.layer_input_lengths()   # the simulator's geometry checks
-
-    def forward(cur: QuantTensor, layer: LayerSpec, lw: LayerWeights):
-        return pool_requantize(conv1d_acc(cur, layer, lw), layer,
-                               layer.requant_multiplier, layer.requant_shift)
-
     snapshots: list[QuantTensor] = []
     cur = x
-    for layer, lw in zip(net.layers[:-1], ws.layers):
-        cur = QuantTensor(forward(cur, layer, lw))
-        snapshots.append(cur)
-    return Logits(forward(cur, net.layers[-1], ws.layers[-1])[:, 0]), snapshots
+    for layer, lw in zip(net.layers, ws.layers):
+        out = layer_step(cur, layer, lw, layer.requant_multiplier, layer.requant_shift)
+        if layer.activation == Activation.RELU_SATURATE:
+            cur = QuantTensor(out)
+            snapshots.append(cur)
+    return Logits(out[:, 0]), snapshots   # the head is the last layer

@@ -8,9 +8,9 @@ the result packer, and the nested-loop control FSM.
 Two execution paths produce bit-identical outputs and identical cycle splits:
 
 * ``run_inference`` is the fast path used for full-network runs.  Each layer
-  unpacks its input plane from simulated memory, runs the golden ``qnn`` ops
-  on it (conv, pooling, requantization), packs the result back into the
-  ping-pong buffer and takes its cycle split from ``cyclemodel.layer_cycles``.
+  unpacks its input plane from simulated memory, runs ``qnn.layer_step`` on
+  it, packs the result back into the ping-pong buffer and takes its cycle
+  split from ``cyclemodel.layer_cycles``.
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
@@ -24,8 +24,8 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
 
 Both paths share one run set-up and one layer walk, which hands each layer
 its index, spec, input length, input zero point (the input's, then 0 for the
-ReLU outputs) and weight base.  The weight layout (``layer_word_count``,
-``layer_weights``, ``layer_word_base``) is defined in ``modeltools``.
+ReLU outputs) and weight base.  ``modeltools`` defines the weight layout
+and the word packing of every plane and image.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past
@@ -50,7 +50,7 @@ from .modeltools import (WEIGHT_MEM_WORDS, PackedModel, layer_weights,
                          layer_word_count, pack_weight_bytes, unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
                   LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
-                  conv1d_acc, pool_requantize, round_shift)
+                  layer_step, round_shift)
 
 INPUT_BANKS = 2
 INPUT_BANK_WORDS = 256
@@ -244,13 +244,12 @@ class SimMachine:
         if x.channels != self.model.layers[0].c_in:
             raise ShapeError(f"input has {x.channels} channels, "
                              f"model expects {self.model.layers[0].c_in}")
-        wpc = (x.length + 1) // 2
-        total_words = x.channels * wpc
-        if total_words > INPUT_BANKS * INPUT_BANK_WORDS:
-            raise ShapeError(f"input needs {total_words} words, buffer has "
-                             f"{INPUT_BANKS * INPUT_BANK_WORDS}")
+        img = pack_weight_bytes(x.data)
+        if img.size > self.mem.input_words.size:
+            raise ShapeError(f"input needs {img.size} words, buffer has "
+                             f"{self.mem.input_words.size}")
         self.mem.input_words[:] = 0
-        self.mem.input_words[:total_words] = pack_weight_bytes(x.data)
+        self.mem.input_words[:img.size] = img
         self.input_len = x.length
         self.input_zero_point = x.zero_point
         self._input_loaded = True
@@ -281,11 +280,9 @@ class SimMachine:
         return list(zip(range(len(layers)), layers, lengths, zero_points,
                         self.model.layer_word_base))
 
-    def _finish_layer(self, li: int, spec, w_out: int, lc: LayerCycles):
-        """Record the split, snapshot the output image, then swap buffers."""
+    def _finish_layer(self, li: int, spec, w_out: int, n_words: int, lc):
+        """Record the split, snapshot the n_words the layer wrote, swap buffers."""
         self._run_cycles.append(lc)
-        n_words = 0 if spec.activation == Activation.SIGNED_BYPASS \
-            else spec.c_out * ((w_out + 1) // 2)
         self._layer_results[li] = _LayerResult(spec, w_out,
                                                self.mem.write_buf[:n_words].copy())
         self.mem.toggle()
@@ -303,33 +300,34 @@ class SimMachine:
         return self._logits, self.cycle_counter - start_cycle, list(self._run_cycles)
 
     def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int):
-        """One layer: the golden ops on the plane held in simulated memory."""
+        """One layer: qnn.layer_step on the plane held in simulated memory."""
         mem = self.mem
         lc = layer_cycles(spec, w_in)
-        words = self._act_words(li)[:spec.c_in * ((w_in + 1) // 2)]
         # whole batches of six; the overhang lanes read the zero point
         ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
-        ext[:, :w_in] = unpack_weight_bytes(words, w_in, spec.c_in).view(np.uint8)
+        ext[:, :w_in] = unpack_weight_bytes(self._act_words(li), w_in, spec.c_in)
         lw = LayerWeights(
             layer_weights(spec, mem.weight_region(base, layer_word_count(spec))),
             mem.bias_rom[li])
         try:
-            acc = conv1d_acc(QuantTensor(ext, zero_point=zp), spec, lw)[:, :w_in]
+            out = layer_step(QuantTensor(ext, zero_point=zp), spec, lw,
+                             *mem.scale_regs[li], length=w_in)
         except AccumulatorOverflow as exc:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
                            f"{self.cycle_counter}") from exc
         self._mac_count += PE_COUNT * lc.compute
-        out = pool_requantize(acc, spec, *mem.scale_regs[li])
         if spec.activation == Activation.SIGNED_BYPASS:
             self._logits = Logits(out[:, 0])
+            n_words = 0
         else:
             img = pack_weight_bytes(out)
-            if img.size > mem.write_buf.size:
-                raise MemoryFault(f"layer {li}: {img.size}-word output image "
+            n_words = img.size
+            if n_words > mem.write_buf.size:
+                raise MemoryFault(f"layer {li}: {n_words}-word output image "
                                   "overflows the ping-pong buffer")
-            mem.write_buf[:img.size] = img
+            mem.write_buf[:n_words] = img
         self.cycle_counter += lc.total
-        self._finish_layer(li, spec, out.shape[1], lc)
+        self._finish_layer(li, spec, out.shape[1], n_words, lc)
 
     # -- micro (per-cycle) path ---------------------------------------------
 
@@ -461,10 +459,10 @@ class SimMachine:
         if signed:
             self._logits = Logits(logits)
         split = self._split
-        self._finish_layer(li, spec, spec.out_length(w_in), LayerCycles(
-            **split, n_batches=n_batches,
-            n_outputs=split["requant"] // REQUANT_CYCLES_TABLE,
-            array_eff=array_efficiency(k)))
+        lc = LayerCycles(**split, n_batches=n_batches,
+                         n_outputs=split["requant"] // REQUANT_CYCLES_TABLE,
+                         array_eff=array_efficiency(k))
+        self._finish_layer(li, spec, spec.out_length(w_in), packer.word_addr, lc)
 
     def _micro_requant(self, li, o, b, acc, multiplier, shift, spec):
         """Six requant cycles: four multiplier stages, each adding one partial
@@ -494,8 +492,7 @@ class SimMachine:
         res = self._layer_results[layer]
         if res.spec.activation == Activation.SIGNED_BYPASS:
             raise StateError("signed logit layers have no activation tensor")
-        data = unpack_weight_bytes(res.words, res.w_out, res.spec.c_out).view(np.uint8)
-        return QuantTensor(data)
+        return QuantTensor(unpack_weight_bytes(res.words, res.w_out, res.spec.c_out))
 
     @property
     def last_logits(self) -> Logits | None:
@@ -511,8 +508,7 @@ class SimMachine:
             raise StateError("no model loaded")
         layers = [replace(spec, requant_multiplier=m, requant_shift=s)
                   for spec, (m, s) in zip(self.model.layers, self.mem.scale_regs)]
-        n_words = sum(layer_word_count(spec) for spec in layers)
         return PackedModel(
             layers=layers,
             biases=[b.copy() for b in self.mem.bias_rom],
-            weight_words=self.mem.weight_mem[:n_words].copy())
+            weight_words=self.mem.weight_mem[:self.model.weight_words.size].copy())

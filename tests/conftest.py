@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, random_input,
-                                 random_model, random_small_net)
-from scgaccel.qnn import (Activation, LayerKind, LayerSpec, NetworkSpec,
-                          PoolMode)
+from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, PackedModel,
+                                 random_input, random_model, random_small_net)
+from scgaccel.qnn import (INT32_MIN, MAX_REQUANT_SHIFT, Activation, LayerKind,
+                          LayerSpec, LayerWeights, NetworkSpec, PoolMode,
+                          WeightSet)
 
 __all__ = ["einsum_conv", "random_input", "random_small_net", "reserved_byte_blobs",
-           "seed1_blob", "signed_conv_blob", "wide_image_net"]
+           "seed1_blob", "shift63_blob", "shift_edge_model", "signed_conv_blob",
+           "wide_image_net"]
 
 
 def einsum_conv(x, w, pad):
@@ -68,6 +70,33 @@ def reserved_byte_blobs() -> dict[str, bytes]:
             blob[HEADER_SIZE + descriptor * DESCRIPTOR_SIZE + byte] = 1
             blobs[f"descriptor{descriptor}-byte{byte}"] = bytes(blob)
     return blobs
+
+
+def shift_edge_model() -> PackedModel:
+    """A conv 1->1 (K 1, bypass) and an FC head 1->3 at the largest requant
+    shift, with multiplier INT32_MIN, zero weights and biases
+    [INT32_MIN, 0, 5]: logit 0 rounds the product INT32_MIN * INT32_MIN =
+    2^62, which needs a shift of at most 62 to round in int64."""
+    net = NetworkSpec(layers=(
+        LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=1, padding=0,
+                  pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE),
+        LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=1, c_out=3, kernel=1,
+                  padding=0, pool_mode=PoolMode.BYPASS,
+                  activation=Activation.SIGNED_BYPASS,
+                  requant_multiplier=INT32_MIN, requant_shift=MAX_REQUANT_SHIFT),
+    ), input_length=6)
+    ws = WeightSet(layers=[
+        LayerWeights(weights=np.zeros((1, 1, 1)), biases=[0]),
+        LayerWeights(weights=np.zeros((3, 1, 1)), biases=[INT32_MIN, 0, 5])])
+    return PackedModel.from_weights(net, ws)
+
+
+def shift63_blob() -> bytes:
+    """SANN bytes of shift_edge_model with the head's shift byte (offset 5
+    of descriptor 1) set to 63, where that rounding overflows int64."""
+    blob = bytearray(shift_edge_model().to_bytes())
+    blob[HEADER_SIZE + DESCRIPTOR_SIZE + 5] = 63
+    return bytes(blob)
 
 
 @pytest.fixture

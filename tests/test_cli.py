@@ -225,14 +225,18 @@ def test_eval_refuses_a_malformed_dataset(model_file, tmp_path, capsys):
         assert "labels must be class indices in [0, 3)" in capsys.readouterr().err
 
 
-def test_pack_produces_loadable_model(tmp_path, rng, capsys):
-    net = NetworkSpec.default(l3_width=16)
+def _float_arrays(rng, net):
     arrays = {}
     for i, s in enumerate(net.layers):
         arrays[f"w{i}"] = rng.normal(scale=1 / np.sqrt(s.c_in * s.kernel),
                                      size=(s.c_out, s.c_in, s.kernel))
         arrays[f"b{i}"] = np.zeros(s.c_out)
-    arrays["w3"] = arrays["w3"]    # l3 width inferred from this array
+    return arrays
+
+
+def test_pack_produces_loadable_model(tmp_path, rng, capsys):
+    # l3 width inferred from the w3 array
+    arrays = _float_arrays(rng, NetworkSpec.default(l3_width=16))
     src = tmp_path / "float.npz"
     np.savez(src, **arrays)
     out = tmp_path / "packed.bin"
@@ -240,6 +244,37 @@ def test_pack_produces_loadable_model(tmp_path, rng, capsys):
     model = PackedModel.from_bytes(out.read_bytes())
     assert len(model.layers) == 5
     assert model.layers[3].c_out == 16
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda a: a.pop("b2"), "missing array 'b2'"),
+    (lambda a: a.update(bn0_gamma=np.ones(16)), "missing array 'bn0_beta'"),
+    (lambda a: a.update(layout="not json"), "'layout' is not a JSON list"),
+    (lambda a: a.update(layout='[{"kind": "CONV1D"}]'),
+     "'layout' is not a JSON list"),
+    (lambda a: a.update(input_length=256), "'input_length' 256 needs a 'layout'"),
+], ids=["no-b2", "bn0-gamma-only", "layout-not-json", "layout-without-keys",
+        "input-length-without-layout"])
+def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
+                                              capsys):
+    arrays = _float_arrays(rng, NetworkSpec.default())
+    edit(arrays)
+    src = tmp_path / "float.npz"
+    np.savez(src, **arrays)
+    out = tmp_path / "packed.bin"
+    assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_refuses_a_non_finite_window(model_file, tmp_path, capsys):
+    path = tmp_path / "nan.f32"
+    samples = np.zeros(512, dtype="<f4")
+    samples[7] = np.nan
+    samples.tofile(path)
+    assert main(["infer", "--model", model_file, "--input", str(path),
+                 "--format", "f32"]) == 1
+    assert "window samples must be finite" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

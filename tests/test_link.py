@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_input, reserved_byte_blobs, signed_conv_blob,
-                      wide_image_net)
+from conftest import (random_input, reserved_byte_blobs, shift63_blob,
+                      signed_conv_blob, wide_image_net)
 from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              TransportError, VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
@@ -317,7 +317,7 @@ def test_model_whose_result_cannot_fit_is_rejected_at_verify(rng):
         for n_classes in (257, 1023):
             with pytest.raises(ProtocolError):
                 client.load_model(_wide_head_model(n_classes))
-            assert thread.is_alive() and not device.model_loaded
+            assert thread.is_alive() and device.machine.model is None
         widest = _wide_head_model(256)
         client.load_model(widest)
         x = random_input(rng, widest.to_network_spec(8))
@@ -334,22 +334,23 @@ def test_model_whose_result_cannot_fit_is_rejected_at_verify(rng):
 
 
 def test_model_with_a_bad_layout_is_rejected_at_verify(rng):
-    # a signed conv layer, then a non-zero reserved descriptor byte, one
-    # upload after another on the same serve loop
+    # a signed conv layer, a non-zero reserved descriptor byte, then a
+    # requant shift of 63, one upload after another on the same serve loop
     device = DeviceEmulator()
     host_end, thread = serve_in_thread(device)
     client = HostClient(host_end, timeout=30.0)
     try:
-        for blob in [signed_conv_blob(), *reserved_byte_blobs().values()]:
+        for blob in [signed_conv_blob(), *reserved_byte_blobs().values(),
+                     shift63_blob()]:
             chunks = range(0, len(blob), CHUNK_SIZE)
             for seq, off in enumerate(chunks):
                 client.request(Frame(Command.LOAD_WEIGHTS, seq=seq,
                                      payload=blob[off:off + CHUNK_SIZE]))
             with pytest.raises(ProtocolError, match="VERIFY_MEM: LOAD_ERROR"):
                 client.request(Frame(Command.VERIFY_MEM, seq=len(chunks)))
-            assert thread.is_alive() and not device.model_loaded
+            assert thread.is_alive() and device.machine.model is None
         client.load_model(random_model(NetworkSpec.default(), rng))
-        assert device.model_loaded
+        assert device.machine.model is not None
     finally:
         client.close()
     thread.join(timeout=10.0)
@@ -386,7 +387,6 @@ def test_serve_nacks_a_request_whose_handler_raises(rng):
     device = DeviceEmulator()
     model = _wide_head_model(1023)
     device.machine.load_model(model)
-    device.model_loaded = True
     host_end, thread = serve_in_thread(device)
     client = HostClient(host_end, timeout=30.0)
     try:
@@ -771,5 +771,9 @@ def test_mid_load_teardown_leaves_device_idle(rng):
     host_end.close()               # hang up mid-transfer
     thread.join(timeout=10.0)
     assert not thread.is_alive()
-    assert not device.loading
-    assert not device.model_loaded
+    assert device.machine.model is None
+    # no transfer is open: a later chunk is out of sequence, a RUN needs a model
+    for command, reason in ((Command.LOAD_WEIGHTS, NackReason.BAD_SEQ),
+                            (Command.RUN_INFERENCE, NackReason.NO_MODEL)):
+        reply = device.handle_frame(Frame(command, seq=1, payload=b"\x00"))
+        assert (reply.command, reply.payload) == (Command.NACK, bytes([reason]))

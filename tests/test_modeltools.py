@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import einsum_conv, reserved_byte_blobs, seed1_blob, signed_conv_blob
+from conftest import (einsum_conv, reserved_byte_blobs, seed1_blob, shift63_blob,
+                      signed_conv_blob)
 from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
                              SerializationError, TruncationError)
 from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, BatchNorm,
@@ -156,7 +157,7 @@ def test_pack_unpack_round_trip():
         flat = rng.integers(-128, 128, size=n).astype(np.int8)
         words = pack_weight_bytes(flat)
         assert words.size == (n + 1) // 2
-        assert np.array_equal(unpack_weight_bytes(words, n), flat)
+        assert np.array_equal(unpack_weight_bytes(words, n)[0].view(np.int8), flat)
 
 
 @pytest.mark.parametrize("length", [6, 7])
@@ -253,6 +254,11 @@ def test_deserialize_rejects_a_bad_layout():
 def test_deserialize_rejects_a_nonzero_reserved_byte(blob):
     with pytest.raises(SerializationError, match="descriptor [04]: reserved"):
         PackedModel.from_bytes(blob)
+
+
+def test_deserialize_rejects_requant_shift_63():
+    with pytest.raises(SerializationError, match=r"shift must be in \[0, 62\]"):
+        PackedModel.from_bytes(shift63_blob())
 
 
 def test_header_and_descriptor_bytes_are_refused_or_round_trip():

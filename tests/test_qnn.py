@@ -318,6 +318,16 @@ def test_zscore_round_half_away_from_zero():
     assert set(np.unique(q.data)) == {127, 129}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_zscore_refuses_non_finite_samples(bad):
+    window = np.linspace(-1.0, 1.0, 64)
+    window[5] = bad
+    with pytest.raises(ShapeError, match="finite"):
+        zscore_quantize(window)
+    with pytest.raises(ShapeError, match="finite"):
+        zscore_quantize(np.full(64, bad))
+
+
 def test_zscore_saturates_outliers():
     window = np.zeros(64)
     window[0] = 1e6
@@ -363,7 +373,8 @@ def test_layer_spec_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("c_in", 0x10000), ("c_out", 0x10000), ("kernel", 0x100), ("padding", 0x100)])
+    ("c_in", 0x10000), ("c_out", 0x10000), ("kernel", 0x100), ("padding", 0x100),
+    ("requant_shift", 63)])
 def test_layer_spec_enforces_sann_field_widths(field, value):
     fields = dict(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3, padding=1,
                   pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE)

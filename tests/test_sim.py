@@ -2,19 +2,21 @@
 paths against the golden model."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_input, random_small_net, wide_image_net
+from conftest import random_input, random_small_net, shift_edge_model, wide_image_net
 from scgaccel.cyclemodel import PE_COUNT, layer_cycles, network_report
-from scgaccel.errors import (CapacityError, ConfigError, MemoryFault,
-                             ShapeError, SimFault, StateError)
+from scgaccel.errors import (AccumulatorOverflow, CapacityError, ConfigError,
+                             MemoryFault, ShapeError, SimFault, StateError)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.modeltools import WEIGHT_MEM_WORDS as WEIGHT_ADDR_LIMIT
-from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, Activation,
-                          LayerKind, LayerSpec, LayerWeights, NetworkSpec,
-                          PoolMode, QuantTensor, WeightSet, infer_window)
+from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT,
+                          Activation, LayerKind, LayerSpec, LayerWeights,
+                          NetworkSpec, PoolMode, QuantTensor, WeightSet,
+                          infer_window)
 from scgaccel.qnn import round_shift as _round_shift
 from scgaccel.sim import ResultPacker, SimMachine, mul64signed
 
@@ -240,6 +242,72 @@ def test_batch_overhang_lane_overflow_is_a_fault():
         machine.load_input(x)
         with pytest.raises(SimFault):
             run(machine)
+
+
+def extreme_model(net: NetworkSpec, rng) -> PackedModel:
+    """A model on `net` with requant multipliers drawn from INT32_MIN, -1, 1,
+    INT32_MAX and a random i32, any shift a layer takes, weights over the
+    full i8 range, and about one bias in five at an i32 limit."""
+    specs, layers = [], []
+    for spec in net.layers:
+        mult = [INT32_MIN, -1, 1, INT32_MAX,
+                int(rng.integers(INT32_MIN, INT32_MAX + 1))][int(rng.integers(0, 5))]
+        specs.append(replace(spec, requant_multiplier=mult,
+                             requant_shift=int(rng.integers(0, MAX_REQUANT_SHIFT + 1))))
+        biases = rng.integers(-1000, 1000, size=spec.c_out)
+        at_limit = rng.random(spec.c_out) < 0.2
+        biases[at_limit] = rng.choice([INT32_MIN, INT32_MAX], size=at_limit.sum())
+        layers.append(LayerWeights(
+            weights=rng.integers(-128, 128, size=(spec.c_out, spec.c_in, spec.kernel)),
+            biases=biases))
+    return PackedModel.from_weights(
+        NetworkSpec(tuple(specs), input_length=net.input_length), WeightSet(layers))
+
+
+def _sim_logits(model: PackedModel, x: QuantTensor, run):
+    """The logits of one run as a list, or SimFault if the run faults."""
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(x)
+    try:
+        return run(machine)[0].values.tolist()
+    except SimFault:
+        return SimFault
+
+
+def test_golden_and_both_sim_paths_agree_on_extreme_requant_constants():
+    rng = np.random.default_rng(1201)
+    outcomes = Counter()
+    for _ in range(400):
+        net = random_small_net(rng, max_channels=3, max_length=16)
+        model = extreme_model(net, rng)
+        x = random_input(rng, net)
+        fast = _sim_logits(model, x, SimMachine.run_inference)
+        assert _sim_logits(model, x, SimMachine.run_micro) == fast
+        try:
+            gold, _ = infer_window(model.to_network_spec(net.input_length),
+                                   model.to_weight_set(), x)
+        except AccumulatorOverflow:
+            assert fast is SimFault
+            outcomes["overflow"] += 1
+            continue
+        if fast is SimFault:
+            # only an overhang lane, which golden never computes, can overflow
+            assert any(w % PE_COUNT for w in net.layer_input_lengths())
+            outcomes["overhang"] += 1
+        else:
+            assert fast == gold.values.tolist()
+            outcomes["equal"] += 1
+    assert set(outcomes) == {"equal", "overflow", "overhang"}
+
+
+def test_largest_requant_shift_rounds_alike_on_all_three_paths():
+    model = shift_edge_model()
+    x = QuantTensor(np.full((1, 6), 128, dtype=np.uint8), zero_point=128)
+    gold, _ = infer_window(model.to_network_spec(6), model.to_weight_set(), x)
+    assert gold.values.tolist() == [1, 0, 0]      # (2^62 + 2^61) >> 62
+    for run in (SimMachine.run_inference, SimMachine.run_micro):
+        assert _sim_logits(model, x, run) == [1, 0, 0]
 
 
 _ODD_MAXPOOL = NetworkSpec(layers=(
