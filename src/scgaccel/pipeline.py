@@ -16,13 +16,23 @@ from .metrics import (DIA_FREQ_HZS, LabeledWindowSet, SAMPLE_RATE_HZ,
 from .modeltools import (FloatLayerParams, FloatModel, PackedModel,
                          calibrate_activation_scales, float_forward,
                          quantize_model)
-from .qnn import INPUT_ZERO_POINT  # noqa: F401 (re-exported with INPUT_SCALE)
-from .qnn import (INPUT_SCALE, NetworkSpec, QuantTensor, infer_window, zscore,
-                  zscore_quantize)
+from .errors import ShapeError
+from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, NetworkSpec, QuantTensor,
+                  infer_window, quantize_zscores, zscore)
 
 
 def quantize_windows(windows: np.ndarray) -> list[QuantTensor]:
-    return [zscore_quantize(w) for w in windows]
+    """zscore_quantize of every row of a [N, L] float array, as one array
+    pass; the tensors share one u8 array."""
+    windows = np.asarray(windows)
+    if windows.ndim != 2 or windows.shape[1] == 0:
+        raise ShapeError("windows must be a [n][length] array, length >= 1")
+    finite = np.isfinite(windows).all(axis=1)
+    if not finite.all():
+        raise ShapeError(f"window {int(np.argmin(finite))}: samples must be finite")
+    codes = quantize_zscores(windows)
+    return [QuantTensor(row, zero_point=INPUT_ZERO_POINT)
+            for row in codes[:, np.newaxis, :]]
 
 
 def golden_predict(model: PackedModel, windows: np.ndarray,

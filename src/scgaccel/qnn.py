@@ -1,11 +1,13 @@
 """Bit-exact integer-only golden model of the 5-layer 1D CNN.
 
-All arithmetic is exact: int64 intermediates checked against the 32-bit
-accumulator budget, and conv products summed in float32 where a layer's
-worst-case sum stays below 2^24, else in float64; both are exact on these
-integers (see conv1d_gemm).  So every result here is the contract the
-cycle-accurate simulator has to match exactly.  Every function takes one
-window, as the accelerator classifies one per inference.
+All arithmetic is exact: int64 intermediates held to the 32-bit accumulator
+budget (scanned where no bound proves it, see conv1d_acc), and conv products
+summed in float32 where a layer's worst-case sum stays below 2^24, else in
+float64; both are exact on these integers (see conv1d_gemm).  So every result
+here is the contract the cycle-accurate simulator has to match exactly.  Every
+integer function takes one window, as the accelerator classifies one per
+inference; the float front end (zscore, quantize_zscores) also takes an
+[N, L] array of windows.
 
 NetworkSpec is the one layout rule: ReLU conv layers, then one FC head whose
 signed i32 outputs are the logits; only the input has a zero point, every ReLU
@@ -38,8 +40,9 @@ GAP_SHIFT = 6
 INPUT_ZERO_POINT = 128
 INPUT_SCALE = 1.0 / 32.0
 
-# A layer's requant shift: at 63, round_shift's int64 rounding term
-# overflows on the product INT32_MIN * INT32_MIN = 2^62.
+# A layer's requant shift: the bound the SANN loader and VERIFY publish.
+# round_shift is exact for every shift 0..63, which the op-level requantize
+# takes; at 62 or 63 any i32 x i32 product (|p| <= 2^62) rounds to -1, 0 or 1.
 MAX_REQUANT_SHIFT = 62
 
 
@@ -233,14 +236,39 @@ class Logits:
         return int(np.argmax(self.values))
 
 
-def zscore(window: np.ndarray) -> np.ndarray:
-    """Per-window z-score in the window's own dtype; a flat window maps to 0."""
-    return (window - window.mean()) / (window.std() or 1.0)
+def zscore(windows: np.ndarray) -> np.ndarray:
+    """Z-score over the last axis, in the windows' own dtype, into a new
+    array; a flat window (std 0) is divided by 1, so it maps to 0."""
+    std = windows.std(axis=-1, keepdims=True)
+    std[std == 0] = 1.0
+    z = windows - windows.mean(axis=-1, keepdims=True)
+    z /= std
+    return z
+
+
+def quantize_zscores(windows: np.ndarray, zero_point: int = INPUT_ZERO_POINT,
+                     scale_divisor: float = INPUT_SCALE) -> np.ndarray:
+    """u8 input codes of finite windows, z-scored in float64 over the last
+    axis.
+
+    z / scale_divisor rounds to nearest, ties away from zero (trunc of
+    z + copysign(0.5, z)), is offset by zero_point and saturates to
+    [0, 255], all in place on the z-score but for the copysign term.  A
+    float64 copy of float32 windows is freed once the z-score is taken.
+    """
+    z = zscore(np.asarray(windows, dtype=np.float64))
+    z /= scale_divisor
+    z += np.copysign(0.5, z)
+    np.trunc(z, out=z)
+    z += zero_point
+    np.minimum(np.maximum(z, 0, out=z), 255, out=z)
+    return z.astype(np.uint8)
 
 
 def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
                     scale_divisor: float = INPUT_SCALE) -> QuantTensor:
-    """Per-window z-score normalize then quantize to a 1-channel u8 tensor."""
+    """Per-window z-score normalize then quantize to a 1-channel u8 tensor
+    (quantize_zscores of one window)."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1 or window.size == 0:
         raise ShapeError("window must be a non-empty 1-D array")
@@ -248,9 +276,7 @@ def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
         raise ShapeError("window samples must be finite")
     if scale_divisor <= 0:
         raise ConfigError("scale_divisor must be positive")
-    z = zscore(window) / scale_divisor
-    q = np.where(z >= 0, np.floor(z + 0.5), np.ceil(z - 0.5)) + zero_point
-    q = np.clip(q, 0, 255).astype(np.uint8)
+    q = quantize_zscores(window, zero_point, scale_divisor)
     return QuantTensor(q[np.newaxis, :], zero_point=zero_point)
 
 
@@ -305,18 +331,24 @@ def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray
     Out-of-range taps read the zero point, i.e. contribute nothing after the
     offset subtraction; output length equals input length.  The products are
     summed by conv1d_gemm, exactly: in float32 when C*K*255*128 < 2^24,
-    else in float64.  The bias is added in int64.
+    else in float64.  The bias is added in int64.  An output can only leave
+    i32, raising AccumulatorOverflow, when max|bias| + C*K*255*128 exceeds
+    INT32_MAX; only then is the map scanned for it.
     """
     if x.channels != layer.c_in:
         raise ShapeError(f"input has {x.channels} channels, layer expects {layer.c_in}")
     if lw.weights.shape != (layer.c_out, layer.c_in, layer.kernel):
         raise ShapeError("weight tensor does not match layer geometry")
-    exact32 = layer.c_in * layer.kernel * 255 * 128 < 1 << 24
+    # |x - zero_point| <= 255 and |w| <= 128, so no output moves further
+    # than reach from its bias
+    reach = layer.c_in * layer.kernel * 255 * 128
     xoff = np.subtract(x.data, x.zero_point,
-                       dtype=np.float32 if exact32 else np.float64)
+                       dtype=np.float32 if reach < 1 << 24 else np.float64)
     acc = conv1d_gemm(xoff, lw.weights, layer.padding).astype(np.int64)
-    acc += lw.biases.astype(np.int64)[:, np.newaxis]
-    if acc.min() < INT32_MIN or acc.max() > INT32_MAX:
+    bias = lw.biases.astype(np.int64)
+    acc += bias[:, np.newaxis]
+    if int(np.abs(bias).max()) + reach > INT32_MAX and (
+            acc.min() < INT32_MIN or acc.max() > INT32_MAX):
         raise AccumulatorOverflow(
             f"accumulator range [{acc.min()}, {acc.max()}] exceeds signed 32-bit")
     return acc
@@ -353,30 +385,40 @@ def gap_shift_acc(acc: np.ndarray) -> np.ndarray:
 def round_shift(p, shift: int):
     """Arithmetic right shift rounding to nearest, ties away from zero.
 
-    Built from operators only (no branch on the sign), so the same definition
-    is bit-exact on int64 arrays and cheap on Python ints; shift 0 is exact.
+    For shift >= 1 it shifts by one less, keeping one fraction bit, adds 1
+    and drops that bit: ((p - (p < 0)) >> (shift - 1)) + 1 >> 1.  Taking 1
+    off a negative p first makes its ties round away from zero too.  Built
+    from operators only (no branch on the sign), so the same definition is
+    bit-exact on int64 arrays and cheap on Python ints.  No intermediate is
+    further than |p| + 1 from zero, so int64 is exact for every shift 0..63
+    on any i32 x i32 product, INT32_MIN * INT32_MIN = 2^62 included.
+    Shift 0 returns p.
     """
-    mag = (abs(p) + ((1 << shift) >> 1)) >> shift
-    return mag * (1 - 2 * (p < 0))
+    if shift == 0:
+        return p
+    return (((p - (p < 0)) >> (shift - 1)) + 1) >> 1
 
 
 def requantize(acc, multiplier: int, shift: int, activation: Activation,
                out_zero_point: int = 0):
-    """Scale a 32-bit accumulator back to the activation format.
+    """Scale an array of 32-bit accumulators back to the activation format.
 
-    64-bit product, round to nearest with ties away from zero, then either
-    unsigned saturation to [0, 255] (fused ReLU) or signed 32-bit saturation
-    for raw logits.  out_zero_point is an op-level offset; the network passes 0.
-    Shift 63 is exact but for the product 2^62; a layer stops at 62.
+    64-bit product, round to nearest with ties away from zero (round_shift,
+    exact for every shift 0..63), then either unsigned saturation to
+    [0, 255] (fused ReLU) or signed 32-bit saturation for raw logits, in
+    place on the fresh product, then one cast.  out_zero_point is an
+    op-level offset; the network passes 0.
     """
     if not 0 <= shift <= 63:
         raise ConfigError("shift must be in [0, 63]")
-    acc = np.asarray(acc, dtype=np.int64)
-    r = round_shift(acc * np.int64(multiplier), int(shift))
+    r = round_shift(np.asarray(acc, dtype=np.int64) * np.int64(multiplier),
+                    int(shift))
     if activation == Activation.RELU_SATURATE:
-        r = np.clip(r + out_zero_point, 0, 255)
+        if out_zero_point:
+            r += out_zero_point
+        np.minimum(np.maximum(r, 0, out=r), 255, out=r)
         return r.astype(np.uint8)
-    r = np.clip(r, INT32_MIN, INT32_MAX)
+    np.minimum(np.maximum(r, INT32_MIN, out=r), INT32_MAX, out=r)
     return r.astype(np.int32)
 
 

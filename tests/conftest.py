@@ -75,8 +75,8 @@ def reserved_byte_blobs() -> dict[str, bytes]:
 def shift_edge_model() -> PackedModel:
     """A conv 1->1 (K 1, bypass) and an FC head 1->3 at the largest requant
     shift, with multiplier INT32_MIN, zero weights and biases
-    [INT32_MIN, 0, 5]: logit 0 rounds the product INT32_MIN * INT32_MIN =
-    2^62, which needs a shift of at most 62 to round in int64."""
+    [INT32_MIN, 0, 5]: logit 0 rounds the largest i32 x i32 product,
+    INT32_MIN * INT32_MIN = 2^62."""
     net = NetworkSpec(layers=(
         LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=1, padding=0,
                   pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE),
@@ -93,7 +93,8 @@ def shift_edge_model() -> PackedModel:
 
 def shift63_blob() -> bytes:
     """SANN bytes of shift_edge_model with the head's shift byte (offset 5
-    of descriptor 1) set to 63, where that rounding overflows int64."""
+    of descriptor 1) set to 63, one past the MAX_REQUANT_SHIFT that the
+    loader and VERIFY accept."""
     blob = bytearray(shift_edge_model().to_bytes())
     blob[HEADER_SIZE + DESCRIPTOR_SIZE + 5] = 63
     return bytes(blob)

@@ -223,6 +223,11 @@ def test_eval_refuses_a_malformed_dataset(model_file, tmp_path, capsys):
         np.savez(data, windows=windows, labels=labels)
         assert main(["eval", "--model", model_file, "--data", str(data)]) == 1
         assert "labels must be class indices in [0, 3)" in capsys.readouterr().err
+    windows = np.random.default_rng(4).normal(size=(20, 512))
+    windows[17, 3], windows[18, 0] = np.inf, np.nan
+    np.savez(data, windows=windows, labels=[0] * 20)
+    assert main(["eval", "--model", model_file, "--data", str(data)]) == 1
+    assert "window 17: samples must be finite" in capsys.readouterr().err
 
 
 def _float_arrays(rng, net):

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from conftest import einsum_conv
 from scgaccel.errors import AccumulatorOverflow, ConfigError, ShapeError
-from scgaccel.qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN,
-                          Activation, LayerKind, LayerSpec, Logits,
-                          NetworkSpec, LayerWeights, PoolMode, QuantTensor,
-                          WeightSet, conv1d_acc, conv1d_gemm, gap_shift_acc,
-                          infer_window, maxpool2_acc, requantize,
-                          zscore_quantize)
+from scgaccel.metrics import synth_windows
+from scgaccel.pipeline import quantize_windows
+from scgaccel.qnn import (GAP_LENGTH, GAP_SHIFT, INPUT_SCALE,
+                          INPUT_ZERO_POINT, INT32_MAX, INT32_MIN, Activation,
+                          LayerKind, LayerSpec, Logits, NetworkSpec,
+                          LayerWeights, PoolMode, QuantTensor, WeightSet,
+                          conv1d_acc, conv1d_gemm, gap_shift_acc, infer_window,
+                          maxpool2_acc, quantize_zscores, requantize,
+                          round_shift, zscore_quantize)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,21 @@ def oracle_requant(acc, multiplier, shift, signed):
     if signed:
         return max(INT32_MIN, min(INT32_MAX, r))
     return max(0, min(255, r))
+
+
+def oracle_round_shift(p, shift):
+    """p / 2^shift rounded to nearest, ties away from zero, by divmod."""
+    q, r = divmod(abs(p), 1 << shift)
+    mag = q + (2 * r >= 1 << shift)
+    return -mag if p < 0 else mag
+
+
+def oracle_zscore_quantize(window, zero_point, scale_divisor):
+    """One window's u8 codes by the where/floor/ceil/clip formula."""
+    w = np.asarray(window, dtype=np.float64)
+    z = (w - w.mean()) / (w.std() or 1.0) / scale_divisor
+    q = np.where(z >= 0, np.floor(z + 0.5), np.ceil(z - 0.5)) + zero_point
+    return np.clip(q, 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +143,33 @@ def test_requant_matches_oracle_1000_instances():
         assert int(got) == oracle_requant(acc, mult, shift, signed)
 
 
+def test_round_shift_matches_divmod_oracle_every_shift():
+    # |p| = 2^62 (INT32_MIN * INT32_MIN) and its neighbours, powers of two
+    # and ties at every shift, and random i32 x i32 products, on int64
+    # arrays and on Python ints
+    rng = np.random.default_rng(13)
+    edges = [0, 1, 2, 3, (1 << 62) - 1, 1 << 62, INT32_MAX * INT32_MAX,
+             INT32_MAX * -INT32_MIN]
+    edges += [(1 << s) + d for s in range(63) for d in (-1, 0, 1)]
+    products = (rng.integers(INT32_MIN, INT32_MAX + 1, size=400)
+                * rng.integers(INT32_MIN, INT32_MAX + 1, size=400))
+    for shift in range(64):
+        ties = [(2 * k + 1) << (shift - 1) for k in (0, 1, 2, 1 << 20)
+                if shift and (2 * k + 1) << (shift - 1) <= 1 << 62]
+        values = edges + ties + [int(v) for v in products]
+        values += [-v for v in values]
+        expect = [oracle_round_shift(v, shift) for v in values]
+        assert [round_shift(v, shift) for v in values] == expect, shift
+        assert round_shift(np.array(values, dtype=np.int64), shift).tolist() \
+            == expect, shift
+
+
+def test_requant_shift63_rounds_the_largest_product_exactly():
+    # INT32_MIN * INT32_MIN = 2^62, and 2^62 / 2^63 = 0.5 rounds away to 1
+    r = requantize(np.array([INT32_MIN]), INT32_MIN, 63, Activation.SIGNED_BYPASS)
+    assert r.tolist() == [1]
+
+
 def test_gap_element_shift_differs_from_sum_shift():
     # shifting each element before accumulation loses low bits per element,
     # which a shift of the final sum would not
@@ -162,6 +207,27 @@ def test_conv_exact_at_worst_case_magnitudes(sample, zp):
         with pytest.raises(AccumulatorOverflow):
             conv1d_acc(QuantTensor(x, zero_point=zp), spec,
                        LayerWeights(weights=w, biases=beyond))
+
+
+@pytest.mark.parametrize("c_in, k", [(1, 1), (3, 5), (103, 5)])
+@pytest.mark.parametrize("top", [True, False])
+def test_conv_overflow_scan_bound_at_its_edge(c_in, k, top):
+    # every product is (0 - 255) * -128 = 32640 at the top, -32640 at the
+    # bottom, so output 0 sits exactly on an i32 limit; max|bias| +
+    # C*K*32640 <= INT32_MAX lets conv1d_acc skip its scan, and one step
+    # further out must raise (C*K = 515 takes the float64 form)
+    reach = c_in * k * 32640
+    spec = LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=1, kernel=k,
+                     padding=0, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.RELU_SATURATE)
+    x, zp = (0, 255) if top else (255, 0)
+    x = QuantTensor(np.full((c_in, k), x, dtype=np.uint8), zero_point=zp)
+    w = np.full((1, c_in, k), -128, dtype=np.int8)
+    edge = INT32_MAX - reach if top else INT32_MIN + reach
+    acc = conv1d_acc(x, spec, LayerWeights(weights=w, biases=[edge]))
+    assert acc[0, 0] == (INT32_MAX if top else INT32_MIN)
+    with pytest.raises(AccumulatorOverflow):
+        conv1d_acc(x, spec, LayerWeights(weights=w, biases=[edge + (1 if top else -1)]))
 
 
 def test_conv_gemm_matches_einsum_reference():
@@ -333,6 +399,46 @@ def test_zscore_saturates_outliers():
     window[0] = 1e6
     q = zscore_quantize(window, 128)
     assert q.data.max() == 255
+
+
+def test_quantize_windows_matches_per_window_and_oracle():
+    rng = np.random.default_rng(17)
+    sets = [synth_windows(240, seed=seed).windows for seed in (1, 7, 4242)]
+    edge = rng.normal(size=(6, 512))
+    edge[0] = 3.5                       # flat: all zero point
+    edge[1, :2] = (1e6, -1e6)           # saturates at both ends
+    edge[2] = 0.0
+    edge[2, 0] = 1e-300                 # a tiny std that is not 0
+    sets.append(edge)
+    for windows in sets:
+        got = quantize_windows(windows)
+        one = [zscore_quantize(w) for w in windows]
+        expect = np.stack([oracle_zscore_quantize(w, INPUT_ZERO_POINT, INPUT_SCALE)
+                           for w in windows])
+        codes = np.concatenate([x.data for x in got])
+        assert codes.tobytes() == expect.tobytes()
+        assert all(x.data.tobytes() == y.data.tobytes() and x.zero_point
+                   == y.zero_point == INPUT_ZERO_POINT for x, y in zip(got, one))
+    # z / scale of exactly +-0.5 (or +-1.5) in both positions, and a z of
+    # -0.0 (-0.0 minus a mean of +0.0), as one array
+    ties = np.array([[1.0, -1.0] * 8, [-1.0, 1.0] * 8,
+                     [-0.0] + [1.0, -1.0] * 7 + [0.0]])
+    for scale in (2.0, 2.0 / 3.0):
+        expect = np.stack([oracle_zscore_quantize(w, 128, scale) for w in ties])
+        assert quantize_zscores(ties, 128, scale).tobytes() == expect.tobytes()
+    codes = quantize_zscores(ties, 128, 2.0)
+    assert set(codes[:2].ravel()) == {127, 129} and codes[2, 0] == 128
+
+
+def test_quantize_windows_names_the_first_non_finite_window():
+    windows = np.random.default_rng(18).normal(size=(20, 64))
+    windows[17, 3] = np.inf
+    windows[18, 0] = np.nan
+    with pytest.raises(ShapeError, match="^window 17: samples must be finite$"):
+        quantize_windows(windows)
+    for bad in (np.zeros(64), np.zeros((2, 0))):
+        with pytest.raises(ShapeError):
+            quantize_windows(bad)
 
 
 def test_argmax_tie_prefers_lowest_index():

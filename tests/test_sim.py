@@ -244,6 +244,32 @@ def test_batch_overhang_lane_overflow_is_a_fault():
             run(machine)
 
 
+@pytest.mark.parametrize("c_in, k", [(1, 1), (3, 5), (103, 5)])
+def test_overflow_scan_bound_edge_on_both_sim_paths(c_in, k):
+    # every product of lane 0 is (0 - 255) * -128 = 32640, so with bias
+    # INT32_MAX - C*K*32640 its accumulator is exactly INT32_MAX, and
+    # conv1d_acc skips its scan; one more and both paths must fault
+    edge = INT32_MAX - c_in * k * 32640
+    x = QuantTensor(np.zeros((c_in, 6), dtype=np.uint8), zero_point=255)
+    net = NetworkSpec(layers=(
+        LayerSpec(c_in=c_in, c_out=1, kernel=k, padding=0,
+                  pool_mode=PoolMode.BYPASS, **_RELU),
+        LayerSpec(c_in=1, c_out=3, **_FC),
+    ), input_length=6)
+    for bias, fault in ((edge, False), (edge + 1, True)):
+        ws = WeightSet(layers=[
+            LayerWeights(weights=np.full((1, c_in, k), -128), biases=[bias]),
+            LayerWeights(weights=[[[1]], [[-1]], [[2]]], biases=[0, 0, 0]),
+        ])
+        model = PackedModel.from_weights(net, ws)
+        for run in (SimMachine.run_inference, SimMachine.run_micro):
+            if fault:
+                assert _sim_logits(model, x, run) is SimFault
+            else:
+                gold, _ = infer_window(net, ws, x)
+                assert _sim_logits(model, x, run) == gold.values.tolist()
+
+
 def extreme_model(net: NetworkSpec, rng) -> PackedModel:
     """A model on `net` with requant multipliers drawn from INT32_MIN, -1, 1,
     INT32_MAX and a random i32, any shift a layer takes, weights over the
