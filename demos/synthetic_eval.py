@@ -8,13 +8,13 @@ full metrics stack.
 
 import numpy as np
 
-from scgaccel.metrics import CLASS_NAMES, evaluate, synth_windows
+from scgaccel.metrics import CLASS_NAMES, NUM_CLASSES, evaluate, synth_windows
 from scgaccel.pipeline import build_reference_model, golden_predict
 
 print("=== Dataset ===")
 calib = synth_windows(192, seed=11)
 test = synth_windows(300, seed=99)
-counts = np.bincount(test.labels, minlength=3)
+counts = np.bincount(test.labels, minlength=NUM_CLASSES)
 for name, count in zip(CLASS_NAMES, counts):
     print(f"  {name:<10} {count} test windows")
 

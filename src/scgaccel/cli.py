@@ -22,7 +22,7 @@ from .cyclemodel import (DEFAULT_CLOCK_HZ, DEFAULT_POWER_MW, RequantConvention,
                          network_report)
 from .errors import AccelError, StateError
 from .link import DeviceEmulator, HostClient, SocketTransport, Transport
-from .metrics import evaluate, synth_windows
+from .metrics import NUM_CLASSES, evaluate, synth_windows
 from .modeltools import (BatchNorm, FloatLayerParams, FloatModel, PackedModel,
                          calibrate_activation_scales, quantize_model,
                          random_input, random_model, random_small_net)
@@ -48,10 +48,17 @@ def _read_model(path: str) -> PackedModel:
         raise UsageError(f"cannot read model {path}: {exc}")
 
 
-def _read_window(path: str, fmt: str, c_in: int, zero_point: int) -> QuantTensor:
-    """Raw f32 window (z-scored and quantized) or already-quantized u8."""
+def _read_window(path: str, fmt: str, c_in: int,
+                 zero_point: int | None) -> QuantTensor:
+    """Raw f32 window (z-scored and quantized) or already-quantized u8, at
+    `zero_point` (INPUT_ZERO_POINT if None), which only a u8 window takes."""
     if c_in < 1:
         raise UsageError(f"channels must be >= 1, got {c_in}")
+    if fmt == "f32" and zero_point is not None:
+        raise UsageError("--zero-point applies to u8 windows only; an f32 "
+                         f"window is quantized at {INPUT_ZERO_POINT}")
+    if zero_point is None:
+        zero_point = INPUT_ZERO_POINT
     if not 0 <= zero_point <= 255:
         raise UsageError(f"zero point must be in [0, 255], got {zero_point}")
     try:
@@ -313,7 +320,7 @@ def cmd_run(args) -> int:
 def cmd_synth(args) -> int:
     ds = synth_windows(args.n, noise=args.noise, seed=args.seed)
     np.savez(args.out, windows=ds.windows, labels=ds.labels)
-    counts = np.bincount(ds.labels, minlength=3).tolist()
+    counts = np.bincount(ds.labels, minlength=NUM_CLASSES).tolist()
     print(f"wrote {len(ds)} windows (class counts {counts}) -> {args.out}")
     return 0
 
@@ -427,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--input", required=True, help="signal file or - for stdin")
     window.add_argument("--format", choices=["f32", "u8"], default="f32")
-    window.add_argument("--zero-point", type=int, default=INPUT_ZERO_POINT)
+    window.add_argument("--zero-point", type=int,
+                        help=f"u8 windows only (default {INPUT_ZERO_POINT})")
 
     p = sub.add_parser("analyze", help="analytical cycle/throughput report")
     p.add_argument("--model", help="packed model file (default topology if omitted)")

@@ -17,23 +17,26 @@ of a transfer are numbered 0, 1, 2, ...; every other request takes the seq
 one past the previous request's, counting 1 to 255 and then 1 again.  Seq 0
 is skipped there: it names only the first chunk of a transfer and the
 device's reply to a frame it could not read.  Consecutive requests thus
-never share a seq.  The host takes as the answer to its outstanding request
-only a frame with that request's seq and a kind the command returns (ACK,
-or RESULT for RUN_INFERENCE and READ_RESULT, or a NACK), and drops any other
-frame.  Such a frame is a late reply to an earlier request, one that was
-retransmitted after a timeout or given up on; the device answers in order,
-so every late reply is read and dropped while the host waits on the next
-request, long before its seq comes round again.  The device answers a frame
-it could not read with a seq-0 NACK: BAD_CRC if it fails its CRC, so its seq
-cannot be trusted, or BAD_LENGTH if it declares a payload over the cap.  The
-host retransmits on either, whatever request is outstanding; a BAD_LENGTH
-on the request's own seq is a rejection.  Either decoder drops all it holds
-at an unreadable frame, since a false SOF in the rest would wait for bytes
-and swallow the retransmit; but the rest of the frame may still be in
-flight, and its false SOFs draw more NACKs, so once the host has
-retransmitted on a seq-0 NACK it drops more as stale.  Each attempt waits
-at most `timeout`, dropped frames included, so a request gives up after at
-most (retries + 1) * timeout.
+never share a seq.  A frame is readable if it declares a payload within the
+cap and passes its CRC; the decoder checks only that.  The device gives one
+reply to each readable frame, on its seq; a command byte that names no
+request gets UNKNOWN_CMD.  It answers an unreadable frame with a seq-0 NACK:
+BAD_CRC if it fails its CRC, so its seq cannot be trusted, or BAD_LENGTH if
+it declares a payload over the cap.  The host takes as the answer to its
+outstanding request only a frame with that request's seq and a kind the
+command returns (ACK, or RESULT for RUN_INFERENCE and READ_RESULT, or a
+NACK), and drops any other readable frame.  Such a frame is a late reply to
+an earlier request, one that was retransmitted after a timeout or given up
+on; the device answers in order, so every late reply is read and dropped
+while the host waits on the next request, long before its seq comes round
+again.  The host retransmits on a seq-0 NACK, whatever request is
+outstanding; a BAD_LENGTH on the request's own seq is a rejection.  Either
+decoder drops all it holds at an unreadable frame, since a false SOF in the
+rest would wait for bytes and swallow the retransmit; but the rest of the
+frame may still be in flight, and its false SOFs draw more NACKs, so once
+the host has retransmitted on a seq-0 NACK it drops more as stale.  Each
+attempt waits at most `timeout`, dropped frames included, so a request
+gives up after at most (retries + 1) * timeout.
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ class Command(IntEnum):
     ACK = 0x80
     NACK = 0x81
     RESULT = 0x82
+
+
+_COMMANDS = {int(c): c for c in Command}
 
 
 class NackReason(IntEnum):
@@ -112,7 +118,7 @@ def crc8(data: bytes) -> int:
 
 @dataclass
 class Frame:
-    command: Command
+    command: Command | int   # a byte that names no Command stays an int
     seq: int = 0
     payload: bytes = b""
 
@@ -139,13 +145,14 @@ class FrameDecoder:
         self._buf += data
 
     def next_frame(self):
-        """Return the next Frame, or None if more bytes are needed.
+        """Return the next readable Frame, or None if more bytes are needed.
 
-        A candidate it cannot read, one that declares a payload over the cap
-        or fails its CRC, raises FramingError / CrcError after the decoder
-        drops every byte it holds: a false SOF in the rest would wait for
-        bytes and swallow the next frame.  A readable frame of an unknown
-        command raises FramingError once it has been consumed.
+        Only framing is checked: a frame within the cap that passes its CRC
+        is returned whatever its command byte, a known one as a Command and
+        any other as an int.  A candidate it cannot read, one that declares
+        a payload over the cap or fails its CRC, raises FramingError /
+        CrcError after the decoder drops every byte it holds: a false SOF in
+        the rest would wait for bytes and swallow the next frame.
         """
         while True:
             sof = self._buf.find(bytes([SOF]))
@@ -168,12 +175,7 @@ class FrameDecoder:
                 self._buf.clear()
                 raise CrcError("frame CRC mismatch")
             del self._buf[:total]
-            try:
-                cmd = Command(command)
-            except ValueError:
-                raise FramingError(f"unknown command 0x{command:02X}")
-            return Frame(command=cmd, seq=seq,
-                         payload=body[4:4 + length])
+            return Frame(_COMMANDS.get(command, command), seq, body[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def model_digest(model: PackedModel) -> bytes:
 
 def machine_digest(machine: SimMachine) -> bytes:
     """Digest of the model as read back from live device memory."""
-    return hashlib.sha256(machine.export_model().to_bytes()).digest()
+    return model_digest(machine.export_model())
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +258,17 @@ class DeviceEmulator:
     # -- request handling ---------------------------------------------------
 
     def handle_frame(self, frame: Frame) -> Frame:
-        handler = {
-            Command.LOAD_WEIGHTS: self._on_load_weights,
-            Command.VERIFY_MEM: self._on_verify,
-            Command.LOAD_INPUT: self._on_load_input,
-            Command.RUN_INFERENCE: self._on_run,
-            Command.READ_RESULT: self._on_read_result,
-        }.get(frame.command)
+        """The one reply to a readable frame, on its seq: UNKNOWN_CMD for a
+        command byte that names no request, and LOAD_ERROR where a handler
+        raises an `AccelError` (a model, input or result the machine cannot
+        take)."""
+        handler = self._HANDLERS.get(frame.command)
         if handler is None:
             return self._nack(frame.seq, NackReason.UNKNOWN_CMD)
-        return handler(frame)
+        try:
+            return handler(self, frame)
+        except AccelError:
+            return self._nack(frame.seq, NackReason.LOAD_ERROR)
 
     def _nack(self, seq: int, reason: NackReason) -> Frame:
         return Frame(Command.NACK, seq=seq, payload=bytes([reason]))
@@ -288,16 +291,13 @@ class DeviceEmulator:
     def _on_verify(self, frame: Frame) -> Frame:
         if self._staging is not None:
             blob, self._staging = bytes(self._staging), None
-            try:
-                model = PackedModel.from_bytes(blob)
-                # RESULT names the class in a u8; 256 logits take 1029 bytes,
-                # well inside the frame cap
-                if model.layers[-1].c_out > 256:
-                    raise CapacityError(f"{model.layers[-1].c_out} classes do not "
-                                        "fit a RESULT frame")
-                self.machine.load_model(model)
-            except AccelError:
-                return self._nack(frame.seq, NackReason.LOAD_ERROR)
+            model = PackedModel.from_bytes(blob)
+            # RESULT names the class in a u8; 256 logits take 1029 bytes,
+            # well inside the frame cap
+            if model.layers[-1].c_out > 256:
+                raise CapacityError(f"{model.layers[-1].c_out} classes do not "
+                                    "fit a RESULT frame")
+            self.machine.load_model(model)
         if self.machine.model is None:
             return self._nack(frame.seq, NackReason.NO_MODEL)
         digest = machine_digest(self.machine)
@@ -329,10 +329,7 @@ class DeviceEmulator:
             return self._nack(frame.seq, NackReason.BUSY)
         if self.machine.model is None:
             return self._nack(frame.seq, NackReason.NO_MODEL)
-        try:
-            logits, cycles, _ = self.machine.run_inference()
-        except AccelError:
-            return self._nack(frame.seq, NackReason.LOAD_ERROR)
+        logits, cycles, _ = self.machine.run_inference()
         self.last_result = (logits, cycles)
         return self._result_frame(frame.seq)
 
@@ -348,17 +345,22 @@ class DeviceEmulator:
                               cycles & 0xFFFFFFFF, logits.predicted_class)
         return Frame(Command.RESULT, seq=seq, payload=payload)
 
+    _HANDLERS = {Command.LOAD_WEIGHTS: _on_load_weights,
+                 Command.VERIFY_MEM: _on_verify, Command.LOAD_INPUT: _on_load_input,
+                 Command.RUN_INFERENCE: _on_run, Command.READ_RESULT: _on_read_result}
+
     # -- serving ------------------------------------------------------------
 
     def serve(self, transport: Transport):
         """Run the single-session command loop until the stream closes.
 
-        Malformed traffic never crashes the loop: bad frames are NACKed and
-        the decoder resynchronizes on the next SOF, and a request whose
-        handler raises an `AccelError` (a model, input or result the machine
-        cannot take) is NACKed with LOAD_ERROR.  Any other exception is a bug
-        in the twin, not bad traffic, so it is not caught: it ends the loop,
-        the transport is closed, and the error surfaces with its traceback.
+        Malformed traffic never crashes the loop.  An unreadable frame gets
+        a seq-0 NACK, BAD_CRC or BAD_LENGTH, and the decoder resynchronizes
+        on the next SOF; a readable one gets `handle_frame`'s reply on its
+        own seq, UNKNOWN_CMD if its command byte names no request.  An error
+        that escapes `handle_frame` is a bug in the twin, not bad traffic: it
+        ends the loop, the transport is closed, and it surfaces with its
+        traceback.
         """
         decoder = FrameDecoder()
         try:
@@ -371,19 +373,13 @@ class DeviceEmulator:
                     try:
                         frame = decoder.next_frame()
                     except CrcError:
-                        transport.send(encode_frame(
-                            self._nack(0, NackReason.BAD_CRC)))
-                        continue
+                        reply = self._nack(0, NackReason.BAD_CRC)
                     except FramingError:
-                        transport.send(encode_frame(
-                            self._nack(0, NackReason.BAD_LENGTH)))
-                        continue
-                    if frame is None:
-                        break
-                    try:
+                        reply = self._nack(0, NackReason.BAD_LENGTH)
+                    else:
+                        if frame is None:
+                            break
                         reply = self.handle_frame(frame)
-                    except AccelError:
-                        reply = self._nack(frame.seq, NackReason.LOAD_ERROR)
                     transport.send(encode_frame(reply))
         except TransportError:
             pass

@@ -408,7 +408,8 @@ def random_model(net: NetworkSpec, rng: np.random.Generator) -> PackedModel:
         mult = int(rng.integers(1 << 30, 1 << 31))
         # random-walk accumulator sigma ~ sqrt(n) * sigma_w * sigma_x
         sigma = math.sqrt(n) * (RANDOM_WEIGHT_RANGE / math.sqrt(3)) * 74.0
-        shift = min(max(31 + round(math.log2(max(sigma, 1.0) / 64.0)), 1), 62)
+        shift = min(max(31 + round(math.log2(max(sigma, 1.0) / 64.0)), 1),
+                    MAX_REQUANT_SHIFT)
         if spec.activation == Activation.SIGNED_BYPASS:
             shift = max(shift - 4, 1)  # keep logits spread out
         specs.append(replace(spec, requant_multiplier=mult, requant_shift=shift))

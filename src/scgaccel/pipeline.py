@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import (DIA_FREQ_HZS, LabeledWindowSet, SAMPLE_RATE_HZ,
-                      SYS_FREQ_HZ, softmax)
+from .metrics import (DIA_FREQ_HZS, NUM_CLASSES, LabeledWindowSet,
+                      SAMPLE_RATE_HZ, SYS_FREQ_HZ, softmax)
 from .modeltools import (FloatLayerParams, FloatModel, PackedModel,
                          calibrate_activation_scales, float_forward,
                          quantize_model)
@@ -38,10 +38,11 @@ def quantize_windows(windows: np.ndarray) -> list[QuantTensor]:
 def golden_predict(model: PackedModel, windows: np.ndarray,
                    logit_scale: float = 1.0):
     """Golden-model logits, probabilities, and classes for raw float windows."""
-    net = model.to_network_spec(input_length=windows.shape[1])
+    xs = quantize_windows(windows)     # checks the [N, L] shape first
+    net = model.to_network_spec(input_length=np.shape(windows)[1])
     ws = model.to_weight_set()
-    logits = np.zeros((len(windows), net.num_classes), dtype=np.int64)
-    for i, x in enumerate(quantize_windows(windows)):
+    logits = np.zeros((len(xs), net.num_classes), dtype=np.int64)
+    for i, x in enumerate(xs):
         out, _ = infer_window(net, ws, x)
         logits[i] = out.values
     probs = softmax(logits, scale=logit_scale)
@@ -100,7 +101,8 @@ def build_reference_model(calib: LabeledWindowSet, seed: int = 7):
     feats = np.zeros((len(calib), net.layers[-1].c_in))
     for i, window in enumerate(calib.windows):
         feats[i] = float_forward(fm, zscore(window))[-2][:, 0]
-    mus = np.stack([feats[calib.labels == c].mean(axis=0) for c in range(3)])
+    mus = np.stack([feats[calib.labels == c].mean(axis=0)
+                    for c in range(NUM_CLASSES)])
     # argmax of f.mu_c - |mu_c|^2/2 is unchanged by subtracting the common f.mu_bar
     head_w = mus - mus.mean(axis=0)
     head_b = -0.5 * (mus ** 2).sum(axis=1)

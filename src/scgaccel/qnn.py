@@ -62,6 +62,19 @@ class Activation(IntEnum):
     SIGNED_BYPASS = 1
 
 
+def _as_int_array(values, dtype, what: str) -> np.ndarray:
+    """`values` as a `dtype` array.  A value outside the dtype's range raises
+    ShapeError, where numpy would wrap it or raise OverflowError; an input
+    already of `dtype` is taken as it is, so the hot paths pay nothing."""
+    a = np.asarray(values)
+    if a.dtype == dtype:
+        return a
+    info = np.iinfo(dtype)
+    if a.size and not (info.min <= a.min() and a.max() <= info.max):
+        raise ShapeError(f"{what} must be in [{info.min}, {info.max}]")
+    return a.astype(dtype)
+
+
 @dataclass
 class QuantTensor:
     """Channel-major 8-bit activation map with quantization metadata."""
@@ -70,7 +83,7 @@ class QuantTensor:
     zero_point: int = 0
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint8)
+        self.data = _as_int_array(self.data, np.uint8, "activations")
         if self.data.ndim != 2:
             raise ShapeError(f"expected [channels][length], got shape {self.data.shape}")
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
@@ -200,8 +213,8 @@ class LayerWeights:
     biases: np.ndarray   # int32, [c_out]
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.int8)
-        self.biases = np.asarray(self.biases, dtype=np.int32)
+        self.weights = _as_int_array(self.weights, np.int8, "weights")
+        self.biases = _as_int_array(self.biases, np.int32, "biases")
         if self.weights.ndim != 3:
             raise ShapeError("weights must be [c_out][c_in][K]")
         if self.biases.shape != (self.weights.shape[0],):
@@ -227,7 +240,7 @@ class Logits:
     values: np.ndarray  # int32, one per class
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.int32)
+        self.values = _as_int_array(self.values, np.int32, "logits")
 
     @property
     def predicted_class(self) -> int:

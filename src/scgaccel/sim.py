@@ -486,7 +486,7 @@ class SimMachine:
 
     def read_layer_activation(self, layer: int) -> QuantTensor:
         """Unpack a completed ReLU layer's output image into a QuantTensor."""
-        if self.model is None or layer >= len(self._layer_results) \
+        if self.model is None or not 0 <= layer < len(self._layer_results) \
                 or self._layer_results[layer] is None:
             raise StateError(f"layer {layer} has not been executed")
         res = self._layer_results[layer]

@@ -127,7 +127,12 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
             (["trace", "--model", model_file, *u8, "--cycles", "5",
               "--zero-point", "-1"], "zero point must be in [0, 255]"),
             (["run", "--connect", closed, *u8, "--zero-point", "256"],
-             "zero point must be in [0, 255]")]:
+             "zero point must be in [0, 255]"),
+            (["infer", "--model", model_file, "--input", window_file,
+              "--zero-point", "128"], "--zero-point applies to u8 windows only"),
+            (["run", "--connect", closed, "--input", window_file,
+              "--format", "f32", "--zero-point", "0"],
+             "--zero-point applies to u8 windows only")]:
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err
 

@@ -127,6 +127,14 @@ def test_decoder_streams_partial_frames():
     assert frame is not None and frame.payload == b"\x01" * 100
 
 
+def test_decoder_returns_a_readable_frame_whatever_its_command_byte():
+    # known bytes come back as Command members, any other as a plain int
+    for byte in range(256):
+        frame = decode_frame(encode_frame(Frame(byte, seq=9, payload=b"x")))
+        assert (frame.command, frame.seq, frame.payload) == (byte, 9, b"x")
+        assert isinstance(frame.command, Command) == (byte in set(Command))
+
+
 def test_decoder_rejects_oversized_declared_length():
     body = struct.pack("<BBH", int(Command.ACK), 0, 5000)
     decoder = FrameDecoder()
@@ -642,6 +650,36 @@ def test_seq0_nacks_after_a_retransmit_are_dropped_as_stale():
     assert transport.sends == 2
 
 
+class _UnknownKindFirstTransport(Transport):
+    """A peer that answers each request at once with a CRC-valid frame of an
+    unknown command on its seq, then an ACK on its seq; it counts sends."""
+
+    def __init__(self):
+        self.sends = 0
+        self.pending = b""
+
+    def send(self, data: bytes):
+        self.sends += 1
+        seq = decode_frame(data).seq
+        self.pending += (encode_frame(Frame(0x06, seq=seq))
+                         + encode_frame(Frame(Command.ACK, seq=seq)))
+
+    def recv(self, timeout=None):
+        data, self.pending = self.pending, b""
+        return data
+
+    def close(self):
+        pass
+
+
+def test_a_readable_reply_of_an_unknown_kind_is_dropped_not_retransmitted():
+    transport = _UnknownKindFirstTransport()
+    client = HostClient(transport, timeout=0.2)
+    reply = client.request(Frame(Command.LOAD_INPUT, seq=1, payload=b"\x80\x00"))
+    assert (reply.command, reply.seq) == (Command.ACK, 1)
+    assert transport.sends == 1
+
+
 def test_a_nack_reason_outside_the_protocol_is_a_protocol_error():
     client = HostClient(_ScriptedTransport({
         Command.READ_RESULT: (Command.NACK, b"\xEE")}), timeout=0.2)
@@ -747,17 +785,56 @@ def test_fuzz_10k_frames_never_crashes_service(rng):
 
 
 def test_fuzz_random_frames_direct(rng):
-    """10^4 syntactically random frames through the dispatch path."""
+    """10^4 syntactically random frames, of every command byte, through the
+    dispatch path: each gets one reply on its own seq."""
     device = DeviceEmulator()
     fuzz = np.random.default_rng(99)
-    commands = list(Command)
     for _ in range(10_000):
-        cmd = commands[int(fuzz.integers(0, len(commands)))]
+        cmd = int(fuzz.integers(0, 256))
+        seq = int(fuzz.integers(0, 256))
         payload = fuzz.integers(0, 256, size=int(fuzz.integers(0, 64)),
                                 dtype=np.uint8).tobytes()
-        reply = device.handle_frame(Frame(cmd, seq=int(fuzz.integers(0, 256)),
-                                          payload=payload))
+        reply = device.handle_frame(Frame(cmd, seq=seq, payload=payload))
         assert reply.command in (Command.ACK, Command.NACK, Command.RESULT)
+        assert reply.seq == seq
+
+
+def test_handle_frame_answers_every_command_byte_on_its_seq(rng):
+    # a machine whose RESULT cannot be framed, loaded without the VERIFY
+    # check, so RUN_INFERENCE and READ_RESULT raise in their handlers
+    model = _wide_head_model(1023)
+    device = DeviceEmulator()
+    device.machine.load_model(model)
+    device.machine.load_input(random_input(rng, model.to_network_spec(8)))
+    # no transfer is open and no request carries a payload; the bytes go in
+    # order, so READ_RESULT follows the RUN that set its result
+    expected = {Command.LOAD_WEIGHTS: NackReason.BAD_SEQ,
+                Command.VERIFY_MEM: Command.ACK,
+                Command.LOAD_INPUT: NackReason.BAD_LENGTH,
+                Command.RUN_INFERENCE: NackReason.LOAD_ERROR,
+                Command.READ_RESULT: NackReason.LOAD_ERROR}
+    for byte in range(256):
+        seq = (byte * 37 + 1) % 256
+        reply = device.handle_frame(Frame(byte, seq=seq))
+        want = expected.get(byte, NackReason.UNKNOWN_CMD)
+        assert reply.seq == seq, byte
+        if isinstance(want, NackReason):
+            assert (reply.command, reply.payload) == (Command.NACK, bytes([want]))
+        else:
+            assert reply.command == want
+
+
+def test_serve_nacks_an_unknown_command_on_its_own_seq():
+    host_end, thread = serve_in_thread(DeviceEmulator())
+    try:
+        host_end.send(encode_frame(Frame(0x06, seq=9)))
+        reply = decode_frame(host_end.recv(timeout=5.0))
+    finally:
+        host_end.close()
+    assert (reply.command, reply.seq, reply.payload) \
+        == (Command.NACK, 9, bytes([NackReason.UNKNOWN_CMD]))
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 def test_mid_load_teardown_leaves_device_idle(rng):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import einsum_conv
 from scgaccel.errors import AccumulatorOverflow, ConfigError, ShapeError
 from scgaccel.metrics import synth_windows
-from scgaccel.pipeline import quantize_windows
+from scgaccel.modeltools import random_model
+from scgaccel.pipeline import golden_predict, quantize_windows
 from scgaccel.qnn import (GAP_LENGTH, GAP_SHIFT, INPUT_SCALE,
                           INPUT_ZERO_POINT, INT32_MAX, INT32_MIN, Activation,
                           LayerKind, LayerSpec, Logits, NetworkSpec,
@@ -441,6 +442,12 @@ def test_quantize_windows_names_the_first_non_finite_window():
             quantize_windows(bad)
 
 
+def test_golden_predict_refuses_a_single_1d_window():
+    model = random_model(NetworkSpec.default(), np.random.default_rng(3))
+    with pytest.raises(ShapeError, match=r"\[n\]\[length\]"):
+        golden_predict(model, np.zeros(512))
+
+
 def test_argmax_tie_prefers_lowest_index():
     assert Logits(np.array([5, 5, 5])).predicted_class == 0
     assert Logits(np.array([-1, 7, 7])).predicted_class == 1
@@ -528,6 +535,24 @@ def test_quant_tensor_validation():
         QuantTensor(np.zeros(8, dtype=np.uint8))
     with pytest.raises(ShapeError):
         QuantTensor(np.zeros((1, 8), dtype=np.uint8), zero_point=300)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuantTensor(np.array([[300, -1]])), r"activations must be in \[0, 255\]"),
+    (lambda: QuantTensor([[300, -1]]), r"activations must be in \[0, 255\]"),
+    (lambda: LayerWeights(np.array([[[200]]]), np.array([0])),
+     r"weights must be in \[-128, 127\]"),
+    (lambda: LayerWeights(np.array([[[1]]]), np.array([2**31])),
+     r"biases must be in \[-2147483648, 2147483647\]"),
+    (lambda: LayerWeights([[[-129]]], [0]), r"weights must be in"),
+    (lambda: LayerWeights([[[1]]], [-2**31 - 1]), r"biases must be in"),
+    (lambda: Logits(np.array([2**31, 5])), r"logits must be in"),
+], ids=["u8-array", "u8-list", "i8-array", "i32-array", "i8-list", "i32-list",
+        "logits"])
+def test_wrappers_refuse_values_outside_their_dtype(make, message):
+    # numpy would wrap an array (300 -> 44) and raise OverflowError on a list
+    with pytest.raises(ShapeError, match=message):
+        make()
 
 
 def test_weight_set_check_against():

@@ -506,6 +506,18 @@ def test_read_layer_activation_errors(default_pair):
         machine.read_layer_activation(9)
 
 
+@pytest.mark.parametrize("layer", [-1, -2, -9])
+def test_read_layer_activation_refuses_a_negative_index(default_pair, layer):
+    # -2 would name layer 3 of the 5 by Python indexing, and -9 none at all
+    _, model, x = default_pair
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(x)
+    machine.run_inference()
+    with pytest.raises(StateError, match=f"layer {layer} "):
+        machine.read_layer_activation(layer)
+
+
 def test_run_requires_model_and_input():
     machine = SimMachine()
     with pytest.raises(StateError):
