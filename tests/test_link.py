@@ -785,15 +785,18 @@ def test_fuzz_10k_frames_never_crashes_service(rng):
 
 
 def test_fuzz_random_frames_direct(rng):
-    """10^4 syntactically random frames, of every command byte, through the
-    dispatch path: each gets one reply on its own seq."""
+    """10^4 syntactically random frames of known commands, then 10^4 of any
+    command byte 0..255, through the dispatch path: each gets one reply on
+    its own seq."""
     device = DeviceEmulator()
     fuzz = np.random.default_rng(99)
-    for _ in range(10_000):
-        cmd = int(fuzz.integers(0, 256))
-        seq = int(fuzz.integers(0, 256))
+    commands = list(Command)
+    for i in range(20_000):
+        cmd = (commands[int(fuzz.integers(0, len(commands)))] if i < 10_000
+               else int(fuzz.integers(0, 256)))
         payload = fuzz.integers(0, 256, size=int(fuzz.integers(0, 64)),
                                 dtype=np.uint8).tobytes()
+        seq = int(fuzz.integers(0, 256))
         reply = device.handle_frame(Frame(cmd, seq=seq, payload=payload))
         assert reply.command in (Command.ACK, Command.NACK, Command.RESULT)
         assert reply.seq == seq
