@@ -37,6 +37,14 @@ from .sim import SimMachine
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """The argparse type of a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 class UsageError(Exception):
     pass
 
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", parents=[window],
                        help="per-cycle simulator trace prefix")
     p.add_argument("--model", required=True)
-    p.add_argument("--cycles", type=int, required=True)
+    p.add_argument("--cycles", type=_count, required=True)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_trace)
 
@@ -491,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.15)
     p.add_argument("--out", required=True, help=".npz output")
@@ -508,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="equivalence sweep and published-number checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweeps", type=int, default=12)
+    p.add_argument("--sweeps", type=_count, default=12)
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -11,6 +11,8 @@ payload is the host's SHA-256 digest of the canonical model bytes.  The
 device answers with its own readback digest so either side can detect
 corruption.  A RESULT payload is one i32 per class, then the u32 cycle count
 and the u8 predicted class; the host derives the class count from its length.
+READ_RESULT answers with the last RUN on the current model and input, and
+with NO_RESULT otherwise: after a new model or input, or a failed RUN.
 
 Replies are matched to requests by seq, which the device echoes.  The chunks
 of a transfer are numbered 0, 1, 2, ...; every other request takes the seq
@@ -251,9 +253,7 @@ class DeviceEmulator:
 
     def __init__(self, machine: SimMachine | None = None):
         self.machine = machine or SimMachine()
-        self.last_result: tuple[Logits, int] | None = None
-        self._staging: bytearray | None = None   # set while a transfer is open
-        self._expected_seq = 0
+        self._staging: list[bytes] | None = None   # the chunks of an open transfer
 
     # -- request handling ---------------------------------------------------
 
@@ -276,21 +276,19 @@ class DeviceEmulator:
     def _on_load_weights(self, frame: Frame) -> Frame:
         if frame.seq == 0:
             # new transfer resets staging regardless of prior state
-            self._staging = bytearray()
-            self._expected_seq = 0
+            self._staging = []
         if self._staging is None:
             return self._nack(frame.seq, NackReason.BAD_SEQ)
-        if frame.seq == (self._expected_seq - 1) % 256:
-            return Frame(Command.ACK, seq=frame.seq)   # duplicate after lost ACK
-        if frame.seq != self._expected_seq:
+        expected = len(self._staging) % 256
+        if frame.seq == expected:
+            self._staging.append(frame.payload)
+        elif frame.seq != (expected - 1) % 256:   # else a duplicate after a lost ACK
             return self._nack(frame.seq, NackReason.BAD_SEQ)
-        self._staging += frame.payload
-        self._expected_seq = (self._expected_seq + 1) % 256
         return Frame(Command.ACK, seq=frame.seq)
 
     def _on_verify(self, frame: Frame) -> Frame:
         if self._staging is not None:
-            blob, self._staging = bytes(self._staging), None
+            blob, self._staging = b"".join(self._staging), None
             model = PackedModel.from_bytes(blob)
             # RESULT names the class in a u8; 256 logits take 1029 bytes,
             # well inside the frame cap
@@ -310,16 +308,13 @@ class DeviceEmulator:
             return self._nack(frame.seq, NackReason.BUSY)
         if self.machine.model is None:
             return self._nack(frame.seq, NackReason.NO_MODEL)
-        if len(frame.payload) < 2:
-            return self._nack(frame.seq, NackReason.BAD_LENGTH)
-        zero_point = frame.payload[0]
-        samples = np.frombuffer(frame.payload, dtype=np.uint8, offset=1)
+        samples = np.frombuffer(frame.payload, dtype=np.uint8)[1:]
         c_in = self.machine.model.layers[0].c_in
-        if samples.size % c_in != 0:
+        if samples.size == 0 or samples.size % c_in != 0:
             return self._nack(frame.seq, NackReason.BAD_LENGTH)
         try:
             self.machine.load_input(QuantTensor(
-                samples.reshape(c_in, -1), zero_point=zero_point))
+                samples.reshape(c_in, -1), zero_point=frame.payload[0]))
         except AccelError:
             return self._nack(frame.seq, NackReason.BAD_LENGTH)
         return Frame(Command.ACK, seq=frame.seq)
@@ -329,21 +324,19 @@ class DeviceEmulator:
             return self._nack(frame.seq, NackReason.BUSY)
         if self.machine.model is None:
             return self._nack(frame.seq, NackReason.NO_MODEL)
-        logits, cycles, _ = self.machine.run_inference()
-        self.last_result = (logits, cycles)
-        return self._result_frame(frame.seq)
+        self.machine.run_inference()
+        return self._on_read_result(frame)
 
     def _on_read_result(self, frame: Frame) -> Frame:
-        if self.last_result is None:
+        """RESULT of the machine's last run, if it ran to its logits."""
+        logits = self.machine.last_logits
+        if logits is None:
             return self._nack(frame.seq, NackReason.NO_RESULT)
-        return self._result_frame(frame.seq)
-
-    def _result_frame(self, seq: int) -> Frame:
-        logits, cycles = self.last_result
         payload = struct.pack(f"<{logits.values.size}iIB",
                               *(int(v) for v in logits.values),
-                              cycles & 0xFFFFFFFF, logits.predicted_class)
-        return Frame(Command.RESULT, seq=seq, payload=payload)
+                              self.machine.last_cycles & 0xFFFFFFFF,
+                              logits.predicted_class)
+        return Frame(Command.RESULT, seq=frame.seq, payload=payload)
 
     _HANDLERS = {Command.LOAD_WEIGHTS: _on_load_weights,
                  Command.VERIFY_MEM: _on_verify, Command.LOAD_INPUT: _on_load_input,
@@ -499,11 +492,9 @@ class HostClient:
 
     def load_model(self, model: PackedModel):
         blob = model.to_bytes()
-        seq = 0
-        for off in range(0, len(blob), CHUNK_SIZE):
-            self.request(Frame(Command.LOAD_WEIGHTS, seq=seq,
+        for chunk, off in enumerate(range(0, len(blob), CHUNK_SIZE)):
+            self.request(Frame(Command.LOAD_WEIGHTS, seq=chunk % 256,
                                payload=blob[off:off + CHUNK_SIZE]))
-            seq = (seq + 1) % 256
         self.verify(model)
 
     def verify(self, model: PackedModel):

@@ -22,10 +22,12 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   its high byte without a second read.  Each layer's cycle split is counted
   from the events it emits.
 
-Both paths share one run set-up and one layer walk, which hands each layer
-its index, spec, input length, input zero point (the input's, then 0 for the
-ReLU outputs) and weight base.  ``modeltools`` defines the weight layout
-and the word packing of every plane and image.
+Both paths share one run set-up and layer walk, and record into one last
+run: an entry per completed layer (spec, output length, image, cycle split),
+the logits and the micro stepper.  ``load_model`` drops the input record and
+the last run; ``load_input`` and each new run drop the last run, and every
+readback reads that run alone.  ``modeltools`` defines the weight layout and
+the word packing of every plane and image.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past
@@ -38,6 +40,7 @@ results are never stored.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -199,11 +202,20 @@ class CycleEvent:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _LayerResult:
-    """Recorded per-layer output image for debug readback."""
+class _LayerEntry:
+    """One layer the run completed: its output image and its cycle split."""
     spec: LayerSpec
     w_out: int
     words: np.ndarray     # empty for the signed logit layer
+    cycles: LayerCycles
+
+
+@dataclass
+class _Run:
+    """The last run: its completed layers in order, logits and micro stepper."""
+    layers: list[_LayerEntry] = field(default_factory=list)
+    logits: Logits | None = None
+    stepper: Iterator[CycleEvent] | None = None
 
 
 class SimMachine:
@@ -213,14 +225,8 @@ class SimMachine:
         self.cycle_counter = 0
         self.trace_sink = trace_sink
         self.model: PackedModel | None = None
-        self.input_len = 0
-        self.input_zero_point = 0
-        self._input_loaded = False
-        self._layer_results: list[_LayerResult | None] = []
-        self._logits: Logits | None = None
-        self._gen = None
-        self._run_cycles: list[LayerCycles] = []
-        self._mac_count = 0
+        self._input: tuple[int, int] | None = None    # (length, zero point)
+        self._run = _Run()
         self._split: dict[str, int] = {}
 
     # -- loading ------------------------------------------------------------
@@ -233,10 +239,8 @@ class SimMachine:
         self.mem.scale_regs = [(spec.requant_multiplier, spec.requant_shift)
                                for spec in model.layers]
         self.model = model
-        self._input_loaded = False
-        self._layer_results = [None] * len(model.layers)
-        self._logits = None
-        self._gen = None
+        self._input = None
+        self._clear_run()
 
     def load_input(self, x: QuantTensor):
         if self.model is None:
@@ -250,11 +254,8 @@ class SimMachine:
                              f"{self.mem.input_words.size}")
         self.mem.input_words[:] = 0
         self.mem.input_words[:img.size] = img
-        self.input_len = x.length
-        self.input_zero_point = x.zero_point
-        self._input_loaded = True
-        self._logits = None
-        self._gen = None
+        self._input = (x.length, x.zero_point)
+        self._clear_run()
 
     def _act_words(self, li: int) -> np.ndarray:
         """The buffer holding layer li's input plane."""
@@ -262,29 +263,30 @@ class SimMachine:
 
     # -- run set-up shared by both paths ------------------------------------
 
+    def _clear_run(self):
+        self._run = _Run()
+
     def _begin_run(self) -> list[tuple]:
-        """Reset the run state; returns the layer walk.
+        """Clear the last run; returns the layer walk.
 
         Each entry is (index, spec, input length, input zero point, weight
         base) in execution order: the input's zero point, then 0 (ReLU outputs).
         """
-        if self.model is None or not self._input_loaded:
+        if self.model is None or self._input is None:
             raise StateError("model and input must be loaded before running")
+        self._clear_run()
         self.mem.pingpong_toggle = 0
-        self._run_cycles = []
-        self._mac_count = 0
-        self._logits = None
+        length, zero_point = self._input
         layers = self.model.layers
-        lengths = self.model.to_network_spec(self.input_len).layer_input_lengths()
-        zero_points = [self.input_zero_point] + [0] * (len(layers) - 1)
+        lengths = self.model.to_network_spec(length).layer_input_lengths()
+        zero_points = [zero_point] + [0] * (len(layers) - 1)
         return list(zip(range(len(layers)), layers, lengths, zero_points,
                         self.model.layer_word_base))
 
-    def _finish_layer(self, li: int, spec, w_out: int, n_words: int, lc):
-        """Record the split, snapshot the n_words the layer wrote, swap buffers."""
-        self._run_cycles.append(lc)
-        self._layer_results[li] = _LayerResult(spec, w_out,
-                                               self.mem.write_buf[:n_words].copy())
+    def _finish_layer(self, spec, w_out: int, n_words: int, lc):
+        """Record the layer's entry with the n_words it wrote, swap buffers."""
+        self._run.layers.append(
+            _LayerEntry(spec, w_out, self.mem.write_buf[:n_words].copy(), lc))
         self.mem.toggle()
 
     # -- fast path -----------------------------------------------------------
@@ -294,10 +296,9 @@ class SimMachine:
 
         Returns (Logits, cycles_this_run, per-layer LayerCycles).
         """
-        start_cycle = self.cycle_counter
         for layer in self._begin_run():
             self._run_layer_fast(*layer)
-        return self._logits, self.cycle_counter - start_cycle, list(self._run_cycles)
+        return self._last_run()
 
     def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int):
         """One layer: qnn.layer_step on the plane held in simulated memory."""
@@ -315,9 +316,8 @@ class SimMachine:
         except AccumulatorOverflow as exc:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
                            f"{self.cycle_counter}") from exc
-        self._mac_count += PE_COUNT * lc.compute
         if spec.activation == Activation.SIGNED_BYPASS:
-            self._logits = Logits(out[:, 0])
+            self._run.logits = Logits(out[:, 0])
             n_words = 0
         else:
             img = pack_weight_bytes(out)
@@ -327,21 +327,22 @@ class SimMachine:
                                   "overflows the ping-pong buffer")
             mem.write_buf[:n_words] = img
         self.cycle_counter += lc.total
-        self._finish_layer(li, spec, out.shape[1], n_words, lc)
+        self._finish_layer(spec, out.shape[1], n_words, lc)
 
     # -- micro (per-cycle) path ---------------------------------------------
 
     def start(self):
         """Arm the per-cycle stepper; each step() then advances one clock."""
-        self._gen = self._micro_run(self._begin_run())
+        layers = self._begin_run()
+        self._run.stepper = self._micro_run(layers)
 
     def step(self) -> CycleEvent:
-        if self._gen is None:
+        stepper = self._run.stepper
+        if stepper is None:
             raise StateError("machine is idle; call start() first")
         try:
-            event = next(self._gen)
+            event = next(stepper)
         except StopIteration:
-            self._gen = None
             raise StateError("run already complete")
         if self.trace_sink is not None:
             self.trace_sink(event)
@@ -350,21 +351,22 @@ class SimMachine:
     def run_micro(self):
         """Drain the per-cycle stepper; same results as run_inference."""
         self.start()
-        start_cycle = self.cycle_counter
         while True:
             try:
                 self.step()
             except StateError:
                 break
-        return self._logits, self.cycle_counter - start_cycle, list(self._run_cycles)
+        return self._last_run()
+
+    def _last_run(self):
+        """(Logits, cycles, per-layer LayerCycles) of the last run."""
+        return self.last_logits, self.last_cycles, [e.cycles for e in self._run.layers]
 
     def _emit(self, state: str, **kw) -> CycleEvent:
         """One clock: the event it traces, counted into the layer's split."""
         self.cycle_counter += 1
         self._split[state] += 1
-        event = CycleEvent(cycle=self.cycle_counter, state=state, **kw)
-        self._mac_count += event.macs
-        return event
+        return CycleEvent(cycle=self.cycle_counter, state=state, **kw)
 
     def _micro_run(self, layers):
         for layer in layers:
@@ -457,12 +459,12 @@ class SimMachine:
             packer.flush()   # a no-op for the head, which pushes nothing
 
         if signed:
-            self._logits = Logits(logits)
+            self._run.logits = Logits(logits)
         split = self._split
         lc = LayerCycles(**split, n_batches=n_batches,
                          n_outputs=split["requant"] // REQUANT_CYCLES_TABLE,
                          array_eff=array_efficiency(k))
-        self._finish_layer(li, spec, spec.out_length(w_in), packer.word_addr, lc)
+        self._finish_layer(spec, spec.out_length(w_in), packer.word_addr, lc)
 
     def _micro_requant(self, li, o, b, acc, multiplier, shift, spec):
         """Six requant cycles: four multiplier stages, each adding one partial
@@ -485,22 +487,28 @@ class SimMachine:
     # -- readback ------------------------------------------------------------
 
     def read_layer_activation(self, layer: int) -> QuantTensor:
-        """Unpack a completed ReLU layer's output image into a QuantTensor."""
-        if self.model is None or not 0 <= layer < len(self._layer_results) \
-                or self._layer_results[layer] is None:
+        """Unpack the output image of a ReLU layer the last run completed."""
+        if not 0 <= layer < len(self._run.layers):
             raise StateError(f"layer {layer} has not been executed")
-        res = self._layer_results[layer]
-        if res.spec.activation == Activation.SIGNED_BYPASS:
+        e = self._run.layers[layer]
+        if e.spec.activation == Activation.SIGNED_BYPASS:
             raise StateError("signed logit layers have no activation tensor")
-        return QuantTensor(unpack_weight_bytes(res.words, res.w_out, res.spec.c_out))
+        return QuantTensor(unpack_weight_bytes(e.words, e.w_out, e.spec.c_out))
 
     @property
     def last_logits(self) -> Logits | None:
-        return self._logits
+        """The last run's logits; None until its head layer has run."""
+        return self._run.logits
+
+    @property
+    def last_cycles(self) -> int:
+        """Cycles of the layers the last run completed."""
+        return sum(entry.cycles.total for entry in self._run.layers)
 
     @property
     def mac_count(self) -> int:
-        return self._mac_count
+        """MACs of the layers the last run completed: six per compute cycle."""
+        return PE_COUNT * sum(entry.cycles.compute for entry in self._run.layers)
 
     def export_model(self) -> PackedModel:
         """Reconstruct a PackedModel from live machine memory (for verification)."""

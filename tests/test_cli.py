@@ -132,7 +132,13 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
               "--zero-point", "128"], "--zero-point applies to u8 windows only"),
             (["run", "--connect", closed, "--input", window_file,
               "--format", "f32", "--zero-point", "0"],
-             "--zero-point applies to u8 windows only")]:
+             "--zero-point applies to u8 windows only"),
+            (["selftest", "--sweeps", "-3"],
+             "argument --sweeps: must be >= 1, got -3"),
+            (["trace", "--model", model_file, *u8, "--cycles", "0"],
+             "argument --cycles: must be >= 1, got 0"),
+            (["synth", "--n", "0", "--out", str(tmp_path / "none.npz")],
+             "argument --n: must be >= 1, got 0")]:
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err
 

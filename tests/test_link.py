@@ -262,6 +262,50 @@ def test_read_result_replays_last_inference(rng):
     assert again.payload == run.payload
 
 
+def _window_payload(rng, length: int) -> bytes:
+    x = random_input(rng, NetworkSpec.default(l3_width=16))
+    return bytes([x.zero_point]) + x.data[:, :length].tobytes()
+
+
+def test_read_result_answers_only_for_the_current_model_and_input(rng):
+    device = DeviceEmulator()
+
+    def request(command, payload=b""):
+        return device.handle_frame(Frame(command, payload=payload))
+
+    def assert_no_result():
+        reply = request(Command.READ_RESULT)
+        assert (reply.command, reply.payload) \
+            == (Command.NACK, bytes([NackReason.NO_RESULT]))
+
+    def verify_new_model():
+        seq = _load_via_frames(device, _small_model(rng))
+        assert device.handle_frame(Frame(Command.VERIFY_MEM, seq=seq)).command \
+            == Command.ACK
+
+    def run_window(length: int):
+        assert request(Command.LOAD_INPUT, _window_payload(rng, length)).command \
+            == Command.ACK
+        return request(Command.RUN_INFERENCE)
+
+    verify_new_model()
+    assert run_window(512).command == Command.RESULT
+    # a new input: the RESULT was of the window before it
+    assert request(Command.LOAD_INPUT, _window_payload(rng, 512)).command \
+        == Command.ACK
+    assert_no_result()
+    # a RUN that fails: 256 samples leave the GAP layer 32 of its 64
+    assert run_window(256).payload == bytes([NackReason.LOAD_ERROR])
+    assert_no_result()
+    # a newly verified model, which also drops the input
+    result = run_window(512)
+    assert request(Command.READ_RESULT).payload == result.payload
+    verify_new_model()
+    assert_no_result()
+    assert request(Command.RUN_INFERENCE).payload == bytes([NackReason.LOAD_ERROR])
+    assert_no_result()
+
+
 # ---------------------------------------------------------------------------
 # End-to-end sessions
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 rule)
 
 from conftest import random_input, random_small_net, shift_edge_model, wide_image_net
 from scgaccel.cyclemodel import PE_COUNT, layer_cycles, network_report
@@ -492,6 +496,42 @@ def test_step_requires_start(default_pair):
         machine.step()
 
 
+def test_step_after_another_run_is_refused(default_pair):
+    # run_inference drops the micro run it overtakes; it cannot be resumed
+    _, model, x = default_pair
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(x)
+    machine.start()
+    for _ in range(5):
+        machine.step()
+    machine.run_inference()
+    with pytest.raises(StateError, match="idle"):
+        machine.step()
+
+
+@pytest.mark.parametrize("run", [SimMachine.run_inference, SimMachine.run_micro],
+                         ids=["fast", "micro"])
+def test_a_faulted_run_reports_only_the_layers_it_completed(rng, run):
+    # a half-length window leaves the GAP layer (2) 32 of its 64 samples
+    net = every_kind_net()
+    model = random_model(net, rng)
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(random_input(rng, net))
+    run(machine)
+    assert machine.read_layer_activation(2).length == 1
+    machine.load_input(random_input(rng, replace(net, input_length=GAP_LENGTH)))
+    with pytest.raises(ConfigError):
+        run(machine)
+    assert machine.last_logits is None
+    assert machine.read_layer_activation(0).length == GAP_LENGTH // 2
+    assert machine.read_layer_activation(1).length == GAP_LENGTH // 2
+    for layer in (2, 3):
+        with pytest.raises(StateError, match="has not been executed"):
+            machine.read_layer_activation(layer)
+
+
 def test_read_layer_activation_errors(default_pair):
     _, model, x = default_pair
     machine = SimMachine()
@@ -522,3 +562,124 @@ def test_run_requires_model_and_input():
     machine = SimMachine()
     with pytest.raises(StateError):
         machine.run_inference()
+
+
+# ---------------------------------------------------------------------------
+# Run state: what the machine reports after any sequence of calls
+# ---------------------------------------------------------------------------
+
+class RunStates(RuleBasedStateMachine):
+    """SimMachine against a model of its last run on small random nets.
+
+    The model holds the current net and model, the golden logits and
+    snapshots of the current input (None before one is loaded), how many
+    layers the current run completed, and whether start() began it and its
+    stepper has not yet ended.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.machine = SimMachine()
+
+    def _drop_run(self):
+        self.layers_done, self.stepping = 0, False
+
+    @initialize(seed=st.integers(0, 2**32 - 1))
+    def load_model_and_input(self, seed):
+        self.load_model(seed)
+        self.load_input(seed)
+
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def load_model(self, seed):
+        rng = np.random.default_rng(seed)
+        self.net = random_small_net(rng, max_channels=3, max_length=16)
+        self.model = random_model(self.net, rng)
+        # the clock each layer's last cycle falls on, counted from the start
+        report = network_report(self.net)
+        self.layer_ends = np.cumsum([lc.total for lc in report.layers])
+        self.machine.load_model(self.model)
+        self.golden = None
+        self._drop_run()
+
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def load_input(self, seed):
+        x = random_input(np.random.default_rng(seed), self.net)
+        self.machine.load_input(x)
+        self.golden = infer_window(self.model.to_network_spec(self.net.input_length),
+                                   self.model.to_weight_set(), x)
+        self._drop_run()
+
+    @rule()
+    def run_inference(self):
+        self._run(self.machine.run_inference)
+
+    @rule()
+    def run_micro(self):
+        self._run(self.machine.run_micro)
+
+    def _run(self, run):
+        if self.golden is None:
+            with pytest.raises(StateError):
+                run()
+            return
+        logits, cycles, split = run()
+        assert logits is self.machine.last_logits
+        assert cycles == self.machine.last_cycles == self.layer_ends[-1]
+        assert len(split) == len(self.net.layers)
+        self._drop_run()
+        self.layers_done = len(self.net.layers)
+
+    @rule()
+    def start(self):
+        if self.golden is None:
+            with pytest.raises(StateError):
+                self.machine.start()
+            return
+        self.machine.start()
+        self._drop_run()
+        self.stepping, self.steps = True, 0
+
+    @rule(k=st.integers(1, 400))
+    def step(self, k):
+        for _ in range(k):
+            if not self.stepping or self.steps == self.layer_ends[-1]:
+                with pytest.raises(StateError):
+                    self.machine.step()
+                if self.stepping:     # the step that ends the run
+                    self.stepping, self.layers_done = False, len(self.net.layers)
+                continue
+            event = self.machine.step()
+            self.steps += 1
+            # a layer is recorded when the clock after its last one is taken
+            self.layers_done = int(np.sum(self.layer_ends < self.steps))
+            assert event.layer == self.layers_done
+
+    @invariant()
+    def logits_only_for_a_completed_run(self):
+        if self.layers_done == len(self.net.layers):
+            assert np.array_equal(self.machine.last_logits.values,
+                                  self.golden[0].values)
+        else:
+            assert self.machine.last_logits is None
+
+    @invariant()
+    def activations_only_for_completed_layers(self):
+        n = len(self.net.layers)
+        for layer in range(-1, n + 1):
+            # the head's logits are no activation
+            if 0 <= layer < min(self.layers_done, n - 1):
+                got = self.machine.read_layer_activation(layer)
+                assert np.array_equal(got.data, self.golden[1][layer].data)
+            else:
+                with pytest.raises(StateError):
+                    self.machine.read_layer_activation(layer)
+
+    @invariant()
+    def macs_of_completed_layers(self):
+        done = network_report(self.net).layers[:self.layers_done]
+        assert self.machine.mac_count == PE_COUNT * sum(lc.compute for lc in done)
+
+
+RunStates.TestCase.settings = settings(max_examples=40, stateful_step_count=25,
+                                       deadline=None)
+test_run_states = RunStates.TestCase
