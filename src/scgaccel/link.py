@@ -4,13 +4,17 @@ The wire format is a minimal stop-and-wait protocol over a byte stream:
 
     SOF (0xA5) | command u8 | seq u8 | length u16 LE | payload | crc8
 
-with CRC-8 (poly 0x07, init 0x00) computed over command..payload.  Payloads
-are capped at 4 KB; model images are chunked into LOAD_WEIGHTS frames with
-consecutive sequence numbers and the transfer is sealed by VERIFY_MEM, whose
-payload is the host's SHA-256 digest of the canonical model bytes.  The
-device answers with its own readback digest so either side can detect
-corruption.  A RESULT payload is one i32 per class, then the u32 cycle count
-and the u8 predicted class; the host derives the class count from its length.
+with CRC-8 (poly 0x07, init 0x00) computed over command..payload: by one
+table look-up per byte for a body under 128 bytes, and for a longer one by
+one masked XOR-reduce over all its byte positions at once (`crc8`).  Command
+and seq are single bytes, and a Frame outside that range is refused.
+Payloads are capped at 4 KB; model images are chunked into LOAD_WEIGHTS
+frames with consecutive sequence numbers and the transfer is sealed by
+VERIFY_MEM, whose payload is the host's SHA-256 digest of the canonical
+model bytes.  The device answers with its own readback digest so either side
+can detect corruption.  A RESULT payload is one i32 per class, then the u32
+cycle count and the u8 predicted class; the host derives the class count
+from its length.
 READ_RESULT answers with the last RUN on the current model and input, and
 with NO_RESULT otherwise: after a new model or input, or a failed RUN.
 
@@ -106,15 +110,57 @@ def _crc8_table() -> bytes:
 _CRC8_TABLE = _crc8_table()
 
 
-def crc8(data: bytes) -> int:
-    """CRC-8 (poly 0x07, init 0x00) by table look-up (Sarwate 1988).
+def _crc8_masks() -> np.ndarray:
+    """Per-output-bit byte masks for every position of a frame body.
 
-    The register is as wide as a byte, so the 8 bit steps for one byte only
-    depend on `crc ^ byte` and take one look-up.
+    `P[j][b]`, the CRC of byte b followed by j zero bytes, is
+    `_CRC8_TABLE` applied j + 1 times to b.  Row k, column -1 - j holds the
+    byte whose bit t is bit k of `P[j][1 << t]`, so the last n columns line
+    up with an n-byte body.
     """
+    width = MAX_PAYLOAD + HEADER_SIZE - 1
+    row = bytes(_CRC8_TABLE[1 << t] for t in range(8))   # P[0][1 << t]
+    rows = bytearray()
+    for _ in range(width):
+        rows += row
+        row = row.translate(_CRC8_TABLE)
+    regs = np.frombuffer(rows, np.uint8)   # P[j][1 << t] at 8j + t
+    masks = np.stack([np.packbits(regs >> k & 1, bitorder="little")
+                      for k in range(8)])
+    return np.ascontiguousarray(masks[:, ::-1])
+
+
+_CRC8_MASKS = _crc8_masks()
+_PARITY = bytes(byte.bit_count() & 1 for byte in range(256))
+_CRC8_VECTOR_MIN = 128
+
+
+def crc8(data: bytes) -> int:
+    """CRC-8 (poly 0x07, init 0x00) of a bytes-like object.
+
+    Short bodies go by table look-up (Sarwate 1988): the register is as
+    wide as a byte, so the 8 bit steps for one byte only depend on
+    `crc ^ byte` and take one look-up.  With init 0 the CRC is linear over
+    GF(2), so a body of n bytes up to the largest frame body is instead
+    taken at every position at once, as slicing-by-N does (Kounavis and
+    Berry 2005): bit k of the CRC is the parity of the XOR, over positions
+    i, of `data[i] & mask_k[n - 1 - i]` (`_crc8_masks`).  On one pinned CPU
+    of a 2-vCPU VM (numpy 2.4) the look-up loop took 2 µs at 64 bytes
+    against 4 for the masks, about as long at 128 to 160 bytes, and 115-175
+    against 6-9 at 4,100 bytes, so bodies from 128 bytes take the masks.
+    Bodies longer than the table covers take the loop.
+    """
+    n = len(data)
+    if not _CRC8_VECTOR_MIN <= n <= _CRC8_MASKS.shape[1]:
+        crc = 0
+        for byte in data:
+            crc = _CRC8_TABLE[crc ^ byte]
+        return crc
+    folded = np.bitwise_xor.reduce(
+        _CRC8_MASKS[:, -n:] & np.frombuffer(data, np.uint8), axis=1)
     crc = 0
-    for byte in data:
-        crc = _CRC8_TABLE[crc ^ byte]
+    for k, byte in enumerate(folded.tobytes()):
+        crc |= _PARITY[byte] << k
     return crc
 
 
@@ -127,6 +173,8 @@ class Frame:
     def __post_init__(self):
         if len(self.payload) > MAX_PAYLOAD:
             raise FramingError(f"payload {len(self.payload)} exceeds {MAX_PAYLOAD}")
+        if not 0 <= self.command <= 255:
+            raise FramingError("command must fit in u8")
         if not 0 <= self.seq <= 255:
             raise FramingError("seq must fit in u8")
 

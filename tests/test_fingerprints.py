@@ -2,19 +2,21 @@
 
 Each value is the SHA-256 of an output that no code change may move: the
 `analyze` report, the SANN bytes of seeded random models, the golden logits
-and ReLU snapshots of those models, and the per-clock trace stream of the net
-with every layer kind.  Only integer-only artefacts
-are pinned; `build_reference_model` goes through float BLAS, whose last bits
-are not portable across machines.
+and ReLU snapshots of those models, the per-clock trace stream of the net
+with every layer kind, and the wire bytes of a fixed set of frames.  Only
+integer-only artefacts are pinned; `build_reference_model` goes through float
+BLAS, whose last bits are not portable across machines.
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from scgaccel.cli import main
 from scgaccel.errors import StateError
+from scgaccel.link import Command, Frame, encode_frame
 from scgaccel.modeltools import random_input, random_model
 from scgaccel.qnn import NetworkSpec, infer_window
 from scgaccel.sim import SimMachine
@@ -63,6 +65,16 @@ EVERY_KIND_TRACE = \
     "316fcb67f1931782c6d66a344925af5341e9d97e6b0c77229e30e55e7a581447"
 
 
+# 567 frames: encode_frame of every command byte below, at every seq and
+# payload length.  The lengths straddle crc8's switch from the look-up loop
+# to the masks (a 128-byte body is a 124-byte payload) and the 4 KB cap.
+WIRE_COMMANDS = [*Command, 0x7F]
+WIRE_SEQS = [0, 1, 255]
+WIRE_LENGTHS = [0, 1, 63, 64, *range(118, 131), 512, 513, 4095, 4096]
+WIRE_FRAMES = \
+    "35e52b5d30bfec88fb0dcdc54c6b3f9bc6a2bf83920f80b1b1f78b45e5dfa427"
+
+
 @pytest.mark.parametrize("flags", list(ANALYZE))
 def test_analyze_output(flags, tmp_path, capsys):
     model = tmp_path / "model.bin"
@@ -109,3 +121,13 @@ def test_every_kind_trace_stream():
         except StateError:
             break
     assert _sha("\n".join(lines)) == EVERY_KIND_TRACE
+
+
+def test_wire_bytes():
+    digest = hashlib.sha256()
+    for command in WIRE_COMMANDS:
+        for seq in WIRE_SEQS:
+            for length in WIRE_LENGTHS:
+                payload = random.Random(length).randbytes(length)
+                digest.update(encode_frame(Frame(command, seq, payload)))
+    assert digest.hexdigest() == WIRE_FRAMES

@@ -15,9 +15,10 @@ from conftest import (random_input, reserved_byte_blobs, shift63_blob,
 from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              TransportError, VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
-                           FrameDecoder, HostClient, NackReason, SOF,
-                           Transport, crc8, encode_frame, machine_digest,
-                           memory_pair, model_digest, serve_in_thread)
+                           FrameDecoder, HEADER_SIZE, HostClient,
+                           MAX_PAYLOAD, NackReason, SOF, Transport, crc8,
+                           encode_frame, machine_digest, memory_pair,
+                           model_digest, serve_in_thread)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
                           NetworkSpec, PoolMode, QuantTensor, WeightSet,
@@ -29,14 +30,21 @@ from scgaccel.sim import SimMachine
 # Framing
 # ---------------------------------------------------------------------------
 
-def _crc8_bitwise(data: bytes) -> int:
-    """Reference CRC-8 (poly 0x07, init 0x00), one shift per bit."""
+def _crc8_bitwise_prefixes(data: bytes) -> list[int]:
+    """Reference CRC-8 (poly 0x07, init 0x00), one shift per bit: the CRC
+    of each prefix of `data`, from the empty one to the whole."""
     crc = 0
+    prefixes = [crc]
     for byte in data:
         crc ^= byte
         for _ in range(8):
             crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-    return crc
+        prefixes.append(crc)
+    return prefixes
+
+
+def _crc8_bitwise(data: bytes) -> int:
+    return _crc8_bitwise_prefixes(data)[-1]
 
 
 def decode_frame(data: bytes) -> Frame | None:
@@ -63,6 +71,16 @@ def test_crc8_matches_bitwise_reference(data):
     assert crc8(data) == _crc8_bitwise(data)
 
 
+def test_crc8_matches_bitwise_reference_at_every_body_length():
+    body = np.random.default_rng(16).integers(
+        0, 256, MAX_PAYLOAD + HEADER_SIZE - 1, dtype=np.uint8).tobytes()
+    for n, expected in enumerate(_crc8_bitwise_prefixes(body)):
+        prefix = body[:n]
+        assert crc8(prefix) == expected, n
+        assert crc8(bytearray(prefix)) == expected, n
+        assert crc8(memoryview(body)[:n]) == expected, n
+
+
 def test_frame_round_trip_simple():
     frame = Frame(Command.LOAD_INPUT, seq=7, payload=b"\x80hello")
     assert decode_frame(encode_frame(frame)) == frame
@@ -82,6 +100,14 @@ def test_ack_frame_is_six_bytes():
 def test_frame_round_trip_property(command, seq, payload):
     frame = Frame(command, seq=seq, payload=payload)
     assert decode_frame(encode_frame(frame)) == frame
+
+
+def test_frame_command_must_fit_in_a_byte():
+    for command in (256, -1):
+        with pytest.raises(FramingError):
+            Frame(command)
+    for command in (0, 255):
+        assert encode_frame(Frame(command))[1] == command
 
 
 def test_payload_cap():
