@@ -19,8 +19,11 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   holds the sample for output position j, and each tap shifts one more in
   the same way.  A weight word is fetched (and traced) at an even weight
   index or a channel group's first tap and held, so the next odd tap takes
-  its high byte without a second read.  Each layer's cycle split is counted
-  from the events it emits.
+  its high byte without a second read.  Activation reads go through
+  ``MemorySubsystem.read_byte`` on a live memoryview of the layer's input
+  buffer, so every read sees simulated memory as it is on that clock; nothing
+  is cached or snapshot.  Each layer's cycle split is counted from the events
+  it emits.
 
 Both paths share one run set-up and layer walk, and record into one last
 run: an entry per completed layer (spec, output length, image, cycle split),
@@ -41,7 +44,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -107,9 +111,13 @@ class MemorySubsystem:
             raise MemoryFault(f"weight region [{base}, {base + n_words}) out of range")
         return self.weight_mem[base:base + n_words]
 
-    def read_byte(self, words: np.ndarray, byte_index: int) -> int:
-        """One byte of the input or a ping-pong buffer, low byte first."""
-        if not 0 <= byte_index < 2 * words.size:
+    def read_byte(self, words, byte_index: int) -> int:
+        """One byte of a sequence of 16-bit words, low byte first.
+
+        ``words`` is the input or a ping-pong buffer, or a memoryview of one;
+        a view is live, so each read sees the buffer as it is now.
+        """
+        if not 0 <= byte_index < 2 * len(words):
             raise MemoryFault(f"buffer byte {byte_index} out of range")
         word = int(words[byte_index >> 1])
         return word >> 8 if byte_index % 2 else word & 0xFF
@@ -137,15 +145,17 @@ class SystolicCluster:
 
     def shift_in(self, sample: int):
         """Every sample moves one lane down; the new one enters lane 5."""
-        self.x_pipe = self.x_pipe[1:] + [sample]
+        x = self.x_pipe
+        del x[0]
+        x.append(sample)
 
     def load_bias(self, bias: int):
         self.acc = [bias] * PE_COUNT
 
     def mac_all(self, weight: int, zero_point: int):
         # X[j] currently holds the sample for output position j of this batch
-        for j in range(PE_COUNT):
-            self.acc[j] += (self.x_pipe[j] - zero_point) * weight
+        self.acc = [a + (x - zero_point) * weight
+                    for a, x in zip(self.acc, self.x_pipe)]
 
 
 class ResultPacker:
@@ -180,7 +190,7 @@ class ResultPacker:
 # Trace events
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class CycleEvent:
     cycle: int
     state: str          # prime | compute | requant
@@ -194,7 +204,8 @@ class CycleEvent:
     note: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        """The fields as one JSON object, in declaration order."""
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +345,8 @@ class SimMachine:
     def start(self):
         """Arm the per-cycle stepper; each step() then advances one clock."""
         layers = self._begin_run()
-        self._run.stepper = self._micro_run(layers)
+        self._run.stepper = chain.from_iterable(
+            self._micro_layer(*layer) for layer in layers)
 
     def step(self) -> CycleEvent:
         stepper = self._run.stepper
@@ -344,6 +356,11 @@ class SimMachine:
             event = next(stepper)
         except StopIteration:
             raise StateError("run already complete")
+        except BaseException:
+            # whatever a layer raises ends the run, where the chain would go
+            # on to the next layer
+            self._run.stepper = iter(())
+            raise
         if self.trace_sink is not None:
             self.trace_sink(event)
         return event
@@ -362,15 +379,13 @@ class SimMachine:
         """(Logits, cycles, per-layer LayerCycles) of the last run."""
         return self.last_logits, self.last_cycles, [e.cycles for e in self._run.layers]
 
-    def _emit(self, state: str, **kw) -> CycleEvent:
+    def _emit(self, state: str, layer: int, c_out: int, batch: int, c_in: int,
+              k: int, reads: list, macs: int = 0, note: str = "") -> CycleEvent:
         """One clock: the event it traces, counted into the layer's split."""
         self.cycle_counter += 1
         self._split[state] += 1
-        return CycleEvent(cycle=self.cycle_counter, state=state, **kw)
-
-    def _micro_run(self, layers):
-        for layer in layers:
-            yield from self._micro_layer(*layer)
+        return CycleEvent(self.cycle_counter, state, layer, c_out, batch, c_in,
+                          k, reads, macs, note)
 
     def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int):
         mem = self.mem
@@ -379,7 +394,8 @@ class SimMachine:
         k, pad = spec.kernel, spec.padding
         multiplier, shift = mem.scale_regs[li]
         signed = spec.activation == Activation.SIGNED_BYPASS
-        act_words, wpc = self._act_words(li), (w_in + 1) // 2
+        # a live view: each read sees simulated memory as it is on that clock
+        act_words, wpc = memoryview(self._act_words(li)), (w_in + 1) // 2
 
         def sample(c: int, t: int) -> int:
             """Activation read with zero-point padding outside [0, w_in)."""
@@ -401,14 +417,12 @@ class SimMachine:
                     # prime: load bias on a fresh group, then fill the pipe
                     if c == 0:
                         cluster.load_bias(int(mem.bias_rom[li][o]))
-                    yield self._emit("prime", layer=li, c_out=o, batch=b,
-                                     c_in=c, k=-1,
+                    yield self._emit("prime", li, o, b, c, -1, [],
                                      note="bias" if c == 0 else "")
                     for i in range(PE_COUNT):
                         cluster.shift_in(sample(c, t0 + i))
-                        yield self._emit("prime", layer=li, c_out=o,
-                                         batch=b, c_in=c, k=-1,
-                                         reads=[{"mem": "act", "t": t0 + i}])
+                        yield self._emit("prime", li, o, b, c, -1,
+                                         [{"mem": "act", "t": t0 + i}])
                     # lane j now holds x[t0 + j]; each tap shifts one more in
                     for kk in range(k):
                         idx = (o * spec.c_in + c) * k + kk
@@ -422,9 +436,8 @@ class SimMachine:
                         byte = word >> 8 if idx % 2 else word & 0xFF
                         cluster.mac_all(byte - 256 if byte >= 128 else byte, zp)
                         cluster.shift_in(sample(c, t0 + kk + PE_COUNT))
-                        yield self._emit("compute", layer=li, c_out=o,
-                                         batch=b, c_in=c, k=kk, reads=reads,
-                                         macs=PE_COUNT)
+                        yield self._emit("compute", li, o, b, c, kk, reads,
+                                         PE_COUNT)
                 # overflow is checked on the completed group, mirroring the
                 # final-accumulator check of the golden model and fast path
                 if max(cluster.acc) > INT32_MAX or min(cluster.acc) < INT32_MIN:
@@ -472,16 +485,14 @@ class SimMachine:
         p = 0
         for partial in _partial_products(int(acc), int(multiplier)):
             p += partial
-            yield self._emit("requant", layer=li, c_out=o, batch=b,
-                             c_in=-1, k=-1, note="mul-stage")
+            yield self._emit("requant", li, o, b, -1, -1, [], note="mul-stage")
         r = round_shift(p, shift)
         if spec.activation == Activation.SIGNED_BYPASS:
             value = max(INT32_MIN, min(INT32_MAX, r))
         else:
             value = max(0, min(255, r))
         for _ in range(REQUANT_OVERHEAD):
-            yield self._emit("requant", layer=li, c_out=o, batch=b,
-                             c_in=-1, k=-1, note="pack")
+            yield self._emit("requant", li, o, b, -1, -1, [], note="pack")
         return value
 
     # -- readback ------------------------------------------------------------

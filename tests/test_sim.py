@@ -145,6 +145,14 @@ def test_input_buffer_round_trip(default_pair):
     got = [machine.mem.read_byte(machine.mem.input_words, t)
            for t in range(x.length)]
     assert got == x.data[0].tolist()
+    # read_byte is one definition for the buffer and for a view of it
+    words = machine.mem.input_words
+    view = memoryview(words)
+    assert [machine.mem.read_byte(view, t) for t in range(x.length)] == got
+    for buf in (words, view):
+        for t in (-1, 2 * len(words)):
+            with pytest.raises(MemoryFault):
+                machine.mem.read_byte(buf, t)
 
 
 def test_load_input_accepts_any_memory_order(rng):
@@ -485,6 +493,58 @@ def test_trace_event_counts_match_split_and_fetch_rule(rng):
             groups = [key for key in act_reads if key[0] == li]
             assert len(groups) == spec.c_out * want.n_batches * spec.c_in
             assert all(act_reads[key] == PE_COUNT for key in groups)
+
+
+def test_micro_path_reads_activation_memory_live(rng):
+    # no snapshot: a write to the input buffer mid-run reaches every later read
+    net = every_kind_net()
+    model = random_model(net, rng)
+    # window B shares A's zero point, which the run took when it started
+    xa = random_input(rng, net)
+    windows = [xa, QuantTensor(random_input(rng, net).data, zero_point=xa.zero_point)]
+    fast = []
+    for x in windows:
+        machine = SimMachine()
+        machine.load_model(model)
+        machine.load_input(x)
+        machine.run_inference()
+        fast.append(machine)
+    a, b = (m.read_layer_activation(0).data for m in fast)
+    assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1:], b[1:])
+    micro = SimMachine()
+    micro.load_model(model)
+    micro.load_input(windows[0])
+    micro.start()
+    while True:
+        event = micro.step()
+        if event.layer == 0 and event.c_out == 1:
+            break
+    micro.mem.input_words[:] = fast[1].mem.input_words    # window B's image
+    while True:
+        try:
+            micro.step()
+        except StateError:
+            break
+    got = micro.read_layer_activation(0).data
+    assert np.array_equal(got[0], a[0])
+    assert np.array_equal(got[1:], b[1:])
+
+
+def test_step_after_a_micro_fault_is_refused(rng):
+    # a window too short for the GAP layer (2) faults the run when it gets there
+    net = every_kind_net()
+    machine = SimMachine()
+    machine.load_model(random_model(net, rng))
+    machine.load_input(random_input(rng, replace(net, input_length=GAP_LENGTH)))
+    machine.start()
+    with pytest.raises(ConfigError):
+        while True:
+            machine.step()
+    with pytest.raises(StateError, match="already complete"):
+        machine.step()
+    assert machine.last_logits is None
+    with pytest.raises(StateError, match="has not been executed"):
+        machine.read_layer_activation(2)
 
 
 def test_step_requires_start(default_pair):
