@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analytical cycle/throughput report")
     p.add_argument("--model", help="packed model file (default topology if omitted)")
-    p.add_argument("--input-length", type=int, default=512)
+    p.add_argument("--input-length", type=_count, default=512)
     # a float, so --json prints the default clock as 24000000.0
     p.add_argument("--clock-hz", type=float, default=float(DEFAULT_CLOCK_HZ))
     p.add_argument("--power-mw", type=float, default=DEFAULT_POWER_MW)

@@ -17,6 +17,9 @@ cycle count and the u8 predicted class; the host derives the class count
 from its length.
 READ_RESULT answers with the last RUN on the current model and input, and
 with NO_RESULT otherwise: after a new model or input, or a failed RUN.
+LOAD_INPUT NACKs BAD_LENGTH, on its seq, a window SimMachine.load_input
+refuses (too long for the input buffer, an image over a ping-pong buffer, or
+a length the model cannot run); the previous input and its RESULT stay.
 
 Replies are matched to requests by seq, which the device echoes.  The chunks
 of a transfer are numbered 0, 1, 2, ...; every other request takes the seq
@@ -308,8 +311,8 @@ class DeviceEmulator:
     def handle_frame(self, frame: Frame) -> Frame:
         """The one reply to a readable frame, on its seq: UNKNOWN_CMD for a
         command byte that names no request, and LOAD_ERROR where a handler
-        raises an `AccelError` (a model, input or result the machine cannot
-        take)."""
+        raises an `AccelError` (a model VERIFY cannot load, or a RUN that
+        faults); LOAD_INPUT NACKs a window it refuses BAD_LENGTH itself."""
         handler = self._HANDLERS.get(frame.command)
         if handler is None:
             return self._nack(frame.seq, NackReason.UNKNOWN_CMD)

@@ -218,7 +218,7 @@ class PackedModel:
 
     def validate(self) -> None:
         try:
-            NetworkSpec(tuple(self.layers))
+            NetworkSpec.check_layout(self.layers)
         except ConfigError as exc:
             raise SerializationError(f"invalid layout: {exc}") from exc
         if len(self.biases) != len(self.layers):

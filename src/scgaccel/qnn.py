@@ -14,9 +14,9 @@ signed i32 outputs are the logits; only the input has a zero point, every ReLU
 output is u8 at zero point 0.  A lone LayerSpec may be anything its fields
 allow, such as the signed convs of the op-level tests.
 
-Like the simulator's run_inference and start(), infer_window rejects a maxpool
-input of odd length with ConfigError (NetworkSpec.layer_input_lengths); only
-the op-level maxpool2_acc pads an odd tail with INT32_MIN.
+LayerSpec.out_length is the one input-geometry rule: a maxpool input must be
+even and a GAP input exactly GAP_LENGTH; NetworkSpec refuses, with
+ConfigError, an input length its layers cannot run.
 """
 
 from __future__ import annotations
@@ -144,28 +144,35 @@ class LayerSpec:
                 raise ConfigError(f"maxpool input length {w_in} must be even")
             return w_in // 2
         if self.pool_mode == PoolMode.GLOBAL_AVG:
+            if w_in != GAP_LENGTH:
+                raise ConfigError(f"GAP unit is hardwired for length {GAP_LENGTH}, "
+                                  f"got {w_in}")
             return 1
         return w_in
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """ReLU conv layers, then one FC head, plus the input length; the SANN
-    loader, the simulator and VERIFY check a model's layout by building one."""
+    """ReLU conv layers, then one FC head, at an input length they can run."""
 
     layers: tuple[LayerSpec, ...]
     input_length: int = 512
     # (kind, activation) of every layer before the head, held here since
-    # enum member look-ups are slow and each model load builds a NetworkSpec
+    # enum member look-ups are slow and each model load checks a layout
     _RELU_CONV = (LayerKind.CONV1D, Activation.RELU_SATURATE)
 
     def __post_init__(self):
-        layers = tuple(self.layers)
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layers", tuple(self.layers))
+        self.check_layout(self.layers)
+        self.layer_input_lengths()
+
+    @classmethod
+    def check_layout(cls, layers) -> None:
+        """The layout rule alone, at no input length (a model's check)."""
         if not layers:
             raise ConfigError("network needs at least one layer")
         for a, b in zip(layers, layers[1:]):
-            if (a.kind, a.activation) != self._RELU_CONV:
+            if (a.kind, a.activation) != cls._RELU_CONV:
                 raise ConfigError("every layer before the head must be a ReLU conv")
             if a.c_out != b.c_in:
                 raise ConfigError(f"channel chain broken: {a.c_out} -> {b.c_in}")
@@ -457,7 +464,6 @@ def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
     if x.length != net.input_length or x.channels != net.layers[0].c_in:
         raise ShapeError(f"input {x.channels}x{x.length} does not match network "
                          f"{net.layers[0].c_in}x{net.input_length}")
-    net.layer_input_lengths()   # the simulator's geometry checks
     snapshots: list[QuantTensor] = []
     cur = x
     for layer, lw in zip(net.layers, ws.layers):

@@ -10,7 +10,7 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
 * ``run_inference`` is the fast path used for full-network runs.  Each layer
   unpacks its input plane from simulated memory, runs ``qnn.layer_step`` on
   it, packs the result back into the ping-pong buffer and takes its cycle
-  split from ``cyclemodel.layer_cycles``.
+  split from the run plan (``cyclemodel.layer_cycles``).
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
@@ -25,10 +25,12 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   is cached or snapshot.  Each layer's cycle split is counted from the events
   it emits.
 
-Both paths share one run set-up and layer walk, and record into one last
-run: an entry per completed layer (spec, output length, image, cycle split),
-the logits and the micro stepper.  ``load_model`` drops the input record and
-the last run; ``load_input`` and each new run drop the last run, and every
+``load_input`` refuses, before it writes anything, a length ``NetworkSpec``
+refuses or a ReLU image over one ping-pong buffer, and builds the run plan
+both paths walk, so a run can fail only on data (``SimFault``).  Both record
+into one last run: an entry per completed layer (spec, output length, image,
+cycle split), the logits and the micro stepper.  ``load_model`` drops the plan
+and the last run; ``load_input`` and each new run drop the last run, and every
 readback reads that run alone.  ``modeltools`` defines the weight layout and
 the word packing of every plane and image.
 
@@ -236,7 +238,7 @@ class SimMachine:
         self.cycle_counter = 0
         self.trace_sink = trace_sink
         self.model: PackedModel | None = None
-        self._input: tuple[int, int] | None = None    # (length, zero point)
+        self._plan: list[tuple] | None = None    # the loaded input's run plan
         self._run = _Run()
         self._split: dict[str, int] = {}
 
@@ -250,22 +252,32 @@ class SimMachine:
         self.mem.scale_regs = [(spec.requant_multiplier, spec.requant_shift)
                                for spec in model.layers]
         self.model = model
-        self._input = None
+        self._plan = None
         self._clear_run()
 
     def load_input(self, x: QuantTensor):
+        """Write the window and its run plan, or refuse it before writing."""
         if self.model is None:
             raise StateError("load a model before the input window")
-        if x.channels != self.model.layers[0].c_in:
+        layers = self.model.layers
+        if x.channels != layers[0].c_in:
             raise ShapeError(f"input has {x.channels} channels, "
-                             f"model expects {self.model.layers[0].c_in}")
+                             f"model expects {layers[0].c_in}")
         img = pack_weight_bytes(x.data)
         if img.size > self.mem.input_words.size:
             raise ShapeError(f"input needs {img.size} words, buffer has "
                              f"{self.mem.input_words.size}")
+        lengths = self.model.to_network_spec(x.length).layer_input_lengths()
+        # each layer but the head writes a ReLU image of the next one's length
+        for li, (spec, w_out) in enumerate(zip(layers, lengths[1:])):
+            if (n_words := spec.c_out * ((w_out + 1) // 2)) > PINGPONG_WORDS:
+                raise ShapeError(f"layer {li}: {n_words}-word output image "
+                                 "overflows the ping-pong buffer")
+        self._plan = [(li, spec, w_in, 0 if li else x.zero_point, base,
+                       layer_cycles(spec, w_in)) for li, (spec, w_in, base)
+                      in enumerate(zip(layers, lengths, self.model.layer_word_base))]
         self.mem.input_words[:] = 0
         self.mem.input_words[:img.size] = img
-        self._input = (x.length, x.zero_point)
         self._clear_run()
 
     def _act_words(self, li: int) -> np.ndarray:
@@ -278,21 +290,13 @@ class SimMachine:
         self._run = _Run()
 
     def _begin_run(self) -> list[tuple]:
-        """Clear the last run; returns the layer walk.
-
-        Each entry is (index, spec, input length, input zero point, weight
-        base) in execution order: the input's zero point, then 0 (ReLU outputs).
-        """
-        if self.model is None or self._input is None:
+        """Clear the last run; returns the run plan: per layer (index, spec,
+        input length, input zero point, weight base, LayerCycles)."""
+        if self._plan is None:
             raise StateError("model and input must be loaded before running")
         self._clear_run()
         self.mem.pingpong_toggle = 0
-        length, zero_point = self._input
-        layers = self.model.layers
-        lengths = self.model.to_network_spec(length).layer_input_lengths()
-        zero_points = [zero_point] + [0] * (len(layers) - 1)
-        return list(zip(range(len(layers)), layers, lengths, zero_points,
-                        self.model.layer_word_base))
+        return self._plan
 
     def _finish_layer(self, spec, w_out: int, n_words: int, lc):
         """Record the layer's entry with the n_words it wrote, swap buffers."""
@@ -311,10 +315,9 @@ class SimMachine:
             self._run_layer_fast(*layer)
         return self._last_run()
 
-    def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int):
+    def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int, lc):
         """One layer: qnn.layer_step on the plane held in simulated memory."""
         mem = self.mem
-        lc = layer_cycles(spec, w_in)
         # whole batches of six; the overhang lanes read the zero point
         ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
         ext[:, :w_in] = unpack_weight_bytes(self._act_words(li), w_in, spec.c_in)
@@ -333,9 +336,6 @@ class SimMachine:
         else:
             img = pack_weight_bytes(out)
             n_words = img.size
-            if n_words > mem.write_buf.size:
-                raise MemoryFault(f"layer {li}: {n_words}-word output image "
-                                  "overflows the ping-pong buffer")
             mem.write_buf[:n_words] = img
         self.cycle_counter += lc.total
         self._finish_layer(spec, out.shape[1], n_words, lc)
@@ -387,7 +387,7 @@ class SimMachine:
         return CycleEvent(self.cycle_counter, state, layer, c_out, batch, c_in,
                           k, reads, macs, note)
 
-    def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int):
+    def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int, _lc):
         mem = self.mem
         cluster = self.cluster
         n_batches = -(-w_in // PE_COUNT)

@@ -8,13 +8,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, PackedModel,
                                  random_input, random_model, random_small_net)
-from scgaccel.qnn import (INT32_MIN, MAX_REQUANT_SHIFT, Activation, LayerKind,
-                          LayerSpec, LayerWeights, NetworkSpec, PoolMode,
-                          WeightSet)
+from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT,
+                          Activation, LayerKind, LayerSpec, LayerWeights,
+                          NetworkSpec, PoolMode, WeightSet)
 
-__all__ = ["einsum_conv", "random_input", "random_small_net", "reserved_byte_blobs",
-           "seed1_blob", "shift63_blob", "shift_edge_model", "signed_conv_blob",
-           "wide_image_net"]
+__all__ = ["einsum_conv", "every_kind_net", "gap_overflow_model", "random_input",
+           "random_small_net", "reserved_byte_blobs", "seed1_blob", "shift63_blob",
+           "shift_edge_model", "signed_conv_blob", "wide_image_net"]
+
+_RELU = dict(kind=LayerKind.CONV1D, activation=Activation.RELU_SATURATE)
+_FC = dict(kind=LayerKind.FULLY_CONNECTED, kernel=1, padding=0,
+           pool_mode=PoolMode.BYPASS, activation=Activation.SIGNED_BYPASS)
 
 
 def einsum_conv(x, w, pad):
@@ -31,11 +35,37 @@ def einsum_conv(x, w, pad):
     return np.einsum("ock,bctk->bot", w, windows)
 
 
-def wide_image_net() -> NetworkSpec:
-    """A net that passes VERIFY but whose layer-0 output image does not fit.
+def every_kind_net() -> NetworkSpec:
+    """Maxpool conv, bypass-ReLU conv, GAP conv at length 64, FC head."""
+    return NetworkSpec(layers=(
+        LayerSpec(c_in=1, c_out=4, kernel=9, padding=4,
+                  pool_mode=PoolMode.MAXPOOL2, **_RELU),
+        LayerSpec(c_in=4, c_out=4, kernel=5, padding=2,
+                  pool_mode=PoolMode.BYPASS, **_RELU),
+        LayerSpec(c_in=4, c_out=8, kernel=3, padding=1,
+                  pool_mode=PoolMode.GLOBAL_AVG, **_RELU),
+        LayerSpec(c_in=8, c_out=3, **_FC),
+    ), input_length=2 * GAP_LENGTH)
 
-    Layer 0 writes 65 channels of 512 samples, 65 * 256 = 16,640 words, into
-    the 16,384-word ping-pong buffer.
+
+def gap_overflow_model(model: PackedModel) -> PackedModel:
+    """`model`, on every_kind_net, with the GAP conv (layer 2) at bias
+    INT32_MAX and every weight 127: its accumulator overflows on any window
+    that leaves layer 1 a nonzero sample, after layers 0 and 1 complete."""
+    ws = model.to_weight_set()
+    spec = model.layers[2]
+    ws.layers[2] = LayerWeights(
+        weights=np.full((spec.c_out, spec.c_in, spec.kernel), 127),
+        biases=np.full(spec.c_out, INT32_MAX))
+    return PackedModel.from_weights(every_kind_net(), ws)
+
+
+def wide_image_net() -> NetworkSpec:
+    """A net that passes VERIFY but runs no window over 504 samples.
+
+    Layer 0 writes 65 channels of its input length.  At 512 samples that is
+    65 * 256 = 16,640 words, more than the 16,384-word ping-pong buffer; at
+    504 it is 65 * 252 = 16,380 words, which fits.
     """
     return NetworkSpec(layers=(
         LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=65, kernel=3, padding=1,

@@ -1,8 +1,10 @@
 """Acceptance gate: the full criteria list with pinned tolerances.
 
-Each test number matches the criteria catalog in the project notes.  The one
-deliberately failing check (the published third-layer system efficiency) is a
-strict xfail with the analysis recorded in the decisions ledger.
+The "Published figures" section of README.md lists every number the paper
+publishes, the twin's derivation of it and the criterion here that pins it
+(criteria 1 to 5 and 10); the other criteria check the twin against itself.
+The one deliberately failing check (the published third-layer system
+efficiency) is a strict xfail, and that section records why.
 """
 
 import time
@@ -72,7 +74,8 @@ def test_criterion_5_efficiency_formulas():
 
 @pytest.mark.xfail(strict=True, reason="published third-layer system "
                    "efficiency (53.3%) is inconsistent with its own "
-                   "formula: 405,504 / 746,240 = 54.3%; see decisions ledger")
+                   "formula: 405,504 / 746,240 = 54.3%; see README.md, "
+                   "Published figures")
 def test_criterion_5_published_l2_system_efficiency():
     report = network_report(NetworkSpec.default())
     assert round(report.layers[2].sys_eff * 100, 1) == 53.3

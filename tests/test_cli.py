@@ -12,7 +12,6 @@ import pytest
 
 from conftest import signed_conv_blob
 from scgaccel.cli import main
-from scgaccel.cyclemodel import network_report
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (INT32_MAX, Activation, LayerKind, LayerSpec,
                           LayerWeights, NetworkSpec, PoolMode, WeightSet)
@@ -53,11 +52,29 @@ def test_analyze_json_schema(capsys):
 
 
 def test_analyze_input_length_applies_to_the_default_topology(capsys):
-    assert main(["analyze", "--input-length", "256", "--json"]) == 0
-    d = json.loads(capsys.readouterr().out)
-    net = NetworkSpec(NetworkSpec.default().layers, input_length=256)
-    cycles = network_report(net).total_cycles
-    assert d["totals"]["cycles"] == cycles != 2_255_250
+    # the default topology runs only 512 samples: three maxpools leave the
+    # GAP layer 64
+    assert main(["analyze", "--input-length", "512", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["totals"]["cycles"] == 2_255_250
+    for length, message in ((256, "GAP unit is hardwired for length 64, got 32"),
+                            (508, "maxpool input length 127 must be even")):
+        assert main(["analyze", "--input-length", str(length), "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_a_window_the_model_cannot_run_exits_1(model_file, tmp_path, capsys):
+    # 256 samples leave the default topology's GAP layer 32 of its 64
+    u8_file = tmp_path / "window.u8"
+    u8_file.write_bytes(bytes(256))
+    u8 = ["--model", model_file, "--input", str(u8_file), "--format", "u8"]
+    out_file = tmp_path / "trace.jsonl"
+    for argv in (["infer", *u8, "--sim"], ["infer", *u8, "--golden"],
+                 ["trace", *u8, "--cycles", "100", "--out", str(out_file)]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "hardwired for length 64" in err, argv
+    assert not out_file.exists()
 
 
 def test_analyze_rejects_a_zero_clock(capsys):
@@ -138,7 +155,11 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
             (["trace", "--model", model_file, *u8, "--cycles", "0"],
              "argument --cycles: must be >= 1, got 0"),
             (["synth", "--n", "0", "--out", str(tmp_path / "none.npz")],
-             "argument --n: must be >= 1, got 0")]:
+             "argument --n: must be >= 1, got 0"),
+            (["analyze", "--input-length", "0"],
+             "argument --input-length: must be >= 1, got 0"),
+            (["analyze", "--input-length", "-4"],
+             "argument --input-length: must be >= 1, got -4")]:
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err
 

@@ -14,13 +14,13 @@ import random
 import numpy as np
 import pytest
 
+from conftest import every_kind_net
 from scgaccel.cli import main
 from scgaccel.errors import StateError
 from scgaccel.link import Command, Frame, encode_frame
 from scgaccel.modeltools import random_input, random_model
 from scgaccel.qnn import NetworkSpec, infer_window
 from scgaccel.sim import SimMachine
-from test_sim import every_kind_net
 
 
 def _sha(text: str | bytes) -> str:
@@ -28,7 +28,9 @@ def _sha(text: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# "MODEL" stands for the SANN file of the seed-1 random model
+# "MODEL" stands for the SANN file of the seed-1 random model, and
+# "EVERY_KIND" for that of the seed-1 random model on every_kind_net, which
+# runs at 128 samples
 ANALYZE = {
     (): "6d60f076075b0b7138ef9978b57045b01f0a2fe115ff52181f819caf7dc99800",
     ("--json",):
@@ -37,10 +39,10 @@ ANALYZE = {
         "a7b37d89e2b93b3768b7fe2ecacae4eb31d7b12856593820cb675bbd4cfcc24e",
     ("--requant-convention", "formula", "--json"):
         "ad83a88919ba1651404286a19aea73db1874b904c7d3690224e656eab92ef1cb",
-    ("--model", "MODEL", "--input-length", "256"):
-        "4152ade549891570693daad0fd2e01125f9631cc92d7c7d442b9fb1e82a8caf2",
-    ("--model", "MODEL", "--input-length", "256", "--json"):
-        "023c4e6169905939249d2537eed0885f6654762cca6d8313e4abec536c74aaa8",
+    ("--model", "EVERY_KIND", "--input-length", "128"):
+        "1c469c26f6e98100abe3e0ca7c98a5d5851a7e88059fe0e6525e4f4a493a6d9c",
+    ("--model", "EVERY_KIND", "--input-length", "128", "--json"):
+        "f0755b936e0ba1b126d31cd7cd07579fbd0ead53db383f46a6e2a0807198b344",
     ("--clock-hz", "48e6", "--power-mw", "10", "--measured-latency-s", "0.05",
      "--json"):
         "6c253d4f3240fdb49fb235895ca36214f64cbfacc663a728bab1d2e8ab30d856",
@@ -75,14 +77,32 @@ WIRE_FRAMES = \
     "35e52b5d30bfec88fb0dcdc54c6b3f9bc6a2bf83920f80b1b1f78b45e5dfa427"
 
 
+def _model_files(tmp_path) -> dict[str, str]:
+    files = {}
+    for name, net in (("MODEL", NetworkSpec.default()),
+                      ("EVERY_KIND", every_kind_net())):
+        path = tmp_path / name
+        path.write_bytes(random_model(net, np.random.default_rng(1)).to_bytes())
+        files[name] = str(path)
+    return files
+
+
 @pytest.mark.parametrize("flags", list(ANALYZE))
 def test_analyze_output(flags, tmp_path, capsys):
-    model = tmp_path / "model.bin"
-    model.write_bytes(random_model(NetworkSpec.default(),
-                                   np.random.default_rng(1)).to_bytes())
-    assert main(["analyze", *(str(model) if f == "MODEL" else f
-                              for f in flags)]) == 0
+    files = _model_files(tmp_path)
+    assert main(["analyze", *(files.get(f, f) for f in flags)]) == 0
     assert _sha(capsys.readouterr().out) == ANALYZE[flags]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_analyze_refuses_a_length_the_model_cannot_run(json_flag, tmp_path, capsys):
+    # at 256 samples the default topology leaves its GAP layer 32 of its 64
+    files = _model_files(tmp_path)
+    assert main(["analyze", "--model", files["MODEL"], "--input-length", "256",
+                 *json_flag]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: GAP unit is hardwired for length 64, got 32\n"
 
 
 @pytest.mark.parametrize("seed", list(SANN))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_input, reserved_byte_blobs, shift63_blob,
-                      signed_conv_blob, wide_image_net)
+from conftest import (every_kind_net, gap_overflow_model, random_input,
+                      reserved_byte_blobs, shift63_blob, signed_conv_blob,
+                      wide_image_net)
 from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              TransportError, VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
@@ -304,29 +305,40 @@ def test_read_result_answers_only_for_the_current_model_and_input(rng):
         assert (reply.command, reply.payload) \
             == (Command.NACK, bytes([NackReason.NO_RESULT]))
 
-    def verify_new_model():
-        seq = _load_via_frames(device, _small_model(rng))
+    def verify_new_model(model):
+        seq = _load_via_frames(device, model)
         assert device.handle_frame(Frame(Command.VERIFY_MEM, seq=seq)).command \
             == Command.ACK
 
-    def run_window(length: int):
-        assert request(Command.LOAD_INPUT, _window_payload(rng, length)).command \
-            == Command.ACK
+    def run_window(payload: bytes):
+        assert request(Command.LOAD_INPUT, payload).command == Command.ACK
         return request(Command.RUN_INFERENCE)
 
-    verify_new_model()
-    assert run_window(512).command == Command.RESULT
+    verify_new_model(_small_model(rng))
+    assert run_window(_window_payload(rng, 512)).command == Command.RESULT
     # a new input: the RESULT was of the window before it
     assert request(Command.LOAD_INPUT, _window_payload(rng, 512)).command \
         == Command.ACK
     assert_no_result()
-    # a RUN that fails: 256 samples leave the GAP layer 32 of its 64
-    assert run_window(256).payload == bytes([NackReason.LOAD_ERROR])
+    # a window the model cannot run is refused on arrival and changes nothing
+    result = request(Command.RUN_INFERENCE)
+    for length in (511, 256):
+        reply = request(Command.LOAD_INPUT, _window_payload(rng, length))
+        assert reply.payload == bytes([NackReason.BAD_LENGTH])
+        assert request(Command.READ_RESULT).payload == result.payload
+    # a RUN that fails: the GAP layer's accumulator overflows
+    net = every_kind_net()
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    verify_new_model(gap_overflow_model(model))
+    payload = bytes([x.zero_point]) + x.data.tobytes()
+    assert run_window(payload).payload == bytes([NackReason.LOAD_ERROR])
     assert_no_result()
     # a newly verified model, which also drops the input
-    result = run_window(512)
+    verify_new_model(model)
+    result = run_window(payload)
     assert request(Command.READ_RESULT).payload == result.payload
-    verify_new_model()
+    verify_new_model(_small_model(rng))
     assert_no_result()
     assert request(Command.RUN_INFERENCE).payload == bytes([NackReason.LOAD_ERROR])
     assert_no_result()
@@ -436,16 +448,21 @@ def test_model_with_a_bad_layout_is_rejected_at_verify(rng):
 
 
 def test_run_whose_image_overflows_the_pingpong_buffer_is_nacked(rng):
-    # the model passes VERIFY; its layer-0 output image only fails at RUN
+    # the model passes VERIFY; a window whose layer-0 output image does not
+    # fit is NACKed BAD_LENGTH on arrival, and the previous input stays
     wide = random_model(wide_image_net(), rng)
+    x = random_input(rng, wide_image_net())
     device = DeviceEmulator()
     host_end, thread = serve_in_thread(device)
     client = HostClient(host_end, timeout=30.0)
     try:
         client.load_model(wide)
-        with pytest.raises(ProtocolError, match="LOAD_ERROR"):
-            client.run(random_input(rng, wide_image_net()))
+        fits, _ = client.run(QuantTensor(x.data[:, :504], zero_point=x.zero_point))
+        with pytest.raises(ProtocolError,
+                           match="device rejected LOAD_INPUT: BAD_LENGTH"):
+            client.run(x)
         assert thread.is_alive()
+        assert np.array_equal(device.machine.last_logits.values, fits.values)
         net = NetworkSpec.default()
         model = random_model(net, rng)
         x = random_input(rng, net)
@@ -564,16 +581,24 @@ def test_one_unreadable_frame_costs_one_retransmit(rng, tail):
 
 
 def test_a_rejected_input_length_is_not_retransmitted(rng):
-    # 1026 samples need 513 words of the 512-word input buffer: the device
-    # reads the frame and NACKs BAD_LENGTH on its seq
-    host_end, _ = serve_in_thread(DeviceEmulator())
+    # 1026 samples need 513 words of the 512-word input buffer, and the
+    # default topology runs only 512 (511 fails a maxpool, 256 leaves the
+    # GAP layer 32 samples): the device reads each frame and NACKs
+    # BAD_LENGTH on its seq, and the last input and its result stay
+    device = DeviceEmulator()
+    host_end, thread = serve_in_thread(device)
     client = HostClient(host_end, timeout=30.0)
     try:
-        client.load_model(_small_model(rng))
-        with pytest.raises(ProtocolError,
-                           match="device rejected LOAD_INPUT: BAD_LENGTH"):
-            client.run(QuantTensor(np.zeros((1, 1026), dtype=np.uint8),
-                                   zero_point=128))
+        model = _small_model(rng)
+        client.load_model(model)
+        result, _ = client.run(random_input(rng, model.to_network_spec()))
+        for length in (1026, 511, 256):
+            with pytest.raises(ProtocolError,
+                               match="device rejected LOAD_INPUT: BAD_LENGTH"):
+                client.run(QuantTensor(np.zeros((1, length), dtype=np.uint8),
+                                       zero_point=128))
+            assert thread.is_alive()
+            assert np.array_equal(device.machine.last_logits.values, result.values)
     finally:
         client.close()
 

@@ -11,39 +11,21 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
-from conftest import random_input, random_small_net, shift_edge_model, wide_image_net
+from conftest import (_FC, _RELU, every_kind_net, gap_overflow_model, random_input,
+                      random_small_net, shift_edge_model, wide_image_net)
 from scgaccel.cyclemodel import PE_COUNT, layer_cycles, network_report
 from scgaccel.errors import (AccumulatorOverflow, CapacityError, ConfigError,
                              MemoryFault, ShapeError, SimFault, StateError)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.modeltools import WEIGHT_MEM_WORDS as WEIGHT_ADDR_LIMIT
 from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT,
-                          Activation, LayerKind, LayerSpec, LayerWeights,
-                          NetworkSpec, PoolMode, QuantTensor, WeightSet,
-                          infer_window)
+                          LayerSpec, LayerWeights, NetworkSpec, PoolMode,
+                          QuantTensor, WeightSet, infer_window)
 from scgaccel.qnn import round_shift as _round_shift
 from scgaccel.sim import ResultPacker, SimMachine, mul64signed
 
 EDGE_OPERANDS = [0, 1, -1, 1 << 15, -(1 << 15), (1 << 15) - 1, -((1 << 15) - 1),
                  INT32_MAX, INT32_MIN, INT32_MIN + 1, INT32_MAX - 1]
-
-_RELU = dict(kind=LayerKind.CONV1D, activation=Activation.RELU_SATURATE)
-_FC = dict(kind=LayerKind.FULLY_CONNECTED, kernel=1, padding=0,
-           pool_mode=PoolMode.BYPASS, activation=Activation.SIGNED_BYPASS)
-
-
-def every_kind_net() -> NetworkSpec:
-    """Maxpool conv, bypass-ReLU conv, GAP conv at length 64, FC head."""
-    return NetworkSpec(layers=(
-        LayerSpec(c_in=1, c_out=4, kernel=9, padding=4,
-                  pool_mode=PoolMode.MAXPOOL2, **_RELU),
-        LayerSpec(c_in=4, c_out=4, kernel=5, padding=2,
-                  pool_mode=PoolMode.BYPASS, **_RELU),
-        LayerSpec(c_in=4, c_out=8, kernel=3, padding=1,
-                  pool_mode=PoolMode.GLOBAL_AVG, **_RELU),
-        LayerSpec(c_in=8, c_out=3, **_FC),
-    ), input_length=2 * GAP_LENGTH)
-
 
 def small_nets(rng, count: int, **kw):
     """`count` random small nets, then the net with every layer kind."""
@@ -348,38 +330,39 @@ def test_largest_requant_shift_rounds_alike_on_all_three_paths():
         assert _sim_logits(model, x, run) == [1, 0, 0]
 
 
-_ODD_MAXPOOL = NetworkSpec(layers=(
-    LayerSpec(c_in=1, c_out=2, kernel=3, padding=1,
-              pool_mode=PoolMode.MAXPOOL2, **_RELU),
-    LayerSpec(c_in=2, c_out=3, **_FC),
-), input_length=7)
-
-# the GAP layer sees 32 samples, not the GAP_LENGTH = 64 it is wired for
-_SHORT_GAP = NetworkSpec(layers=(
-    LayerSpec(c_in=1, c_out=2, kernel=3, padding=1,
-              pool_mode=PoolMode.MAXPOOL2, **_RELU),
-    LayerSpec(c_in=2, c_out=2, kernel=3, padding=1,
-              pool_mode=PoolMode.GLOBAL_AVG, **_RELU),
-    LayerSpec(c_in=2, c_out=3, **_FC),
-), input_length=GAP_LENGTH)
-
-
-@pytest.mark.parametrize("net", [_ODD_MAXPOOL, _SHORT_GAP],
-                         ids=["odd-maxpool", "short-gap"])
-def test_wrong_pool_input_length_is_rejected_by_golden_and_both_sim_paths(rng, net):
-    model = random_model(net, rng)
-    x = random_input(rng, net)
-    with pytest.raises(ConfigError):
-        infer_window(net, model.to_weight_set(), x)
-    for run in (SimMachine.run_inference, SimMachine.run_micro):
-        machine = SimMachine()
-        machine.load_model(model)
+def _assert_refused_load_keeps_the_last_input(machine, x, error, match):
+    """load_input(x) raises `error` and leaves the input buffer, the last run
+    and the loaded input's next run as they were."""
+    words = machine.mem.input_words.copy()
+    logits, cycles = machine.last_logits, machine.last_cycles
+    with pytest.raises(error, match=match):
         machine.load_input(x)
-        with pytest.raises(ConfigError):
-            run(machine)
+    assert np.array_equal(machine.mem.input_words, words)
+    assert machine.last_logits is logits
+    rerun, rerun_cycles, _ = machine.run_inference()
+    assert (rerun.values.tolist(), rerun_cycles) == (logits.values.tolist(), cycles)
 
 
-def test_fast_path_faults_on_an_image_over_the_pingpong_buffer(rng):
+# maxpool layer 0 cannot take 7 samples; at 64 the GAP layer (2) gets 32
+@pytest.mark.parametrize("length, match", [
+    (7, "maxpool input length 7 must be even"),
+    (GAP_LENGTH, f"GAP unit is hardwired for length {GAP_LENGTH}, got 32"),
+], ids=["odd-maxpool", "short-gap"])
+def test_a_length_the_layers_cannot_run_is_refused_where_it_enters(rng, length,
+                                                                   match):
+    net = every_kind_net()
+    with pytest.raises(ConfigError, match=match):
+        NetworkSpec(net.layers, input_length=length)
+    model = random_model(net, rng)
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(random_input(rng, net))
+    machine.run_inference()
+    x = QuantTensor(rng.integers(0, 256, (1, length), dtype=np.uint8))
+    _assert_refused_load_keeps_the_last_input(machine, x, ConfigError, match)
+
+
+def test_an_image_over_the_pingpong_buffer_is_refused_at_load(rng):
     net = wide_image_net()
     model = random_model(net, rng)
     x = random_input(rng, net)
@@ -387,9 +370,13 @@ def test_fast_path_faults_on_an_image_over_the_pingpong_buffer(rng):
     assert gold.values.shape == (3,)
     machine = SimMachine()
     machine.load_model(model)
-    machine.load_input(x)
-    with pytest.raises(MemoryFault, match="ping-pong"):
-        machine.run_inference()
+    # 504 samples leave layer 0 an image of 65 * 252 = 16,380 words
+    machine.load_input(QuantTensor(x.data[:, :504]))
+    machine.run_inference()
+    _assert_refused_load_keeps_the_last_input(
+        machine, QuantTensor(x.data[:, :505]), ShapeError,
+        "layer 0: 16445-word output image overflows the ping-pong buffer")
+    _assert_refused_load_keeps_the_last_input(machine, x, ShapeError, "ping-pong")
 
 
 def test_rerun_is_deterministic(default_pair):
@@ -531,13 +518,13 @@ def test_micro_path_reads_activation_memory_live(rng):
 
 
 def test_step_after_a_micro_fault_is_refused(rng):
-    # a window too short for the GAP layer (2) faults the run when it gets there
+    # the GAP layer (2) overflows its accumulator when the run gets there
     net = every_kind_net()
     machine = SimMachine()
-    machine.load_model(random_model(net, rng))
-    machine.load_input(random_input(rng, replace(net, input_length=GAP_LENGTH)))
+    machine.load_model(gap_overflow_model(random_model(net, rng)))
+    machine.load_input(random_input(rng, net))
     machine.start()
-    with pytest.raises(ConfigError):
+    with pytest.raises(SimFault, match="layer 2"):
         while True:
             machine.step()
     with pytest.raises(StateError, match="already complete"):
@@ -573,20 +560,23 @@ def test_step_after_another_run_is_refused(default_pair):
 @pytest.mark.parametrize("run", [SimMachine.run_inference, SimMachine.run_micro],
                          ids=["fast", "micro"])
 def test_a_faulted_run_reports_only_the_layers_it_completed(rng, run):
-    # a half-length window leaves the GAP layer (2) 32 of its 64 samples
+    # the same window on a model whose GAP layer (2) overflows
     net = every_kind_net()
     model = random_model(net, rng)
+    x = random_input(rng, net)
     machine = SimMachine()
     machine.load_model(model)
-    machine.load_input(random_input(rng, net))
+    machine.load_input(x)
     run(machine)
+    assert machine.read_layer_activation(1).data.any()
     assert machine.read_layer_activation(2).length == 1
-    machine.load_input(random_input(rng, replace(net, input_length=GAP_LENGTH)))
-    with pytest.raises(ConfigError):
+    machine.load_model(gap_overflow_model(model))
+    machine.load_input(x)
+    with pytest.raises(SimFault, match="layer 2"):
         run(machine)
     assert machine.last_logits is None
-    assert machine.read_layer_activation(0).length == GAP_LENGTH // 2
-    assert machine.read_layer_activation(1).length == GAP_LENGTH // 2
+    assert machine.read_layer_activation(0).length == GAP_LENGTH
+    assert machine.read_layer_activation(1).length == GAP_LENGTH
     for layer in (2, 3):
         with pytest.raises(StateError, match="has not been executed"):
             machine.read_layer_activation(layer)
@@ -644,6 +634,11 @@ class RunStates(RuleBasedStateMachine):
     def _drop_run(self):
         self.layers_done, self.stepping = 0, False
 
+    def _set_net(self, net):
+        self.net = net
+        # the clock each layer's last cycle falls on, counted from the start
+        self.layer_ends = np.cumsum([lc.total for lc in network_report(net).layers])
+
     @initialize(seed=st.integers(0, 2**32 - 1))
     def load_model_and_input(self, seed):
         self.load_model(seed)
@@ -652,22 +647,40 @@ class RunStates(RuleBasedStateMachine):
     @rule(seed=st.integers(0, 2**32 - 1))
     def load_model(self, seed):
         rng = np.random.default_rng(seed)
-        self.net = random_small_net(rng, max_channels=3, max_length=16)
+        self._set_net(random_small_net(rng, max_channels=3, max_length=16))
         self.model = random_model(self.net, rng)
-        # the clock each layer's last cycle falls on, counted from the start
-        report = network_report(self.net)
-        self.layer_ends = np.cumsum([lc.total for lc in report.layers])
         self.machine.load_model(self.model)
         self.golden = None
         self._drop_run()
 
     @rule(seed=st.integers(0, 2**32 - 1))
     def load_input(self, seed):
-        x = random_input(np.random.default_rng(seed), self.net)
+        self._load(random_input(np.random.default_rng(seed), self.net))
+
+    def _load(self, x):
         self.machine.load_input(x)
         self.golden = infer_window(self.model.to_network_spec(self.net.input_length),
                                    self.model.to_weight_set(), x)
         self._drop_run()
+
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def load_window_of_any_length(self, seed):
+        # load_input refuses exactly the lengths NetworkSpec refuses, and a
+        # refused window leaves the last run and its stepper as they were
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(1, 2 * self.net.input_length + 1))
+        x = QuantTensor(rng.integers(0, 256, (self.net.layers[0].c_in, length),
+                                     dtype=np.uint8))
+        try:
+            net = NetworkSpec(self.net.layers, input_length=length)
+        except ConfigError:
+            logits = self.machine.last_logits
+            with pytest.raises(ConfigError):
+                self.machine.load_input(x)
+            assert self.machine.last_logits is logits
+            return
+        self._set_net(net)
+        self._load(x)
 
     @rule()
     def run_inference(self):
