@@ -19,7 +19,7 @@ from .errors import (BadMagicError, CapacityError, ConfigError, SerializationErr
                      ShapeError, TruncationError)
 from .qnn import (INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT, Activation, LayerKind,
                   LayerSpec, LayerWeights, NetworkSpec, PoolMode, QuantTensor,
-                  WeightSet, conv1d_gemm, zscore)
+                  WeightSet, check_windows, conv1d_gemm, zscore)
 
 MAGIC = b"SANN"
 FORMAT_VERSION = 1
@@ -354,6 +354,28 @@ def float_forward(fm: FloatModel, x: np.ndarray) -> list[np.ndarray]:
     return outs
 
 
+def calibration_windows(windows: np.ndarray, input_length: int) -> np.ndarray:
+    """The [N, input_length] array of one or more finite calibration windows
+    (a single 1-D window is one row); anything else is refused with
+    ShapeError, as quantize_windows refuses it."""
+    windows = check_windows(np.atleast_2d(windows), input_length)
+    if len(windows) == 0:
+        raise ShapeError("calibration needs at least one window")
+    return windows
+
+
+def observe_max_abs(maxima: np.ndarray, acts) -> None:
+    """Raise each maxima[i] to max |acts[i]|, in place."""
+    for i, act in enumerate(acts):
+        maxima[i] = max(maxima[i], float(np.max(np.abs(act))))
+
+
+def activation_scales(input_scale: float, maxima: np.ndarray) -> list[float]:
+    """The input scale, then one scale per layer output that maps the
+    layer's observed max |activation| to 255."""
+    return [input_scale] + [max(m, 1e-12) / 255.0 for m in maxima]
+
+
 def calibrate_activation_scales(fm: FloatModel, windows: np.ndarray,
                                 input_scale: float) -> list[float]:
     """Per-layer activation scales from observed float ranges.
@@ -362,14 +384,10 @@ def calibrate_activation_scales(fm: FloatModel, windows: np.ndarray,
     i+1 the output scale of layer i (u8 with zero point 0 after ReLU; the
     final entry is the logit scale taken from the observed logit range).
     """
-    scales = [input_scale]
     maxima = np.zeros(len(fm.layers))
-    for window in np.atleast_2d(windows):
-        for i, act in enumerate(float_forward(fm, zscore(window))):
-            maxima[i] = max(maxima[i], float(np.max(np.abs(act))))
-    for i, m in enumerate(maxima):
-        scales.append(max(m, 1e-12) / 255.0)
-    return scales
+    for window in calibration_windows(windows, fm.net.input_length):
+        observe_max_abs(maxima, float_forward(fm, zscore(window)))
+    return activation_scales(input_scale, maxima)
 
 
 def quantize_model(fm: FloatModel, act_scales: list[float]) -> PackedModel:

@@ -11,26 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import (DIA_FREQ_HZS, NUM_CLASSES, LabeledWindowSet,
+from .metrics import (CLASS_NAMES, DIA_FREQ_HZS, NUM_CLASSES, LabeledWindowSet,
                       SAMPLE_RATE_HZ, SYS_FREQ_HZ, softmax)
 from .modeltools import (FloatLayerParams, FloatModel, PackedModel,
-                         calibrate_activation_scales, float_forward,
+                         activation_scales, calibration_windows,
+                         float_forward, float_layer_forward, observe_max_abs,
                          quantize_model)
-from .errors import ShapeError
+from .errors import ConfigError
 from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, NetworkSpec, QuantTensor,
-                  infer_window, quantize_zscores, zscore)
+                  check_windows, infer_window, quantize_zscores, zscore)
 
 
 def quantize_windows(windows: np.ndarray) -> list[QuantTensor]:
     """zscore_quantize of every row of a [N, L] float array, as one array
     pass; the tensors share one u8 array."""
-    windows = np.asarray(windows)
-    if windows.ndim != 2 or windows.shape[1] == 0:
-        raise ShapeError("windows must be a [n][length] array, length >= 1")
-    finite = np.isfinite(windows).all(axis=1)
-    if not finite.all():
-        raise ShapeError(f"window {int(np.argmin(finite))}: samples must be finite")
-    codes = quantize_zscores(windows)
+    codes = quantize_zscores(check_windows(windows))
     return [QuantTensor(row, zero_point=INPUT_ZERO_POINT)
             for row in codes[:, np.newaxis, :]]
 
@@ -74,14 +69,28 @@ def _front_end_bank(c_out: int, taps: int, rng: np.random.Generator) -> np.ndarr
     return w[:, np.newaxis, :]
 
 
-def build_reference_model(calib: LabeledWindowSet, seed: int = 7):
-    """Construct a quantized model for the synthetic task.
+CALIB_WINDOWS = 64      # the calibration windows whose ranges set the scales
 
-    Returns (PackedModel, logit_scale); accuracy comes from the fixed filter
-    bank plus a closed-form nearest-class-mean head, not from training.
+
+def reference_float_model(calib: LabeledWindowSet,
+                          seed: int = 7) -> tuple[FloatModel, list[float]]:
+    """The reference model in float and its activation scales, from one
+    float pass over the calibration windows.
+
+    Returns (FloatModel, scales).  Each window's forward through the fixed
+    body gives its head features; the first CALIB_WINDOWS windows' forwards
+    also raise each body layer's running max |activation|, and the fitted
+    head's logits on those windows' features give the logit range.  So the
+    scales are calibrate_activation_scales(fm, calib.windows[:CALIB_WINDOWS],
+    INPUT_SCALE), but only the maxima and the [N, c_in] features are kept.
     """
     rng = np.random.default_rng(seed)
     net = NetworkSpec.default()
+    windows = calibration_windows(calib.windows, net.input_length)
+    missing = [c for c in range(NUM_CLASSES) if not np.any(calib.labels == c)]
+    if missing:
+        raise ConfigError("calibration set has no window of class " + ", ".join(
+            f"{c} ({CLASS_NAMES[c]})" for c in missing))
     params: list[FloatLayerParams] = []
     for i, spec in enumerate(net.layers[:-1]):
         if i == 0:
@@ -98,18 +107,30 @@ def build_reference_model(calib: LabeledWindowSet, seed: int = 7):
         bias=np.zeros(head_spec.c_out)))
     fm = FloatModel(net=net, layers=params)
 
-    feats = np.zeros((len(calib), net.layers[-1].c_in))
-    for i, window in enumerate(calib.windows):
-        feats[i] = float_forward(fm, zscore(window))[-2][:, 0]
+    maxima = np.zeros(len(net.layers))
+    feats = np.zeros((len(calib), head_spec.c_in))
+    for i, window in enumerate(windows):
+        acts = float_forward(fm, zscore(window))
+        feats[i] = acts[-2][:, 0]
+        if i < CALIB_WINDOWS:
+            observe_max_abs(maxima[:-1], acts[:-1])
     mus = np.stack([feats[calib.labels == c].mean(axis=0)
                     for c in range(NUM_CLASSES)])
     # argmax of f.mu_c - |mu_c|^2/2 is unchanged by subtracting the common f.mu_bar
     head_w = mus - mus.mean(axis=0)
     head_b = -0.5 * (mus ** 2).sum(axis=1)
     params[-1] = FloatLayerParams(weights=head_w[:, :, np.newaxis], bias=head_b)
-    fm = FloatModel(net=net, layers=params)
+    for f in feats[:CALIB_WINDOWS]:
+        observe_max_abs(maxima[-1:], [float_layer_forward(head_spec, params[-1],
+                                                          f[:, np.newaxis])])
+    return FloatModel(net=net, layers=params), activation_scales(INPUT_SCALE, maxima)
 
-    scales = calibrate_activation_scales(fm, calib.windows[:64], INPUT_SCALE)
-    model = quantize_model(fm, scales)
-    logit_scale = scales[-1]
-    return model, logit_scale
+
+def build_reference_model(calib: LabeledWindowSet, seed: int = 7):
+    """Construct a quantized model for the synthetic task.
+
+    Returns (PackedModel, logit_scale); accuracy comes from the fixed filter
+    bank plus a closed-form nearest-class-mean head, not from training.
+    """
+    fm, scales = reference_float_model(calib, seed)
+    return quantize_model(fm, scales), scales[-1]

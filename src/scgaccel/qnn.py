@@ -14,9 +14,10 @@ signed i32 outputs are the logits; only the input has a zero point, every ReLU
 output is u8 at zero point 0.  A lone LayerSpec may be anything its fields
 allow, such as the signed convs of the op-level tests.
 
-LayerSpec.out_length is the one input-geometry rule: a maxpool input must be
-even and a GAP input exactly GAP_LENGTH; NetworkSpec refuses, with
-ConfigError, an input length its layers cannot run.
+LayerSpec.out_length is the one input-geometry rule: every input holds at
+least 1 sample, a maxpool input an even number and a GAP input exactly
+GAP_LENGTH; NetworkSpec refuses, with ConfigError, an input length its layers
+cannot run.
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ class LayerSpec:
 
     def out_length(self, w_in: int) -> int:
         """Spatial length after conv (stride 1, resolution preserving) and pooling."""
+        if w_in < 1:
+            raise ConfigError(f"input length {w_in} must be at least 1 sample")
         if self.pool_mode == PoolMode.MAXPOOL2:
             if w_in % 2 != 0:
                 raise ConfigError(f"maxpool input length {w_in} must be even")
@@ -264,6 +267,22 @@ def zscore(windows: np.ndarray) -> np.ndarray:
     z = windows - windows.mean(axis=-1, keepdims=True)
     z /= std
     return z
+
+
+def check_windows(windows: np.ndarray, length: int | None = None) -> np.ndarray:
+    """An [N, L] array of finite windows, in its own dtype; with `length`,
+    L must equal it.  Anything else is refused with ShapeError, which names
+    the first window holding a non-finite sample."""
+    windows = np.asarray(windows)
+    if windows.ndim != 2 or windows.shape[1] == 0:
+        raise ShapeError("windows must be a [n][length] array, length >= 1")
+    if length is not None and windows.shape[1] != length:
+        raise ShapeError(f"windows have {windows.shape[1]} samples, "
+                         f"the network runs {length}")
+    finite = np.isfinite(windows).all(axis=1)
+    if not finite.all():
+        raise ShapeError(f"window {int(np.argmin(finite))}: samples must be finite")
+    return windows
 
 
 def quantize_zscores(windows: np.ndarray, zero_point: int = INPUT_ZERO_POINT,

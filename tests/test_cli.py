@@ -304,6 +304,28 @@ def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
     assert not out.exists()
 
 
+def _calib_with_a_nan_in_window_2():
+    calib = np.random.default_rng(5).normal(size=(4, 512))
+    calib[2, 9] = np.nan
+    return calib
+
+
+@pytest.mark.parametrize("calib, message", [
+    (np.zeros((0, 512)), "calibration needs at least one window"),
+    (_calib_with_a_nan_in_window_2(), "window 2: samples must be finite"),
+    (np.ones((4, 500)), "windows have 500 samples, the network runs 512"),
+], ids=["empty", "nan", "wrong-length"])
+def test_pack_refuses_calibration_windows_it_cannot_measure(calib, message,
+                                                            tmp_path, rng, capsys):
+    arrays = _float_arrays(rng, NetworkSpec.default())
+    src = tmp_path / "float.npz"
+    np.savez(src, calib=calib, **arrays)
+    out = tmp_path / "packed.bin"
+    assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infer_refuses_a_non_finite_window(model_file, tmp_path, capsys):
     path = tmp_path / "nan.f32"
     samples = np.zeros(512, dtype="<f4")

@@ -9,7 +9,7 @@ import pytest
 from conftest import (einsum_conv, reserved_byte_blobs, seed1_blob, shift63_blob,
                       signed_conv_blob)
 from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
-                             SerializationError, TruncationError)
+                             SerializationError, ShapeError, TruncationError)
 from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, BatchNorm,
                                  FloatLayerParams, FloatModel, PackedModel,
                                  WEIGHT_MEM_WORDS, calibrate_activation_scales,
@@ -351,3 +351,28 @@ def test_quantize_model_produces_valid_packed_model():
     logits, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     assert logits.values.shape == (3,)
     assert isinstance(x, QuantTensor)
+
+
+def _nan_in_window_5(rng):
+    windows = rng.normal(size=(8, 512))
+    windows[5, 100] = np.nan
+    return windows
+
+
+@pytest.mark.parametrize("windows, match", [
+    (lambda rng: np.zeros((0, 512)), "^calibration needs at least one window$"),
+    (_nan_in_window_5, "^window 5: samples must be finite$"),
+    (lambda rng: rng.normal(size=(8, 256)),
+     "^windows have 256 samples, the network runs 512$"),
+], ids=["empty", "nan", "wrong-length"])
+def test_calibration_refuses_windows_it_cannot_measure(rng, windows, match):
+    # unchecked, an empty set gives 1e-12/255 scales, max(m, nan) skips a
+    # NaN window, and the float GAP averages any length
+    net = NetworkSpec.default(l3_width=16)
+    fm = FloatModel(net=net, layers=[
+        FloatLayerParams(weights=rng.normal(size=(s.c_out, s.c_in, s.kernel)),
+                         bias=np.zeros(s.c_out)) for s in net.layers])
+    with pytest.raises(ShapeError, match=match):
+        calibrate_activation_scales(fm, windows(rng), 1 / 32)
+    scales = calibrate_activation_scales(fm, rng.normal(size=512), 1 / 32)
+    assert len(scales) == 6 and all(s > 1e-12 / 255 for s in scales)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import einsum_conv
+from conftest import einsum_conv, wide_image_net
 from scgaccel.errors import AccumulatorOverflow, ConfigError, ShapeError
 from scgaccel.metrics import synth_windows
 from scgaccel.modeltools import random_model
@@ -511,6 +511,16 @@ def test_network_spec_validation():
     assert good.layer_input_lengths() == [512, 256, 128, 64, 1]
     with pytest.raises(ConfigError):
         NetworkSpec(layers=(good.layers[0], good.layers[2]), input_length=512)
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_network_spec_refuses_an_input_under_one_sample(length):
+    # wide_image_net has no maxpool or GAP layer to refuse the length
+    net = wide_image_net()
+    with pytest.raises(ConfigError,
+                       match=f"^input length {length} must be at least 1 sample$"):
+        NetworkSpec(net.layers, input_length=length)
+    assert NetworkSpec(net.layers, input_length=1).layer_input_lengths() == [1, 1]
 
 
 def test_network_spec_layout_rule():
