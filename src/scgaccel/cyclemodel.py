@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 from enum import Enum
 
 from .errors import ConfigError
-from .qnn import LayerSpec, NetworkSpec, PoolMode
+from .qnn import LayerSpec, NetworkSpec, PoolMode, check_positive
 
 PE_COUNT = 6          # systolic lanes, one spatial batch per pass
 PRIME_CYCLES = 7      # pipeline fill latency per channel group
@@ -124,7 +124,9 @@ class CycleReport:
     @property
     def throughput_latency_s(self) -> float:
         """Latency used for throughput: the measured one when supplied."""
-        return self.measured_latency_s if self.measured_latency_s else self.latency_s
+        if self.measured_latency_s is None:
+            return self.latency_s
+        return self.measured_latency_s
 
     @property
     def mmacs_per_s(self) -> float:
@@ -190,8 +192,12 @@ def network_report(net: NetworkSpec,
                    avg_power_mw: float | None = DEFAULT_POWER_MW,
                    measured_latency_s: float | None = None,
                    convention: RequantConvention = RequantConvention.TABLE1) -> CycleReport:
-    if clock_hz <= 0:
-        raise ConfigError("clock_hz must be positive")
+    """The cycle report of `net`; the clock, and the power and measured
+    latency when given, must be finite and positive (ConfigError)."""
+    for name, value in (("clock_hz", clock_hz), ("avg_power_mw", avg_power_mw),
+                        ("measured_latency_s", measured_latency_s)):
+        if value is not None:
+            check_positive(name, value)
     layers = [layer_cycles(layer, w_in, convention)
               for layer, w_in in zip(net.layers, net.layer_input_lengths())]
     return CycleReport(layers=layers, convention=convention, clock_hz=clock_hz,

@@ -19,14 +19,19 @@ from .errors import (BadMagicError, CapacityError, ConfigError, SerializationErr
                      ShapeError, TruncationError)
 from .qnn import (INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT, Activation, LayerKind,
                   LayerSpec, LayerWeights, NetworkSpec, PoolMode, QuantTensor,
-                  WeightSet, check_windows, conv1d_gemm, zscore)
+                  WeightSet, check_positive, check_windows, conv1d_gemm, zscore)
 
 MAGIC = b"SANN"
 FORMAT_VERSION = 1
 DESCRIPTOR_SIZE = 16
 HEADER_SIZE = len(MAGIC) + 2 + 1  # magic + u16 version + u8 layer_count
 
-WEIGHT_MEM_WORDS = 32768          # two 16Kx16 banks, a 15-bit word address
+# The memory map, in 16-bit words: the weights fill two of the iCE40UP5K's
+# four 16K x 16 SPRAM blocks (a 15-bit word address), each ping-pong
+# activation buffer one more, and the input window two 256 x 16 EBR blocks.
+WEIGHT_MEM_WORDS = 32768
+PINGPONG_WORDS = 16384
+INPUT_MEM_WORDS = 2 * 256
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +118,9 @@ def quantize_weights(params: FloatLayerParams, input_scale: float):
 
 def derive_requant_constants(s_in: float, s_w: float, s_out: float) -> tuple[int, int]:
     """Fixed-point (multiplier, shift) with multiplier/2^shift ~ s_in*s_w/s_out."""
-    if s_in <= 0 or s_w <= 0 or s_out <= 0:
-        raise ConfigError("scales must be positive")
-    ratio = s_in * s_w / s_out
+    for name, value in (("s_in", s_in), ("s_w", s_w), ("s_out", s_out)):
+        check_positive(f"requant {name}", value)
+    ratio = check_positive("requant ratio", s_in * s_w / s_out)
     mantissa, exponent = math.frexp(ratio)   # ratio = mantissa * 2^exponent, mantissa in [0.5, 1)
     multiplier = round(mantissa * (1 << 31))
     if multiplier == 1 << 31:
@@ -150,17 +155,22 @@ def pack_weight_bytes(rows: np.ndarray) -> np.ndarray:
     return raw.view("<u2").reshape(-1).astype(np.uint16, copy=False)
 
 
+def image_words(channels: int, length: int) -> int:
+    """Words that pack_weight_bytes makes of a [channels, length] array."""
+    return channels * ((length + 1) // 2)
+
+
 def unpack_weight_bytes(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
     """Inverse of pack_weight_bytes: the [channels, count] u8 bytes of the
     `channels` channel-aligned rows at the start of `words`."""
-    wpc = (count + 1) // 2
+    wpc = image_words(1, count)
     words = np.ascontiguousarray(words[:channels * wpc], dtype="<u2")
     return words.reshape(channels, wpc).view(np.uint8)[:, :count].copy()
 
 
 def layer_word_count(spec: LayerSpec) -> int:
     """Words a layer's weights take in the SRAM image, two INT8 per word."""
-    return (spec.c_out * spec.c_in * spec.kernel + 1) // 2
+    return image_words(1, spec.c_out * spec.c_in * spec.kernel)
 
 
 def layer_weights(spec: LayerSpec, words: np.ndarray) -> np.ndarray:
@@ -321,10 +331,12 @@ class PackedModel:
 
 def float_layer_forward(spec: LayerSpec, params: FloatLayerParams,
                         x: np.ndarray) -> np.ndarray:
-    """Float conv -> (bn) -> pool -> activation, mirroring the integer order."""
+    """Float conv -> (bn) -> pool -> activation, mirroring the integer order;
+    a length the layer cannot run is refused as `LayerSpec.out_length` does."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != spec.c_in:
         raise ShapeError("channel mismatch in float forward")
+    spec.out_length(x.shape[1])
     y = conv1d_gemm(x, params.weights, spec.padding) + params.bias[:, np.newaxis]
     if params.bn is not None:
         bn = params.bn
@@ -332,8 +344,6 @@ def float_layer_forward(spec: LayerSpec, params: FloatLayerParams,
         y = (y - bn.running_mean[:, np.newaxis]) * factor[:, np.newaxis] \
             + bn.beta[:, np.newaxis]
     if spec.pool_mode == PoolMode.MAXPOOL2:
-        if y.shape[1] % 2 != 0:
-            raise ConfigError("maxpool needs even length")
         y = np.maximum(y[:, 0::2], y[:, 1::2])
     elif spec.pool_mode == PoolMode.GLOBAL_AVG:
         y = y.mean(axis=1, keepdims=True)

@@ -22,6 +22,7 @@ cannot run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import ClassVar
@@ -285,6 +286,14 @@ def check_windows(windows: np.ndarray, length: int | None = None) -> np.ndarray:
     return windows
 
 
+def check_positive(name: str, value: float) -> float:
+    """`value` when it is finite and above 0; anything else is refused with
+    a ConfigError that names it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def quantize_zscores(windows: np.ndarray, zero_point: int = INPUT_ZERO_POINT,
                      scale_divisor: float = INPUT_SCALE) -> np.ndarray:
     """u8 input codes of finite windows, z-scored in float64 over the last
@@ -294,7 +303,9 @@ def quantize_zscores(windows: np.ndarray, zero_point: int = INPUT_ZERO_POINT,
     z + copysign(0.5, z)), is offset by zero_point and saturates to
     [0, 255], all in place on the z-score but for the copysign term.  A
     float64 copy of float32 windows is freed once the z-score is taken.
+    A scale_divisor that is not finite and positive is refused (ConfigError).
     """
+    check_positive("scale_divisor", scale_divisor)
     z = zscore(np.asarray(windows, dtype=np.float64))
     z /= scale_divisor
     z += np.copysign(0.5, z)
@@ -313,8 +324,6 @@ def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
         raise ShapeError("window must be a non-empty 1-D array")
     if not np.isfinite(window).all():
         raise ShapeError("window samples must be finite")
-    if scale_divisor <= 0:
-        raise ConfigError("scale_divisor must be positive")
     q = quantize_zscores(window, zero_point, scale_divisor)
     return QuantTensor(q[np.newaxis, :], zero_point=zero_point)
 

@@ -9,8 +9,8 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
 
 * ``run_inference`` is the fast path used for full-network runs.  Each layer
   unpacks its input plane from simulated memory, runs ``qnn.layer_step`` on
-  it, packs the result back into the ping-pong buffer and takes its cycle
-  split from the run plan (``cyclemodel.layer_cycles``).
+  it, packs the result into its output buffer and takes its cycle split from
+  the run plan (``cyclemodel.layer_cycles``).
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
@@ -26,13 +26,15 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   it emits.
 
 ``load_input`` refuses, before it writes anything, a length ``NetworkSpec``
-refuses or a ReLU image over one ping-pong buffer, and builds the run plan
-both paths walk, so a run can fail only on data (``SimFault``).  Both record
-into one last run: an entry per completed layer (spec, output length, image,
-cycle split), the logits and the micro stepper.  ``load_model`` drops the plan
-and the last run; ``load_input`` and each new run drop the last run, and every
-readback reads that run alone.  ``modeltools`` defines the weight layout and
-the word packing of every plane and image.
+refuses or a ReLU image over its output buffer, and builds the run plan both
+paths walk, so a run can fail only on data (``SimFault``).  Each plan step
+names the buffer its layer reads (the input buffer for layer 0, then ping or
+pong by layer parity) and the one it writes.  Both paths record into one last
+run: an entry per completed layer (spec, output length, image, cycle split),
+the logits and the micro stepper.  ``load_model`` drops the plan and the last
+run; ``load_input`` and each new run drop the last run, and every readback
+reads that run alone.  ``modeltools`` defines the memory map, the weight
+layout and the word packing of every plane and image.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past
@@ -55,15 +57,12 @@ from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
                          array_efficiency, layer_cycles)
 from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
                      SimFault, StateError)
-from .modeltools import (WEIGHT_MEM_WORDS, PackedModel, layer_weights,
-                         layer_word_count, pack_weight_bytes, unpack_weight_bytes)
+from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
+                         PackedModel, image_words, layer_weights, layer_word_count,
+                         pack_weight_bytes, unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
                   LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
                   layer_step, round_shift)
-
-INPUT_BANKS = 2
-INPUT_BANK_WORDS = 256
-PINGPONG_WORDS = 16384
 
 REQUANT_MUL_STAGES = 4           # serial multiplier partial products
 REQUANT_OVERHEAD = REQUANT_CYCLES_TABLE - REQUANT_MUL_STAGES
@@ -98,10 +97,9 @@ class MemorySubsystem:
         self.weight_mem = np.zeros(WEIGHT_MEM_WORDS, dtype=np.uint16)
         self.bias_rom: list[np.ndarray] = []
         self.scale_regs: list[tuple[int, int]] = []
-        self.input_words = np.zeros(INPUT_BANKS * INPUT_BANK_WORDS, dtype=np.uint16)
+        self.input_words = np.zeros(INPUT_MEM_WORDS, dtype=np.uint16)
         self.ping = np.zeros(PINGPONG_WORDS, dtype=np.uint16)
         self.pong = np.zeros(PINGPONG_WORDS, dtype=np.uint16)
-        self.pingpong_toggle = 0
 
     def read_weight_word(self, addr: int) -> int:
         if not 0 <= addr < WEIGHT_MEM_WORDS:
@@ -123,17 +121,6 @@ class MemorySubsystem:
             raise MemoryFault(f"buffer byte {byte_index} out of range")
         word = int(words[byte_index >> 1])
         return word >> 8 if byte_index % 2 else word & 0xFF
-
-    @property
-    def read_buf(self) -> np.ndarray:
-        return self.ping if self.pingpong_toggle == 0 else self.pong
-
-    @property
-    def write_buf(self) -> np.ndarray:
-        return self.pong if self.pingpong_toggle == 0 else self.ping
-
-    def toggle(self):
-        self.pingpong_toggle ^= 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,26 +250,27 @@ class SimMachine:
         if x.channels != layers[0].c_in:
             raise ShapeError(f"input has {x.channels} channels, "
                              f"model expects {layers[0].c_in}")
-        img = pack_weight_bytes(x.data)
-        if img.size > self.mem.input_words.size:
-            raise ShapeError(f"input needs {img.size} words, buffer has "
-                             f"{self.mem.input_words.size}")
+        mem = self.mem
+        if (n_words := image_words(x.channels, x.length)) > mem.input_words.size:
+            raise ShapeError(f"input needs {n_words} words, buffer has "
+                             f"{mem.input_words.size}")
         lengths = self.model.to_network_spec(x.length).layer_input_lengths()
-        # each layer but the head writes a ReLU image of the next one's length
-        for li, (spec, w_out) in enumerate(zip(layers, lengths[1:])):
-            if (n_words := spec.c_out * ((w_out + 1) // 2)) > PINGPONG_WORDS:
-                raise ShapeError(f"layer {li}: {n_words}-word output image "
+        plan, src = [], mem.input_words
+        for li, (spec, w_in, base) in enumerate(
+                zip(layers, lengths, self.model.layer_word_base)):
+            dst = (mem.pong, mem.ping)[li % 2]
+            # each layer but the head writes a ReLU image into dst
+            out_words = image_words(spec.c_out, spec.out_length(w_in))
+            if spec.activation == Activation.RELU_SATURATE and out_words > dst.size:
+                raise ShapeError(f"layer {li}: {out_words}-word output image "
                                  "overflows the ping-pong buffer")
-        self._plan = [(li, spec, w_in, 0 if li else x.zero_point, base,
-                       layer_cycles(spec, w_in)) for li, (spec, w_in, base)
-                      in enumerate(zip(layers, lengths, self.model.layer_word_base))]
-        self.mem.input_words[:] = 0
-        self.mem.input_words[:img.size] = img
+            plan.append((li, spec, w_in, 0 if li else x.zero_point, base,
+                         layer_cycles(spec, w_in), src, dst))
+            src = dst
+        self._plan = plan
+        mem.input_words[:] = 0
+        mem.input_words[:n_words] = pack_weight_bytes(x.data)
         self._clear_run()
-
-    def _act_words(self, li: int) -> np.ndarray:
-        """The buffer holding layer li's input plane."""
-        return self.mem.input_words if li == 0 else self.mem.read_buf
 
     # -- run set-up shared by both paths ------------------------------------
 
@@ -291,18 +279,16 @@ class SimMachine:
 
     def _begin_run(self) -> list[tuple]:
         """Clear the last run; returns the run plan: per layer (index, spec,
-        input length, input zero point, weight base, LayerCycles)."""
+        input length, input zero point, weight base, LayerCycles, the buffer
+        it reads, the buffer it writes)."""
         if self._plan is None:
             raise StateError("model and input must be loaded before running")
         self._clear_run()
-        self.mem.pingpong_toggle = 0
         return self._plan
 
-    def _finish_layer(self, spec, w_out: int, n_words: int, lc):
-        """Record the layer's entry with the n_words it wrote, swap buffers."""
-        self._run.layers.append(
-            _LayerEntry(spec, w_out, self.mem.write_buf[:n_words].copy(), lc))
-        self.mem.toggle()
+    def _finish_layer(self, spec, w_out: int, words: np.ndarray, lc):
+        """Record the layer's entry with a copy of the words it wrote."""
+        self._run.layers.append(_LayerEntry(spec, w_out, words.copy(), lc))
 
     # -- fast path -----------------------------------------------------------
 
@@ -315,12 +301,13 @@ class SimMachine:
             self._run_layer_fast(*layer)
         return self._last_run()
 
-    def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int, lc):
+    def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int, lc,
+                        src: np.ndarray, dst: np.ndarray):
         """One layer: qnn.layer_step on the plane held in simulated memory."""
         mem = self.mem
         # whole batches of six; the overhang lanes read the zero point
         ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
-        ext[:, :w_in] = unpack_weight_bytes(self._act_words(li), w_in, spec.c_in)
+        ext[:, :w_in] = unpack_weight_bytes(src, w_in, spec.c_in)
         lw = LayerWeights(
             layer_weights(spec, mem.weight_region(base, layer_word_count(spec))),
             mem.bias_rom[li])
@@ -336,9 +323,9 @@ class SimMachine:
         else:
             img = pack_weight_bytes(out)
             n_words = img.size
-            mem.write_buf[:n_words] = img
+            dst[:n_words] = img
         self.cycle_counter += lc.total
-        self._finish_layer(spec, out.shape[1], n_words, lc)
+        self._finish_layer(spec, out.shape[1], dst[:n_words], lc)
 
     # -- micro (per-cycle) path ---------------------------------------------
 
@@ -387,7 +374,8 @@ class SimMachine:
         return CycleEvent(self.cycle_counter, state, layer, c_out, batch, c_in,
                           k, reads, macs, note)
 
-    def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int, _lc):
+    def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int, _lc,
+                     src: np.ndarray, dst: np.ndarray):
         mem = self.mem
         cluster = self.cluster
         n_batches = -(-w_in // PE_COUNT)
@@ -395,14 +383,14 @@ class SimMachine:
         multiplier, shift = mem.scale_regs[li]
         signed = spec.activation == Activation.SIGNED_BYPASS
         # a live view: each read sees simulated memory as it is on that clock
-        act_words, wpc = memoryview(self._act_words(li)), (w_in + 1) // 2
+        act_words, wpc = memoryview(src), (w_in + 1) // 2
 
         def sample(c: int, t: int) -> int:
             """Activation read with zero-point padding outside [0, w_in)."""
             return mem.read_byte(act_words, 2 * c * wpc + t) if 0 <= t < w_in else zp
 
         self._split = dict.fromkeys(("prime", "compute", "requant"), 0)
-        packer = ResultPacker(mem.write_buf)
+        packer = ResultPacker(dst)
         logits = np.zeros(spec.c_out, dtype=np.int64) if signed else None
 
         if spec.pool_mode == PoolMode.GLOBAL_AVG and w_in != GAP_LENGTH:
@@ -477,7 +465,7 @@ class SimMachine:
         lc = LayerCycles(**split, n_batches=n_batches,
                          n_outputs=split["requant"] // REQUANT_CYCLES_TABLE,
                          array_eff=array_efficiency(k))
-        self._finish_layer(spec, spec.out_length(w_in), packer.word_addr, lc)
+        self._finish_layer(spec, spec.out_length(w_in), dst[:packer.word_addr], lc)
 
     def _micro_requant(self, li, o, b, acc, multiplier, shift, spec):
         """Six requant cycles: four multiplier stages, each adding one partial

@@ -82,6 +82,19 @@ def test_analyze_rejects_a_zero_clock(capsys):
     assert "clock_hz must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--clock-hz", "inf", "clock_hz must be positive and finite, got inf"),
+    ("--clock-hz", "nan", "clock_hz must be positive and finite, got nan"),
+    ("--power-mw", "-5", "avg_power_mw must be positive and finite, got -5.0"),
+    ("--measured-latency-s", "0", "measured_latency_s must be positive and finite"),
+])
+def test_analyze_refuses_a_figure_that_is_not_finite_and_positive(option, value,
+                                                                   message, capsys):
+    assert main(["analyze", option, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_infer_both_reports_exact_match(model_file, window_file, capsys):
     assert main(["infer", "--model", model_file, "--input", window_file,
                  "--both"]) == 0
@@ -301,6 +314,21 @@ def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
     out = tmp_path / "packed.bin"
     assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pack_refuses_weights_whose_float_forward_overflows(tmp_path, capsys):
+    # finite weights of 1e200 overflow the float forward to an infinite
+    # activation scale, which no requant multiplier can hold
+    arrays = {key: np.full_like(a, 1e200) if key.startswith("w") else a
+              for key, a in _float_arrays(np.random.default_rng(6),
+                                          NetworkSpec.default()).items()}
+    src = tmp_path / "float.npz"
+    np.savez(src, **arrays)
+    out = tmp_path / "packed.bin"
+    with np.errstate(over="ignore", invalid="ignore"):    # the overflow is the input
+        assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -101,6 +101,23 @@ def test_rejects_bad_inputs():
         network_report(net, clock_hz=0)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("clock_hz", math.inf), ("clock_hz", math.nan), ("clock_hz", -1.0),
+    ("avg_power_mw", -5.0), ("avg_power_mw", math.inf),
+    ("measured_latency_s", 0.0), ("measured_latency_s", math.nan),
+])
+def test_report_refuses_inputs_that_are_not_finite_and_positive(option, value):
+    with pytest.raises(ConfigError, match=f"{option} must be positive and finite"):
+        network_report(NetworkSpec.default(), **{option: value})
+
+
+def test_report_without_power_or_measured_latency():
+    report = network_report(NetworkSpec.default(), avg_power_mw=None,
+                            measured_latency_s=None)
+    assert report.energy_uj is None
+    assert report.throughput_latency_s == report.latency_s
+
+
 def test_report_serialization_schema():
     report = network_report(NetworkSpec.default(), measured_latency_s=0.0955)
     d = report.to_dict()

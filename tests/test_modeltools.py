@@ -10,11 +10,12 @@ from conftest import (einsum_conv, reserved_byte_blobs, seed1_blob, shift63_blob
                       signed_conv_blob)
 from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
                              SerializationError, ShapeError, TruncationError)
-from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, BatchNorm,
-                                 FloatLayerParams, FloatModel, PackedModel,
-                                 WEIGHT_MEM_WORDS, calibrate_activation_scales,
+from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, INPUT_MEM_WORDS,
+                                 PINGPONG_WORDS, BatchNorm, FloatLayerParams,
+                                 FloatModel, PackedModel, WEIGHT_MEM_WORDS,
+                                 calibrate_activation_scales,
                                  derive_requant_constants, float_layer_forward,
-                                 fold_batchnorm, layer_word_count,
+                                 fold_batchnorm, image_words, layer_word_count,
                                  pack_sram_image, pack_weight_bytes,
                                  quantize_model, quantize_weights,
                                  random_model, unpack_weight_bytes)
@@ -90,6 +91,21 @@ def test_float_layer_forward_matches_einsum_reference():
         assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("pool, bad, good, message", [
+    (PoolMode.GLOBAL_AVG, 10, 64, "GAP unit is hardwired for length 64, got 10"),
+    (PoolMode.MAXPOOL2, 7, 8, "maxpool input length 7 must be even"),
+], ids=["gap-at-10", "odd-maxpool"])
+def test_float_layer_forward_pools_to_out_length(pool, bad, good, message):
+    rng = np.random.default_rng(14)
+    spec = LayerSpec(kind=LayerKind.CONV1D, c_in=3, c_out=2, kernel=3, padding=1,
+                     pool_mode=pool, activation=Activation.RELU_SATURATE)
+    params = _random_layer_params(rng, c_out=2, k=3, with_bn=False)
+    with pytest.raises(ConfigError, match=message):
+        float_layer_forward(spec, params, rng.normal(size=(3, bad)))
+    y = float_layer_forward(spec, params, rng.normal(size=(3, good)))
+    assert y.shape == (2, spec.out_length(good))
+
+
 def test_fold_requires_bn():
     rng = np.random.default_rng(3)
     with pytest.raises(ConfigError):
@@ -139,6 +155,20 @@ def test_requant_constants_reject_bad_scales():
         derive_requant_constants(1e-12, 1e-12, 1.0)   # shift would exceed 62
 
 
+@pytest.mark.parametrize("scales, message", [
+    ((1.0, 1.0, np.inf), "s_out must be positive and finite, got inf"),
+    ((np.inf, 1.0, 1.0), "s_in must be positive and finite, got inf"),
+    ((1.0, np.nan, 1.0), "s_w must be positive and finite, got nan"),
+    ((1.0, 1.0, np.nan), "s_out must be positive and finite, got nan"),
+    ((1e-300, 1e-300, 1.0), "ratio must be positive and finite, got 0.0"),
+    ((1e300, 1e300, 1.0), "ratio must be positive and finite, got inf"),
+], ids=["inf-out", "inf-in", "nan-w", "nan-out", "underflow", "overflow"])
+def test_requant_constants_refuse_scales_that_are_not_finite_and_positive(
+        scales, message):
+    with pytest.raises(ConfigError, match=f"^requant {message}$"):
+        derive_requant_constants(*scales)
+
+
 # ---------------------------------------------------------------------------
 # Packing
 # ---------------------------------------------------------------------------
@@ -180,6 +210,23 @@ def test_default_network_weight_word_count():
     assert model.layer_word_base == [0, 72, 2376, 11592, 32072]
     # fits the 32K-word space with the last word below the limit
     assert model.layer_word_base[-1] + 192 <= WEIGHT_MEM_WORDS
+
+
+def test_memory_map_fills_the_up5k_memories():
+    # iCE40UP5K (Lattice FPGA-DS-02008): four 16K x 16 SPRAM blocks, and
+    # 256 x 16 EBR blocks
+    spram_block, ebr_block = 16 * 1024, 256
+    assert WEIGHT_MEM_WORDS + 2 * PINGPONG_WORDS == 4 * spram_block
+    assert INPUT_MEM_WORDS == 2 * ebr_block
+    default = NetworkSpec.default()
+    assert sum(layer_word_count(s) for s in default.layers) == 32_264
+    assert WEIGHT_MEM_WORDS == 32_768
+
+
+@pytest.mark.parametrize("channels, length", [(1, 1), (1, 512), (3, 7), (16, 256)])
+def test_image_words_counts_what_pack_weight_bytes_makes(channels, length):
+    rows = np.zeros((channels, length), dtype=np.uint8)
+    assert image_words(channels, length) == pack_weight_bytes(rows).size
 
 
 def test_pack_sram_image_capacity_error_names_layer():

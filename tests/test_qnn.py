@@ -395,6 +395,17 @@ def test_zscore_refuses_non_finite_samples(bad):
         zscore_quantize(np.full(64, bad))
 
 
+@pytest.mark.parametrize("divisor", [0.0, -1.0, np.nan, np.inf])
+def test_both_front_ends_refuse_a_scale_divisor_that_is_not_finite_and_positive(
+        divisor):
+    windows = np.random.default_rng(19).normal(size=(2, 16))
+    message = "scale_divisor must be positive and finite"
+    with pytest.raises(ConfigError, match=message):
+        quantize_zscores(windows, 128, divisor)
+    with pytest.raises(ConfigError, match=message):
+        zscore_quantize(windows[0], 128, divisor)
+
+
 def test_zscore_saturates_outliers():
     window = np.zeros(64)
     window[0] = 1e6

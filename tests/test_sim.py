@@ -16,11 +16,12 @@ from conftest import (_FC, _RELU, every_kind_net, gap_overflow_model, random_inp
 from scgaccel.cyclemodel import PE_COUNT, layer_cycles, network_report
 from scgaccel.errors import (AccumulatorOverflow, CapacityError, ConfigError,
                              MemoryFault, ShapeError, SimFault, StateError)
-from scgaccel.modeltools import PackedModel, random_model
+from scgaccel.modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, PackedModel,
+                                 pack_weight_bytes, random_model)
 from scgaccel.modeltools import WEIGHT_MEM_WORDS as WEIGHT_ADDR_LIMIT
 from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT,
                           LayerSpec, LayerWeights, NetworkSpec, PoolMode,
-                          QuantTensor, WeightSet, infer_window)
+                          QuantTensor, WeightSet, infer_window, layer_step)
 from scgaccel.qnn import round_shift as _round_shift
 from scgaccel.sim import ResultPacker, SimMachine, mul64signed
 
@@ -135,6 +136,53 @@ def test_input_buffer_round_trip(default_pair):
         for t in (-1, 2 * len(words)):
             with pytest.raises(MemoryFault):
                 machine.mem.read_byte(buf, t)
+
+
+def test_memories_are_allocated_from_the_memory_map():
+    mem = SimMachine().mem
+    assert (mem.weight_mem.size, mem.input_words.size, mem.ping.size,
+            mem.pong.size) == (WEIGHT_ADDR_LIMIT, INPUT_MEM_WORDS,
+                               PINGPONG_WORDS, PINGPONG_WORDS)
+
+
+@pytest.mark.parametrize("run", [SimMachine.run_inference, SimMachine.run_micro],
+                         ids=["fast", "micro"])
+def test_layer_i_writes_pong_or_ping_by_parity(rng, run):
+    """Layer 0 writes pong and layer 1 ping; layer 2 overwrites pong."""
+    net = every_kind_net()
+    machine = SimMachine()
+    machine.load_model(random_model(net, rng))
+    machine.load_input(random_input(rng, net))
+    run(machine)
+    for li, buf in ((1, machine.mem.ping), (2, machine.mem.pong)):
+        img = pack_weight_bytes(machine.read_layer_activation(li).data)
+        assert np.array_equal(buf[:img.size], img)
+
+
+def test_layer_i_reads_the_buffer_layer_i_minus_1_wrote(rng):
+    """Zeroing ping once layer 1 has written it zeroes layer 2's input."""
+    net = every_kind_net()
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(x)
+    machine.start()
+    while machine.step().layer < 2:    # layer 2's first clock reads nothing
+        pass
+    machine.mem.ping[:] = 0
+    while True:
+        try:
+            machine.step()
+        except StateError:
+            break
+    spec, ws = model.layers[2], model.to_weight_set()
+    zeros = QuantTensor(np.zeros((spec.c_in, GAP_LENGTH), dtype=np.uint8))
+    expect = layer_step(zeros, spec, ws.layers[2], spec.requant_multiplier,
+                        spec.requant_shift)
+    assert np.array_equal(machine.read_layer_activation(2).data, expect)
+    clean = infer_window(model.to_network_spec(x.length), ws, x)[1][2]
+    assert not np.array_equal(clean.data, expect)
 
 
 def test_load_input_accepts_any_memory_order(rng):
