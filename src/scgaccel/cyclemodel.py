@@ -193,16 +193,23 @@ def network_report(net: NetworkSpec,
                    measured_latency_s: float | None = None,
                    convention: RequantConvention = RequantConvention.TABLE1) -> CycleReport:
     """The cycle report of `net`; the clock, and the power and measured
-    latency when given, must be finite and positive (ConfigError)."""
+    latency when given, must be finite and positive, and so must every figure
+    derived from them (ConfigError)."""
     for name, value in (("clock_hz", clock_hz), ("avg_power_mw", avg_power_mw),
                         ("measured_latency_s", measured_latency_s)):
         if value is not None:
             check_positive(name, value)
     layers = [layer_cycles(layer, w_in, convention)
               for layer, w_in in zip(net.layers, net.layer_input_lengths())]
-    return CycleReport(layers=layers, convention=convention, clock_hz=clock_hz,
-                       specs=list(net.layers), avg_power_mw=avg_power_mw,
-                       measured_latency_s=measured_latency_s)
+    report = CycleReport(layers=layers, convention=convention, clock_hz=clock_hz,
+                         specs=list(net.layers), avg_power_mw=avg_power_mw,
+                         measured_latency_s=measured_latency_s)
+    # a finite input can still overflow a quotient or product to inf, which
+    # JSON cannot carry, or underflow one to 0
+    for name in ("latency_s", "fps", "mmacs_per_s", "mops_per_s", "energy_uj"):
+        if (value := getattr(report, name)) is not None:
+            check_positive(f"derived {name}", value)
+    return report
 
 
 def peak_mmacs(clock_hz: float = DEFAULT_CLOCK_HZ) -> float:

@@ -330,9 +330,21 @@ class PackedModel:
 # ---------------------------------------------------------------------------
 
 def float_layer_forward(spec: LayerSpec, params: FloatLayerParams,
-                        x: np.ndarray) -> np.ndarray:
+                        x: np.ndarray, layer: int | None = None) -> np.ndarray:
     """Float conv -> (bn) -> pool -> activation, mirroring the integer order;
-    a length the layer cannot run is refused as `LayerSpec.out_length` does."""
+    a length the layer cannot run is refused as `LayerSpec.out_length` does.
+
+    An activation that is not finite is refused (ConfigError, naming
+    `layer` when given) where it first appears: after the conv and batch
+    norm, where a maxpool or ReLU could still hide it, or after the GAP
+    mean, whose sum can overflow.
+    """
+    def check_finite(y: np.ndarray, stage: str) -> np.ndarray:
+        if not np.isfinite(y).all():
+            where = "float forward" if layer is None else f"layer {layer}"
+            raise ConfigError(f"{where}: {stage} output is not finite")
+        return y
+
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != spec.c_in:
         raise ShapeError("channel mismatch in float forward")
@@ -343,10 +355,11 @@ def float_layer_forward(spec: LayerSpec, params: FloatLayerParams,
         factor = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
         y = (y - bn.running_mean[:, np.newaxis]) * factor[:, np.newaxis] \
             + bn.beta[:, np.newaxis]
+    check_finite(y, "conv")
     if spec.pool_mode == PoolMode.MAXPOOL2:
         y = np.maximum(y[:, 0::2], y[:, 1::2])
     elif spec.pool_mode == PoolMode.GLOBAL_AVG:
-        y = y.mean(axis=1, keepdims=True)
+        y = check_finite(y.mean(axis=1, keepdims=True), "GAP")
     if spec.activation == Activation.RELU_SATURATE:
         y = np.maximum(y, 0.0)
     return y
@@ -358,8 +371,8 @@ def float_forward(fm: FloatModel, x: np.ndarray) -> list[np.ndarray]:
     cur = np.asarray(x, dtype=np.float64)
     if cur.ndim == 1:
         cur = cur[np.newaxis, :]
-    for spec, params in zip(fm.net.layers, fm.layers):
-        cur = float_layer_forward(spec, params, cur)
+    for li, (spec, params) in enumerate(zip(fm.net.layers, fm.layers)):
+        cur = float_layer_forward(spec, params, cur, li)
         outs.append(cur)
     return outs
 

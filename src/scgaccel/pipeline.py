@@ -121,8 +121,8 @@ def reference_float_model(calib: LabeledWindowSet,
     head_b = -0.5 * (mus ** 2).sum(axis=1)
     params[-1] = FloatLayerParams(weights=head_w[:, :, np.newaxis], bias=head_b)
     for f in feats[:CALIB_WINDOWS]:
-        observe_max_abs(maxima[-1:], [float_layer_forward(head_spec, params[-1],
-                                                          f[:, np.newaxis])])
+        observe_max_abs(maxima[-1:], [float_layer_forward(
+            head_spec, params[-1], f[:, np.newaxis], len(net.layers) - 1)])
     return FloatModel(net=net, layers=params), activation_scales(INPUT_SCALE, maxima)
 
 

@@ -14,16 +14,20 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
-  It is the independent check of the fast path.  The sample pipe is a shift
-  register: priming shifts six samples in, in position order, so lane j then
-  holds the sample for output position j, and each tap shifts one more in
-  the same way.  A weight word is fetched (and traced) at an even weight
-  index or a channel group's first tap and held, so the next odd tap takes
-  its high byte without a second read.  Activation reads go through
-  ``MemorySubsystem.read_byte`` on a live memoryview of the layer's input
-  buffer, so every read sees simulated memory as it is on that clock; nothing
-  is cached or snapshot.  Each layer's cycle split is counted from the events
-  it emits.
+  It is the independent check of the fast path.  There is no cluster
+  object: the six-lane sample pipe and the six accumulators are locals of
+  the layer generator.  The pipe is a shift register of ``sample - zp``:
+  priming shifts six samples in, in position order, so lane j then holds the
+  sample for output position j, and each tap shifts one more in the same
+  way, so a tap's MAC is one multiply-add per lane.  A weight word is
+  fetched (and traced) at an even weight index or a channel group's first
+  tap and held, so the next odd tap takes its high byte without a second
+  read.  Activation reads go through ``MemorySubsystem.read_byte`` on a live
+  memoryview of the layer's input buffer, so every read sees simulated
+  memory as it is on that clock; nothing is cached or snapshot.  Each clock
+  is counted where it is yielded: into the machine's cycle counter and, for
+  prime and compute, into the layer's split; the requant sub-generator
+  counts its own clocks, which are the rest of the layer's.
 
 ``load_input`` refuses, before it writes anything, a length ``NetworkSpec``
 refuses or a ReLU image over its output buffer, and builds the run plan both
@@ -124,28 +128,8 @@ class MemorySubsystem:
 
 
 # ---------------------------------------------------------------------------
-# Systolic cluster and packer
+# Result packer
 # ---------------------------------------------------------------------------
-
-class SystolicCluster:
-    def __init__(self):
-        self.x_pipe = [0] * PE_COUNT          # u8 samples, X[0..5]
-        self.acc = [0] * PE_COUNT             # signed 32-bit accumulators
-
-    def shift_in(self, sample: int):
-        """Every sample moves one lane down; the new one enters lane 5."""
-        x = self.x_pipe
-        del x[0]
-        x.append(sample)
-
-    def load_bias(self, bias: int):
-        self.acc = [bias] * PE_COUNT
-
-    def mac_all(self, weight: int, zero_point: int):
-        # X[j] currently holds the sample for output position j of this batch
-        self.acc = [a + (x - zero_point) * weight
-                    for a, x in zip(self.acc, self.x_pipe)]
-
 
 class ResultPacker:
     """Adapts the 8-bit result stream to 16-bit buffer words, channel aligned."""
@@ -188,9 +172,9 @@ class CycleEvent:
     batch: int
     c_in: int
     k: int
-    reads: list = field(default_factory=list)
-    macs: int = 0
-    note: str = ""
+    reads: list
+    macs: int
+    note: str
 
     def to_json(self) -> str:
         """The fields as one JSON object, in declaration order."""
@@ -221,13 +205,11 @@ class _Run:
 class SimMachine:
     def __init__(self, trace_sink=None):
         self.mem = MemorySubsystem()
-        self.cluster = SystolicCluster()
         self.cycle_counter = 0
         self.trace_sink = trace_sink
         self.model: PackedModel | None = None
         self._plan: list[tuple] | None = None    # the loaded input's run plan
         self._run = _Run()
-        self._split: dict[str, int] = {}
 
     # -- loading ------------------------------------------------------------
 
@@ -366,121 +348,127 @@ class SimMachine:
         """(Logits, cycles, per-layer LayerCycles) of the last run."""
         return self.last_logits, self.last_cycles, [e.cycles for e in self._run.layers]
 
-    def _emit(self, state: str, layer: int, c_out: int, batch: int, c_in: int,
-              k: int, reads: list, macs: int = 0, note: str = "") -> CycleEvent:
-        """One clock: the event it traces, counted into the layer's split."""
-        self.cycle_counter += 1
-        self._split[state] += 1
-        return CycleEvent(self.cycle_counter, state, layer, c_out, batch, c_in,
-                          k, reads, macs, note)
-
     def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int, _lc,
                      src: np.ndarray, dst: np.ndarray):
         mem = self.mem
-        cluster = self.cluster
+        read_byte, read_weight_word = mem.read_byte, mem.read_weight_word
         n_batches = -(-w_in // PE_COUNT)
-        k, pad = spec.kernel, spec.padding
+        c_in, k, pad = spec.c_in, spec.kernel, spec.padding
         multiplier, shift = mem.scale_regs[li]
         signed = spec.activation == Activation.SIGNED_BYPASS
         # a live view: each read sees simulated memory as it is on that clock
         act_words, wpc = memoryview(src), (w_in + 1) // 2
 
-        def sample(c: int, t: int) -> int:
-            """Activation read with zero-point padding outside [0, w_in)."""
-            return mem.read_byte(act_words, 2 * c * wpc + t) if 0 <= t < w_in else zp
-
-        self._split = dict.fromkeys(("prime", "compute", "requant"), 0)
-        packer = ResultPacker(dst)
-        logits = np.zeros(spec.c_out, dtype=np.int64) if signed else None
-
         if spec.pool_mode == PoolMode.GLOBAL_AVG and w_in != GAP_LENGTH:
             raise ConfigError(f"GAP layer requires input length {GAP_LENGTH}")
 
+        first_cycle, prime, compute = self.cycle_counter, 0, 0
+        packer = ResultPacker(dst)
+        logits = np.zeros(spec.c_out, dtype=np.int64) if signed else None
         for o in range(spec.c_out):
             gap_acc = 0
             for b in range(n_batches):
                 base_t = b * PE_COUNT
                 t0 = base_t - pad          # lane 0's sample at tap 0
-                for c in range(spec.c_in):
+                for c in range(c_in):
+                    row = 2 * c * wpc      # channel c's first byte
                     # prime: load bias on a fresh group, then fill the pipe
                     if c == 0:
-                        cluster.load_bias(int(mem.bias_rom[li][o]))
-                    yield self._emit("prime", li, o, b, c, -1, [],
-                                     note="bias" if c == 0 else "")
-                    for i in range(PE_COUNT):
-                        cluster.shift_in(sample(c, t0 + i))
-                        yield self._emit("prime", li, o, b, c, -1,
-                                         [{"mem": "act", "t": t0 + i}])
-                    # lane j now holds x[t0 + j]; each tap shifts one more in
+                        acc = [int(mem.bias_rom[li][o])] * PE_COUNT
+                    self.cycle_counter += 1
+                    prime += 1
+                    yield CycleEvent(self.cycle_counter, "prime", li, o, b, c, -1,
+                                     [], 0, "" if c else "bias")
+                    # the pipe holds sample - zp; padding outside [0, w_in)
+                    # reads no memory and is the zero point
+                    pipe = []
+                    for t in range(t0, t0 + PE_COUNT):
+                        pipe.append(read_byte(act_words, row + t) - zp
+                                    if 0 <= t < w_in else 0)
+                        self.cycle_counter += 1
+                        prime += 1
+                        yield CycleEvent(self.cycle_counter, "prime", li, o, b, c,
+                                         -1, [{"mem": "act", "t": t}], 0, "")
+                    # lane j now holds x[t0 + j] - zp; each tap shifts one more in
+                    idx = (o * c_in + c) * k
                     for kk in range(k):
-                        idx = (o * spec.c_in + c) * k + kk
-                        reads = []
                         # a fetch at an even index or a group's first tap;
                         # an odd tap takes the high byte of the held word
                         if idx % 2 == 0 or kk == 0:
                             addr = base + idx // 2
-                            word = mem.read_weight_word(addr)
-                            reads.append({"mem": "weight", "addr": addr})
+                            word = read_weight_word(addr)
+                            reads = [{"mem": "weight", "addr": addr}]
+                        else:
+                            reads = []
                         byte = word >> 8 if idx % 2 else word & 0xFF
-                        cluster.mac_all(byte - 256 if byte >= 128 else byte, zp)
-                        cluster.shift_in(sample(c, t0 + kk + PE_COUNT))
-                        yield self._emit("compute", li, o, b, c, kk, reads,
-                                         PE_COUNT)
+                        weight = byte - 256 if byte >= 128 else byte
+                        acc = [a + x * weight for a, x in zip(acc, pipe)]
+                        del pipe[0]
+                        t = t0 + kk + PE_COUNT
+                        pipe.append(read_byte(act_words, row + t) - zp
+                                    if 0 <= t < w_in else 0)
+                        self.cycle_counter += 1
+                        compute += 1
+                        yield CycleEvent(self.cycle_counter, "compute", li, o, b, c,
+                                         kk, reads, PE_COUNT, "")
+                        idx += 1
                 # overflow is checked on the completed group, mirroring the
                 # final-accumulator check of the golden model and fast path
-                if max(cluster.acc) > INT32_MAX or min(cluster.acc) < INT32_MIN:
+                if max(acc) > INT32_MAX or min(acc) < INT32_MIN:
                     raise SimFault(f"layer {li}: accumulator overflow at "
                                    f"cycle {self.cycle_counter}")
                 # group complete for all input channels: pool + requant
                 if spec.pool_mode == PoolMode.MAXPOOL2:
                     for m in range(PE_COUNT // 2):
-                        pooled = max(cluster.acc[2 * m], cluster.acc[2 * m + 1])
+                        pooled = max(acc[2 * m], acc[2 * m + 1])
                         value = yield from self._micro_requant(
-                            li, o, b, pooled, multiplier, shift, spec)
+                            li, o, b, pooled, multiplier, shift, signed)
                         if base_t + 2 * m < w_in:   # overhang results are dropped
-                            packer.push(int(value))
+                            packer.push(value)
                 elif spec.pool_mode == PoolMode.GLOBAL_AVG:
                     for j in range(PE_COUNT):
                         if base_t + j < w_in:
-                            gap_acc += cluster.acc[j] >> GAP_SHIFT
+                            gap_acc += acc[j] >> GAP_SHIFT
                 else:  # bypass
                     for j in range(PE_COUNT):
                         if base_t + j < w_in:
                             value = yield from self._micro_requant(
-                                li, o, b, cluster.acc[j], multiplier, shift, spec)
+                                li, o, b, acc[j], multiplier, shift, signed)
                             if signed:
                                 if base_t + j == 0:   # logit = position 0
                                     logits[o] = value
                             else:
-                                packer.push(int(value))
+                                packer.push(value)
             if spec.pool_mode == PoolMode.GLOBAL_AVG:
                 value = yield from self._micro_requant(
-                    li, o, n_batches - 1, gap_acc, multiplier, shift, spec)
-                packer.push(int(value))
+                    li, o, n_batches - 1, gap_acc, multiplier, shift, signed)
+                packer.push(value)
             packer.flush()   # a no-op for the head, which pushes nothing
 
         if signed:
             self._run.logits = Logits(logits)
-        split = self._split
-        lc = LayerCycles(**split, n_batches=n_batches,
-                         n_outputs=split["requant"] // REQUANT_CYCLES_TABLE,
+        # the requant engine counted the layer's other clocks
+        requant_cycles = self.cycle_counter - first_cycle - prime - compute
+        lc = LayerCycles(prime, compute, requant_cycles, n_batches=n_batches,
+                         n_outputs=requant_cycles // REQUANT_CYCLES_TABLE,
                          array_eff=array_efficiency(k))
         self._finish_layer(spec, spec.out_length(w_in), dst[:packer.word_addr], lc)
 
-    def _micro_requant(self, li, o, b, acc, multiplier, shift, spec):
+    def _micro_requant(self, li, o, b, acc, multiplier, shift, signed):
         """Six requant cycles: four multiplier stages, each adding one partial
         product, plus two of overhead."""
         p = 0
-        for partial in _partial_products(int(acc), int(multiplier)):
+        for partial in _partial_products(acc, multiplier):
             p += partial
-            yield self._emit("requant", li, o, b, -1, -1, [], note="mul-stage")
+            self.cycle_counter += 1
+            yield CycleEvent(self.cycle_counter, "requant", li, o, b, -1, -1, [], 0,
+                             "mul-stage")
         r = round_shift(p, shift)
-        if spec.activation == Activation.SIGNED_BYPASS:
-            value = max(INT32_MIN, min(INT32_MAX, r))
-        else:
-            value = max(0, min(255, r))
+        value = max(INT32_MIN, min(INT32_MAX, r)) if signed else max(0, min(255, r))
         for _ in range(REQUANT_OVERHEAD):
-            yield self._emit("requant", li, o, b, -1, -1, [], note="pack")
+            self.cycle_counter += 1
+            yield CycleEvent(self.cycle_counter, "requant", li, o, b, -1, -1, [], 0,
+                             "pack")
         return value
 
     # -- readback ------------------------------------------------------------

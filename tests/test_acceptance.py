@@ -38,6 +38,30 @@ def test_criterion_1_table_reproduction_exact():
     assert time.monotonic() - start < 1.0
 
 
+def test_criterion_1_table_counted_clock_by_clock():
+    # the per-clock machine, not the cycle model, counts the published
+    # network: one seeded default window, every clock stepped
+    rng = np.random.default_rng(2026)
+    net = NetworkSpec.default()
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(x)
+    logits, cycles, split = machine.run_micro()
+    assert [(lc.prime, lc.compute, lc.requant) for lc in split] \
+        == [(9_632, 12_384, 24_768), (154_112, 198_144, 24_768),
+            (315_392, 405_504, 25_344), (630_784, 450_560, 768),
+            (2_688, 384, 18)]
+    assert cycles == 2_255_250
+    assert machine.mac_count == 6 * 1_066_976
+    gold, snaps = infer_window(model.to_network_spec(), model.to_weight_set(), x)
+    assert np.array_equal(logits.values, gold.values)
+    assert len(snaps) == 4
+    for li, snap in enumerate(snaps):
+        assert np.array_equal(machine.read_layer_activation(li).data, snap.data)
+
+
 def test_criterion_2_latency_fps():
     report = network_report(NetworkSpec.default())
     assert report.total_cycles == 2_255_250

@@ -95,6 +95,25 @@ def test_analyze_refuses_a_figure_that_is_not_finite_and_positive(option, value,
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("options, figure", [
+    (["--clock-hz", "1e-310"], "latency_s"),
+    (["--clock-hz", "1e-300"], "energy_uj"),
+    (["--clock-hz", "1e308"], "mmacs_per_s"),
+    (["--measured-latency-s", "1e-310"], "mmacs_per_s"),
+    (["--power-mw", "1e308", "--measured-latency-s", "10"], "energy_uj"),
+], ids=["subnormal-clock", "tiny-clock", "huge-clock", "subnormal-latency",
+        "huge-power"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_analyze_refuses_a_derived_figure_that_is_not_finite(options, figure,
+                                                             json_flag, capsys):
+    # each input is finite and positive, but the figure derived from it
+    # overflows; JSON has no Infinity, so nothing is printed
+    assert main(["analyze", *options, *json_flag]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: derived {figure} must be positive and finite, got inf\n"
+
+
 def test_infer_both_reports_exact_match(model_file, window_file, capsys):
     assert main(["infer", "--model", model_file, "--input", window_file,
                  "--both"]) == 0
@@ -318,8 +337,8 @@ def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
 
 
 def test_pack_refuses_weights_whose_float_forward_overflows(tmp_path, capsys):
-    # finite weights of 1e200 overflow the float forward to an infinite
-    # activation scale, which no requant multiplier can hold
+    # finite weights of 1e200 leave layer 0's conv near 1e201, and layer 1's
+    # overflows float64; the float forward refuses it there
     arrays = {key: np.full_like(a, 1e200) if key.startswith("w") else a
               for key, a in _float_arrays(np.random.default_rng(6),
                                           NetworkSpec.default()).items()}
@@ -328,7 +347,7 @@ def test_pack_refuses_weights_whose_float_forward_overflows(tmp_path, capsys):
     out = tmp_path / "packed.bin"
     with np.errstate(over="ignore", invalid="ignore"):    # the overflow is the input
         assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 1
-    assert "must be positive and finite" in capsys.readouterr().err
+    assert "error: layer 1: conv output is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -111,6 +111,25 @@ def test_report_refuses_inputs_that_are_not_finite_and_positive(option, value):
         network_report(NetworkSpec.default(), **{option: value})
 
 
+@pytest.mark.parametrize("inputs, figure", [
+    (dict(clock_hz=1e-310, avg_power_mw=None), "latency_s"),
+    (dict(clock_hz=1e-300), "energy_uj"),
+    (dict(clock_hz=1e308), "mmacs_per_s"),
+    (dict(measured_latency_s=1e-310), "mmacs_per_s"),
+])
+def test_report_refuses_a_derived_figure_that_is_not_finite(inputs, figure):
+    with pytest.raises(ConfigError, match=f"derived {figure} must be positive "
+                                          "and finite, got inf"):
+        network_report(NetworkSpec.default(), **inputs)
+
+
+def test_report_keeps_extreme_inputs_whose_figures_stay_finite():
+    # 2,255,250 cycles at 1e-290 Hz take about 2.3e296 s: finite
+    report = network_report(NetworkSpec.default(), clock_hz=1e-290, avg_power_mw=None)
+    assert report.latency_s == pytest.approx(2_255_250e290)
+    assert 0 < report.fps < 1e-295 and 0 < report.mmacs_per_s < 1e-295
+
+
 def test_report_without_power_or_measured_latency():
     report = network_report(NetworkSpec.default(), avg_power_mw=None,
                             measured_latency_s=None)

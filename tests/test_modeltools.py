@@ -106,6 +106,27 @@ def test_float_layer_forward_pools_to_out_length(pool, bad, good, message):
     assert y.shape == (2, spec.out_length(good))
 
 
+def _one_tap_layer(pool: PoolMode, weight: float) -> tuple[LayerSpec, FloatLayerParams]:
+    spec = LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=1, padding=0,
+                     pool_mode=pool, activation=Activation.RELU_SATURATE)
+    return spec, FloatLayerParams(weights=np.full((1, 1, 1), weight), bias=np.zeros(1))
+
+
+@pytest.mark.parametrize("pool, weight, layer, message", [
+    # -inf out of the conv, which the maxpool and the ReLU would turn into 0
+    (PoolMode.MAXPOOL2, -1e200, 3, "layer 3: conv output is not finite"),
+    (PoolMode.BYPASS, -1e200, None, "float forward: conv output is not finite"),
+    # a finite conv output of 1e307 whose GAP sum over 64 samples overflows
+    (PoolMode.GLOBAL_AVG, 1e107, 2, "layer 2: GAP output is not finite"),
+], ids=["maxpool-relu", "unnamed", "gap-sum"])
+def test_float_layer_forward_refuses_an_activation_that_is_not_finite(
+        pool, weight, layer, message):
+    spec, params = _one_tap_layer(pool, weight)
+    x = np.full((1, 64), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match=message):
+        float_layer_forward(spec, params, x, layer)
+
+
 def test_fold_requires_bn():
     rng = np.random.default_rng(3)
     with pytest.raises(ConfigError):

@@ -493,6 +493,53 @@ def test_trace_is_reproducible(rng):
     assert cycles == list(range(cycles[0], cycles[0] + 100))
 
 
+@pytest.mark.parametrize("first", ["fast", "micro", "faulted-micro"])
+def test_a_run_numbers_its_first_clock_after_the_last_run(rng, first):
+    net = every_kind_net()
+    model = random_model(net, rng)
+    if first == "faulted-micro":
+        model = gap_overflow_model(model)
+    events = []
+    machine = SimMachine(trace_sink=events.append)
+    machine.load_model(model)
+    machine.load_input(random_input(rng, net))
+    if first == "fast":
+        _, last, _ = machine.run_inference()     # the counter starts at 0
+    elif first == "micro":
+        machine.run_micro()
+        last = events[-1].cycle
+    else:
+        with pytest.raises(SimFault, match="layer 2") as fault:
+            machine.run_micro()
+        last = events[-1].cycle
+        assert str(fault.value).endswith(f"at cycle {last}")
+    machine.start()
+    assert machine.step().cycle == last + 1
+
+
+def test_run_micro_hands_the_sink_the_events_step_returns():
+    rng = np.random.default_rng(4242)
+    net = every_kind_net()
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    sunk = []
+    sinking = SimMachine(trace_sink=lambda event: sunk.append(event.to_json()))
+    stepping = SimMachine()
+    for machine in (sinking, stepping):
+        machine.load_model(model)
+        machine.load_input(x)
+    sinking.run_micro()
+    stepping.start()
+    stepped = []
+    while True:
+        try:
+            stepped.append(stepping.step().to_json())
+        except StateError:
+            break
+    assert len(stepped) == network_report(net).total_cycles
+    assert sunk == stepped
+
+
 def test_trace_event_counts_match_split_and_fetch_rule(rng):
     for net in small_nets(rng, 3, max_channels=4, max_length=24):
         model = random_model(net, rng)
