@@ -6,7 +6,9 @@ model), `serve`/`load`/`run` (device link), `synth`/`eval` (dataset and
 metrics), and `selftest` (equivalence sweep plus published-number checks).
 
 Signal files are raw little-endian float32 samples; quantized windows are
-raw u8.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+raw u8.  Exit codes: 0 success, 1 runtime failure, 2 usage error, which
+includes every OSError: a path that cannot be opened, an address that cannot
+be bound.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import socket
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -50,18 +53,13 @@ class UsageError(Exception):
 
 
 def _read_model(path: str) -> PackedModel:
-    try:
-        return PackedModel.from_bytes(open(path, "rb").read())
-    except OSError as exc:
-        raise UsageError(f"cannot read model {path}: {exc}")
+    return PackedModel.from_bytes(Path(path).read_bytes())
 
 
 def _read_window(path: str, fmt: str, c_in: int,
                  zero_point: int | None) -> QuantTensor:
     """Raw f32 window (z-scored and quantized) or already-quantized u8, at
     `zero_point` (INPUT_ZERO_POINT if None), which only a u8 window takes."""
-    if c_in < 1:
-        raise UsageError(f"channels must be >= 1, got {c_in}")
     if fmt == "f32" and zero_point is not None:
         raise UsageError("--zero-point applies to u8 windows only; an f32 "
                          f"window is quantized at {INPUT_ZERO_POINT}")
@@ -69,12 +67,12 @@ def _read_window(path: str, fmt: str, c_in: int,
         zero_point = INPUT_ZERO_POINT
     if not 0 <= zero_point <= 255:
         raise UsageError(f"zero point must be in [0, 255], got {zero_point}")
-    try:
-        blob = sys.stdin.buffer.read() if path == "-" else open(path, "rb").read()
-    except OSError as exc:
-        raise UsageError(f"cannot read input {path}: {exc}")
+    blob = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     if fmt == "f32" and c_in != 1:
         raise UsageError("raw f32 input supports single-channel models only")
+    if fmt == "f32" and len(blob) % 4:
+        raise UsageError(f"f32 input of {len(blob)} bytes is not a whole "
+                         "number of 4-byte samples")
     samples = np.frombuffer(blob, dtype="<f4" if fmt == "f32" else np.uint8)
     if samples.size == 0 or samples.size % c_in != 0:
         raise UsageError(f"{fmt} input length {samples.size} not divisible by "
@@ -202,7 +200,7 @@ def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
     """
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"cannot read float model {path}: {exc}")
 
     def need(key: str) -> np.ndarray:
@@ -213,7 +211,11 @@ def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
                    and key[1:].isdigit())
     if n_layers == 0:
         raise UsageError(f"{path}: no w0..wN weight arrays found")
-    input_length = int(archive.get("input_length", 512))
+    input_length = np.asarray(archive.get("input_length", 512))
+    if input_length.ndim or input_length.dtype.kind not in "iu":
+        raise UsageError(f"{path}: 'input_length' must be a scalar integer, "
+                         f"got {input_length!r}")
+    input_length = int(input_length)
     if "layout" in archive:
         try:
             specs = tuple(LayerSpec(kind=LayerKind[d["kind"]],
@@ -340,10 +342,10 @@ def cmd_eval(args) -> int:
         windows, labels = archive["windows"], archive["labels"]
         if windows.ndim != 2:
             raise ValueError(f"windows must be [n][length], not {windows.shape}")
-    except (OSError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"cannot read dataset {args.data}: {exc}")
     logits, probs, preds = golden_predict(model, windows, args.logit_scale)
-    summary = evaluate(labels, probs=probs)
+    summary = evaluate(labels, probs=probs, pred_classes=preds)
     if args.dump:
         rows = [{"label": int(t), "pred": int(p),
                  "logits": [int(v) for v in l]}
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[window],
                        help="run one window on a remote device")
     p.add_argument("--connect", required=True, help="host:port")
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--channels", type=_count, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
@@ -529,7 +531,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccelError as exc:

@@ -192,15 +192,17 @@ def average_precision(scores, positives) -> float:
 def evaluate(labels, probs=None, pred_classes=None) -> EvalSummary:
     """Window-level evaluation.
 
-    Either per-class probabilities (`probs`, [n, NUM_CLASSES]) or predicted
-    classes can be supplied; ECE and AP are only available with probabilities.
+    Per-class probabilities (`probs`, [n, NUM_CLASSES]), predicted classes,
+    or both can be supplied; the classes come from probs only when none are
+    given.  ECE and AP are only available with probabilities.
     """
     labels = np.asarray(labels)
     if probs is not None:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (labels.size, NUM_CLASSES):
             raise ShapeError("probs must be [n, NUM_CLASSES]")
-        pred_classes = probs.argmax(axis=1)
+        if pred_classes is None:
+            pred_classes = probs.argmax(axis=1)
     if pred_classes is None:
         raise ShapeError("need probs or pred_classes")
     pred_classes = np.asarray(pred_classes)

@@ -9,6 +9,8 @@ calibration features.  No gradient training is involved.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .metrics import (CLASS_NAMES, DIA_FREQ_HZS, NUM_CLASSES, LabeledWindowSet,
@@ -19,7 +21,8 @@ from .modeltools import (FloatLayerParams, FloatModel, PackedModel,
                          quantize_model)
 from .errors import ConfigError
 from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, NetworkSpec, QuantTensor,
-                  check_windows, infer_window, quantize_zscores, zscore)
+                  check_positive, check_windows, infer_window,
+                  quantize_zscores, zscore)
 
 
 def quantize_windows(windows: np.ndarray) -> list[QuantTensor]:
@@ -32,7 +35,14 @@ def quantize_windows(windows: np.ndarray) -> list[QuantTensor]:
 
 def golden_predict(model: PackedModel, windows: np.ndarray,
                    logit_scale: float = 1.0):
-    """Golden-model logits, probabilities, and classes for raw float windows."""
+    """Golden-model logits, probabilities, and classes for raw float windows.
+
+    Each class is the first argmax of the integer logits, as the device's
+    priority encoder (Logits.predicted_class) gives it; the probabilities
+    are softmax(logits * logit_scale).  A logit_scale that is not finite and
+    positive, or whose scaled logits overflow, is refused (ConfigError).
+    """
+    check_positive("logit_scale", logit_scale)
     xs = quantize_windows(windows)     # checks the [N, L] shape first
     net = model.to_network_spec(input_length=np.shape(windows)[1])
     ws = model.to_weight_set()
@@ -40,8 +50,14 @@ def golden_predict(model: PackedModel, windows: np.ndarray,
     for i, x in enumerate(xs):
         out, _ = infer_window(net, ws, x)
         logits[i] = out.values
-    probs = softmax(logits, scale=logit_scale)
-    return logits, probs, probs.argmax(axis=1)
+    # softmax takes each scaled logit less the largest, so the widest
+    # difference, lo - hi, must be finite too
+    hi = float(logits.max(initial=0)) * logit_scale
+    lo = float(logits.min(initial=0)) * logit_scale
+    if not math.isfinite(lo - hi):
+        raise ConfigError(f"logit_scale {logit_scale} overflows the scaled "
+                          f"logits: {logits.min()}..{logits.max()}")
+    return logits, softmax(logits, scale=logit_scale), logits.argmax(axis=1)
 
 
 def _matched_kernel(freq_hz: float, taps: int, phase: float = 0.0) -> np.ndarray:

@@ -271,12 +271,14 @@ def zscore(windows: np.ndarray) -> np.ndarray:
 
 
 def check_windows(windows: np.ndarray, length: int | None = None) -> np.ndarray:
-    """An [N, L] array of finite windows, in its own dtype; with `length`,
-    L must equal it.  Anything else is refused with ShapeError, which names
-    the first window holding a non-finite sample."""
+    """An [N, L] array of finite integer or real-float windows, in its own
+    dtype; with `length`, L must equal it.  Anything else is refused with
+    ShapeError, which names the first window holding a non-finite sample."""
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] == 0:
         raise ShapeError("windows must be a [n][length] array, length >= 1")
+    if windows.dtype.kind not in "iuf":
+        raise ShapeError(f"windows must hold numbers, got dtype {windows.dtype}")
     if length is not None and windows.shape[1] != length:
         raise ShapeError(f"windows have {windows.shape[1]} samples, "
                          f"the network runs {length}")
@@ -317,15 +319,11 @@ def quantize_zscores(windows: np.ndarray, zero_point: int = INPUT_ZERO_POINT,
 
 def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
                     scale_divisor: float = INPUT_SCALE) -> QuantTensor:
-    """Per-window z-score normalize then quantize to a 1-channel u8 tensor
-    (quantize_zscores of one window)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1 or window.size == 0:
-        raise ShapeError("window must be a non-empty 1-D array")
-    if not np.isfinite(window).all():
-        raise ShapeError("window samples must be finite")
-    q = quantize_zscores(window, zero_point, scale_divisor)
-    return QuantTensor(q[np.newaxis, :], zero_point=zero_point)
+    """quantize_zscores of one window, which check_windows takes as [1, L],
+    as a 1-channel u8 tensor."""
+    windows = check_windows(np.asarray(window)[np.newaxis])
+    return QuantTensor(quantize_zscores(windows, zero_point, scale_divisor),
+                       zero_point=zero_point)
 
 
 def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:

@@ -5,14 +5,17 @@ import os
 import socket
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import signed_conv_blob
+from conftest import every_kind_net, signed_conv_blob
 from scgaccel.cli import main
+from scgaccel.metrics import synth_windows
 from scgaccel.modeltools import PackedModel, random_model
+from scgaccel.pipeline import build_reference_model
 from scgaccel.qnn import (INT32_MAX, Activation, LayerKind, LayerSpec,
                           LayerWeights, NetworkSpec, PoolMode, WeightSet)
 
@@ -122,6 +125,17 @@ def test_infer_both_reports_exact_match(model_file, window_file, capsys):
     assert "2,255,250" in out
 
 
+def test_infer_both_json_reports_both_logits(model_file, window_file, capsys):
+    assert main(["infer", "--model", model_file, "--input", window_file,
+                 "--both", "--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert set(d) == {"mode", "golden_logits", "sim_logits", "predicted_class",
+                      "cycles", "match"}
+    assert d["match"] is True and d["golden_logits"] == d["sim_logits"]
+    assert d["predicted_class"] == int(np.argmax(d["golden_logits"]))
+    assert d["cycles"] == 2_255_250
+
+
 def test_infer_golden_json(model_file, window_file, capsys):
     assert main(["infer", "--model", model_file, "--input", window_file,
                  "--golden", "--json"]) == 0
@@ -168,9 +182,15 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
     u8_file = tmp_path / "window.u8"
     u8_file.write_bytes(bytes(512))
     u8 = ["--input", str(u8_file), "--format", "u8"]
+    ragged_file = tmp_path / "ragged.f32"
+    ragged_file.write_bytes(bytes(4 * 512 + 2))
     for argv, message in [
+            (["infer", "--model", model_file, "--input", str(ragged_file)],
+             "f32 input of 2050 bytes is not a whole number of 4-byte samples"),
+            (["run", "--connect", closed, "--input", str(ragged_file)],
+             "f32 input of 2050 bytes is not a whole number"),
             (["run", "--connect", closed, "--input", window_file,
-              "--channels", "0"], "channels must be >= 1"),
+              "--channels", "0"], "argument --channels: must be >= 1, got 0"),
             (["infer", "--model", model_file, *u8, "--zero-point", "256"],
              "zero point must be in [0, 255]"),
             (["trace", "--model", model_file, *u8, "--cycles", "5",
@@ -205,6 +225,19 @@ def test_trace_emits_json_lines(model_file, window_file, tmp_path, capsys):
     first = json.loads(lines[0])
     assert first["cycle"] == 1 and first["layer"] == 0
     assert [json.loads(l)["cycle"] for l in lines] == list(range(1, 51))
+
+
+def test_trace_past_the_end_of_a_run_writes_every_clock(tmp_path, rng, capsys):
+    model_file = tmp_path / "model.bin"
+    model_file.write_bytes(random_model(every_kind_net(), rng).to_bytes())
+    window_file = tmp_path / "window.u8"
+    window_file.write_bytes(rng.integers(0, 256, 128, dtype=np.uint8).tobytes())
+    out_file = tmp_path / "trace.jsonl"
+    assert main(["trace", "--model", str(model_file), "--input", str(window_file),
+                 "--format", "u8", "--cycles", "20000",
+                 "--out", str(out_file)]) == 0
+    lines = out_file.read_text().strip().splitlines()
+    assert [json.loads(l)["cycle"] for l in lines] == list(range(1, 10_419))
 
 
 def test_trace_fault_writes_the_lines_before_it_and_exits_1(tmp_path, capsys):
@@ -294,6 +327,59 @@ def test_eval_refuses_a_malformed_dataset(model_file, tmp_path, capsys):
     assert "window 17: samples must be finite" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def reference_eval_files(tmp_path_factory):
+    """The reference model built on 96 windows (seed 5), and a 120-window
+    dataset (seed 9) on which it scores 1.0."""
+    root = tmp_path_factory.mktemp("reference")
+    model, _ = build_reference_model(synth_windows(96, seed=5))
+    (root / "model.bin").write_bytes(model.to_bytes())
+    assert main(["synth", "--n", "120", "--seed", "9",
+                 "--out", str(root / "ds.npz")]) == 0
+    return str(root / "model.bin"), str(root / "ds.npz")
+
+
+@pytest.mark.parametrize("scale", ["1.0", "0.01", "1e-300"])
+def test_eval_takes_each_class_from_the_integer_logits(scale, reference_eval_files,
+                                                       tmp_path, capsys):
+    # at 1e-300 the scaled logits no longer differ, so an argmax of the
+    # probabilities would give class 0 for every window
+    model_file, data = reference_eval_files
+    dump = tmp_path / "dump.json"
+    capsys.readouterr()
+    assert main(["eval", "--model", model_file, "--data", data,
+                 "--logit-scale", scale, "--dump", str(dump)]) == 0
+    assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+    rows = json.loads(dump.read_text())
+    assert [r["pred"] for r in rows] == [int(np.argmax(r["logits"])) for r in rows]
+
+
+@pytest.mark.parametrize("scale, message", [
+    ("nan", "logit_scale must be positive and finite, got nan"),
+    ("inf", "logit_scale must be positive and finite, got inf"),
+    ("0", "logit_scale must be positive and finite, got 0.0"),
+    ("-1", "logit_scale must be positive and finite, got -1.0"),
+    ("1e308", "logit_scale 1e+308 overflows the scaled logits"),
+])
+def test_eval_refuses_a_logit_scale_it_cannot_apply(scale, message,
+                                                    reference_eval_files, capsys):
+    model_file, data = reference_eval_files
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # refused before any numpy warning
+        assert main(["eval", "--model", model_file, "--data", data,
+                     "--logit-scale", scale]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+def test_eval_refuses_windows_that_are_not_numbers(model_file, tmp_path, capsys):
+    data = tmp_path / "ds.npz"
+    np.savez(data, windows=np.full((2, 512), "0.5"), labels=[0, 1])
+    assert main(["eval", "--model", model_file, "--data", str(data)]) == 1
+    assert "windows must hold numbers, got dtype <U3" in capsys.readouterr().err
+
+
 def _float_arrays(rng, net):
     arrays = {}
     for i, s in enumerate(net.layers):
@@ -322,8 +408,13 @@ def test_pack_produces_loadable_model(tmp_path, rng, capsys):
     (lambda a: a.update(layout='[{"kind": "CONV1D"}]'),
      "'layout' is not a JSON list"),
     (lambda a: a.update(input_length=256), "'input_length' 256 needs a 'layout'"),
+    (lambda a: a.update(input_length=[256, 512]),
+     "'input_length' must be a scalar integer"),
+    (lambda a: a.update(input_length=512.0),
+     "'input_length' must be a scalar integer"),
 ], ids=["no-b2", "bn0-gamma-only", "layout-not-json", "layout-without-keys",
-        "input-length-without-layout"])
+        "input-length-without-layout", "input-length-not-scalar",
+        "input-length-float"])
 def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
                                               capsys):
     arrays = _float_arrays(rng, NetworkSpec.default())
@@ -334,6 +425,30 @@ def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
     assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pack_builds_a_layout_at_its_input_length(tmp_path, rng, capsys):
+    net = every_kind_net()     # 128 samples, with no layer of the default net
+    layout = [{"kind": s.kind.name, "c_in": s.c_in, "c_out": s.c_out,
+               "kernel": s.kernel, "padding": s.padding,
+               "pool": s.pool_mode.name, "activation": s.activation.name}
+              for s in net.layers]
+    src = tmp_path / "float.npz"
+    np.savez(src, layout=json.dumps(layout), input_length=net.input_length,
+             **_float_arrays(rng, net))
+    out = tmp_path / "packed.bin"
+    assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 0
+    model = PackedModel.from_bytes(out.read_bytes())
+    assert [(s.kind, s.c_in, s.c_out, s.kernel, s.padding, s.pool_mode,
+             s.activation) for s in model.layers] == [
+        (s.kind, s.c_in, s.c_out, s.kernel, s.padding, s.pool_mode,
+         s.activation) for s in net.layers]
+    window_file = tmp_path / "window.f32"
+    rng.normal(size=net.input_length).astype("<f4").tofile(window_file)
+    capsys.readouterr()
+    assert main(["infer", "--model", str(out), "--input", str(window_file),
+                 "--both"]) == 0
+    assert capsys.readouterr().out.startswith("EXACT MATCH: ")
 
 
 def test_pack_refuses_weights_whose_float_forward_overflows(tmp_path, capsys):
@@ -361,7 +476,8 @@ def _calib_with_a_nan_in_window_2():
     (np.zeros((0, 512)), "calibration needs at least one window"),
     (_calib_with_a_nan_in_window_2(), "window 2: samples must be finite"),
     (np.ones((4, 500)), "windows have 500 samples, the network runs 512"),
-], ids=["empty", "nan", "wrong-length"])
+    (np.full((2, 512), "1.0"), "windows must hold numbers, got dtype <U3"),
+], ids=["empty", "nan", "wrong-length", "strings"])
 def test_pack_refuses_calibration_windows_it_cannot_measure(calib, message,
                                                             tmp_path, rng, capsys):
     arrays = _float_arrays(rng, NetworkSpec.default())
@@ -380,7 +496,44 @@ def test_infer_refuses_a_non_finite_window(model_file, tmp_path, capsys):
     samples.tofile(path)
     assert main(["infer", "--model", model_file, "--input", str(path),
                  "--format", "f32"]) == 1
-    assert "window samples must be finite" in capsys.readouterr().err
+    assert "window 0: samples must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--model", "{model}", "--input", "{window}", "--cycles", "5",
+     "--out", "{missing}"],
+    ["eval", "--model", "{model}", "--data", "{data}", "--out", "{missing}"],
+    ["eval", "--model", "{model}", "--data", "{data}", "--dump", "{missing}"],
+    ["pack", "--from-float", "{float}", "--out", "{missing}"],
+    ["synth", "--n", "6", "--out", "{missing}"],
+    ["infer", "--model", "{missing}", "--input", "{window}"],
+    ["infer", "--model", "{model}", "--input", "{missing}"],
+    ["eval", "--model", "{model}", "--data", "{missing}"],
+    ["pack", "--from-float", "{missing}", "--out", "{model}"],
+], ids=["trace-out", "eval-out", "eval-dump", "pack-out", "synth-out",
+        "model", "window", "dataset", "float-model"])
+def test_a_path_that_cannot_be_opened_is_a_usage_error(argv, model_file,
+                                                       window_file, tmp_path,
+                                                       capsys):
+    paths = {"model": model_file, "window": window_file,
+             "data": str(tmp_path / "ds.npz"), "float": str(tmp_path / "float.npz"),
+             "missing": str(tmp_path / "no-such-dir" / "file")}
+    np.savez(paths["data"], windows=np.ones((2, 512)), labels=[0, 1])
+    np.savez(paths["float"], **_float_arrays(np.random.default_rng(8),
+                                             NetworkSpec.default()))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno 2] ")
+    assert paths["missing"] in err
+
+
+def test_serve_on_a_port_in_use_is_a_usage_error(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["serve", "--transport", f"127.0.0.1:{port}",
+                     "--once"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(port) in err
 
 
 def test_selftest_passes(capsys):

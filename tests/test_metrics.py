@@ -68,6 +68,14 @@ def test_perfect_predictions():
     assert s.ece == 0.0
 
 
+def test_evaluate_takes_given_classes_over_the_probabilities():
+    # flat probabilities argmax to class 0; the given classes are all right
+    labels = np.repeat([0, 1, 2], 4)
+    s = evaluate(labels, probs=np.full((12, 3), 1 / 3), pred_classes=labels)
+    assert s.accuracy == 1.0
+    assert evaluate(labels, probs=np.full((12, 3), 1 / 3)).accuracy == 4 / 12
+
+
 def test_evaluate_shape_errors():
     with pytest.raises(ShapeError):
         evaluate(np.zeros(5, dtype=int), pred_classes=np.zeros(4, dtype=int))

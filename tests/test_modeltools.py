@@ -157,6 +157,8 @@ def test_quantize_weights_refuses_unfolded_bn():
 def test_requant_constants_known_ratios():
     assert derive_requant_constants(0.5, 1.0, 1.0) == (1 << 30, 31)
     assert derive_requant_constants(1.0, 1.0, 1.0) == (1 << 30, 30)
+    # the mantissa 1 - 2^-40 rounds up to 2^31, so it halves into the shift
+    assert derive_requant_constants(1 - 2.0 ** -40, 1.0, 1.0) == (1 << 30, 30)
 
 
 def test_requant_constants_reconstruction_error():

@@ -453,6 +453,28 @@ def test_quantize_windows_names_the_first_non_finite_window():
             quantize_windows(bad)
 
 
+@pytest.mark.parametrize("windows", [
+    np.full((2, 8), "1.0"), np.ones((2, 8), dtype=complex),
+    np.ones((2, 8), dtype=bool), np.ones((2, 8), dtype=object),
+], ids=["str", "complex", "bool", "object"])
+def test_both_front_ends_refuse_windows_that_are_not_numbers(windows):
+    message = f"^windows must hold numbers, got dtype {windows.dtype}$"
+    with pytest.raises(ShapeError, match=message):
+        quantize_windows(windows)
+    with pytest.raises(ShapeError, match=message):
+        zscore_quantize(windows[0])
+
+
+def test_zscore_quantize_takes_one_window_of_integers_or_floats():
+    window = np.arange(-8, 8)
+    expect = oracle_zscore_quantize(window.astype(float), 128, INPUT_SCALE)
+    for w in (window, window.astype(np.float32), list(window)):
+        assert zscore_quantize(w).data.tobytes() == expect.tobytes()
+    for bad in (np.zeros((2, 8)), np.zeros(0), 3.0):
+        with pytest.raises(ShapeError, match=r"\[n\]\[length\]"):
+            zscore_quantize(bad)
+
+
 def test_golden_predict_refuses_a_single_1d_window():
     model = random_model(NetworkSpec.default(), np.random.default_rng(3))
     with pytest.raises(ShapeError, match=r"\[n\]\[length\]"):
