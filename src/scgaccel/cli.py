@@ -14,9 +14,11 @@ be bound.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import socket
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,19 @@ def cmd_trace(args) -> int:
 # pack
 # ---------------------------------------------------------------------------
 
+def _read_npz(path: str) -> dict[str, np.ndarray]:
+    """Every array of an .npz archive, read at once from the file's bytes.
+
+    np.load leaves its own file handle open on a file that starts like a zip
+    but is not one, and reads each array lazily, so a damaged one would fail
+    past the caller's check."""
+    npz = np.load(io.BytesIO(Path(path).read_bytes()), allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive")
+    with npz:
+        return dict(npz)
+
+
 def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
     """Float parameters from an .npz archive.
 
@@ -199,15 +214,15 @@ def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
     default topology, with a scalar `input_length` (the default runs at 512).
     """
     try:
-        archive = np.load(path, allow_pickle=False)
-    except ValueError as exc:
+        archive = _read_npz(path)
+    except (ValueError, zipfile.BadZipFile) as exc:
         raise UsageError(f"cannot read float model {path}: {exc}")
 
     def need(key: str) -> np.ndarray:
         if key not in archive:
             raise UsageError(f"{path}: missing array {key!r}")
         return archive[key]
-    n_layers = sum(1 for key in archive.files if key.startswith("w")
+    n_layers = sum(1 for key in archive if key.startswith("w")
                    and key[1:].isdigit())
     if n_layers == 0:
         raise UsageError(f"{path}: no w0..wN weight arrays found")
@@ -338,11 +353,11 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     model = _read_model(args.model)
     try:
-        archive = np.load(args.data, allow_pickle=False)
+        archive = _read_npz(args.data)
         windows, labels = archive["windows"], archive["labels"]
         if windows.ndim != 2:
             raise ValueError(f"windows must be [n][length], not {windows.shape}")
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise UsageError(f"cannot read dataset {args.data}: {exc}")
     logits, probs, preds = golden_predict(model, windows, args.logit_scale)
     summary = evaluate(labels, probs=probs, pred_classes=preds)

@@ -15,19 +15,25 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
   It is the independent check of the fast path.  There is no cluster
-  object: the six-lane sample pipe and the six accumulators are locals of
-  the layer generator.  The pipe is a shift register of ``sample - zp``:
-  priming shifts six samples in, in position order, so lane j then holds the
-  sample for output position j, and each tap shifts one more in the same
-  way, so a tap's MAC is one multiply-add per lane.  A weight word is
-  fetched (and traced) at an even weight index or a channel group's first
+  object: the layer generator holds the six PE lanes as the fields of two
+  Python ints, one ``LANE_BITS`` field per lane (SIMD within a register).
+  The sample pipe is a shift register of the bytes as read, with padding
+  and overhang taps at the zero point: priming shifts six samples in at the
+  top field, in position order, so field j then holds the sample for output
+  position j, and each tap shifts one more in the same way.  A tap's six
+  MACs are one multiply-add of its weight and the pipe into the group's lane
+  sums, beside a running sum of the weights; when the group completes, lane
+  j's accumulator is ``bias + field j - zp * sum(weights)``.  A weight word
+  is fetched (and traced) at an even weight index or a channel group's first
   tap and held, so the next odd tap takes its high byte without a second
-  read.  Activation reads go through ``MemorySubsystem.read_byte`` on a live
-  memoryview of the layer's input buffer, so every read sees simulated
-  memory as it is on that clock; nothing is cached or snapshot.  Each clock
-  is counted where it is yielded: into the machine's cycle counter and, for
-  prime and compute, into the layer's split; the requant sub-generator
-  counts its own clocks, which are the rest of the layer's.
+  read.  The bias is read at the group's first clock.  Activation reads go
+  through ``MemorySubsystem.read_byte`` on a live memoryview of the layer's
+  input buffer, so every read sees simulated memory as it is on that clock;
+  nothing is cached or snapshot.  Each clock is counted where it is yielded:
+  into the machine's cycle counter and, for prime and compute, into the
+  layer's split.  The requant engine, one loop over a group's (accumulator,
+  output position) pairs, takes the rest of the layer's clocks: four
+  multiplier stages and two of overhead per pair.
 
 ``load_input`` refuses, before it writes anything, a length ``NetworkSpec``
 refuses or a ReLU image over its output buffer, and builds the run plan both
@@ -70,6 +76,18 @@ from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
 
 REQUANT_MUL_STAGES = 4           # serial multiplier partial products
 REQUANT_OVERHEAD = REQUANT_CYCLES_TABLE - REQUANT_MUL_STAGES
+
+# The micro path holds its PE lanes as fields of one Python int, LANE_BITS
+# per lane: the sample pipe holds bytes, and a group's lane sums gather
+# weight * byte over its c_in * K taps.  A LayerSpec caps c_in at 0xFFFF and
+# K at 0xFF, so a lane's sum is at most 0xFFFF * 0xFF * 255 * 128 < 2^40 in
+# magnitude.  Each sum starts at 2^63 in its field (LANE_ORIGIN), so it stays
+# inside [0, 2^64): no field carries into or borrows from its neighbour, and
+# each lane reads back with a shift and a mask.
+LANE_BITS = 64
+LANE_MASK = (1 << LANE_BITS) - 1
+LANE_ORIGIN_FIELD = 1 << (LANE_BITS - 1)
+LANE_ORIGIN = sum(LANE_ORIGIN_FIELD << LANE_BITS * j for j in range(PE_COUNT))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +376,8 @@ class SimMachine:
         signed = spec.activation == Activation.SIGNED_BYPASS
         # a live view: each read sees simulated memory as it is on that clock
         act_words, wpc = memoryview(src), (w_in + 1) // 2
+        top = LANE_BITS * (PE_COUNT - 1)        # the pipe's entry field
+        lane_shifts = range(0, LANE_BITS * PE_COUNT, LANE_BITS)
 
         if spec.pool_mode == PoolMode.GLOBAL_AVG and w_in != GAP_LENGTH:
             raise ConfigError(f"GAP layer requires input length {GAP_LENGTH}")
@@ -374,22 +394,24 @@ class SimMachine:
                     row = 2 * c * wpc      # channel c's first byte
                     # prime: load bias on a fresh group, then fill the pipe
                     if c == 0:
-                        acc = [int(mem.bias_rom[li][o])] * PE_COUNT
+                        bias = int(mem.bias_rom[li][o])
+                        sums, wsum = LANE_ORIGIN, 0
                     self.cycle_counter += 1
                     prime += 1
                     yield CycleEvent(self.cycle_counter, "prime", li, o, b, c, -1,
                                      [], 0, "" if c else "bias")
-                    # the pipe holds sample - zp; padding outside [0, w_in)
-                    # reads no memory and is the zero point
-                    pipe = []
+                    # each sample enters the top field; padding outside
+                    # [0, w_in) reads no memory and is the zero point
+                    pipe = 0
                     for t in range(t0, t0 + PE_COUNT):
-                        pipe.append(read_byte(act_words, row + t) - zp
-                                    if 0 <= t < w_in else 0)
+                        pipe = pipe >> LANE_BITS | (
+                            read_byte(act_words, row + t) if 0 <= t < w_in
+                            else zp) << top
                         self.cycle_counter += 1
                         prime += 1
                         yield CycleEvent(self.cycle_counter, "prime", li, o, b, c,
                                          -1, [{"mem": "act", "t": t}], 0, "")
-                    # lane j now holds x[t0 + j] - zp; each tap shifts one more in
+                    # field j now holds x[t0 + j]; each tap shifts one more in
                     idx = (o * c_in + c) * k
                     for kk in range(k):
                         # a fetch at an even index or a group's first tap;
@@ -402,47 +424,56 @@ class SimMachine:
                             reads = []
                         byte = word >> 8 if idx % 2 else word & 0xFF
                         weight = byte - 256 if byte >= 128 else byte
-                        acc = [a + x * weight for a, x in zip(acc, pipe)]
-                        del pipe[0]
+                        sums += weight * pipe      # one MAC per lane field
+                        wsum += weight
                         t = t0 + kk + PE_COUNT
-                        pipe.append(read_byte(act_words, row + t) - zp
-                                    if 0 <= t < w_in else 0)
+                        pipe = pipe >> LANE_BITS | (
+                            read_byte(act_words, row + t) if 0 <= t < w_in
+                            else zp) << top
                         self.cycle_counter += 1
                         compute += 1
                         yield CycleEvent(self.cycle_counter, "compute", li, o, b, c,
                                          kk, reads, PE_COUNT, "")
                         idx += 1
+                # lane j: bias + sum of (x - zp) * w = bias + field - zp * sum w
+                offset = bias - zp * wsum - LANE_ORIGIN_FIELD
+                acc = [(sums >> s & LANE_MASK) + offset for s in lane_shifts]
                 # overflow is checked on the completed group, mirroring the
                 # final-accumulator check of the golden model and fast path
                 if max(acc) > INT32_MAX or min(acc) < INT32_MIN:
                     raise SimFault(f"layer {li}: accumulator overflow at "
                                    f"cycle {self.cycle_counter}")
-                # group complete for all input channels: pool + requant
+                # group complete for all input channels: pool, then the
+                # (accumulator, output position) pairs the requant engine takes
                 if spec.pool_mode == PoolMode.MAXPOOL2:
-                    for m in range(PE_COUNT // 2):
-                        pooled = max(acc[2 * m], acc[2 * m + 1])
-                        value = yield from self._micro_requant(
-                            li, o, b, pooled, multiplier, shift, signed)
-                        if base_t + 2 * m < w_in:   # overhang results are dropped
-                            packer.push(value)
+                    # overhang pairs are requantized, and their results dropped
+                    jobs = [(max(acc[j], acc[j + 1]), base_t + j)
+                            for j in range(0, PE_COUNT, 2)]
                 elif spec.pool_mode == PoolMode.GLOBAL_AVG:
-                    for j in range(PE_COUNT):
-                        if base_t + j < w_in:
-                            gap_acc += acc[j] >> GAP_SHIFT
+                    gap_acc += sum(a >> GAP_SHIFT for t, a in enumerate(acc, base_t)
+                                   if t < w_in)
+                    jobs = [(gap_acc, 0)] if b == n_batches - 1 else []
                 else:  # bypass
-                    for j in range(PE_COUNT):
-                        if base_t + j < w_in:
-                            value = yield from self._micro_requant(
-                                li, o, b, acc[j], multiplier, shift, signed)
-                            if signed:
-                                if base_t + j == 0:   # logit = position 0
-                                    logits[o] = value
-                            else:
-                                packer.push(value)
-            if spec.pool_mode == PoolMode.GLOBAL_AVG:
-                value = yield from self._micro_requant(
-                    li, o, n_batches - 1, gap_acc, multiplier, shift, signed)
-                packer.push(value)
+                    jobs = [(a, t) for t, a in enumerate(acc, base_t) if t < w_in]
+                # the requant engine: four multiplier stages, each adding one
+                # partial product, then its overhead clocks
+                for a, t in jobs:
+                    p = 0
+                    for partial in _partial_products(a, multiplier):
+                        p += partial
+                        self.cycle_counter += 1
+                        yield CycleEvent(self.cycle_counter, "requant", li, o, b,
+                                         -1, -1, [], 0, "mul-stage")
+                    r = round_shift(p, shift)
+                    for _ in range(REQUANT_OVERHEAD):
+                        self.cycle_counter += 1
+                        yield CycleEvent(self.cycle_counter, "requant", li, o, b,
+                                         -1, -1, [], 0, "pack")
+                    if signed:
+                        if t == 0:          # logit = position 0
+                            logits[o] = max(INT32_MIN, min(INT32_MAX, r))
+                    elif t < w_in:
+                        packer.push(max(0, min(255, r)))
             packer.flush()   # a no-op for the head, which pushes nothing
 
         if signed:
@@ -453,23 +484,6 @@ class SimMachine:
                          n_outputs=requant_cycles // REQUANT_CYCLES_TABLE,
                          array_eff=array_efficiency(k))
         self._finish_layer(spec, spec.out_length(w_in), dst[:packer.word_addr], lc)
-
-    def _micro_requant(self, li, o, b, acc, multiplier, shift, signed):
-        """Six requant cycles: four multiplier stages, each adding one partial
-        product, plus two of overhead."""
-        p = 0
-        for partial in _partial_products(acc, multiplier):
-            p += partial
-            self.cycle_counter += 1
-            yield CycleEvent(self.cycle_counter, "requant", li, o, b, -1, -1, [], 0,
-                             "mul-stage")
-        r = round_shift(p, shift)
-        value = max(INT32_MIN, min(INT32_MAX, r)) if signed else max(0, min(255, r))
-        for _ in range(REQUANT_OVERHEAD):
-            self.cycle_counter += 1
-            yield CycleEvent(self.cycle_counter, "requant", li, o, b, -1, -1, [], 0,
-                             "pack")
-        return value
 
     # -- readback ------------------------------------------------------------
 

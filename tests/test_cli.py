@@ -327,6 +327,36 @@ def test_eval_refuses_a_malformed_dataset(model_file, tmp_path, capsys):
     assert "window 17: samples must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["zip-magic", "synth-head", "bad-crc", "npy"])
+@pytest.mark.parametrize("command, what", [("eval", "dataset"),
+                                           ("pack", "float model")],
+                         ids=["eval", "pack"])
+def test_a_file_that_is_not_a_readable_npz_is_a_usage_error(
+        command, what, content, model_file, tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    data = tmp_path / "ds.npz"
+    assert main(["synth", "--n", "6", "--out", str(data)]) == 0
+    capsys.readouterr()
+    archive = data.read_bytes()
+    if content == "zip-magic":
+        bad.write_bytes(b"PK\x03\x04garbage")
+    elif content == "synth-head":
+        bad.write_bytes(archive[:200])
+    elif content == "bad-crc":     # byte 300 lies inside the windows array
+        bad.write_bytes(archive[:300] + bytes([archive[300] ^ 0xFF]) + archive[301:])
+    else:
+        with open(bad, "wb") as fh:
+            np.save(fh, np.ones((2, 512)))
+    out = tmp_path / "packed.bin"
+    argv = {"eval": ["eval", "--model", model_file, "--data", str(bad)],
+            "pack": ["pack", "--from-float", str(bad), "--out", str(out)]}
+    assert main(argv[command]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"error: cannot read {what} {bad}: ")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def reference_eval_files(tmp_path_factory):
     """The reference model built on 96 windows (seed 5), and a 120-window

@@ -612,6 +612,114 @@ def test_micro_path_reads_activation_memory_live(rng):
     assert np.array_equal(got[1:], b[1:])
 
 
+def _layer0_image(model: PackedModel, x: QuantTensor, run=SimMachine.run_inference,
+                  at=None, write=None) -> np.ndarray:
+    """Layer 0's ReLU image after one run; with `at`, a micro run that calls
+    `write(machine)` right after the first clock whose event `at` accepts."""
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(x)
+    if at is None:
+        run(machine)
+        return machine.read_layer_activation(0).data
+    machine.start()
+    while not at(machine.step()):
+        pass
+    write(machine)
+    while True:
+        try:
+            machine.step()
+        except StateError:
+            break
+    return machine.read_layer_activation(0).data
+
+
+def test_micro_path_reads_a_weight_word_at_its_fetch_clock(rng):
+    # layer 0 (K = 9) fetches word 0, weights 0 and 1 of output channel 0,
+    # at its tap 0, and tap 1 takes weight 1 from the held word; a write
+    # after batch 0's fetch reaches batch 1 on, and not batch 0's tap 1
+    net = every_kind_net()
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    addr = model.layer_word_base[0]
+    word = int(model.weight_words[addr])
+    new_word, high_only = word ^ 0x8080, word ^ 0x8000
+
+    def with_word(w):
+        words = model.weight_words.copy()
+        words[addr] = w
+        return replace(model, weight_words=words)
+    a, b, h = (_layer0_image(m, x) for m in
+               (model, with_word(new_word), with_word(high_only)))
+    # batch 0 (pooled positions 0..2) tells the held word from a re-read
+    assert not np.array_equal(a[0, :3], h[0, :3])
+    assert not np.array_equal(a[0, 3:], b[0, 3:])
+
+    def fetched(event):
+        return event.layer == 0 and {"mem": "weight", "addr": addr} in event.reads
+
+    def overwrite(machine):
+        machine.mem.weight_mem[addr] = new_word
+    got = _layer0_image(model, x, at=fetched, write=overwrite)
+    assert np.array_equal(got[0, :3], a[0, :3])
+    assert np.array_equal(got[0, 3:], b[0, 3:])
+    assert np.array_equal(got[1:], a[1:])
+
+
+def test_micro_path_reads_a_bias_at_its_groups_bias_clock(rng):
+    # output channel 0 of layer 0 loads its bias at the first clock of each
+    # batch's group; a write after batch 0's reaches batch 1 on
+    net = every_kind_net()
+    model = random_model(net, rng)
+    x = random_input(rng, net)
+    biases = [bias.copy() for bias in model.biases]
+    biases[0][0] -= 1 << 13
+    a, b = _layer0_image(model, x), _layer0_image(replace(model, biases=biases), x)
+    assert not np.array_equal(a[0, :3], b[0, :3])
+    assert not np.array_equal(a[0, 3:], b[0, 3:])
+
+    def bias_clock(event):
+        return event.layer == 0 and event.c_out == 0 and event.note == "bias"
+
+    def overwrite(machine):
+        machine.mem.bias_rom[0][0] = biases[0][0]
+    got = _layer0_image(model, x, at=bias_clock, write=overwrite)
+    assert np.array_equal(got[0, :3], a[0, :3])
+    assert np.array_equal(got[0, 3:], b[0, 3:])
+    assert np.array_equal(got[1:], a[1:])
+
+
+def test_neighbouring_lanes_at_opposite_extremes_of_the_reach():
+    # every weight is -128 and the window alternates 0 and 255 about zero
+    # point 128, so neighbouring lanes sum to +103 * 128 * 128 and
+    # -103 * 128 * 127 before the bias, and a borrow out of each negative
+    # lane's sum would cross into its neighbour.  Requant is the identity and
+    # each bias puts one lane of a pair inside [0, 255], so the ReLU image
+    # shows a lane that is off by one.
+    c_in, reach = 103, 103 * 128
+    net = NetworkSpec(layers=(
+        LayerSpec(c_in=c_in, c_out=3, kernel=1, padding=0,
+                  pool_mode=PoolMode.BYPASS, **_RELU),
+        LayerSpec(c_in=3, c_out=3, **_FC),
+    ), input_length=8)
+    ws = WeightSet(layers=[
+        LayerWeights(weights=np.full((3, c_in, 1), -128),
+                     biases=[100 - reach * 128, 37 + reach * 127,
+                             255 - reach * 128]),
+        LayerWeights(weights=[[[1], [-1], [2]], [[-2], [1], [0]], [[3], [0], [-1]]],
+                     biases=[0, 5, -5]),
+    ])
+    x = QuantTensor(np.tile(np.array([0, 255], dtype=np.uint8), (c_in, 4)),
+                    zero_point=128)
+    gold, snapshots = infer_window(net, ws, x)
+    assert snapshots[0].data.tolist() == [[100, 0] * 4, [255, 37] * 4,
+                                          [255, 0] * 4]
+    model = PackedModel.from_weights(net, ws)
+    for run in (SimMachine.run_inference, SimMachine.run_micro):
+        assert _sim_logits(model, x, run) == gold.values.tolist()
+        assert np.array_equal(_layer0_image(model, x, run), snapshots[0].data)
+
+
 def test_step_after_a_micro_fault_is_refused(rng):
     # the GAP layer (2) overflows its accumulator when the run gets there
     net = every_kind_net()
