@@ -16,7 +16,6 @@ the default because it reproduces the published numbers exactly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 
@@ -75,7 +74,7 @@ def layer_cycles(layer: LayerSpec, w_in: int,
                  convention: RequantConvention = RequantConvention.TABLE1) -> LayerCycles:
     if w_in < 1:
         raise ConfigError("input length must be >= 1")
-    n_batches = math.ceil(w_in / PE_COUNT)
+    n_batches = -(-w_in // PE_COUNT)
     prime = layer.c_out * n_batches * layer.c_in * PRIME_CYCLES
     compute = layer.c_out * n_batches * layer.c_in * layer.kernel
     n_outputs = pooled_outputs(layer, w_in, n_batches)

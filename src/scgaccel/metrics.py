@@ -206,8 +206,6 @@ def evaluate(labels, probs=None, pred_classes=None) -> EvalSummary:
     if pred_classes is None:
         raise ShapeError("need probs or pred_classes")
     pred_classes = np.asarray(pred_classes)
-    if pred_classes.shape != labels.shape:
-        raise ShapeError("labels and predictions must align")
     cm = confusion_matrix(labels, pred_classes)
     summary = summary_from_confusion(cm)
     if probs is not None:

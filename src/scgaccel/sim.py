@@ -40,11 +40,11 @@ refuses or a ReLU image over its output buffer, and builds the run plan both
 paths walk, so a run can fail only on data (``SimFault``).  Each plan step
 names the buffer its layer reads (the input buffer for layer 0, then ping or
 pong by layer parity) and the one it writes.  Both paths record into one last
-run: an entry per completed layer (spec, output length, image, cycle split),
-the logits and the micro stepper.  ``load_model`` drops the plan and the last
-run; ``load_input`` and each new run drop the last run, and every readback
-reads that run alone.  ``modeltools`` defines the memory map, the weight
-layout and the word packing of every plane and image.
+run: an entry per completed layer (its u8 output image, or none for the head,
+and its cycle split), the logits and the micro stepper.  ``load_model`` drops
+the plan and the last run; ``load_input`` and each new run drop the last run,
+and every readback reads that run alone.  ``modeltools`` defines the memory
+map, the weight layout and the word packing of every plane and image.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past
@@ -68,11 +68,11 @@ from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
 from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
                      SimFault, StateError)
 from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
-                         PackedModel, image_words, layer_weights, layer_word_count,
+                         PackedModel, image_words, layer_weights,
                          pack_weight_bytes, unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
-                  LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
-                  layer_step, round_shift)
+                  LayerWeights, Logits, PoolMode, QuantTensor, layer_step,
+                  round_shift)
 
 REQUANT_MUL_STAGES = 4           # serial multiplier partial products
 REQUANT_OVERHEAD = REQUANT_CYCLES_TABLE - REQUANT_MUL_STAGES
@@ -127,11 +127,6 @@ class MemorySubsystem:
         if not 0 <= addr < WEIGHT_MEM_WORDS:
             raise MemoryFault(f"weight address 0x{addr:04X} outside 15-bit space")
         return int(self.weight_mem[addr])
-
-    def weight_region(self, base: int, n_words: int) -> np.ndarray:
-        if base < 0 or base + n_words > WEIGHT_MEM_WORDS:
-            raise MemoryFault(f"weight region [{base}, {base + n_words}) out of range")
-        return self.weight_mem[base:base + n_words]
 
     def read_byte(self, words, byte_index: int) -> int:
         """One byte of a sequence of 16-bit words, low byte first.
@@ -206,9 +201,7 @@ class CycleEvent:
 @dataclass
 class _LayerEntry:
     """One layer the run completed: its output image and its cycle split."""
-    spec: LayerSpec
-    w_out: int
-    words: np.ndarray     # empty for the signed logit layer
+    image: np.ndarray | None    # u8 [c_out, w_out]; None for the signed head
     cycles: LayerCycles
 
 
@@ -286,10 +279,6 @@ class SimMachine:
         self._clear_run()
         return self._plan
 
-    def _finish_layer(self, spec, w_out: int, words: np.ndarray, lc):
-        """Record the layer's entry with a copy of the words it wrote."""
-        self._run.layers.append(_LayerEntry(spec, w_out, words.copy(), lc))
-
     # -- fast path -----------------------------------------------------------
 
     def run_inference(self):
@@ -308,9 +297,10 @@ class SimMachine:
         # whole batches of six; the overhang lanes read the zero point
         ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
         ext[:, :w_in] = unpack_weight_bytes(src, w_in, spec.c_in)
-        lw = LayerWeights(
-            layer_weights(spec, mem.weight_region(base, layer_word_count(spec))),
-            mem.bias_rom[li])
+        # read as PackedModel.to_weight_set reads them; the model's build
+        # bounds its image by the weight memory
+        lw = LayerWeights(layer_weights(spec, mem.weight_mem[base:]),
+                          mem.bias_rom[li])
         try:
             out = layer_step(QuantTensor(ext, zero_point=zp), spec, lw,
                              *mem.scale_regs[li], length=w_in)
@@ -318,14 +308,12 @@ class SimMachine:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
                            f"{self.cycle_counter}") from exc
         if spec.activation == Activation.SIGNED_BYPASS:
-            self._run.logits = Logits(out[:, 0])
-            n_words = 0
+            self._run.logits, image = Logits(out[:, 0]), None
         else:
-            img = pack_weight_bytes(out)
-            n_words = img.size
-            dst[:n_words] = img
+            image, words = out, pack_weight_bytes(out)
+            dst[:words.size] = words
         self.cycle_counter += lc.total
-        self._finish_layer(spec, out.shape[1], dst[:n_words], lc)
+        self._run.layers.append(_LayerEntry(image, lc))
 
     # -- micro (per-cycle) path ---------------------------------------------
 
@@ -478,23 +466,26 @@ class SimMachine:
 
         if signed:
             self._run.logits = Logits(logits)
+            image = None
+        else:   # the image as the packer wrote it
+            image = unpack_weight_bytes(dst, spec.out_length(w_in), spec.c_out)
         # the requant engine counted the layer's other clocks
         requant_cycles = self.cycle_counter - first_cycle - prime - compute
         lc = LayerCycles(prime, compute, requant_cycles, n_batches=n_batches,
                          n_outputs=requant_cycles // REQUANT_CYCLES_TABLE,
                          array_eff=array_efficiency(k))
-        self._finish_layer(spec, spec.out_length(w_in), dst[:packer.word_addr], lc)
+        self._run.layers.append(_LayerEntry(image, lc))
 
     # -- readback ------------------------------------------------------------
 
     def read_layer_activation(self, layer: int) -> QuantTensor:
-        """Unpack the output image of a ReLU layer the last run completed."""
+        """A copy of the output image of a ReLU layer the last run completed."""
         if not 0 <= layer < len(self._run.layers):
             raise StateError(f"layer {layer} has not been executed")
-        e = self._run.layers[layer]
-        if e.spec.activation == Activation.SIGNED_BYPASS:
+        image = self._run.layers[layer].image
+        if image is None:
             raise StateError("signed logit layers have no activation tensor")
-        return QuantTensor(unpack_weight_bytes(e.words, e.w_out, e.spec.c_out))
+        return QuantTensor(image.copy())
 
     @property
     def last_logits(self) -> Logits | None:

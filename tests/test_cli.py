@@ -2,6 +2,7 @@
 
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -13,11 +14,14 @@ import pytest
 
 from conftest import every_kind_net, signed_conv_blob
 from scgaccel.cli import main
+from scgaccel.errors import TransportError
+from scgaccel.link import HostClient, Transport
 from scgaccel.metrics import synth_windows
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.pipeline import build_reference_model
 from scgaccel.qnn import (INT32_MAX, Activation, LayerKind, LayerSpec,
-                          LayerWeights, NetworkSpec, PoolMode, WeightSet)
+                          LayerWeights, NetworkSpec, PoolMode, WeightSet,
+                          infer_window, zscore_quantize)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,6 +148,18 @@ def test_infer_golden_json(model_file, window_file, capsys):
     assert d["predicted_class"] in (0, 1, 2)
 
 
+@pytest.mark.parametrize("mode", ["golden", "sim"])
+def test_infer_one_mode_prints_its_logits_as_text(mode, model_file, window_file,
+                                                 capsys):
+    argv = ["infer", "--model", model_file, "--input", window_file, f"--{mode}"]
+    assert main([*argv, "--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    cycles = " cycles 2,255,250" if mode == "sim" else ""
+    assert capsys.readouterr().out == (f"logits {d[f'{mode}_logits']} "
+                                       f"class {d['predicted_class']}{cycles}\n")
+
+
 def test_infer_missing_model_is_usage_error(window_file, capsys):
     assert main(["infer", "--model", "/nonexistent.bin",
                  "--input", window_file]) == 2
@@ -173,8 +189,18 @@ def test_malformed_address_is_usage_error(addr, model_file, window_file, capsys)
     assert capsys.readouterr().err.count("address must be host:port") == 3
 
 
+def _two_channel_net(input_length=8) -> NetworkSpec:
+    return NetworkSpec(layers=(
+        LayerSpec(kind=LayerKind.CONV1D, c_in=2, c_out=2, kernel=1, padding=0,
+                  pool_mode=PoolMode.BYPASS, activation=Activation.RELU_SATURATE),
+        LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=2, c_out=3, kernel=1,
+                  padding=0, pool_mode=PoolMode.BYPASS,
+                  activation=Activation.SIGNED_BYPASS),
+    ), input_length=input_length)
+
+
 def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
-                                             capsys):
+                                             rng, capsys):
     # a port with no server: run checks its window before it connects
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -184,7 +210,17 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
     u8 = ["--input", str(u8_file), "--format", "u8"]
     ragged_file = tmp_path / "ragged.f32"
     ragged_file.write_bytes(bytes(4 * 512 + 2))
+    odd_file = tmp_path / "odd.u8"
+    odd_file.write_bytes(bytes(511))
+    two_channel = tmp_path / "two-channel.bin"
+    two_channel.write_bytes(random_model(_two_channel_net(), rng).to_bytes())
     for argv, message in [
+            (["run", "--connect", closed, "--input", window_file],
+             f"cannot connect to {closed}"),
+            (["infer", "--model", str(two_channel), "--input", window_file],
+             "raw f32 input supports single-channel models only"),
+            (["infer", "--model", str(two_channel), "--input", str(odd_file),
+              "--format", "u8"], "u8 input length 511 not divisible by 2 channels"),
             (["infer", "--model", model_file, "--input", str(ragged_file)],
              "f32 input of 2050 bytes is not a whole number of 4-byte samples"),
             (["run", "--connect", closed, "--input", str(ragged_file)],
@@ -293,6 +329,51 @@ def test_load_and_run_over_loopback_match_golden(model_file, window_file, capsys
     assert "model loaded and verified" in run_out
     assert f"logits {golden} " in run_out
     assert "cycles 2,255,250" in run_out
+
+
+class _PipeTransport(Transport):
+    """The host end of a child process's stdin and stdout."""
+
+    def __init__(self, proc: subprocess.Popen):
+        self.proc = proc
+
+    def send(self, data: bytes):
+        self.proc.stdin.write(data)
+        self.proc.stdin.flush()
+
+    def recv(self, timeout=None) -> bytes:
+        stdout = self.proc.stdout.fileno()
+        if not select.select([stdout], [], [], timeout)[0]:
+            raise TransportError("receive timeout")
+        return os.read(stdout, 65536)
+
+    def close(self):
+        self.proc.stdin.close()
+
+
+def test_serve_over_stdio_runs_a_session_until_stdin_closes(rng):
+    model = random_model(NetworkSpec.default(), rng)
+    x = zscore_quantize(rng.normal(size=512))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scgaccel.cli", "serve", "--transport", "stdio"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+    try:
+        client = HostClient(_PipeTransport(proc), timeout=30.0)
+        client.load_model(model)
+        logits, cycles = client.run(x)
+        client.close()              # end of input ends the session
+        assert proc.wait(timeout=30.0) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+    golden, _ = infer_window(model.to_network_spec(x.length),
+                             model.to_weight_set(), x)
+    assert np.array_equal(logits.values, golden.values)
+    assert cycles == 2_255_250
 
 
 def test_synth_then_eval_round_trip(model_file, tmp_path, capsys):
@@ -442,9 +523,12 @@ def test_pack_produces_loadable_model(tmp_path, rng, capsys):
      "'input_length' must be a scalar integer"),
     (lambda a: a.update(input_length=512.0),
      "'input_length' must be a scalar integer"),
+    (lambda a: [a.pop(f"w{i}") for i in range(5)],
+     "no w0..wN weight arrays found"),
+    (lambda a: a.pop("w4"), "4 weight arrays for 5 layers"),
 ], ids=["no-b2", "bn0-gamma-only", "layout-not-json", "layout-without-keys",
         "input-length-without-layout", "input-length-not-scalar",
-        "input-length-float"])
+        "input-length-float", "no-weights", "four-weights"])
 def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
                                               capsys):
     arrays = _float_arrays(rng, NetworkSpec.default())
@@ -457,14 +541,48 @@ def test_pack_refuses_a_malformed_float_model(edit, message, tmp_path, rng,
     assert not out.exists()
 
 
+def _layout(net) -> str:
+    """The `layout` JSON string that `pack` reads for `net`."""
+    return json.dumps([{"kind": s.kind.name, "c_in": s.c_in, "c_out": s.c_out,
+                        "kernel": s.kernel, "padding": s.padding,
+                        "pool": s.pool_mode.name, "activation": s.activation.name}
+                       for s in net.layers])
+
+
+def _two_channel_layout(arrays):
+    # a layout NetworkSpec accepts, whose first layer the one-channel
+    # calibration windows cannot feed
+    net = _two_channel_net(512)
+    arrays.clear()
+    arrays.update(_float_arrays(np.random.default_rng(4), net),
+                  input_length=net.input_length, layout=_layout(net))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda a: a.update(w0=a["w0"][:, 0]), "weights must be [c_out][c_in][K]"),
+    (lambda a: a.update(b0=a["b0"][:-1]), "one bias per output channel"),
+    (lambda a: a.update(w1=a["w1"][:, :, :3]),
+     "float weights do not match layer geometry"),
+    (lambda a: a.update(b0=np.full_like(a["b0"], 1e12)),
+     "quantized bias exceeds i32"),
+    (_two_channel_layout, "channel mismatch in float forward"),
+], ids=["w0-2d", "b0-short", "w1-kernel", "b0-huge", "two-channel-layout"])
+def test_pack_refuses_float_parameters_it_cannot_quantize(edit, message,
+                                                          tmp_path, rng, capsys):
+    arrays = _float_arrays(rng, NetworkSpec.default())
+    edit(arrays)
+    src = tmp_path / "float.npz"
+    np.savez(src, **arrays)
+    out = tmp_path / "packed.bin"
+    assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pack_builds_a_layout_at_its_input_length(tmp_path, rng, capsys):
     net = every_kind_net()     # 128 samples, with no layer of the default net
-    layout = [{"kind": s.kind.name, "c_in": s.c_in, "c_out": s.c_out,
-               "kernel": s.kernel, "padding": s.padding,
-               "pool": s.pool_mode.name, "activation": s.activation.name}
-              for s in net.layers]
     src = tmp_path / "float.npz"
-    np.savez(src, layout=json.dumps(layout), input_length=net.input_length,
+    np.savez(src, layout=_layout(net), input_length=net.input_length,
              **_float_arrays(rng, net))
     out = tmp_path / "packed.bin"
     assert main(["pack", "--from-float", str(src), "--out", str(out)]) == 0

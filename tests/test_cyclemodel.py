@@ -71,6 +71,19 @@ def test_prime_compute_linear_in_batches():
     assert lc2.prime == 2 * lc.prime and lc2.compute == 2 * lc.compute
 
 
+@pytest.mark.parametrize("w_in, n_batches", [
+    (6 * 2**53 + 1, 2**53 + 1),
+    (2**60 + 1, (2**60 + 2) // 6),   # 2^60 + 1 is 5 mod 6
+])
+def test_batches_are_counted_in_integers(w_in, n_batches):
+    # past 2^53 a float quotient rounds, and its ceiling loses whole batches
+    layer = NetworkSpec.default().layers[0]
+    lc = layer_cycles(layer, w_in)
+    assert lc.n_batches == n_batches
+    assert lc.prime == layer.c_out * n_batches * layer.c_in * 7
+    assert lc.compute == layer.c_out * n_batches * layer.c_in * layer.kernel
+
+
 def test_requant_conventions_differ_by_ratio():
     net = NetworkSpec.default()
     table = network_report(net, convention=RequantConvention.TABLE1)

@@ -952,3 +952,38 @@ def test_mid_load_teardown_leaves_device_idle(rng):
                             (Command.RUN_INFERENCE, NackReason.NO_MODEL)):
         reply = device.handle_frame(Frame(command, seq=1, payload=b"\x00"))
         assert (reply.command, reply.payload) == (Command.NACK, bytes([reason]))
+
+
+def test_host_fails_at_once_when_the_device_closes_mid_request():
+    # the device reads the request and hangs up: the host's wait ends on the
+    # closed stream, and its retransmit fails to send, well inside a timeout
+    host_end, device_end = memory_pair()
+
+    def device():
+        device_end.recv(timeout=10.0)
+        device_end.close()
+    thread = threading.Thread(target=device, daemon=True)
+    thread.start()
+    client = HostClient(host_end, timeout=10.0, retries=3)
+    start = time.monotonic()
+    try:
+        with pytest.raises(TransportError):
+            client.run(QuantTensor(np.zeros((1, 512), dtype=np.uint8)))
+        assert time.monotonic() - start < client.timeout
+    finally:
+        client.close()
+        thread.join(timeout=10.0)
+
+
+def test_serve_returns_when_the_host_hangs_up_before_its_reply():
+    # the request is still readable after the host closes; the reply is not
+    # deliverable, and the loop ends and closes its end
+    host_end, device_end = memory_pair()
+    host_end.send(encode_frame(Frame(Command.READ_RESULT, seq=1)))
+    host_end.close()
+    thread = threading.Thread(target=DeviceEmulator().serve, args=(device_end,),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert device_end.sock.fileno() == -1

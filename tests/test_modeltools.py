@@ -319,6 +319,14 @@ def test_deserialize_rejects_a_bad_layout():
         PackedModel.from_bytes(bytes(blob))
 
 
+def test_deserialize_rejects_a_head_that_pools():
+    blob = bytearray(seed1_blob())
+    blob[HEADER_SIZE + 4 * DESCRIPTOR_SIZE + 1] = PoolMode.MAXPOOL2  # pool byte
+    with pytest.raises(SerializationError, match="descriptor 4 invalid: FC "
+                       "layers bypass the pooling unit"):
+        PackedModel.from_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("blob", [pytest.param(blob, id=name) for name, blob
                                   in reserved_byte_blobs().items()])
 def test_deserialize_rejects_a_nonzero_reserved_byte(blob):
