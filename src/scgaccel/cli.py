@@ -31,7 +31,7 @@ from .metrics import NUM_CLASSES, evaluate, synth_windows
 from .modeltools import (BatchNorm, FloatLayerParams, FloatModel, PackedModel,
                          calibrate_activation_scales, quantize_model,
                          random_input, random_model, random_small_net)
-from .pipeline import golden_predict
+from .pipeline import CALIB_WINDOWS, golden_predict
 from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, Activation, LayerKind,
                   LayerSpec, NetworkSpec, PoolMode, QuantTensor, infer_window,
                   zscore_quantize)
@@ -42,12 +42,17 @@ from .sim import SimMachine
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _count(text: str) -> int:
-    """The argparse type of a count: an integer of at least 1."""
+def _count(text: str, low: int = 1) -> int:
+    """The argparse type of a count: an integer of at least `low`, 1."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    """The argparse type of a seed, which numpy takes: a count from 0."""
+    return _count(text, low=0)
 
 
 class UsageError(Exception):
@@ -268,7 +273,7 @@ def _float_model_from_npz(path: str) -> tuple[FloatModel, np.ndarray | None]:
 def cmd_pack(args) -> int:
     fm, calib = _float_model_from_npz(args.from_float)
     if calib is None:
-        calib = synth_windows(64, seed=args.seed,
+        calib = synth_windows(CALIB_WINDOWS, seed=args.seed,
                               window_len=fm.net.input_length).windows
     model = quantize_model(fm, calibrate_activation_scales(fm, calib, INPUT_SCALE))
     blob = model.to_bytes()
@@ -495,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="quantize a float model into the binary format")
     p.add_argument("--from-float", required=True, help=".npz float parameters")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed for fallback calibration windows")
     p.set_defaults(func=cmd_pack)
 
@@ -517,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise", type=float, default=0.15)
     p.add_argument("--out", required=True, help=".npz output")
     p.set_defaults(func=cmd_synth)
@@ -532,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("selftest", help="equivalence sweep and published-number checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sweeps", type=_count, default=12)
     p.set_defaults(func=cmd_selftest)
     return parser

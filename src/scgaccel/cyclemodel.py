@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .qnn import LayerSpec, NetworkSpec, PoolMode, check_positive
 
 PE_COUNT = 6          # systolic lanes, one spatial batch per pass
-PRIME_CYCLES = 7      # pipeline fill latency per channel group
+PRIME_CYCLES = PE_COUNT + 1   # a group's bias clock, then one per lane
 REQUANT_CYCLES_TABLE = 6    # 4 serial-multiplier stages + 2 overhead
 REQUANT_CYCLES_FORMULA = 9  # 6 multiplier + 3 FSM/pack per the formula text
 

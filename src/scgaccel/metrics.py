@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .qnn import check_windows
 
 CLASS_NAMES = ("background", "systolic", "diastolic")
 NUM_CLASSES = 3
@@ -58,8 +59,10 @@ def _burst(length: int, center: int, freq_hz: float, duration_s: float,
 def synth_windows(n: int, noise: float = 0.15, seed: int = 0,
                   window_len: int = WINDOW_LEN) -> LabeledWindowSet:
     """Deterministic synthetic dataset with near-equal class counts."""
-    if n <= 0:
-        raise ConfigError("n must be positive")
+    if n <= 0 or window_len <= 0:
+        raise ConfigError(f"n {n} and window_len {window_len} must be >= 1")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     windows = np.empty((n, window_len), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
@@ -91,8 +94,13 @@ def synth_windows(n: int, noise: float = 0.15, seed: int = 0,
                           SYS_DURATION_S, 1.0, phase)
             sig += _burst(window_len, sys_center + side * int(0.35 * period),
                           DIA_FREQ_HZS, DIA_DURATION_S, DIA_AMPLITUDE, phase)
-        windows[i] = sig
+        with np.errstate(over="ignore"):    # an overflow is refused below
+            windows[i] = sig
         labels[i] = label
+    try:    # with n, window_len and noise checked, only an overflow is left
+        check_windows(windows)
+    except ShapeError as exc:
+        raise ConfigError(f"noise {noise} overflows float32: {exc}") from exc
     return LabeledWindowSet(windows=windows, labels=labels)
 
 

@@ -186,17 +186,8 @@ def pack_sram_image(ws: WeightSet) -> np.ndarray:
     Each layer starts on a word boundary so its fetch address is a pure
     counter from the layer base (`PackedModel.layer_word_base`).
     """
-    chunks: list[np.ndarray] = []
-    addr = 0
-    for i, lw in enumerate(ws.layers):
-        words = pack_weight_bytes(lw.weights.reshape(-1))
-        addr += words.size
-        if addr > WEIGHT_MEM_WORDS:
-            raise CapacityError(
-                f"layer {i} exceeds weight memory: {addr} > {WEIGHT_MEM_WORDS} words")
-        chunks.append(words)
-    image = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint16)
-    return image.astype(np.uint16)
+    return np.concatenate([pack_weight_bytes(lw.weights.reshape(-1))
+                           for lw in ws.layers])
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +229,12 @@ class PackedModel:
             if self.biases[i].shape != (spec.c_out,):
                 raise SerializationError(f"layer {i}: bias count != c_out")
             expect_words += layer_word_count(spec)
+            if expect_words > WEIGHT_MEM_WORDS:
+                raise CapacityError(f"layer {i} exceeds the 64 KB weight memory: "
+                                    f"{expect_words} > {WEIGHT_MEM_WORDS} words")
         if self.weight_words.size != expect_words:
             raise SerializationError(
                 f"weight image has {self.weight_words.size} words, expected {expect_words}")
-        if self.weight_words.size > WEIGHT_MEM_WORDS:
-            raise CapacityError("weight image exceeds the 64 KB weight memory")
 
     # -- construction -------------------------------------------------------
 

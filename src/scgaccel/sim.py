@@ -26,9 +26,9 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   j's accumulator is ``bias + field j - zp * sum(weights)``.  A weight word
   is fetched (and traced) at an even weight index or a channel group's first
   tap and held, so the next odd tap takes its high byte without a second
-  read.  The bias is read at the group's first clock.  Activation reads go
-  through ``MemorySubsystem.read_byte`` on a live memoryview of the layer's
-  input buffer, so every read sees simulated memory as it is on that clock;
+  read.  The bias is read at the group's first clock.  Weight words, and
+  activation bytes through ``MemorySubsystem.read_byte``, are read from live
+  memoryviews, so every read sees simulated memory as it is on that clock;
   nothing is cached or snapshot.  Each clock is counted where it is yielded:
   into the machine's cycle counter and, for prime and compute, into the
   layer's split.  The requant engine, one loop over a group's (accumulator,
@@ -122,11 +122,6 @@ class MemorySubsystem:
         self.input_words = np.zeros(INPUT_MEM_WORDS, dtype=np.uint16)
         self.ping = np.zeros(PINGPONG_WORDS, dtype=np.uint16)
         self.pong = np.zeros(PINGPONG_WORDS, dtype=np.uint16)
-
-    def read_weight_word(self, addr: int) -> int:
-        if not 0 <= addr < WEIGHT_MEM_WORDS:
-            raise MemoryFault(f"weight address 0x{addr:04X} outside 15-bit space")
-        return int(self.weight_mem[addr])
 
     def read_byte(self, words, byte_index: int) -> int:
         """One byte of a sequence of 16-bit words, low byte first.
@@ -357,13 +352,14 @@ class SimMachine:
     def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int, _lc,
                      src: np.ndarray, dst: np.ndarray):
         mem = self.mem
-        read_byte, read_weight_word = mem.read_byte, mem.read_weight_word
+        read_byte = mem.read_byte
         n_batches = -(-w_in // PE_COUNT)
         c_in, k, pad = spec.c_in, spec.kernel, spec.padding
         multiplier, shift = mem.scale_regs[li]
         signed = spec.activation == Activation.SIGNED_BYPASS
-        # a live view: each read sees simulated memory as it is on that clock
+        # live views: each read sees simulated memory as it is on that clock
         act_words, wpc = memoryview(src), (w_in + 1) // 2
+        weights = memoryview(mem.weight_mem)
         top = LANE_BITS * (PE_COUNT - 1)        # the pipe's entry field
         lane_shifts = range(0, LANE_BITS * PE_COUNT, LANE_BITS)
 
@@ -405,8 +401,9 @@ class SimMachine:
                         # a fetch at an even index or a group's first tap;
                         # an odd tap takes the high byte of the held word
                         if idx % 2 == 0 or kk == 0:
+                            # inside the layer's image: validate bounds it
                             addr = base + idx // 2
-                            word = read_weight_word(addr)
+                            word = weights[addr]
                             reads = [{"mem": "weight", "addr": addr}]
                         else:
                             reads = []

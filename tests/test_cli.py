@@ -244,6 +244,13 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
              "argument --cycles: must be >= 1, got 0"),
             (["synth", "--n", "0", "--out", str(tmp_path / "none.npz")],
              "argument --n: must be >= 1, got 0"),
+            (["synth", "--n", "3", "--seed", "-1", "--out",
+              str(tmp_path / "none.npz")], "argument --seed: must be >= 0, got -1"),
+            (["selftest", "--seed", "-1", "--sweeps", "1"],
+             "argument --seed: must be >= 0, got -1"),
+            (["pack", "--from-float", str(tmp_path / "float.npz"), "--out",
+              str(tmp_path / "none.bin"), "--seed", "-1"],
+             "argument --seed: must be >= 0, got -1"),
             (["analyze", "--input-length", "0"],
              "argument --input-length: must be >= 1, got 0"),
             (["analyze", "--input-length", "-4"],
@@ -389,6 +396,21 @@ def test_synth_then_eval_round_trip(model_file, tmp_path, capsys):
     assert 0.0 <= summary["accuracy"] <= 1.0
     rows = json.loads(dump_file.read_text())
     assert len(rows) == 12 and set(rows[0]) == {"label", "pred", "logits"}
+
+
+@pytest.mark.parametrize("noise, message", [
+    ("inf", "noise must be finite and >= 0, got inf"),
+    ("nan", "noise must be finite and >= 0, got nan"),
+    ("-1", "noise must be finite and >= 0, got -1.0"),
+    ("1e39", "noise 1e+39 overflows float32: window 0: samples must be finite"),
+])
+def test_synth_refuses_a_noise_it_cannot_use(noise, message, tmp_path, capsys):
+    out = tmp_path / "ds.npz"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # and no numpy warning escapes
+        assert main(["synth", "--n", "3", "--noise", noise, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_eval_refuses_a_malformed_dataset(model_file, tmp_path, capsys):

@@ -116,6 +116,12 @@ def test_payload_cap():
         Frame(Command.LOAD_WEIGHTS, payload=b"\x00" * 4097)
 
 
+@pytest.mark.parametrize("seq", [256, -1])
+def test_frame_seq_must_fit_in_a_byte(seq):
+    with pytest.raises(FramingError, match="^seq must fit in u8$"):
+        Frame(Command.ACK, seq=seq)
+
+
 def test_single_bit_flip_is_detected():
     wire = bytearray(encode_frame(Frame(Command.RUN_INFERENCE, seq=9,
                                         payload=b"abc")))
@@ -142,6 +148,18 @@ def test_decoder_resyncs_after_garbage():
     decoder.feed(b"\x00\xff\x17" + good)
     frame = decoder.next_frame()
     assert frame is not None and frame.seq == 1
+
+
+def test_decoder_waits_for_a_frame_fed_a_byte_at_a_time():
+    # the first four bytes hold less than a header, the rest less than a frame
+    wire = encode_frame(Frame(Command.RUN_INFERENCE, seq=3, payload=b"ab"))
+    decoder = FrameDecoder()
+    for byte in wire[:-1]:
+        decoder.feed(bytes([byte]))
+        assert decoder.next_frame() is None
+    decoder.feed(wire[-1:])
+    assert decoder.next_frame() == Frame(Command.RUN_INFERENCE, 3, b"ab")
+    assert decoder.next_frame() is None
 
 
 def test_decoder_streams_partial_frames():

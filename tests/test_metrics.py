@@ -1,12 +1,15 @@
 """Synthetic dataset generator and classification metrics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from scgaccel.errors import ConfigError, ShapeError
 from scgaccel.metrics import (CLASS_NAMES, DIA_FREQ_HZS, SAMPLE_RATE_HZ,
-                              SYS_FREQ_HZ, average_precision, confusion_matrix,
-                              evaluate, expected_calibration_error,
+                              SYS_FREQ_HZ, LabeledWindowSet, average_precision,
+                              confusion_matrix, evaluate,
+                              expected_calibration_error,
                               summary_from_confusion, synth_windows, softmax)
 
 # The published FP32 confusion matrix, frozen as a regression fixture.
@@ -159,6 +162,32 @@ def test_synth_event_frequencies_distinguishable():
 def test_synth_rejects_empty():
     with pytest.raises(ConfigError):
         synth_windows(0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: LabeledWindowSet(np.zeros(512), np.zeros(1)),
+     ShapeError, "one label per window required"),
+    (lambda: LabeledWindowSet(np.zeros((2, 512)), np.zeros(1)),
+     ShapeError, "one label per window required"),
+    (lambda: LabeledWindowSet(np.zeros((2, 512)), [0, 3]),
+     ShapeError, "labels must be in {0, 1, 2}"),
+    (lambda: synth_windows(3, window_len=0),
+     ConfigError, "n 3 and window_len 0 must be >= 1"),
+    (lambda: synth_windows(3, noise=np.inf),
+     ConfigError, "noise must be finite and >= 0, got inf"),
+    (lambda: synth_windows(3, noise=np.nan),
+     ConfigError, "noise must be finite and >= 0, got nan"),
+    (lambda: synth_windows(3, noise=-1.0),
+     ConfigError, "noise must be finite and >= 0, got -1.0"),
+    # finite, but its samples overflow float32 (noise 0 is the noise-free
+    # set of the tests above)
+    (lambda: synth_windows(3, noise=1e39), ConfigError,
+     "noise 1e+39 overflows float32: window 0: samples must be finite"),
+], ids=["windows-1d", "label-count", "label-range", "no-samples", "noise-inf",
+        "noise-nan", "noise-negative", "noise-overflow"])
+def test_dataset_refuses_what_it_cannot_hold(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_class_names():

@@ -1,5 +1,6 @@
 """Folding, quantization, packing, and the weight binary format."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -16,9 +17,9 @@ from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, INPUT_MEM_WORDS,
                                  calibrate_activation_scales,
                                  derive_requant_constants, float_layer_forward,
                                  fold_batchnorm, image_words, layer_word_count,
-                                 pack_sram_image, pack_weight_bytes,
-                                 quantize_model, quantize_weights,
-                                 random_model, unpack_weight_bytes)
+                                 pack_weight_bytes, quantize_model,
+                                 quantize_weights, random_model,
+                                 unpack_weight_bytes)
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
                           NetworkSpec, PoolMode, WeightSet)
 
@@ -192,6 +193,40 @@ def test_requant_constants_refuse_scales_that_are_not_finite_and_positive(
         derive_requant_constants(*scales)
 
 
+def _bn(c_out, running_var=1.0):
+    return BatchNorm(gamma=np.ones(c_out), beta=np.zeros(c_out),
+                     running_mean=np.zeros(c_out),
+                     running_var=np.full(c_out, running_var))
+
+
+def _zero_float_model(net):
+    return FloatModel(net=net, layers=[
+        FloatLayerParams(weights=np.zeros((s.c_out, s.c_in, s.kernel)),
+                         bias=np.zeros(s.c_out)) for s in net.layers])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: FloatLayerParams(np.zeros((2, 1, 3)), np.zeros(2), bn=_bn(3)),
+     ShapeError, "bn.gamma must have length c_out"),
+    (lambda: FloatModel(net=NetworkSpec.default(), layers=[]),
+     ShapeError, "float model layer count mismatch"),
+    (lambda: fold_batchnorm(FloatLayerParams(np.zeros((1, 1, 1)), np.zeros(1),
+                                             bn=_bn(1, running_var=-1.0))),
+     ConfigError, "running_var + epsilon must be positive"),
+    (lambda: quantize_weights(FloatLayerParams(np.full((1, 1, 1), np.nan),
+                                               np.zeros(1)), input_scale=1.0),
+     ConfigError, "parameters must be finite"),
+    (lambda: derive_requant_constants(1e10, 1.0, 1.0),
+     ConfigError, "requant ratio 1e+10 too large for the datapath"),
+    (lambda: quantize_model(_zero_float_model(NetworkSpec.default()), [1.0]),
+     ConfigError, "need one scale per layer boundary"),
+], ids=["bn-length", "float-model-layers", "bn-variance", "nan-weights",
+        "ratio-too-large", "scale-count"])
+def test_model_preparation_refuses_a_malformed_argument(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # Packing
 # ---------------------------------------------------------------------------
@@ -252,15 +287,26 @@ def test_image_words_counts_what_pack_weight_bytes_makes(channels, length):
     assert image_words(channels, length) == pack_weight_bytes(rows).size
 
 
-def test_pack_sram_image_capacity_error_names_layer():
-    # 64x64x9 weights = 18,432 words per layer: one fits, two overflow
-    layer = LayerWeights(weights=np.zeros((64, 64, 9), dtype=np.int8),
-                         biases=np.zeros(64, dtype=np.int32))
-    ws = WeightSet(layers=[layer])
-    assert pack_sram_image(ws).size == 18_432
-    ws.layers.append(layer)
-    with pytest.raises(CapacityError, match="layer 1"):
-        pack_sram_image(ws)
+def test_from_weights_capacity_error_names_layer():
+    # 64x64x9 weights = 18,432 words per conv layer: one fits, two overflow
+    conv = LayerSpec(kind=LayerKind.CONV1D, c_in=64, c_out=64, kernel=9,
+                     padding=4, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.RELU_SATURATE)
+    head = LayerSpec(kind=LayerKind.FULLY_CONNECTED, c_in=64, c_out=3, kernel=1,
+                     padding=0, pool_mode=PoolMode.BYPASS,
+                     activation=Activation.SIGNED_BYPASS)
+
+    def weights(*layers):
+        return WeightSet(layers=[LayerWeights(
+            weights=np.zeros((s.c_out, s.c_in, s.kernel), dtype=np.int8),
+            biases=np.zeros(s.c_out, dtype=np.int32)) for s in layers])
+    one = NetworkSpec(layers=(conv, head))
+    assert PackedModel.from_weights(one, weights(conv, head)).weight_words.size \
+        == 18_432 + 96
+    two = NetworkSpec(layers=(conv, conv, head))
+    with pytest.raises(CapacityError, match=r"^layer 1 exceeds the 64 KB weight "
+                       r"memory: 36864 > 32768 words$"):
+        PackedModel.from_weights(two, weights(conv, conv, head))
 
 
 # ---------------------------------------------------------------------------

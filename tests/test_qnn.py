@@ -5,6 +5,7 @@ numpy vectorization, so any shortcut in the library implementation shows up
 as a mismatch rather than a shared bug.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -608,3 +609,54 @@ def test_weight_set_check_against():
                                 biases=np.zeros(2, dtype=np.int32))
     with pytest.raises(ShapeError):
         ws.check_against(net)
+
+
+def _layer(**fields):
+    return LayerSpec(**{**dict(kind=LayerKind.CONV1D, c_in=1, c_out=1, kernel=3,
+                               padding=1, pool_mode=PoolMode.BYPASS,
+                               activation=Activation.RELU_SATURATE), **fields})
+
+
+def _zero_weights(spec, kernel=None):
+    return LayerWeights(np.zeros((spec.c_out, spec.c_in, kernel or spec.kernel),
+                                 dtype=np.int8), np.zeros(spec.c_out, dtype=np.int32))
+
+
+def _infer_at_length(length):
+    net = NetworkSpec.default(l3_width=16)
+    ws = random_model(net, np.random.default_rng(0)).to_weight_set()
+    infer_window(net, ws, QuantTensor(np.zeros((1, length), dtype=np.uint8)))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: QuantTensor(np.zeros((0, 4), dtype=np.uint8)),
+     ShapeError, "channels and length must be >= 1"),
+    (lambda: _layer(padding=-1), ConfigError, "padding must be >= 0"),
+    (lambda: _layer(requant_multiplier=INT32_MAX + 1),
+     ConfigError, "requant multiplier must fit in i32"),
+    (lambda: LayerWeights(np.zeros((2, 3), dtype=np.int8), np.zeros(2)),
+     ShapeError, "weights must be [c_out][c_in][K]"),
+    (lambda: LayerWeights(np.zeros((2, 1, 1), dtype=np.int8), np.zeros(3)),
+     ShapeError, "one bias per output channel"),
+    (lambda: WeightSet(layers=[]).check_against(NetworkSpec.default()),
+     ShapeError, "weight set layer count mismatch"),
+    (lambda: conv1d_acc(QuantTensor(np.zeros((2, 8))), _layer(),
+                        _zero_weights(_layer())),
+     ShapeError, "input has 2 channels, layer expects 1"),
+    (lambda: conv1d_acc(QuantTensor(np.zeros((1, 8))), _layer(),
+                        _zero_weights(_layer(), kernel=2)),
+     ShapeError, "weight tensor does not match layer geometry"),
+    (lambda: maxpool2_acc(np.zeros(4)),
+     ShapeError, "accumulator map must be [c_out][length]"),
+    (lambda: gap_shift_acc(np.zeros(GAP_LENGTH)),
+     ShapeError, "accumulator map must be [c_out][length]"),
+    (lambda: requantize(np.zeros(2), 1, 64, Activation.RELU_SATURATE),
+     ConfigError, "shift must be in [0, 63]"),
+    (lambda: _infer_at_length(256),
+     ShapeError, "input 1x256 does not match network 1x512"),
+], ids=["tensor-empty", "padding", "multiplier", "weights-2d", "bias-count",
+        "weight-set-layers", "conv-channels", "conv-weights", "maxpool-1d",
+        "gap-1d", "requant-shift", "infer-length"])
+def test_golden_model_refuses_a_malformed_argument(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

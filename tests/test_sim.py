@@ -75,17 +75,6 @@ def test_round_shift_matches_golden_definition():
 # Memories and packer
 # ---------------------------------------------------------------------------
 
-def test_weight_memory_fault_outside_15_bit_space(default_pair):
-    _, model, _ = default_pair
-    machine = SimMachine()
-    machine.load_model(model)
-    assert machine.mem.read_weight_word(WEIGHT_ADDR_LIMIT - 1) >= 0
-    with pytest.raises(MemoryFault):
-        machine.mem.read_weight_word(WEIGHT_ADDR_LIMIT)
-    with pytest.raises(MemoryFault):
-        machine.mem.read_weight_word(-1)
-
-
 def test_packer_pairs_bytes_and_flushes_tail():
     target = np.zeros(4, dtype=np.uint16)
     packer = ResultPacker(target)
@@ -815,6 +804,17 @@ def test_run_requires_model_and_input():
     machine = SimMachine()
     with pytest.raises(StateError):
         machine.run_inference()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: m.load_input(QuantTensor(np.zeros((1, 8)))),
+     "load a model before the input window"),
+    (SimMachine.start, "model and input must be loaded before running"),
+    (SimMachine.export_model, "no model loaded"),
+], ids=["load-input", "start", "export-model"])
+def test_a_machine_with_no_model_refuses(call, message):
+    with pytest.raises(StateError, match=f"^{message}$"):
+        call(SimMachine())
 
 
 # ---------------------------------------------------------------------------
