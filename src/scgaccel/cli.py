@@ -3,7 +3,8 @@
 Commands are thin orchestration over the library: `analyze` (cycle model),
 `infer`/`trace` (golden model and simulator), `pack` (float -> deployable
 model), `serve`/`load`/`run` (device link), `synth`/`eval` (dataset and
-metrics), and `selftest` (equivalence sweep plus published-number checks).
+metrics), and `selftest` (install check: golden/simulator sweep and a
+device-link round trip).
 
 Signal files are raw little-endian float32 samples; quantized windows are
 raw u8.  Exit codes: 0 success, 1 runtime failure, 2 usage error, which
@@ -26,7 +27,8 @@ import numpy as np
 from .cyclemodel import (DEFAULT_CLOCK_HZ, DEFAULT_POWER_MW, RequantConvention,
                          network_report)
 from .errors import AccelError, StateError
-from .link import DeviceEmulator, HostClient, SocketTransport, Transport
+from .link import (DeviceEmulator, HostClient, SocketTransport, Transport,
+                   serve_in_thread)
 from .metrics import NUM_CLASSES, evaluate, synth_windows
 from .modeltools import (BatchNorm, FloatLayerParams, FloatModel, PackedModel,
                          calibrate_activation_scales, quantize_model,
@@ -387,28 +389,6 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 def cmd_selftest(args) -> int:
     rng = np.random.default_rng(args.seed)
-    ok = True
-    report = network_report(NetworkSpec.default())
-    table = [(lc.prime, lc.compute, lc.requant) for lc in report.layers]
-    expect = [(9632, 12384, 24768), (154112, 198144, 24768),
-              (315392, 405504, 25344), (630784, 450560, 768), (2688, 384, 18)]
-    ok &= _check("layer cycle table", table == expect
-                 and report.total_cycles == 2_255_250,
-                 f"total {report.total_cycles:,} cycles")
-    ok &= _check("latency/FPS", abs(report.latency_s * 1e3 - 93.97) < 0.01
-                 and abs(report.fps - 10.64) < 0.01,
-                 f"{report.latency_s * 1e3:.2f} ms, {report.fps:.2f} FPS")
-    measured = network_report(NetworkSpec.default(), measured_latency_s=0.0955)
-    ok &= _check("throughput/energy", abs(measured.mmacs_per_s - 67.0) < 0.5
-                 and abs(measured.energy_uj - 816.5) < 0.1,
-                 f"{measured.mmacs_per_s:.1f} MMAC/s, "
-                 f"{measured.energy_uj:.1f} uJ")
-    effs = [round(lc.sys_eff * 100, 1) for lc in report.layers[:3]]
-    ok &= _check("efficiency formulas", effs[:2] == [26.5, 52.6]
-                 and abs(effs[2] - 54.3) < 0.05,
-                 f"system {effs} (published table lists 53 for the third "
-                 "layer; computed 54.3 — known discrepancy)")
-
     mismatches = 0
     for trial in range(args.sweeps):
         net = NetworkSpec.default() if trial % 4 == 0 else random_small_net(rng)
@@ -422,10 +402,9 @@ def cmd_selftest(args) -> int:
         sim, _, _ = machine.run_inference()
         if not np.array_equal(gold.values, sim.values):
             mismatches += 1
-    ok &= _check("golden vs simulator", mismatches == 0,
-                 f"{args.sweeps} random pairs, {mismatches} mismatches")
+    ok = _check("golden vs simulator", mismatches == 0,
+                f"{args.sweeps} random pairs, {mismatches} mismatches")
 
-    from .link import serve_in_thread
     device = DeviceEmulator()
     host_end, _ = serve_in_thread(device)
     client = HostClient(host_end, timeout=30.0)
@@ -440,15 +419,6 @@ def cmd_selftest(args) -> int:
     gold, _ = infer_window(model.to_network_spec(), model.to_weight_set(), x)
     ok &= _check("protocol round trip", np.array_equal(remote.values, gold.values),
                  f"logits {[int(v) for v in remote.values]}")
-
-    published = np.array([[9469, 39, 383], [55, 9914, 125], [44, 45, 9926]])
-    labels = np.repeat([0, 1, 2], published.sum(axis=1))
-    preds = np.repeat(np.tile([0, 1, 2], 3), published.ravel())
-    summary = evaluate(labels, pred_classes=preds)
-    recalls = [round(r * 100, 2) for r in summary.recall.tolist()]
-    ok &= _check("metrics reproduction", abs(summary.accuracy - 0.9770) < 1e-4
-                 and recalls == [95.73, 98.22, 99.11],
-                 f"accuracy {summary.accuracy:.2%}, recalls {recalls}")
     print("selftest", "PASSED" if ok else "FAILED")
     return 0 if ok else 1
 
@@ -536,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", help="per-window prediction dump JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("selftest", help="equivalence sweep and published-number checks")
+    p = sub.add_parser("selftest", help="install check: golden/simulator "
+                       "sweep and device-link round trip")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sweeps", type=_count, default=12)
     p.set_defaults(func=cmd_selftest)

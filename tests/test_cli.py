@@ -20,8 +20,9 @@ from scgaccel.metrics import synth_windows
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.pipeline import build_reference_model
 from scgaccel.qnn import (INT32_MAX, Activation, LayerKind, LayerSpec,
-                          LayerWeights, NetworkSpec, PoolMode, WeightSet,
-                          infer_window, zscore_quantize)
+                          LayerWeights, Logits, NetworkSpec, PoolMode,
+                          WeightSet, infer_window, zscore_quantize)
+from scgaccel.sim import SimMachine
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -710,5 +711,28 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--sweeps", "6"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") >= 6
-    assert "recalls [95.73, 98.22, 99.11]" in out
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "[PASS] golden vs simulator: 6 random pairs, 0 mismatches"
+    assert lines[1].startswith("[PASS] protocol round trip: logits [")
+    assert lines[2] == "selftest PASSED"
+
+
+def test_a_simulator_that_disagrees_fails_selftest_and_infer(
+        model_file, window_file, monkeypatch, capsys):
+    real = SimMachine.run_inference
+
+    def off_by_one(self):
+        logits, cycles, stats = real(self)
+        return Logits(logits.values + 1), cycles, stats
+
+    monkeypatch.setattr(SimMachine, "run_inference", off_by_one)
+    assert main(["selftest", "--sweeps", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] golden vs simulator: 2 random pairs, 2 mismatches" in out
+    assert out.endswith("selftest FAILED\n")
+    assert main(["infer", "--model", model_file, "--input", window_file,
+                 "--both"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("MISMATCH: logits ")
+    assert "golden and simulator disagree" in err
