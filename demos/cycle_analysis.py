@@ -1,16 +1,17 @@
 """Walk through the analytical cycle model for the default network.
 
 Reproduces the per-layer prime/compute/requant breakdown, then shows how the
-derived latency, throughput, and energy figures follow from it, and how the
-two requantization accounting conventions differ.
+derived latency, throughput, and energy figures follow from it, and what the
+formula text's 9 requant cycles per output, against the table's 6, change.
 """
 
-from scgaccel.cyclemodel import RequantConvention, network_report, peak_mmacs
+from scgaccel.cyclemodel import (REQUANT_CYCLES_FORMULA, REQUANT_CYCLES_TABLE,
+                                 network_report, peak_mmacs)
 from scgaccel.qnn import NetworkSpec
 
 net = NetworkSpec.default()
 
-print("=== Per-layer cycle breakdown (table convention) ===")
+print("=== Per-layer cycle breakdown (6 requant cycles per output) ===")
 report = network_report(net)
 print(report.to_text())
 print()
@@ -28,13 +29,17 @@ print(f"Energy/inference   : {measured.energy_uj:.1f} uJ at "
 print()
 
 print("=== Requant accounting conventions ===")
-formula = network_report(net, convention=RequantConvention.FORMULA)
-print(f"table convention  : {report.total_requant:>8,} requant cycles "
-      f"(6 per pooled output)")
-print(f"formula convention: {formula.total_requant:>8,} requant cycles "
-      f"(9 per pooled output)")
-print(f"difference on the total: {formula.total_cycles - report.total_cycles:,} "
-      f"cycles ({(formula.total_cycles / report.total_cycles - 1):.2%})")
+print(f"table, 6 per pooled output       : {report.total_cycles:>10,} cycles, "
+      f"{report.latency_s * 1e3:.2f} ms")
+print(f"formula text, 9 per pooled output: {report.formula_cycles:>10,} cycles, "
+      f"{report.formula_latency_s * 1e3:.2f} ms")
+print(f"difference on the total: {report.formula_cycles - report.total_cycles:,} "
+      f"cycles ({(report.formula_cycles / report.total_cycles - 1):.2%})")
+l2 = report.layers[2]
+l2_formula_total = l2.total + (REQUANT_CYCLES_FORMULA
+                               - REQUANT_CYCLES_TABLE) * l2.n_outputs
+print(f"layer 2 system efficiency at 9 per output: {l2.compute:,} / "
+      f"{l2_formula_total:,} = {l2.compute / l2_formula_total:.2%}")
 print()
 
 print("=== Clock scaling (cycle counts are frequency independent) ===")

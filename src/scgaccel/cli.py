@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cyclemodel import (DEFAULT_CLOCK_HZ, DEFAULT_POWER_MW, RequantConvention,
-                         network_report)
+from .cyclemodel import DEFAULT_CLOCK_HZ, DEFAULT_POWER_MW, network_report
 from .errors import AccelError, StateError
 from .link import (DeviceEmulator, HostClient, SocketTransport, Transport,
                    serve_in_thread)
@@ -126,8 +125,7 @@ def cmd_analyze(args) -> int:
                           input_length=args.input_length)
     report = network_report(net, clock_hz=args.clock_hz,
                             avg_power_mw=args.power_mw,
-                            measured_latency_s=args.measured_latency_s,
-                            convention=RequantConvention(args.requant_convention))
+                            measured_latency_s=args.measured_latency_s)
     print(report.to_json() if args.json else report.to_text())
     return 0
 
@@ -444,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clock-hz", type=float, default=float(DEFAULT_CLOCK_HZ))
     p.add_argument("--power-mw", type=float, default=DEFAULT_POWER_MW)
     p.add_argument("--measured-latency-s", type=float)
-    p.add_argument("--requant-convention", choices=["table1", "formula"],
-                   default="table1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

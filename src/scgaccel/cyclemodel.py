@@ -4,20 +4,21 @@ Per-layer cycle decomposition is total = prime + compute + requant with
 
     prime   = c_out * n_batches * c_in * 7
     compute = c_out * n_batches * c_in * K
-    requant = n_outputs * cycles_per_output
+    requant = n_outputs * 6
 
-where n_batches = ceil(w_in / 6).  Two requant conventions exist: the
-published per-layer table reconciles with 6 cycles per pooled output
-(counting batch-padding overhang positions), while the accompanying formula
-text states 9 cycles per output.  Both are exposed; the table convention is
-the default because it reproduces the published numbers exactly.
+where n_batches = ceil(w_in / 6).  The published per-layer table reconciles
+with 6 cycles per pooled output (counting batch-padding overhang positions),
+which is what both sim paths count, while the accompanying formula text
+states 9 cycles per output.  One report carries both: its cycles count 6 per
+output, and ``formula_cycles`` adds the formula text's 3 more per output.
+Every per-layer figure derives from the counted prime, compute and requant
+clocks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from enum import Enum
 
 from .errors import ConfigError
 from .qnn import LayerSpec, NetworkSpec, PoolMode, check_positive
@@ -31,19 +32,23 @@ DEFAULT_CLOCK_HZ = 24_000_000
 DEFAULT_POWER_MW = 8.55
 
 
-class RequantConvention(str, Enum):
-    TABLE1 = "table1"
-    FORMULA = "formula"
-
-
 @dataclass
 class LayerCycles:
+    """One layer's counted clocks; every other figure derives from them."""
     prime: int
     compute: int
     requant: int
     n_batches: int
-    n_outputs: int  # pooled outputs over all batches, padding positions included
-    array_eff: float
+
+    @property
+    def n_outputs(self) -> int:
+        """Pooled outputs over all batches, padding positions included."""
+        return self.requant // REQUANT_CYCLES_TABLE
+
+    @property
+    def array_eff(self) -> float:
+        """Fraction of array cycles doing arithmetic: K / (K + 7)."""
+        return self.compute / (self.prime + self.compute)
 
     @property
     def total(self) -> int:
@@ -52,12 +57,7 @@ class LayerCycles:
     @property
     def sys_eff(self) -> float:
         """Useful compute relative to total layer time."""
-        return self.compute / self.total if self.compute else 0.0
-
-
-def array_efficiency(kernel: int) -> float:
-    """Fraction of array cycles doing arithmetic: K / (K + 7)."""
-    return kernel / (kernel + PRIME_CYCLES)
+        return self.compute / self.total
 
 
 def pooled_outputs(layer: LayerSpec, w_in: int, n_batches: int) -> int:
@@ -70,26 +70,19 @@ def pooled_outputs(layer: LayerSpec, w_in: int, n_batches: int) -> int:
     return layer.c_out * w_in
 
 
-def layer_cycles(layer: LayerSpec, w_in: int,
-                 convention: RequantConvention = RequantConvention.TABLE1) -> LayerCycles:
+def layer_cycles(layer: LayerSpec, w_in: int) -> LayerCycles:
     if w_in < 1:
         raise ConfigError("input length must be >= 1")
     n_batches = -(-w_in // PE_COUNT)
     prime = layer.c_out * n_batches * layer.c_in * PRIME_CYCLES
     compute = layer.c_out * n_batches * layer.c_in * layer.kernel
-    n_outputs = pooled_outputs(layer, w_in, n_batches)
-    per_output = (REQUANT_CYCLES_TABLE if convention == RequantConvention.TABLE1
-                  else REQUANT_CYCLES_FORMULA)
-    requant = n_outputs * per_output
-    return LayerCycles(prime=prime, compute=compute, requant=requant,
-                       n_batches=n_batches, n_outputs=n_outputs,
-                       array_eff=array_efficiency(layer.kernel))
+    requant = pooled_outputs(layer, w_in, n_batches) * REQUANT_CYCLES_TABLE
+    return LayerCycles(prime, compute, requant, n_batches)
 
 
 @dataclass
 class CycleReport:
     layers: list[LayerCycles]
-    convention: RequantConvention
     clock_hz: float
     specs: list[LayerSpec]
     avg_power_mw: float | None = None
@@ -110,6 +103,16 @@ class CycleReport:
     @property
     def latency_s(self) -> float:
         return self.total_cycles / self.clock_hz
+
+    @property
+    def formula_cycles(self) -> int:
+        """The total at the formula text's 9 requant cycles per output."""
+        return self.total_cycles + (REQUANT_CYCLES_FORMULA - REQUANT_CYCLES_TABLE) \
+            * sum(l.n_outputs for l in self.layers)
+
+    @property
+    def formula_latency_s(self) -> float:
+        return self.formula_cycles / self.clock_hz
 
     @property
     def fps(self) -> float:
@@ -143,9 +146,9 @@ class CycleReport:
 
     def to_dict(self) -> dict:
         return {
-            "convention": self.convention.value,
             "clock_hz": self.clock_hz,
-            "layers": [asdict(l) | {"sys_eff": l.sys_eff, "total": l.total}
+            "layers": [asdict(l) | {"n_outputs": l.n_outputs, "array_eff": l.array_eff,
+                                    "sys_eff": l.sys_eff, "total": l.total}
                        for l in self.layers],
             "totals": {
                 "prime": self.total_prime,
@@ -154,6 +157,8 @@ class CycleReport:
                 "cycles": self.total_cycles,
             },
             "latency_s": self.latency_s,
+            "formula_cycles": self.formula_cycles,
+            "formula_latency_s": self.formula_latency_s,
             "fps": self.fps,
             "total_macs": self.total_macs,
             "measured_latency_s": self.measured_latency_s,
@@ -181,6 +186,9 @@ class CycleReport:
                      f"{self.total_requant:>10,}")
         lines.append(f"Cycles {self.total_cycles:,} | latency {self.latency_s * 1e3:.2f} ms"
                      f" | {self.fps:.2f} FPS @ {self.clock_hz / 1e6:.1f} MHz")
+        lines.append(f"Formula text, {REQUANT_CYCLES_FORMULA} requant cycles per output: "
+                     f"{self.formula_cycles:,} cycles | latency "
+                     f"{self.formula_latency_s * 1e3:.2f} ms")
         lines.append(f"Throughput {self.mmacs_per_s:.1f} MMAC/s ({self.mops_per_s:.1f} MOps/s)"
                      + (f" | energy {self.energy_uj:.1f} uJ" if self.energy_uj else ""))
         return "\n".join(lines)
@@ -189,8 +197,7 @@ class CycleReport:
 def network_report(net: NetworkSpec,
                    clock_hz: float = DEFAULT_CLOCK_HZ,
                    avg_power_mw: float | None = DEFAULT_POWER_MW,
-                   measured_latency_s: float | None = None,
-                   convention: RequantConvention = RequantConvention.TABLE1) -> CycleReport:
+                   measured_latency_s: float | None = None) -> CycleReport:
     """The cycle report of `net`; the clock, and the power and measured
     latency when given, must be finite and positive, and so must every figure
     derived from them (ConfigError)."""
@@ -198,14 +205,15 @@ def network_report(net: NetworkSpec,
                         ("measured_latency_s", measured_latency_s)):
         if value is not None:
             check_positive(name, value)
-    layers = [layer_cycles(layer, w_in, convention)
+    layers = [layer_cycles(layer, w_in)
               for layer, w_in in zip(net.layers, net.layer_input_lengths())]
-    report = CycleReport(layers=layers, convention=convention, clock_hz=clock_hz,
+    report = CycleReport(layers=layers, clock_hz=clock_hz,
                          specs=list(net.layers), avg_power_mw=avg_power_mw,
                          measured_latency_s=measured_latency_s)
     # a finite input can still overflow a quotient or product to inf, which
     # JSON cannot carry, or underflow one to 0
-    for name in ("latency_s", "fps", "mmacs_per_s", "mops_per_s", "energy_uj"):
+    for name in ("latency_s", "formula_latency_s", "fps", "mmacs_per_s",
+                 "mops_per_s", "energy_uj"):
         if (value := getattr(report, name)) is not None:
             check_positive(f"derived {name}", value)
     return report

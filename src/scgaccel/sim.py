@@ -26,14 +26,14 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   j's accumulator is ``bias + field j - zp * sum(weights)``.  A weight word
   is fetched (and traced) at an even weight index or a channel group's first
   tap and held, so the next odd tap takes its high byte without a second
-  read.  The bias is read at the group's first clock.  Weight words, and
-  activation bytes through ``MemorySubsystem.read_byte``, are read from live
-  memoryviews, so every read sees simulated memory as it is on that clock;
-  nothing is cached or snapshot.  Each clock is counted where it is yielded:
-  into the machine's cycle counter and, for prime and compute, into the
-  layer's split.  The requant engine, one loop over a group's (accumulator,
-  output position) pairs, takes the rest of the layer's clocks: four
-  multiplier stages and two of overhead per pair.
+  read.  The bias is read at the group's first clock.  Weight words and
+  activation bytes are read inline from live memoryviews, so every read sees
+  simulated memory as it is on that clock; nothing is cached or snapshot.
+  Each clock is counted where it is yielded: into the machine's cycle
+  counter and, for prime and compute, into the layer's split.  The requant
+  engine, one loop over a group's (accumulator, output position) pairs,
+  takes the rest of the layer's clocks: four multiplier stages and two of
+  overhead per pair.  The layer's ``LayerCycles`` holds only those counts.
 
 ``load_input`` refuses, before it writes anything, a length ``NetworkSpec``
 refuses or a ReLU image over its output buffer, and builds the run plan both
@@ -64,7 +64,7 @@ from itertools import chain
 import numpy as np
 
 from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
-                         array_efficiency, layer_cycles)
+                         layer_cycles)
 from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
                      SimFault, StateError)
 from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
@@ -122,17 +122,6 @@ class MemorySubsystem:
         self.input_words = np.zeros(INPUT_MEM_WORDS, dtype=np.uint16)
         self.ping = np.zeros(PINGPONG_WORDS, dtype=np.uint16)
         self.pong = np.zeros(PINGPONG_WORDS, dtype=np.uint16)
-
-    def read_byte(self, words, byte_index: int) -> int:
-        """One byte of a sequence of 16-bit words, low byte first.
-
-        ``words`` is the input or a ping-pong buffer, or a memoryview of one;
-        a view is live, so each read sees the buffer as it is now.
-        """
-        if not 0 <= byte_index < 2 * len(words):
-            raise MemoryFault(f"buffer byte {byte_index} out of range")
-        word = int(words[byte_index >> 1])
-        return word >> 8 if byte_index % 2 else word & 0xFF
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +341,13 @@ class SimMachine:
     def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int, _lc,
                      src: np.ndarray, dst: np.ndarray):
         mem = self.mem
-        read_byte = mem.read_byte
         n_batches = -(-w_in // PE_COUNT)
         c_in, k, pad = spec.c_in, spec.kernel, spec.padding
         multiplier, shift = mem.scale_regs[li]
         signed = spec.activation == Activation.SIGNED_BYPASS
-        # live views: each read sees simulated memory as it is on that clock
+        # live views: each read sees simulated memory as it is on that clock;
+        # load_input bounds each image by its buffer, so an in-range sample
+        # at an even row reads inside it, low byte first
         act_words, wpc = memoryview(src), (w_in + 1) // 2
         weights = memoryview(mem.weight_mem)
         top = LANE_BITS * (PE_COUNT - 1)        # the pipe's entry field
@@ -389,8 +379,8 @@ class SimMachine:
                     pipe = 0
                     for t in range(t0, t0 + PE_COUNT):
                         pipe = pipe >> LANE_BITS | (
-                            read_byte(act_words, row + t) if 0 <= t < w_in
-                            else zp) << top
+                            act_words[(row + t) >> 1] >> (t & 1) * 8 & 0xFF
+                            if 0 <= t < w_in else zp) << top
                         self.cycle_counter += 1
                         prime += 1
                         yield CycleEvent(self.cycle_counter, "prime", li, o, b, c,
@@ -413,8 +403,8 @@ class SimMachine:
                         wsum += weight
                         t = t0 + kk + PE_COUNT
                         pipe = pipe >> LANE_BITS | (
-                            read_byte(act_words, row + t) if 0 <= t < w_in
-                            else zp) << top
+                            act_words[(row + t) >> 1] >> (t & 1) * 8 & 0xFF
+                            if 0 <= t < w_in else zp) << top
                         self.cycle_counter += 1
                         compute += 1
                         yield CycleEvent(self.cycle_counter, "compute", li, o, b, c,
@@ -468,10 +458,8 @@ class SimMachine:
             image = unpack_weight_bytes(dst, spec.out_length(w_in), spec.c_out)
         # the requant engine counted the layer's other clocks
         requant_cycles = self.cycle_counter - first_cycle - prime - compute
-        lc = LayerCycles(prime, compute, requant_cycles, n_batches=n_batches,
-                         n_outputs=requant_cycles // REQUANT_CYCLES_TABLE,
-                         array_eff=array_efficiency(k))
-        self._run.layers.append(_LayerEntry(image, lc))
+        self._run.layers.append(_LayerEntry(
+            image, LayerCycles(prime, compute, requant_cycles, n_batches)))
 
     # -- readback ------------------------------------------------------------
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_input, random_small_net
-from scgaccel.cyclemodel import array_efficiency, network_report
+from scgaccel.cyclemodel import network_report
 from scgaccel.link import (Command, DeviceEmulator, Frame, HostClient,
                            serve_in_thread)
 from scgaccel.metrics import evaluate, summary_from_confusion, synth_windows
@@ -87,10 +87,11 @@ def test_criterion_4_energy_derivation():
 
 
 def test_criterion_5_efficiency_formulas():
-    assert round(array_efficiency(9) * 100, 2) == 56.25
-    assert round(array_efficiency(5) * 100, 2) == pytest.approx(41.67)
-    assert round(array_efficiency(1) * 100, 2) == 12.5
+    # the default net's kernels are 9, 9, 9, 5 and 1
     report = network_report(NetworkSpec.default())
+    assert round(report.layers[0].array_eff * 100, 2) == 56.25
+    assert round(report.layers[3].array_eff * 100, 2) == pytest.approx(41.67)
+    assert round(report.layers[4].array_eff * 100, 2) == 12.5
     effs = [round(lc.sys_eff * 100, 1) for lc in report.layers[:3]]
     assert effs[0] == 26.5
     assert effs[1] == 52.6

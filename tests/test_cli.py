@@ -255,7 +255,9 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
             (["analyze", "--input-length", "0"],
              "argument --input-length: must be >= 1, got 0"),
             (["analyze", "--input-length", "-4"],
-             "argument --input-length: must be >= 1, got -4")]:
+             "argument --input-length: must be >= 1, got -4"),
+            (["analyze", "--requant-convention", "formula"],
+             "unrecognized arguments: --requant-convention formula")]:
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err
 

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from scgaccel.cyclemodel import (DEFAULT_CLOCK_HZ, PE_COUNT, RequantConvention,
-                                 array_efficiency, layer_cycles,
+from scgaccel.cyclemodel import (DEFAULT_CLOCK_HZ, PE_COUNT, layer_cycles,
                                  network_report, peak_mmacs)
 from scgaccel.errors import ConfigError
 from scgaccel.qnn import NetworkSpec
@@ -46,9 +45,11 @@ def test_throughput_and_energy_from_measured_latency():
 
 
 def test_array_efficiency_by_kernel():
-    assert array_efficiency(9) == pytest.approx(0.5625)
-    assert array_efficiency(5) == pytest.approx(5 / 12)
-    assert array_efficiency(1) == pytest.approx(0.125)
+    # the default net's kernels are 9, 9, 9, 5 and 1
+    layers = network_report(NetworkSpec.default()).layers
+    assert layers[0].array_eff == pytest.approx(0.5625)
+    assert layers[3].array_eff == pytest.approx(5 / 12)
+    assert layers[4].array_eff == pytest.approx(0.125)
 
 
 def test_system_efficiency_rounded():
@@ -85,12 +86,17 @@ def test_batches_are_counted_in_integers(w_in, n_batches):
 
 
 def test_requant_conventions_differ_by_ratio():
-    net = NetworkSpec.default()
-    table = network_report(net, convention=RequantConvention.TABLE1)
-    formula = network_report(net, convention=RequantConvention.FORMULA)
-    assert table.total_requant * 9 == formula.total_requant * 6
-    assert (table.total_prime, table.total_compute) \
-        == (formula.total_prime, formula.total_compute)
+    # the formula text's 9 requant cycles per output against the table's 6
+    report = network_report(NetworkSpec.default())
+    formula_requant = report.formula_cycles - report.total_prime - report.total_compute
+    assert report.total_requant * 9 == formula_requant * 6
+    assert report.formula_cycles == 2_293_083
+    assert report.formula_latency_s == 2_293_083 / DEFAULT_CLOCK_HZ
+    d = report.to_dict()
+    assert (d["formula_cycles"], d["formula_latency_s"]) \
+        == (2_293_083, report.formula_latency_s)
+    assert "Formula text, 9 requant cycles per output: 2,293,083 cycles | " \
+        "latency 95.55 ms\n" in report.to_text()
 
 
 def test_pooled_output_counts():
@@ -129,6 +135,8 @@ def test_report_refuses_inputs_that_are_not_finite_and_positive(option, value):
     (dict(clock_hz=1e-300), "energy_uj"),
     (dict(clock_hz=1e308), "mmacs_per_s"),
     (dict(measured_latency_s=1e-310), "mmacs_per_s"),
+    # 2,255,250 cycles stay finite where the formula's 2,293,083 do not
+    (dict(clock_hz=1.265e-302, avg_power_mw=None), "formula_latency_s"),
 ])
 def test_report_refuses_a_derived_figure_that_is_not_finite(inputs, figure):
     with pytest.raises(ConfigError, match=f"derived {figure} must be positive "

@@ -32,20 +32,21 @@ def _sha(text: str | bytes) -> str:
 # "EVERY_KIND" for that of the seed-1 random model on every_kind_net, which
 # runs at 128 samples
 ANALYZE = {
-    (): "6d60f076075b0b7138ef9978b57045b01f0a2fe115ff52181f819caf7dc99800",
+    (): "eff9a0ee4e4c82184376eacdc864bbdc4463b45d055c58202ccd3e728e9ca6d6",
     ("--json",):
-        "a683097f0cce22910d4c3266792dddb3a3fa1c5d44b1197c6a487bba2f320ff9",
-    ("--requant-convention", "formula"):
-        "a7b37d89e2b93b3768b7fe2ecacae4eb31d7b12856593820cb675bbd4cfcc24e",
-    ("--requant-convention", "formula", "--json"):
-        "ad83a88919ba1651404286a19aea73db1874b904c7d3690224e656eab92ef1cb",
+        "43aed6648a2991a64f2367ef1bc86745d30548938cdd940751d88d29a3aafa80",
+    # a packed model on the default topology reports as the default does
+    ("--model", "MODEL"):
+        "eff9a0ee4e4c82184376eacdc864bbdc4463b45d055c58202ccd3e728e9ca6d6",
+    ("--model", "MODEL", "--json"):
+        "43aed6648a2991a64f2367ef1bc86745d30548938cdd940751d88d29a3aafa80",
     ("--model", "EVERY_KIND", "--input-length", "128"):
-        "1c469c26f6e98100abe3e0ca7c98a5d5851a7e88059fe0e6525e4f4a493a6d9c",
+        "340ebb7b4a7f13db4ca98ca16108bcc78a96776a978937104ce17d497cd3e24d",
     ("--model", "EVERY_KIND", "--input-length", "128", "--json"):
-        "f0755b936e0ba1b126d31cd7cd07579fbd0ead53db383f46a6e2a0807198b344",
+        "dae40abee86645aa3c5159fd29dbdf3728653809f7b3ae83c4d9c9cb4deb9b91",
     ("--clock-hz", "48e6", "--power-mw", "10", "--measured-latency-s", "0.05",
      "--json"):
-        "6c253d4f3240fdb49fb235895ca36214f64cbfacc663a728bab1d2e8ab30d856",
+        "6431aea9f1040e40a00eff6bb3d40dd1666b902abbff5b8b6ff4df022aab460d",
 }
 
 SANN = {

@@ -1,5 +1,6 @@
 """Framing, protocol state machine, and host/device end-to-end behavior."""
 
+import socket
 import struct
 import threading
 import time
@@ -17,9 +18,9 @@ from scgaccel.errors import (CrcError, FramingError, ProtocolError,
                              TransportError, VerificationError)
 from scgaccel.link import (CHUNK_SIZE, Command, DeviceEmulator, Frame,
                            FrameDecoder, HEADER_SIZE, HostClient,
-                           MAX_PAYLOAD, NackReason, SOF, Transport, crc8,
-                           encode_frame, machine_digest, memory_pair,
-                           model_digest, serve_in_thread)
+                           MAX_PAYLOAD, NackReason, SOF, SocketTransport,
+                           Transport, crc8, encode_frame, machine_digest,
+                           memory_pair, model_digest, serve_in_thread)
 from scgaccel.modeltools import PackedModel, random_model
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
                           NetworkSpec, PoolMode, QuantTensor, WeightSet,
@@ -1005,3 +1006,22 @@ def test_serve_returns_when_the_host_hangs_up_before_its_reply():
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert device_end.sock.fileno() == -1
+
+
+def test_serve_returns_when_the_host_resets_the_connection():
+    # half a frame, then a TCP reset: the device's read fails with
+    # ECONNRESET, which the transport reports as a closed stream
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        host = socket.create_connection(server.getsockname())
+        device_sock, _ = server.accept()
+    device_end = SocketTransport(device_sock)
+    thread = threading.Thread(target=DeviceEmulator().serve, args=(device_end,),
+                              daemon=True)
+    thread.start()
+    frame = encode_frame(Frame(Command.READ_RESULT, seq=1))
+    host.sendall(frame[:len(frame) // 2])
+    host.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    host.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert device_sock.fileno() == -1

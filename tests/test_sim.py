@@ -2,7 +2,7 @@
 paths against the golden model."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,11 +13,13 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from conftest import (_FC, _RELU, every_kind_net, gap_overflow_model, random_input,
                       random_small_net, shift_edge_model, wide_image_net)
-from scgaccel.cyclemodel import PE_COUNT, layer_cycles, network_report
+from scgaccel.cyclemodel import (PE_COUNT, LayerCycles, layer_cycles,
+                                 network_report, pooled_outputs)
 from scgaccel.errors import (AccumulatorOverflow, CapacityError, ConfigError,
                              MemoryFault, ShapeError, SimFault, StateError)
 from scgaccel.modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, PackedModel,
-                                 pack_weight_bytes, random_model)
+                                 pack_weight_bytes, random_model,
+                                 unpack_weight_bytes)
 from scgaccel.modeltools import WEIGHT_MEM_WORDS as WEIGHT_ADDR_LIMIT
 from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT,
                           LayerSpec, LayerWeights, NetworkSpec, PoolMode,
@@ -114,17 +116,8 @@ def test_input_buffer_round_trip(default_pair):
     machine = SimMachine()
     machine.load_model(model)
     machine.load_input(x)
-    got = [machine.mem.read_byte(machine.mem.input_words, t)
-           for t in range(x.length)]
-    assert got == x.data[0].tolist()
-    # read_byte is one definition for the buffer and for a view of it
-    words = machine.mem.input_words
-    view = memoryview(words)
-    assert [machine.mem.read_byte(view, t) for t in range(x.length)] == got
-    for buf in (words, view):
-        for t in (-1, 2 * len(words)):
-            with pytest.raises(MemoryFault):
-                machine.mem.read_byte(buf, t)
+    got = unpack_weight_bytes(machine.mem.input_words, x.length, x.channels)
+    assert np.array_equal(got, x.data)
 
 
 def test_memories_are_allocated_from_the_memory_map():
@@ -450,6 +443,28 @@ def test_micro_path_matches_fast_path(rng):
         for i in range(len(net.layers) - 1):
             assert np.array_equal(fast.read_layer_activation(i).data,
                                   micro.read_layer_activation(i).data)
+
+
+@pytest.mark.parametrize("run", [SimMachine.run_inference, SimMachine.run_micro],
+                         ids=["fast", "micro"])
+@pytest.mark.parametrize("net", [NetworkSpec.default(), every_kind_net()],
+                         ids=["default", "every_kind"])
+def test_layer_cycles_hold_counts_and_derive_the_rest(net, run):
+    # a layer's split holds only what the path counted; its array efficiency
+    # and output count follow from those counts
+    assert [f.name for f in fields(LayerCycles)] \
+        == ["prime", "compute", "requant", "n_batches"]
+    rng = np.random.default_rng(27)
+    machine = SimMachine()
+    machine.load_model(random_model(net, rng))
+    machine.load_input(random_input(rng, net))
+    _, _, split = run(machine)
+    for spec, w_in, lc in zip(net.layers, net.layer_input_lengths(), split,
+                              strict=True):
+        n_batches = -(-w_in // PE_COUNT)
+        assert lc.n_batches == n_batches
+        assert lc.array_eff == spec.kernel / (spec.kernel + 7)
+        assert lc.n_outputs == pooled_outputs(spec, w_in, n_batches)
 
 
 def test_micro_mac_count_is_six_per_compute_cycle(rng):
