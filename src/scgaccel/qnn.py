@@ -1,13 +1,21 @@
 """Bit-exact integer-only golden model of the 5-layer 1D CNN.
 
 All arithmetic is exact: int64 intermediates held to the 32-bit accumulator
-budget (scanned where no bound proves it, see conv1d_acc), and conv products
+budget (scanned where no bound proves it, see _exact_sums), and conv products
 summed in float32 where a layer's worst-case sum stays below 2^24, else in
 float64; both are exact on these integers (see conv1d_gemm).  So every result
 here is the contract the cycle-accurate simulator has to match exactly.  Every
 integer function takes one window, as the accelerator classifies one per
 inference; the float front end (zscore, quantize_zscores) also takes an
 [N, L] array of windows.
+
+A layer is conv, bias, maxpool or GAP, then requantize (conv1d_acc,
+maxpool2_acc, gap_shift_acc, requantize).  layer_step, which infer_window and
+the simulator's fast path run, gives the same result in fewer passes: it
+max-pools the exact float sums before it widens them to int64 and adds the
+bias, since a per-channel bias b commutes with max, max(a + b, c + b) =
+max(a, c) + b.  It does not commute with the GAP's per-element shift, so a
+GAP layer adds the bias to every position before the shift.
 
 NetworkSpec is the one layout rule: ReLU conv layers, then one FC head whose
 signed i32 outputs are the logits; only the input has a zero point, every ReLU
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -216,20 +225,48 @@ class NetworkSpec:
         return NetworkSpec(layers=layers)
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class LayerWeights:
-    """INT8 weights and INT32 biases for one layer."""
+    """INT8 weights and INT32 biases for one layer.
+
+    Frozen, so the GEMM operands built from the fields on first use
+    (gemm_operands) can be kept for the life of the object: one weight set
+    converts each layer's weights once, not once per window.  The sim fast
+    path builds its LayerWeights from simulated memory on every run, so no
+    operand outlives a run.
+    """
 
     weights: np.ndarray  # int8, [c_out, c_in, K]
     biases: np.ndarray   # int32, [c_out]
 
-    def __post_init__(self):
-        self.weights = _as_int_array(self.weights, np.int8, "weights")
-        self.biases = _as_int_array(self.biases, np.int32, "biases")
-        if self.weights.ndim != 3:
+    # written out so that each field is set once: the generated frozen
+    # __init__ and a __post_init__ would set it twice, on every model load
+    def __init__(self, weights, biases):
+        weights = _as_int_array(weights, np.int8, "weights")
+        biases = _as_int_array(biases, np.int32, "biases")
+        if weights.ndim != 3:
             raise ShapeError("weights must be [c_out][c_in][K]")
-        if self.biases.shape != (self.weights.shape[0],):
+        if biases.shape != (weights.shape[0],):
             raise ShapeError("one bias per output channel")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+
+    @cached_property
+    def gemm_operands(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(weights, bias, scan), built on first use and kept.
+
+        |x - zero_point| <= 255 and |w| <= 128, so no conv sum moves further
+        than reach = C*K*255*128 from its bias.  The weights come in the
+        float dtype their sums are exact in (float32 where reach < 2^24,
+        else float64; see conv1d_gemm), the biases as an int64 [c_out, 1]
+        column, and scan tells whether a sum plus its bias can leave i32:
+        whether max|bias| + reach exceeds INT32_MAX.
+        """
+        _, c, k = self.weights.shape
+        reach = c * k * 255 * 128
+        bias = self.biases.astype(np.int64)[:, np.newaxis]
+        return (self.weights.astype(np.float32 if reach < 1 << 24 else np.float64),
+                bias, int(np.abs(bias).max()) + reach > INT32_MAX)
 
 
 @dataclass
@@ -326,27 +363,35 @@ def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
                        zero_point=zero_point)
 
 
-def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 convolution of one window x [C, L] with w [O, C, K] -> [O, L].
+def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int,
+                zero_point: int = 0) -> np.ndarray:
+    """Stride-1 convolution of one window x [C, L], less zero_point, with
+    w [O, C, K] -> [O, L].
 
-    out[o, t] = sum over c, j of w[o, c, j] * x[c, t + j - pad], with taps
-    outside [0, L) reading zero.  Both forms read one zero-margined plane
-    [C, pad + L + max(K - 1 - pad, 0)]; the form follows x's dtype, and so
-    does the result:
+    out[o, t] = sum over c, j of w[o, c, j] * (x[c, t + j - pad] - zero_point),
+    with taps outside [0, L) reading zero.  Both forms read one zero-margined
+    plane [C, pad + L + max(K - 1 - pad, 0)], into which x - zero_point is
+    written, so no offset copy of x is made.  The form is float32 when x or
+    w is float32, else float64, and so is the result:
 
     - float32: one [C*K, L] im2col of the plane, built by K slice copies,
       and one GEMM of w as [O, C*K] against it.
-    - anything else, in float64: one GEMM per tap j over plane[:, j:j + L],
-      so no im2col buffer is built.
+    - float64: one GEMM per tap j over plane[:, j:j + L], so no im2col
+      buffer is built.
+
+    w is converted to the form's dtype only when it is not already in it,
+    so a caller that keeps the converted weights (LayerWeights.gemm_operands)
+    pays for the conversion once.
 
     Exact on integer operands while the sum of |products| of one output stays
     below 2^24 in float32 or 2^53 in float64, since every partial sum, in
     any order the BLAS takes, is an integer no larger than that.  With u8
     activations minus a u8 zero point (|x| <= 255) and i8 weights
     (|w| <= 128), float32 holds for C*K*255*128 < 2^24, i.e. C*K <= 514,
-    which conv1d_acc checks; every layer of the default net qualifies.
-    float64 holds for any layer the SANN field widths that LayerSpec
-    enforces allow (c_in <= 65535, K <= 255): 65535*255*255*128 ~ 5.5e11.
+    which LayerWeights.gemm_operands checks; every layer of the default net
+    qualifies.  float64 holds for any layer the SANN field widths that
+    LayerSpec enforces allow (c_in <= 65535, K <= 255): 65535*255*255*128
+    ~ 5.5e11.
 
     float64, which the float forward also uses, keeps the per-tap form.  On
     a shared 2-vCPU host with the benchmark pinned to one CPU, the one-GEMM
@@ -355,61 +400,78 @@ def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
     """
     c, n = x.shape
     o, k = w.shape[0], w.shape[2]
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    dtype = np.float32 if np.float32 in (x.dtype, w.dtype) else np.float64
     plane = np.zeros((c, pad + n + max(k - 1 - pad, 0)), dtype=dtype)
-    plane[:, pad:pad + n] = x
+    np.subtract(x, zero_point, out=plane[:, pad:pad + n], dtype=dtype)
     if dtype == np.float32:
         cols = np.empty((c, k, n), dtype=np.float32)
         for j in range(k):
             cols[:, j] = plane[:, j:j + n]
-        return w.reshape(o, c * k).astype(np.float32) @ cols.reshape(c * k, n)
-    taps = w.transpose(2, 0, 1).astype(np.float64)    # [K, O, C]
+        return w.reshape(o, c * k).astype(np.float32, copy=False) \
+            @ cols.reshape(c * k, n)
+    taps = w.transpose(2, 0, 1).astype(np.float64, copy=False)    # [K, O, C]
     out = taps[0] @ plane[:, :n]
     for j in range(1, k):
         out += taps[j] @ plane[:, j:j + n]
     return out
 
 
-def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray:
-    """Stride-1 integer convolution of one window into the signed 32-bit
-    accumulator map [c_out, length].
+def _exact_sums(x: QuantTensor, layer: LayerSpec,
+                lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The exact conv sums [c_out, length] of one window, as floats and
+    before the bias, and the int64 bias column [c_out, 1].
 
     Out-of-range taps read the zero point, i.e. contribute nothing after the
-    offset subtraction; output length equals input length.  The products are
-    summed by conv1d_gemm, exactly: in float32 when C*K*255*128 < 2^24,
-    else in float64.  The bias is added in int64.  An output can only leave
-    i32, raising AccumulatorOverflow, when max|bias| + C*K*255*128 exceeds
-    INT32_MAX; only then is the map scanned for it.
+    offset subtraction.  Where a sum plus its bias can leave i32
+    (LayerWeights.gemm_operands), every position is scanned, as each row's
+    max and min plus that row's bias, before any caller trims or pools the
+    sums; one outside i32 raises AccumulatorOverflow.
     """
     if x.channels != layer.c_in:
         raise ShapeError(f"input has {x.channels} channels, layer expects {layer.c_in}")
     if lw.weights.shape != (layer.c_out, layer.c_in, layer.kernel):
         raise ShapeError("weight tensor does not match layer geometry")
-    # |x - zero_point| <= 255 and |w| <= 128, so no output moves further
-    # than reach from its bias
-    reach = layer.c_in * layer.kernel * 255 * 128
-    xoff = np.subtract(x.data, x.zero_point,
-                       dtype=np.float32 if reach < 1 << 24 else np.float64)
-    acc = conv1d_gemm(xoff, lw.weights, layer.padding).astype(np.int64)
-    bias = lw.biases.astype(np.int64)
-    acc += bias[:, np.newaxis]
-    if int(np.abs(bias).max()) + reach > INT32_MAX and (
-            acc.min() < INT32_MIN or acc.max() > INT32_MAX):
-        raise AccumulatorOverflow(
-            f"accumulator range [{acc.min()}, {acc.max()}] exceeds signed 32-bit")
+    w, bias, scan = lw.gemm_operands
+    sums = conv1d_gemm(x.data, w, layer.padding, x.zero_point)
+    if scan:
+        lo = int((sums.min(axis=1).astype(np.int64) + bias[:, 0]).min())
+        hi = int((sums.max(axis=1).astype(np.int64) + bias[:, 0]).max())
+        if lo < INT32_MIN or hi > INT32_MAX:
+            raise AccumulatorOverflow(
+                f"accumulator range [{lo}, {hi}] exceeds signed 32-bit")
+    return sums, bias
+
+
+def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray:
+    """Stride-1 integer convolution of one window into the signed 32-bit
+    accumulator map [c_out, length], held in int64.
+
+    Output length equals input length.  The products are summed exactly by
+    conv1d_gemm, the bias is added in int64, and the map is scanned for
+    an i32 overflow only where a bound cannot rule one out (_exact_sums).
+    """
+    sums, bias = _exact_sums(x, layer, lw)
+    acc = sums.astype(np.int64)
+    acc += bias
     return acc
 
 
 def maxpool2_acc(acc: np.ndarray) -> np.ndarray:
-    """Pairwise max over the spatial axis; odd tails are padded with INT32_MIN."""
-    acc = np.asarray(acc, dtype=np.int64)
+    """Pairwise max over the spatial axis; odd tails are padded with INT32_MIN.
+
+    A float map keeps its dtype (INT32_MIN is exact in float32), so
+    layer_step can pool the exact conv sums before it widens them; any other
+    map is widened to int64.
+    """
+    acc = np.asarray(acc)
+    if acc.dtype.kind != "f":
+        acc = acc.astype(np.int64, copy=False)
     if acc.ndim != 2:
         raise ShapeError("accumulator map must be [c_out][length]")
     c, n = acc.shape
     if n % 2 != 0:
-        pad = np.full((c, 1), INT32_MIN, dtype=np.int64)  # identity element of max
+        pad = np.full((c, 1), INT32_MIN, dtype=acc.dtype)  # identity element of max
         acc = np.concatenate([acc, pad], axis=1)
-        n += 1
     return np.maximum(acc[:, 0::2], acc[:, 1::2])
 
 
@@ -425,7 +487,7 @@ def gap_shift_acc(acc: np.ndarray) -> np.ndarray:
     if acc.shape[1] != GAP_LENGTH:
         raise ConfigError(f"GAP unit is hardwired for length {GAP_LENGTH}, "
                           f"got {acc.shape[1]}")
-    return np.sum(acc >> GAP_SHIFT, axis=1)
+    return (acc >> GAP_SHIFT).sum(axis=1)
 
 
 def round_shift(p, shift: int):
@@ -435,14 +497,19 @@ def round_shift(p, shift: int):
     and drops that bit: ((p - (p < 0)) >> (shift - 1)) + 1 >> 1.  Taking 1
     off a negative p first makes its ties round away from zero too.  Built
     from operators only (no branch on the sign), so the same definition is
-    bit-exact on int64 arrays and cheap on Python ints.  No intermediate is
-    further than |p| + 1 from zero, so int64 is exact for every shift 0..63
-    on any i32 x i32 product, INT32_MIN * INT32_MIN = 2^62 included.
-    Shift 0 returns p.
+    bit-exact on int64 arrays and cheap on Python ints; on an array it
+    allocates once, for p - (p < 0), and works in place on that, so p is
+    left as it is.  No intermediate is further than |p| + 1 from zero, so
+    int64 is exact for every shift 0..63 on any i32 x i32 product,
+    INT32_MIN * INT32_MIN = 2^62 included.  Shift 0 returns p.
     """
     if shift == 0:
         return p
-    return (((p - (p < 0)) >> (shift - 1)) + 1) >> 1
+    q = p - (p < 0)
+    q >>= shift - 1
+    q += 1
+    q >>= 1
+    return q
 
 
 def requantize(acc, multiplier: int, shift: int, activation: Activation,
@@ -471,11 +538,28 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
 def layer_step(x: QuantTensor, layer: LayerSpec, lw: LayerWeights,
                multiplier: int, shift: int, length: int | None = None) -> np.ndarray:
     """One layer: conv, keep the first `length` positions (all by default),
-    maxpool or GAP, then requantize."""
-    acc = conv1d_acc(x, layer, lw)[:, :length]
+    maxpool or GAP, then requantize.
+
+    The result equals conv1d_acc, then [:, :length], then maxpool2_acc or
+    gap_shift_acc, then requantize, with fewer passes over the map.  The
+    exact float sums are trimmed and max-pooled before they are widened to
+    int64 and biased: max is exact on integer-valued floats, and a
+    per-channel bias commutes with it, max(a + b, c + b) = max(a, c) + b.
+    GAP shifts each biased element before it sums, and the bias cannot move
+    past the shift, so a GAP layer widens and biases every position first.
+    The overflow scan (_exact_sums) sees every position, pooled away or
+    trimmed, as conv1d_acc's does.  A maxpool `length` is even
+    (LayerSpec.out_length); an odd tail padded with INT32_MIN before the
+    bias equals one padded after it only while no unbiased sum is below
+    INT32_MIN, i.e. C*K*255*128 <= 2^31.
+    """
+    sums, bias = _exact_sums(x, layer, lw)
+    sums = sums[:, :length]
     if layer.pool_mode == PoolMode.MAXPOOL2:
-        acc = maxpool2_acc(acc)
-    elif layer.pool_mode == PoolMode.GLOBAL_AVG:
+        sums = maxpool2_acc(sums)
+    acc = sums.astype(np.int64)
+    acc += bias
+    if layer.pool_mode == PoolMode.GLOBAL_AVG:
         acc = gap_shift_acc(acc)[:, np.newaxis]
     return requantize(acc, multiplier, shift, layer.activation)
 

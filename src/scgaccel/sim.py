@@ -281,8 +281,9 @@ class SimMachine:
         # whole batches of six; the overhang lanes read the zero point
         ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
         ext[:, :w_in] = unpack_weight_bytes(src, w_in, spec.c_in)
-        # read as PackedModel.to_weight_set reads them; the model's build
-        # bounds its image by the weight memory
+        # read as PackedModel.to_weight_set reads them, on every run, so the
+        # GEMM operands LayerWeights keeps follow an upset in mem; the
+        # model's build bounds its image by the weight memory
         lw = LayerWeights(layer_weights(spec, mem.weight_mem[base:]),
                           mem.bias_rom[li])
         try:

@@ -23,7 +23,7 @@ from scgaccel.qnn import (GAP_LENGTH, GAP_SHIFT, INPUT_SCALE,
                           LayerKind, LayerSpec, Logits, NetworkSpec,
                           LayerWeights, PoolMode, QuantTensor, WeightSet,
                           conv1d_acc, conv1d_gemm, gap_shift_acc, infer_window,
-                          maxpool2_acc, quantize_zscores, requantize,
+                          layer_step, maxpool2_acc, quantize_zscores, requantize,
                           round_shift, zscore_quantize)
 
 
@@ -368,6 +368,58 @@ def test_infer_window_composes_layer_ops(default_pair):
     assert len(snaps) == len(manual_snaps)
     for snap, expect in zip(snaps, manual_snaps):
         assert np.array_equal(snap.data, expect)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_layer_step_equals_its_op_by_op_composition(data):
+    # layer_step pools the exact sums before it widens and biases them; the
+    # composition biases every position first.  C*K straddles 514, where the
+    # sums move from float32 to float64, and an edge bias puts each row's
+    # extreme within 3 of an i32 limit, so the scan runs and about half the
+    # time fires, at a kept, pooled-away or trimmed position alike
+    draw = data.draw
+    pool = draw(st.sampled_from(list(PoolMode)))
+    k = draw(st.sampled_from([1, 3, 5, 9]))
+    c_in = draw(st.integers(-(-515 // k), -(-515 // k) + 8) if draw(st.booleans())
+                else st.integers(1, 514 // k))
+    c_out, pad = draw(st.integers(1, 4)), draw(st.integers(0, k))
+    if pool == PoolMode.GLOBAL_AVG:
+        length = GAP_LENGTH
+    elif pool == PoolMode.MAXPOOL2:
+        length = 2 * draw(st.integers(1, 10))
+    else:
+        length = draw(st.integers(1, 20))
+    n = length + draw(st.integers(0, 6))
+    zp = draw(st.integers(0, 255))
+    act = draw(st.sampled_from(list(Activation)))
+    mult, shift = draw(st.integers(INT32_MIN, INT32_MAX)), draw(st.integers(0, 63))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xd = rng.integers(0, 256, size=(c_in, n), dtype=np.uint8)
+    w = rng.integers(-128, 128, size=(c_out, c_in, k))
+    if draw(st.booleans()):
+        sums = einsum_conv(xd[np.newaxis].astype(np.int64) - zp, w, pad)[0]
+        edge = np.where(rng.random(c_out) < 0.5, INT32_MAX - sums.max(axis=1),
+                        INT32_MIN - sums.min(axis=1))
+        b = np.clip(edge + rng.integers(-3, 4, size=c_out), INT32_MIN, INT32_MAX)
+    else:
+        b = rng.integers(-(1 << 20), 1 << 20, size=c_out)
+    spec = LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=c_out, kernel=k,
+                     padding=pad, pool_mode=pool, activation=act)
+    x, lw = QuantTensor(xd, zero_point=zp), LayerWeights(weights=w, biases=b)
+    try:
+        acc = conv1d_acc(x, spec, lw)[:, :length]
+    except AccumulatorOverflow:
+        with pytest.raises(AccumulatorOverflow):
+            layer_step(x, spec, lw, mult, shift, length)
+        return
+    if pool == PoolMode.MAXPOOL2:
+        acc = maxpool2_acc(acc)
+    elif pool == PoolMode.GLOBAL_AVG:
+        acc = gap_shift_acc(acc)[:, np.newaxis]
+    expect = requantize(acc, mult, shift, act)
+    got = layer_step(x, spec, lw, mult, shift, length)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------

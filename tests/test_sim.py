@@ -268,6 +268,63 @@ def test_batch_overhang_lane_overflow_is_a_fault():
             run(machine)
 
 
+def test_overflow_the_maxpool_would_hide_is_a_fault():
+    # position 0 is (0 - 128) * 127 below INT32_MIN + 100, so below INT32_MIN,
+    # while position 1 reads the zero point and its pair's max, the bias,
+    # still fits: a scan of the pooled values alone would miss it
+    net = NetworkSpec(layers=(
+        LayerSpec(c_in=1, c_out=1, kernel=1, padding=0,
+                  pool_mode=PoolMode.MAXPOOL2, **_RELU),
+        LayerSpec(c_in=1, c_out=3, **_FC),
+    ), input_length=2)
+    ws = WeightSet(layers=[
+        LayerWeights(weights=[[[127]]], biases=[INT32_MIN + 100]),
+        LayerWeights(weights=[[[1]], [[-1]], [[2]]], biases=[0, 0, 0]),
+    ])
+    x = QuantTensor(np.array([[0, 128]], dtype=np.uint8), zero_point=128)
+    with pytest.raises(AccumulatorOverflow):
+        infer_window(net, ws, x)
+    model = PackedModel.from_weights(net, ws)
+    for run in (SimMachine.run_inference, SimMachine.run_micro):
+        assert _sim_logits(model, x, run) is SimFault
+
+
+def _flip_weight_bit(mem):
+    mem.weight_mem[0] ^= 1 << 14
+
+
+def _flip_bias_bit(mem):
+    mem.bias_rom[1][0] ^= 1 << 12
+
+
+def _flip_multiplier_bit(mem):
+    m, s = mem.scale_regs[2]
+    mem.scale_regs[2] = (m ^ 1 << 28, s)
+
+
+@pytest.mark.parametrize("upset", [_flip_weight_bit, _flip_bias_bit,
+                                   _flip_multiplier_bit],
+                         ids=["weight_mem", "bias_rom", "scale_regs"])
+def test_fast_path_follows_an_upset_in_memory_between_runs(upset):
+    # the fast path reads weights, biases and scales from mem on every run,
+    # so a bit flipped after one run reaches the next; the golden model of
+    # what the machine now holds is the reference
+    rng = np.random.default_rng(2901)
+    net = NetworkSpec.default()
+    x = random_input(rng, net)
+    machine = SimMachine()
+    machine.load_model(random_model(net, rng))
+    machine.load_input(x)
+    before = machine.run_inference()[0].values.tolist()
+    upset(machine.mem)
+    after = machine.run_inference()[0].values.tolist()
+    exported = machine.export_model()
+    gold, snaps = infer_window(exported.to_network_spec(), exported.to_weight_set(), x)
+    assert after == gold.values.tolist() != before
+    for li, snap in enumerate(snaps):
+        assert np.array_equal(machine.read_layer_activation(li).data, snap.data)
+
+
 @pytest.mark.parametrize("c_in, k", [(1, 1), (3, 5), (103, 5)])
 def test_overflow_scan_bound_edge_on_both_sim_paths(c_in, k):
     # every product of lane 0 is (0 - 255) * -128 = 32640, so with bias
