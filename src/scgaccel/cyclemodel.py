@@ -32,9 +32,10 @@ DEFAULT_CLOCK_HZ = 24_000_000
 DEFAULT_POWER_MW = 8.55
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerCycles:
-    """One layer's counted clocks; every other figure derives from them."""
+    """One layer's counted clocks; every other figure derives from them.
+    Frozen, because a run hands out the records of its plan."""
     prime: int
     compute: int
     requant: int
