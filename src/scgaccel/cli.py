@@ -362,6 +362,9 @@ def cmd_eval(args) -> int:
         windows, labels = archive["windows"], archive["labels"]
         if windows.ndim != 2:
             raise ValueError(f"windows must be [n][length], not {windows.shape}")
+        if labels.shape != windows.shape[:1]:
+            raise ValueError(f"labels must be [n], one per window: "
+                             f"{labels.shape} labels for {len(windows)} windows")
     except (KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise UsageError(f"cannot read dataset {args.data}: {exc}")
     logits, probs, preds = golden_predict(model, windows, args.logit_scale)

@@ -21,7 +21,7 @@ from .modeltools import (FloatLayerParams, FloatModel, PackedModel,
                          quantize_model)
 from .errors import ConfigError
 from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, NetworkSpec, QuantTensor,
-                  check_positive, check_windows, infer_window,
+                  _check_input, _layer_outputs, check_positive, check_windows,
                   quantize_zscores, zscore)
 
 
@@ -33,23 +33,42 @@ def quantize_windows(windows: np.ndarray) -> list[QuantTensor]:
             for row in codes[:, np.newaxis, :]]
 
 
+# Windows per golden_predict pass.  Each layer runs one im2col GEMM, one
+# pool and one requantize for the whole chunk, which spreads the per-call
+# numpy and Python overhead over its windows, while the chunk's im2col stays
+# small: the default net's largest, L1's 144 x 256 float32 (L2's 288 x 128
+# is the same size), is about 150 KB a window, 1.2 MB a chunk.  On
+# bench/run.py's eval-golden (one pinned CPU of a 2-vCPU host, two 10 s
+# runs a size) 1, 4, 8 and 16 windows a chunk gave 2,540-2,620,
+# 3,502-3,512, 3,713-3,729 and 3,680-3,739 windows/s at peak RSS 41.7,
+# 42.2-42.3, 43.4-43.5 and 45.3-45.4 MB: past 8 only the RSS grows.
+GOLDEN_CHUNK = 8
+
+
 def golden_predict(model: PackedModel, windows: np.ndarray,
                    logit_scale: float = 1.0):
     """Golden-model logits, probabilities, and classes for raw float windows.
 
-    Each class is the first argmax of the integer logits, as the device's
-    priority encoder (Logits.predicted_class) gives it; the probabilities
-    are softmax(logits * logit_scale).  A logit_scale that is not finite and
-    positive, or whose scaled logits overflow, is refused (ConfigError).
+    The windows are quantized in one pass and run through the layers
+    GOLDEN_CHUNK at a time, as one [1, B, L] map each (the last chunk may
+    be shorter); every window gets the result infer_window gives it alone,
+    and a chunk raises AccumulatorOverflow exactly when one of its windows
+    would.  Each class is the first argmax of the integer logits, as the
+    device's priority encoder (Logits.predicted_class) gives it; the
+    probabilities are softmax(logits * logit_scale).  A logit_scale that is
+    not finite and positive, or whose scaled logits overflow, is refused
+    (ConfigError).
     """
     check_positive("logit_scale", logit_scale)
-    xs = quantize_windows(windows)     # checks the [N, L] shape first
-    net = model.to_network_spec(input_length=np.shape(windows)[1])
+    codes = quantize_zscores(check_windows(windows))
+    net = model.to_network_spec(input_length=codes.shape[1])
     ws = model.to_weight_set()
-    logits = np.zeros((len(xs), net.num_classes), dtype=np.int64)
-    for i, x in enumerate(xs):
-        out, _ = infer_window(net, ws, x)
-        logits[i] = out.values
+    _check_input(net, ws, 1, codes.shape[1])
+    logits = np.zeros((len(codes), net.num_classes), dtype=np.int64)
+    for i in range(0, len(codes), GOLDEN_CHUNK):
+        chunk = codes[np.newaxis, i:i + GOLDEN_CHUNK]
+        head = _layer_outputs(net, ws, chunk, INPUT_ZERO_POINT)[-1]
+        logits[i:i + GOLDEN_CHUNK] = head[:, :, 0].T
     # softmax takes each scaled logit less the largest, so the widest
     # difference, lo - hi, must be finite too
     hi = float(logits.max(initial=0)) * logit_scale

@@ -4,18 +4,22 @@ All arithmetic is exact: int64 intermediates held to the 32-bit accumulator
 budget (scanned where no bound proves it, see _exact_sums), and conv products
 summed in float32 where a layer's worst-case sum stays below 2^24, else in
 float64; both are exact on these integers (see conv1d_gemm).  So every result
-here is the contract the cycle-accurate simulator has to match exactly.  Every
-integer function takes one window, as the accelerator classifies one per
-inference; the float front end (zscore, quantize_zscores) also takes an
-[N, L] array of windows.
+here is the contract the cycle-accurate simulator has to match exactly.  The
+accelerator classifies one window per inference, and a window is a [C, L]
+map; the layer ops (conv1d_gemm, maxpool2_acc, gap_shift_acc, requantize,
+layer_step) also take a map [C, ..., L] whose middle axes index windows, and
+give each window the result it gets alone, so the golden model can run
+several windows through a layer at once.  The float front end (zscore,
+quantize_zscores) takes one window or an [N, L] array of windows.
 
 A layer is conv, bias, maxpool or GAP, then requantize (conv1d_acc,
-maxpool2_acc, gap_shift_acc, requantize).  layer_step, which infer_window and
-the simulator's fast path run, gives the same result in fewer passes: it
-max-pools the exact float sums before it widens them to int64 and adds the
-bias, since a per-channel bias b commutes with max, max(a + b, c + b) =
-max(a, c) + b.  It does not commute with the GAP's per-element shift, so a
-GAP layer adds the bias to every position before the shift.
+maxpool2_acc, gap_shift_acc, requantize).  layer_step, which infer_window,
+golden_predict and the simulator's fast path run, gives the same result in
+fewer passes: it max-pools the exact float sums before it widens them to
+int64 and adds the bias, since a per-channel bias b commutes with max,
+max(a + b, c + b) = max(a, c) + b.  It does not commute with the GAP's
+per-element shift, so a GAP layer adds the bias to every position before
+the shift.
 
 NetworkSpec is the one layout rule: ReLU conv layers, then one FC head whose
 signed i32 outputs are the logits; only the input has a zero point, every ReLU
@@ -365,19 +369,23 @@ def zscore_quantize(window, zero_point: int = INPUT_ZERO_POINT,
 
 def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int,
                 zero_point: int = 0) -> np.ndarray:
-    """Stride-1 convolution of one window x [C, L], less zero_point, with
-    w [O, C, K] -> [O, L].
+    """Stride-1 convolution of x [C, ..., L], less zero_point, with
+    w [O, C, K] -> [O, ..., L].  The middle axes, if any, index windows,
+    and each window is convolved alone.
 
-    out[o, t] = sum over c, j of w[o, c, j] * (x[c, t + j - pad] - zero_point),
-    with taps outside [0, L) reading zero.  Both forms read one zero-margined
-    plane [C, pad + L + max(K - 1 - pad, 0)], into which x - zero_point is
-    written, so no offset copy of x is made.  The form is float32 when x or
-    w is float32, else float64, and so is the result:
+    out[o, ..., t] = sum over c, j of w[o, c, j] * (x[c, ..., t + j - pad]
+    - zero_point), with taps outside [0, L) reading zero.  Both forms read
+    one zero-margined plane [C, ..., pad + L + max(K - 1 - pad, 0)], into
+    which x - zero_point is written, so no offset copy of x is made.  The
+    form is float32 when x or w is float32, else float64, and so is the
+    result:
 
-    - float32: one [C*K, L] im2col of the plane, built by K slice copies,
-      and one GEMM of w as [O, C*K] against it.
-    - float64: one GEMM per tap j over plane[:, j:j + L], so no im2col
-      buffer is built.
+    - float32: one im2col [C, K, ..., L] of the plane, built by K slice
+      copies, and one GEMM of w as [O, C*K] against it as [C*K, B*L], where
+      B is the number of windows.
+    - float64: one GEMM per tap j over plane[..., j:j + L], so no im2col
+      buffer is built; with windows, a broadcasting matmul over a view of
+      the plane whose channel axis sits next to its length axis.
 
     w is converted to the form's dtype only when it is not already in it,
     so a caller that keeps the converted weights (LayerWeights.gemm_operands)
@@ -398,48 +406,53 @@ def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int,
     form in float64 raised eval-golden set-up by up to 52%: OpenBLAS threads
     its larger dgemm calls, and with one BLAS thread it was faster instead.
     """
-    c, n = x.shape
+    c, mid, n = x.shape[0], x.shape[1:-1], x.shape[-1]
     o, k = w.shape[0], w.shape[2]
     dtype = np.float32 if np.float32 in (x.dtype, w.dtype) else np.float64
-    plane = np.zeros((c, pad + n + max(k - 1 - pad, 0)), dtype=dtype)
-    np.subtract(x, zero_point, out=plane[:, pad:pad + n], dtype=dtype)
+    plane = np.zeros((c, *mid, pad + n + max(k - 1 - pad, 0)), dtype=dtype)
+    np.subtract(x, zero_point, out=plane[..., pad:pad + n], dtype=dtype)
     if dtype == np.float32:
-        cols = np.empty((c, k, n), dtype=np.float32)
+        cols = np.empty((c, k, *mid, n), dtype=np.float32)
         for j in range(k):
-            cols[:, j] = plane[:, j:j + n]
-        return w.reshape(o, c * k).astype(np.float32, copy=False) \
-            @ cols.reshape(c * k, n)
+            cols[:, j] = plane[..., j:j + n]
+        return (w.reshape(o, c * k).astype(np.float32, copy=False)
+                @ cols.reshape(c * k, -1)).reshape(o, *mid, n)
     taps = w.transpose(2, 0, 1).astype(np.float64, copy=False)    # [K, O, C]
-    out = taps[0] @ plane[:, :n]
+    plane = plane.swapaxes(0, -2)                                 # [..., C, L]
+    out = taps[0] @ plane[..., :n]
     for j in range(1, k):
-        out += taps[j] @ plane[:, j:j + n]
-    return out
+        out += taps[j] @ plane[..., j:j + n]
+    return out.swapaxes(0, -2)
 
 
-def _exact_sums(x: QuantTensor, layer: LayerSpec,
+def _exact_sums(x: np.ndarray, zero_point: int, layer: LayerSpec,
                 lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
-    """The exact conv sums [c_out, length] of one window, as floats and
-    before the bias, and the int64 bias column [c_out, 1].
+    """The exact conv sums [c_out, ..., length] of x [c_in, ..., length],
+    as floats and before the bias, and the int64 bias column, shaped
+    [c_out, 1, ...] to broadcast against them.
 
     Out-of-range taps read the zero point, i.e. contribute nothing after the
     offset subtraction.  Where a sum plus its bias can leave i32
-    (LayerWeights.gemm_operands), every position is scanned, as each row's
-    max and min plus that row's bias, before any caller trims or pools the
-    sums; one outside i32 raises AccumulatorOverflow.
+    (LayerWeights.gemm_operands), every position of every window is
+    scanned, as each row's max and min plus that row's bias, before any
+    caller trims or pools the sums; one outside i32 raises
+    AccumulatorOverflow, so several windows raise it exactly when one of
+    them would alone.
     """
-    if x.channels != layer.c_in:
-        raise ShapeError(f"input has {x.channels} channels, layer expects {layer.c_in}")
+    if x.shape[0] != layer.c_in:
+        raise ShapeError(f"input has {x.shape[0]} channels, layer expects {layer.c_in}")
     if lw.weights.shape != (layer.c_out, layer.c_in, layer.kernel):
         raise ShapeError("weight tensor does not match layer geometry")
     w, bias, scan = lw.gemm_operands
-    sums = conv1d_gemm(x.data, w, layer.padding, x.zero_point)
+    sums = conv1d_gemm(x, w, layer.padding, zero_point)
     if scan:
-        lo = int((sums.min(axis=1).astype(np.int64) + bias[:, 0]).min())
-        hi = int((sums.max(axis=1).astype(np.int64) + bias[:, 0]).max())
+        positions = tuple(range(1, sums.ndim))
+        lo = int((sums.min(axis=positions).astype(np.int64) + bias[:, 0]).min())
+        hi = int((sums.max(axis=positions).astype(np.int64) + bias[:, 0]).max())
         if lo < INT32_MIN or hi > INT32_MAX:
             raise AccumulatorOverflow(
                 f"accumulator range [{lo}, {hi}] exceeds signed 32-bit")
-    return sums, bias
+    return sums, bias.reshape(bias.shape + (1,) * (sums.ndim - 2))
 
 
 def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray:
@@ -450,14 +463,15 @@ def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray
     conv1d_gemm, the bias is added in int64, and the map is scanned for
     an i32 overflow only where a bound cannot rule one out (_exact_sums).
     """
-    sums, bias = _exact_sums(x, layer, lw)
+    sums, bias = _exact_sums(x.data, x.zero_point, layer, lw)
     acc = sums.astype(np.int64)
     acc += bias
     return acc
 
 
 def maxpool2_acc(acc: np.ndarray) -> np.ndarray:
-    """Pairwise max over the spatial axis; odd tails are padded with INT32_MIN.
+    """Pairwise max over the last (spatial) axis; odd tails are padded with
+    INT32_MIN.
 
     A float map keeps its dtype (INT32_MIN is exact in float32), so
     layer_step can pool the exact conv sums before it widens them; any other
@@ -466,28 +480,29 @@ def maxpool2_acc(acc: np.ndarray) -> np.ndarray:
     acc = np.asarray(acc)
     if acc.dtype.kind != "f":
         acc = acc.astype(np.int64, copy=False)
-    if acc.ndim != 2:
+    if acc.ndim < 2:
         raise ShapeError("accumulator map must be [c_out][length]")
-    c, n = acc.shape
-    if n % 2 != 0:
-        pad = np.full((c, 1), INT32_MIN, dtype=acc.dtype)  # identity element of max
-        acc = np.concatenate([acc, pad], axis=1)
-    return np.maximum(acc[:, 0::2], acc[:, 1::2])
+    if acc.shape[-1] % 2 != 0:
+        pad = np.full(acc.shape[:-1] + (1,), INT32_MIN,
+                      dtype=acc.dtype)    # identity element of max
+        acc = np.concatenate([acc, pad], axis=-1)
+    return np.maximum(acc[..., 0::2], acc[..., 1::2])
 
 
 def gap_shift_acc(acc: np.ndarray) -> np.ndarray:
-    """Per-element arithmetic right shift by 6, then sum over the spatial axis.
+    """Per-element arithmetic right shift by 6, then sum over the last
+    (spatial) axis.
 
     The hardware shifts each sample before feeding the persistent accumulator,
     so this is NOT equivalent to shifting the final sum.
     """
     acc = np.asarray(acc, dtype=np.int64)
-    if acc.ndim != 2:
+    if acc.ndim < 2:
         raise ShapeError("accumulator map must be [c_out][length]")
-    if acc.shape[1] != GAP_LENGTH:
+    if acc.shape[-1] != GAP_LENGTH:
         raise ConfigError(f"GAP unit is hardwired for length {GAP_LENGTH}, "
-                          f"got {acc.shape[1]}")
-    return (acc >> GAP_SHIFT).sum(axis=1)
+                          f"got {acc.shape[-1]}")
+    return (acc >> GAP_SHIFT).sum(axis=-1)
 
 
 def round_shift(p, shift: int):
@@ -535,12 +550,17 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
     return r.astype(np.int32)
 
 
-def layer_step(x: QuantTensor, layer: LayerSpec, lw: LayerWeights,
-               multiplier: int, shift: int, length: int | None = None) -> np.ndarray:
-    """One layer: conv, keep the first `length` positions (all by default),
-    maxpool or GAP, then requantize.
+def layer_step(x: np.ndarray, zero_point: int, layer: LayerSpec,
+               lw: LayerWeights, multiplier: int, shift: int,
+               length: int | None = None) -> np.ndarray:
+    """One layer of u8 codes x [c_in, ..., L] at zero_point: conv, keep the
+    first `length` positions (all by default), maxpool or GAP, then
+    requantize.  The middle axes, if any, index windows, and each window's
+    slice of the result is what it gives alone.  x is taken as it is: a
+    window is checked where it enters (infer_window, SimMachine.load_input,
+    golden_predict's check_windows).
 
-    The result equals conv1d_acc, then [:, :length], then maxpool2_acc or
+    The result equals conv1d_acc, then [..., :length], then maxpool2_acc or
     gap_shift_acc, then requantize, with fewer passes over the map.  The
     exact float sums are trimmed and max-pooled before they are widened to
     int64 and biased: max is exact on integer-valued floats, and a
@@ -553,15 +573,40 @@ def layer_step(x: QuantTensor, layer: LayerSpec, lw: LayerWeights,
     bias equals one padded after it only while no unbiased sum is below
     INT32_MIN, i.e. C*K*255*128 <= 2^31.
     """
-    sums, bias = _exact_sums(x, layer, lw)
-    sums = sums[:, :length]
+    sums, bias = _exact_sums(x, zero_point, layer, lw)
+    sums = sums[..., :length]
     if layer.pool_mode == PoolMode.MAXPOOL2:
         sums = maxpool2_acc(sums)
     acc = sums.astype(np.int64)
     acc += bias
     if layer.pool_mode == PoolMode.GLOBAL_AVG:
-        acc = gap_shift_acc(acc)[:, np.newaxis]
+        acc = gap_shift_acc(acc)[..., np.newaxis]
     return requantize(acc, multiplier, shift, layer.activation)
+
+
+def _check_input(net: NetworkSpec, ws: WeightSet, channels: int,
+                 length: int) -> None:
+    """Refuse, with ShapeError, a weight set that does not fit the net or
+    an input of another channel count or length than it runs."""
+    ws.check_against(net)
+    if length != net.input_length or channels != net.layers[0].c_in:
+        raise ShapeError(f"input {channels}x{length} does not match network "
+                         f"{net.layers[0].c_in}x{net.input_length}")
+
+
+def _layer_outputs(net: NetworkSpec, ws: WeightSet, x: np.ndarray,
+                   zero_point: int) -> list[np.ndarray]:
+    """Every layer's layer_step output for the codes x [c_in, ..., L] at
+    zero_point, in order: the u8 ReLU outputs, at zero point 0, then the
+    head's i32 logits [classes, ..., 1].  The caller checks x and ws
+    (_check_input)."""
+    outs = []
+    for layer, lw in zip(net.layers, ws.layers):
+        x = layer_step(x, zero_point, layer, lw, layer.requant_multiplier,
+                       layer.requant_shift)
+        zero_point = 0
+        outs.append(x)
+    return outs
 
 
 def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
@@ -570,15 +615,6 @@ def infer_window(net: NetworkSpec, ws: WeightSet, x: QuantTensor):
     Snapshots hold the post-requantization QuantTensor of every layer before
     the head; the head's signed outputs are the logits.
     """
-    ws.check_against(net)
-    if x.length != net.input_length or x.channels != net.layers[0].c_in:
-        raise ShapeError(f"input {x.channels}x{x.length} does not match network "
-                         f"{net.layers[0].c_in}x{net.input_length}")
-    snapshots: list[QuantTensor] = []
-    cur = x
-    for layer, lw in zip(net.layers, ws.layers):
-        out = layer_step(cur, layer, lw, layer.requant_multiplier, layer.requant_shift)
-        if layer.activation == Activation.RELU_SATURATE:
-            cur = QuantTensor(out)
-            snapshots.append(cur)
-    return Logits(out[:, 0]), snapshots   # the head is the last layer
+    _check_input(net, ws, x.channels, x.length)
+    *relus, head = _layer_outputs(net, ws, x.data, x.zero_point)
+    return Logits(head[:, 0]), [QuantTensor(out) for out in relus]

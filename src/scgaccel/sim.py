@@ -287,8 +287,8 @@ class SimMachine:
         lw = LayerWeights(layer_weights(spec, mem.weight_mem[base:]),
                           mem.bias_rom[li])
         try:
-            out = layer_step(QuantTensor(ext, zero_point=zp), spec, lw,
-                             *mem.scale_regs[li], length=w_in)
+            out = layer_step(ext, zp, spec, lw, *mem.scale_regs[li],
+                             length=w_in)
         except AccumulatorOverflow as exc:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
                            f"{self.cycle_counter}") from exc

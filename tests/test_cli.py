@@ -425,6 +425,11 @@ def test_eval_refuses_a_malformed_dataset(model_file, tmp_path, capsys):
         np.savez(data, windows=windows, labels=labels)
         assert main(["eval", "--model", model_file, "--data", str(data)]) == 1
         assert "labels must be class indices in [0, 3)" in capsys.readouterr().err
+    for labels, shape in (([0] * 7, "(7,)"), ([[0]] * 10, "(10, 1)")):
+        np.savez(data, windows=np.zeros((10, 512)), labels=labels)
+        assert main(["eval", "--model", model_file, "--data", str(data)]) == 2
+        assert (f"labels must be [n], one per window: {shape} labels for 10 windows"
+                in capsys.readouterr().err)
     windows = np.random.default_rng(4).normal(size=(20, 512))
     windows[17, 3], windows[18, 0] = np.inf, np.nan
     np.savez(data, windows=windows, labels=[0] * 20)

@@ -1,5 +1,5 @@
 """The reference model's one float pass: its scales, its memory and the
-calibration sets it refuses."""
+calibration sets it refuses; and the memory of golden_predict's chunks."""
 
 import tracemalloc
 import warnings
@@ -10,8 +10,8 @@ import pytest
 from scgaccel.errors import ConfigError, ShapeError
 from scgaccel.metrics import LabeledWindowSet, synth_windows
 from scgaccel.modeltools import calibrate_activation_scales, quantize_model
-from scgaccel.pipeline import (CALIB_WINDOWS, build_reference_model,
-                               reference_float_model)
+from scgaccel.pipeline import (CALIB_WINDOWS, GOLDEN_CHUNK, build_reference_model,
+                               golden_predict, reference_float_model)
 from scgaccel.qnn import INPUT_SCALE, NetworkSpec
 
 
@@ -24,6 +24,17 @@ def test_one_pass_scales_equal_a_separate_calibration_pass(n, seed):
     model, logit_scale = build_reference_model(calib, seed=seed)
     assert model.to_bytes() == quantize_model(fm, scales).to_bytes()
     assert logit_scale == scales[-1]
+
+
+def _traced_peak(run) -> int:
+    run()    # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_one_pass_keeps_no_window_activations():
@@ -49,14 +60,24 @@ def test_one_pass_keeps_no_window_activations():
     assert (weights, largest, acts) == (64_528, 40_960, 12_419)
     assert bound < 8 * CALIB_WINDOWS * acts
     calib = synth_windows(n, seed=7)
-    build_reference_model(calib)    # first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        build_reference_model(calib)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    assert _traced_peak(lambda: build_reference_model(calib)) < bound
+
+
+def test_golden_predict_holds_one_chunk_of_layer_work():
+    """Over N windows, golden_predict's traced peak exceeds its peak over
+    GOLDEN_CHUNK windows by no more than the arrays that grow with N: the
+    front end's float64 copy of the windows and its z-score, the u8 codes,
+    and the int64 logits, float64 probabilities and int64 classes.  A layer
+    run over all N windows at once would hold N windows of im2col, 35 MB
+    for the default net's L1 at N = 240, against the 2.1 MB allowance."""
+    model, logit_scale = build_reference_model(synth_windows(96, seed=7))
+    windows = synth_windows(240, seed=8).windows
+    n, length = windows.shape
+    classes = model.layers[-1].c_out
+    allowance = n * (2 * 8 * length + length + 8 * (2 * classes + 1))
+    peaks = [_traced_peak(lambda: golden_predict(model, w, logit_scale))
+             for w in (windows, windows[:GOLDEN_CHUNK])]
+    assert peaks[0] - peaks[1] <= allowance
 
 
 def test_a_calibration_set_without_a_class_is_refused():

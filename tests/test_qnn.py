@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import einsum_conv, wide_image_net
+from conftest import _FC, einsum_conv, wide_image_net
 from scgaccel.errors import AccumulatorOverflow, ConfigError, ShapeError
-from scgaccel.metrics import synth_windows
-from scgaccel.modeltools import random_model
-from scgaccel.pipeline import golden_predict, quantize_windows
+from scgaccel.metrics import softmax, synth_windows
+from scgaccel.modeltools import PackedModel, random_model
+from scgaccel.pipeline import (GOLDEN_CHUNK, build_reference_model, golden_predict,
+                               quantize_windows)
 from scgaccel.qnn import (GAP_LENGTH, GAP_SHIFT, INPUT_SCALE,
                           INPUT_ZERO_POINT, INT32_MAX, INT32_MIN, Activation,
                           LayerKind, LayerSpec, Logits, NetworkSpec,
@@ -332,8 +333,10 @@ def test_layer_step_equals_its_op_by_op_composition(data):
     # layer_step pools the exact sums before it widens and biases them; the
     # composition biases every position first.  C*K straddles 514, where the
     # sums move from float32 to float64, and an edge bias puts each row's
-    # extreme within 3 of an i32 limit, so the scan runs and about half the
-    # time fires, at a kept, pooled-away or trimmed position alike
+    # extreme in window 0 within 3 of an i32 limit, so the scan runs and
+    # about half the time fires, at a kept, pooled-away or trimmed position
+    # alike.  The windows stacked as [C, B, n] give each window's result in
+    # its slice, and overflow when any one of them does.
     draw = data.draw
     pool = draw(st.sampled_from(list(PoolMode)))
     k = draw(st.sampled_from([1, 3, 5, 9]))
@@ -351,10 +354,10 @@ def test_layer_step_equals_its_op_by_op_composition(data):
     act = draw(st.sampled_from(list(Activation)))
     mult, shift = draw(st.integers(INT32_MIN, INT32_MAX)), draw(st.integers(0, 63))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    xd = rng.integers(0, 256, size=(c_in, n), dtype=np.uint8)
+    xs = rng.integers(0, 256, size=(c_in, draw(st.integers(1, 3)), n), dtype=np.uint8)
     w = rng.integers(-128, 128, size=(c_out, c_in, k))
     if draw(st.booleans()):
-        sums = einsum_conv(xd[np.newaxis].astype(np.int64) - zp, w, pad)[0]
+        sums = einsum_conv(xs[np.newaxis, :, 0].astype(np.int64) - zp, w, pad)[0]
         edge = np.where(rng.random(c_out) < 0.5, INT32_MAX - sums.max(axis=1),
                         INT32_MIN - sums.min(axis=1))
         b = np.clip(edge + rng.integers(-3, 4, size=c_out), INT32_MIN, INT32_MAX)
@@ -362,20 +365,33 @@ def test_layer_step_equals_its_op_by_op_composition(data):
         b = rng.integers(-(1 << 20), 1 << 20, size=c_out)
     spec = LayerSpec(kind=LayerKind.CONV1D, c_in=c_in, c_out=c_out, kernel=k,
                      padding=pad, pool_mode=pool, activation=act)
-    x, lw = QuantTensor(xd, zero_point=zp), LayerWeights(weights=w, biases=b)
-    try:
-        acc = conv1d_acc(x, spec, lw)[:, :length]
-    except AccumulatorOverflow:
+    lw = LayerWeights(weights=w, biases=b)
+    expects = []
+    for xd in np.moveaxis(xs, 1, 0):
+        try:
+            acc = conv1d_acc(QuantTensor(xd, zero_point=zp), spec, lw)[:, :length]
+        except AccumulatorOverflow:
+            with pytest.raises(AccumulatorOverflow):
+                layer_step(xd, zp, spec, lw, mult, shift, length)
+            expects.append(None)
+            continue
+        if pool == PoolMode.MAXPOOL2:
+            acc = maxpool2_acc(acc)
+        elif pool == PoolMode.GLOBAL_AVG:
+            acc = gap_shift_acc(acc)[:, np.newaxis]
+        expect = requantize(acc, mult, shift, act)
+        got = layer_step(xd, zp, spec, lw, mult, shift, length)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        expects.append(expect)
+    if any(e is None for e in expects):
         with pytest.raises(AccumulatorOverflow):
-            layer_step(x, spec, lw, mult, shift, length)
+            layer_step(xs, zp, spec, lw, mult, shift, length)
         return
-    if pool == PoolMode.MAXPOOL2:
-        acc = maxpool2_acc(acc)
-    elif pool == PoolMode.GLOBAL_AVG:
-        acc = gap_shift_acc(acc)[:, np.newaxis]
-    expect = requantize(acc, mult, shift, act)
-    got = layer_step(x, spec, lw, mult, shift, length)
-    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    got = layer_step(xs, zp, spec, lw, mult, shift, length)
+    assert got.dtype == expects[0].dtype
+    assert got.shape == (c_out, len(expects)) + expects[0].shape[1:]
+    for i, expect in enumerate(expects):
+        assert np.array_equal(got[:, i], expect)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +504,73 @@ def test_golden_predict_refuses_a_single_1d_window():
     model = random_model(NetworkSpec.default(), np.random.default_rng(3))
     with pytest.raises(ShapeError, match=r"\[n\]\[length\]"):
         golden_predict(model, np.zeros(512))
+
+
+def _reference_model():
+    model, scale = build_reference_model(synth_windows(96, seed=7))
+    return model, scale, 512
+
+
+def _float64_layer_model():
+    """A random model whose GAP conv has C*K = 60 * 9 = 540 > 514, so its
+    sums run in the float64 per-tap form."""
+    net = NetworkSpec(layers=(
+        _layer(c_out=8, kernel=9, padding=4, pool_mode=PoolMode.MAXPOOL2),
+        _layer(c_in=8, c_out=60, kernel=5, padding=2),
+        _layer(c_in=60, c_out=8, kernel=9, padding=4, pool_mode=PoolMode.GLOBAL_AVG),
+        LayerSpec(c_in=8, c_out=3, **_FC),
+    ), input_length=2 * GAP_LENGTH)
+    model = random_model(net, np.random.default_rng(5))
+    assert model.to_weight_set().layers[2].gemm_operands[0].dtype == np.float64
+    return model, 0.05, net.input_length
+
+
+@pytest.mark.parametrize("make", [_reference_model, _float64_layer_model],
+                         ids=["reference", "float64-layer"])
+def test_golden_predict_equals_a_per_window_loop_across_chunk_boundaries(make):
+    model, scale, length = make()
+    net, ws = model.to_network_spec(length), model.to_weight_set()
+    windows = synth_windows(2 * GOLDEN_CHUNK + 1, seed=11, window_len=length).windows
+    for n in (0, 1, GOLDEN_CHUNK - 1, GOLDEN_CHUNK, GOLDEN_CHUNK + 1,
+              2 * GOLDEN_CHUNK + 1):
+        logits, probs, classes = golden_predict(model, windows[:n], scale)
+        expect = np.zeros((n, net.num_classes), dtype=np.int64)
+        for i, x in enumerate(quantize_windows(windows[:n])):
+            expect[i] = infer_window(net, ws, x)[0].values
+        assert logits.dtype == np.int64 and np.array_equal(logits, expect)
+        assert np.array_equal(probs, softmax(expect, scale))
+        assert classes.tolist() == [Logits(v).predicted_class for v in expect]
+
+
+def test_golden_predict_refuses_what_one_window_refuses():
+    # a conv at bias INT32_MAX - 127 * 126 with weight 127 overflows only on
+    # a code of 255: a spike of sqrt(31) sigma, which window 10 holds and no
+    # sine window (at most sqrt(2) sigma) does
+    net = NetworkSpec(layers=(_layer(kernel=1, padding=0),
+                              LayerSpec(c_in=1, c_out=3, **_FC)), input_length=32)
+    model = PackedModel.from_weights(net, WeightSet(layers=[
+        LayerWeights(np.full((1, 1, 1), 127), np.array([INT32_MAX - 127 * 126])),
+        LayerWeights(np.ones((3, 1, 1)), np.zeros(3))]))
+    t = np.arange(32)
+    windows = np.sin(2 * np.pi * (t + np.arange(2 * GOLDEN_CHUNK)[:, np.newaxis]) / 16)
+    windows[10, 5] = 100.0
+    ws = model.to_weight_set()
+    for i, x in enumerate(quantize_windows(windows)):
+        if i == 10:
+            with pytest.raises(AccumulatorOverflow):
+                infer_window(net, ws, x)
+        else:
+            infer_window(net, ws, x)
+    with pytest.raises(AccumulatorOverflow):
+        golden_predict(model, windows)
+    assert len(golden_predict(model, np.delete(windows, 10, axis=0))[0]) == 15
+    default = random_model(NetworkSpec.default(), np.random.default_rng(3))
+    with pytest.raises(ConfigError, match="^maxpool input length 511 must be even$"):
+        golden_predict(default, np.zeros((GOLDEN_CHUNK + 1, 511)))
+    windows = np.random.default_rng(4).normal(size=(2 * GOLDEN_CHUNK, 512))
+    windows[12, 3] = np.nan
+    with pytest.raises(ShapeError, match="^window 12: samples must be finite$"):
+        golden_predict(default, windows)
 
 
 def test_argmax_tie_prefers_lowest_index():

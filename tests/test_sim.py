@@ -133,8 +133,8 @@ def test_layer_i_reads_the_buffer_layer_i_minus_1_wrote(rng):
         except StateError:
             break
     spec, ws = model.layers[2], model.to_weight_set()
-    zeros = QuantTensor(np.zeros((spec.c_in, GAP_LENGTH), dtype=np.uint8))
-    expect = layer_step(zeros, spec, ws.layers[2], spec.requant_multiplier,
+    zeros = np.zeros((spec.c_in, GAP_LENGTH), dtype=np.uint8)
+    expect = layer_step(zeros, 0, spec, ws.layers[2], spec.requant_multiplier,
                         spec.requant_shift)
     assert np.array_equal(machine.read_layer_activation(2).data, expect)
     clean = infer_window(model.to_network_spec(x.length), ws, x)[1][2]
