@@ -1,17 +1,5 @@
 """Software twin of an ultra-low-power FPGA systolic-array CNN accelerator
-for seismocardiography phase classification.
-
-Subpackages:
-
-* ``qnn``        -- bit-exact integer-only golden inference model
-* ``modeltools`` -- folding, quantization, weight binary format, SRAM packing
-* ``cyclemodel`` -- analytical per-layer cycle and throughput model
-* ``sim``        -- cycle-accurate microarchitecture simulator
-* ``link``       -- packet protocol, device emulator, host client
-* ``metrics``    -- synthetic dataset and classification metrics
-* ``pipeline``   -- end-to-end glue (quantize windows, golden prediction,
-  reference model)
-"""
+for seismocardiography phase classification."""
 
 from .qnn import (Activation, LayerKind, LayerSpec, Logits, NetworkSpec,
                   PoolMode, QuantTensor, WeightSet, infer_window,

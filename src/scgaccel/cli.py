@@ -33,8 +33,8 @@ from .modeltools import (BatchNorm, FloatLayerParams, FloatModel, PackedModel,
                          calibrate_activation_scales, quantize_model,
                          random_input, random_model, random_small_net)
 from .pipeline import CALIB_WINDOWS, golden_predict
-from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, Activation, LayerKind,
-                  LayerSpec, NetworkSpec, PoolMode, QuantTensor, infer_window,
+from .qnn import (INPUT_ZERO_POINT, Activation, LayerKind, LayerSpec,
+                  NetworkSpec, PoolMode, QuantTensor, infer_window,
                   zscore_quantize)
 from .sim import SimMachine
 
@@ -275,7 +275,7 @@ def cmd_pack(args) -> int:
     if calib is None:
         calib = synth_windows(CALIB_WINDOWS, seed=args.seed,
                               window_len=fm.net.input_length).windows
-    model = quantize_model(fm, calibrate_activation_scales(fm, calib, INPUT_SCALE))
+    model = quantize_model(fm, calibrate_activation_scales(fm, calib))
     blob = model.to_bytes()
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -438,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--zero-point", type=int,
                         help=f"u8 windows only (default {INPUT_ZERO_POINT})")
 
-    p = sub.add_parser("analyze", help="analytical cycle/throughput report")
+    p = sub.add_parser("analyze",
+                       help="analytical cycle/throughput report (text or --json)")
     p.add_argument("--model", help="packed model file (default topology if omitted)")
     p.add_argument("--input-length", type=_count, default=512)
     # a float, so --json prints the default clock as 24000000.0
@@ -449,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("infer", parents=[window],
-                       help="run one window through golden model/simulator")
+                       help="run one window through the golden model, the "
+                       "simulator or both (--both, the default, asserts "
+                       "bit-exactness)")
     p.add_argument("--model", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--golden", dest="mode", action="store_const",
@@ -460,13 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer, mode="both")
 
     p = sub.add_parser("trace", parents=[window],
-                       help="per-cycle simulator trace prefix")
+                       help="per-cycle simulator trace prefix as JSON lines")
     p.add_argument("--model", required=True)
     p.add_argument("--cycles", type=_count, required=True)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("pack", help="quantize a float model into the binary format")
+    p = sub.add_parser("pack",
+                       help="quantize a float .npz model into the binary format")
     p.add_argument("--from-float", required=True, help=".npz float parameters")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=0,
@@ -474,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("serve", help="run the device emulator")
-    p.add_argument("--transport", required=True, help="stdio or host:port")
+    p.add_argument("--transport", required=True,
+                   help="stdio or host:port; port 0 binds a free port and "
+                   "prints it on stderr")
     p.add_argument("--once", action="store_true", help="exit after one session")
     p.set_defaults(func=cmd_serve)
 
@@ -492,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--noise", type=float, default=0.15)
+    p.add_argument("--noise", type=float, default=0.15,
+                   help="noise level, finite and >= 0; 0 writes a noise-free set")
     p.add_argument("--out", required=True, help=".npz output")
     p.set_defaults(func=cmd_synth)
 
@@ -500,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help=".npz with windows/labels")
     p.add_argument("--logit-scale", type=float, default=1.0,
-                   help="scale applied to integer logits before softmax")
+                   help="scale applied to integer logits before softmax; it "
+                   "shapes only the probabilities (ECE, AP), as each class is "
+                   "the first argmax of the integer logits")
     p.add_argument("--out", help="summary JSON (default stdout)")
     p.add_argument("--dump", help="per-window prediction dump JSON")
     p.set_defaults(func=cmd_eval)

@@ -151,7 +151,10 @@ def crc8(data: bytes) -> int:
     of a 2-vCPU VM (numpy 2.4) the look-up loop took 2 µs at 64 bytes
     against 4 for the masks, about as long at 128 to 160 bytes, and 115-175
     against 6-9 at 4,100 bytes, so bodies from 128 bytes take the masks.
-    Bodies longer than the table covers take the loop.
+    Bodies longer than the table covers take the loop.  On bench/run.py's
+    device-session a 64.5 KB model uploads and verifies in about 1.1
+    ref_ms, against about 5.2 with one look-up per byte and about 99 with
+    the bit loop.
     """
     n = len(data)
     if not _CRC8_VECTOR_MIN <= n <= _CRC8_MASKS.shape[1]:

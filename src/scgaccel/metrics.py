@@ -58,7 +58,12 @@ def _burst(length: int, center: int, freq_hz: float, duration_s: float,
 
 def synth_windows(n: int, noise: float = 0.15, seed: int = 0,
                   window_len: int = WINDOW_LEN) -> LabeledWindowSet:
-    """Deterministic synthetic dataset with near-equal class counts."""
+    """Deterministic synthetic dataset with near-equal class counts.
+
+    An n or window_len under 1, or a noise level that is not finite and at
+    least 0, is refused (ConfigError), and so is a noise whose samples
+    overflow the float32 windows, which qnn.check_windows finds; noise 0
+    gives a noise-free set."""
     if n <= 0 or window_len <= 0:
         raise ConfigError(f"n {n} and window_len {window_len} must be >= 1")
     if not (np.isfinite(noise) and noise >= 0):

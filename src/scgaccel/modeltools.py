@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import (BadMagicError, CapacityError, ConfigError, SerializationError,
                      ShapeError, TruncationError)
-from .qnn import (INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT, Activation, LayerKind,
-                  LayerSpec, LayerWeights, NetworkSpec, PoolMode, QuantTensor,
-                  WeightSet, check_positive, check_windows, conv1d_gemm, zscore)
+from .qnn import (INPUT_SCALE, INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT,
+                  Activation, LayerKind, LayerSpec, LayerWeights, NetworkSpec,
+                  PoolMode, QuantTensor, WeightSet, check_positive,
+                  check_windows, conv1d_gemm, zscore)
 
 MAGIC = b"SANN"
 FORMAT_VERSION = 1
@@ -117,7 +118,11 @@ def quantize_weights(params: FloatLayerParams, input_scale: float):
 
 
 def derive_requant_constants(s_in: float, s_w: float, s_out: float) -> tuple[int, int]:
-    """Fixed-point (multiplier, shift) with multiplier/2^shift ~ s_in*s_w/s_out."""
+    """Fixed-point (multiplier, shift) with multiplier/2^shift ~ s_in*s_w/s_out.
+
+    A scale, or their ratio after an overflow or underflow, that is not
+    finite and positive is refused (ConfigError), as is a ratio the shift
+    cannot reach."""
     for name, value in (("s_in", s_in), ("s_w", s_w), ("s_out", s_out)):
         check_positive(f"requant {name}", value)
     ratio = check_positive("requant ratio", s_in * s_w / s_out)
@@ -156,7 +161,11 @@ def pack_weight_bytes(rows: np.ndarray) -> np.ndarray:
 
 
 def image_words(channels: int, length: int) -> int:
-    """Words that pack_weight_bytes makes of a [channels, length] array."""
+    """Words that pack_weight_bytes makes of a [channels, length] array:
+    the one words-per-row rule, which unpack_weight_bytes, layer_word_count
+    and SimMachine.load_input read, so the simulator derives no plane or
+    image size itself (only its micro path keeps its own row width, as part
+    of the independent check)."""
     return channels * ((length + 1) // 2)
 
 
@@ -218,6 +227,13 @@ class PackedModel:
             (layer_word_count(s) for s in self.layers[:-1]), initial=0))
 
     def validate(self) -> None:
+        """The one check of a model's layout, bias tables and weight image.
+
+        Every model passes it, however it is built (from_weights,
+        from_bytes, SimMachine.export_model or the constructor), so no
+        packer or simulator path bounds a weight address again.  The first
+        layer whose cumulative image crosses WEIGHT_MEM_WORDS is refused
+        with CapacityError, naming it; pack_sram_image only lays out."""
         try:
             NetworkSpec.check_layout(self.layers)
         except ConfigError as exc:
@@ -385,24 +401,25 @@ def observe_max_abs(maxima: np.ndarray, acts) -> None:
         maxima[i] = max(maxima[i], float(np.max(np.abs(act))))
 
 
-def activation_scales(input_scale: float, maxima: np.ndarray) -> list[float]:
-    """The input scale, then one scale per layer output that maps the
-    layer's observed max |activation| to 255."""
-    return [input_scale] + [max(m, 1e-12) / 255.0 for m in maxima]
+def activation_scales(maxima: np.ndarray) -> list[float]:
+    """The input scale INPUT_SCALE, at which every window is quantized, then
+    one scale per layer output that maps the layer's observed max
+    |activation| to 255 (an observed max is floored at 1e-12)."""
+    return [INPUT_SCALE] + [max(m, 1e-12) / 255.0 for m in maxima]
 
 
-def calibrate_activation_scales(fm: FloatModel, windows: np.ndarray,
-                                input_scale: float) -> list[float]:
+def calibrate_activation_scales(fm: FloatModel, windows: np.ndarray) -> list[float]:
     """Per-layer activation scales from observed float ranges.
 
     Returns one scale per layer boundary: index 0 is the input scale, index
     i+1 the output scale of layer i (u8 with zero point 0 after ReLU; the
     final entry is the logit scale taken from the observed logit range).
+    The windows are checked as calibration_windows checks them.
     """
     maxima = np.zeros(len(fm.layers))
     for window in calibration_windows(windows, fm.net.input_length):
         observe_max_abs(maxima, float_forward(fm, zscore(window)))
-    return activation_scales(input_scale, maxima)
+    return activation_scales(maxima)
 
 
 def quantize_model(fm: FloatModel, act_scales: list[float]) -> PackedModel:

@@ -20,6 +20,7 @@ from .modeltools import (FloatLayerParams, FloatModel, PackedModel,
                          float_forward, float_layer_forward, observe_max_abs,
                          quantize_model)
 from .errors import ConfigError
+# INPUT_SCALE is imported from here by bench/workloads.py
 from .qnn import (INPUT_SCALE, INPUT_ZERO_POINT, NetworkSpec, QuantTensor,
                   _check_input, _layer_outputs, check_positive, check_windows,
                   quantize_zscores, zscore)
@@ -116,8 +117,10 @@ def reference_float_model(calib: LabeledWindowSet,
     body gives its head features; the first CALIB_WINDOWS windows' forwards
     also raise each body layer's running max |activation|, and the fitted
     head's logits on those windows' features give the logit range.  So the
-    scales are calibrate_activation_scales(fm, calib.windows[:CALIB_WINDOWS],
-    INPUT_SCALE), but only the maxima and the [N, c_in] features are kept.
+    scales are calibrate_activation_scales(fm, calib.windows[:CALIB_WINDOWS]),
+    but only the maxima and the [N, c_in] features are kept.  It refuses the
+    windows calibration refuses (calibration_windows), and a calibration set
+    that lacks a class (ConfigError, naming the class).
     """
     rng = np.random.default_rng(seed)
     net = NetworkSpec.default()
@@ -158,7 +161,7 @@ def reference_float_model(calib: LabeledWindowSet,
     for f in feats[:CALIB_WINDOWS]:
         observe_max_abs(maxima[-1:], [float_layer_forward(
             head_spec, params[-1], f[:, np.newaxis], len(net.layers) - 1)])
-    return FloatModel(net=net, layers=params), activation_scales(INPUT_SCALE, maxima)
+    return FloatModel(net=net, layers=params), activation_scales(maxima)
 
 
 def build_reference_model(calib: LabeledWindowSet, seed: int = 7):

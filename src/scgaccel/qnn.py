@@ -331,7 +331,10 @@ def check_windows(windows: np.ndarray, length: int | None = None) -> np.ndarray:
 
 def check_positive(name: str, value: float) -> float:
     """`value` when it is finite and above 0; anything else is refused with
-    a ConfigError that names it."""
+    a ConfigError that names it.  It is the one such check: the input
+    scale_divisor, the requant scales, golden_predict's logit_scale and the
+    cycle report's clock, power, measured latency and derived figures all
+    pass it."""
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
     return value

@@ -29,22 +29,30 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   read.  The bias is read at the group's first clock.  Weight words and
   activation bytes are read inline from live memoryviews, so every read sees
   simulated memory as it is on that clock; nothing is cached or snapshot.
+  Neither read has a bound check of its own: ``PackedModel.validate``
+  bounds each layer's weight image, and ``load_input`` each activation
+  image by its buffer.
   Each clock is counted where it is yielded: into the machine's cycle
   counter and, for prime and compute, into the layer's split.  The requant
-  engine, one loop over a group's (accumulator, output position) pairs,
-  takes the rest of the layer's clocks: four multiplier stages and two of
+  engine, one loop over a group's (accumulator, output position) pairs
+  (maxpool pairs, bypass lanes, or the GAP sum at the last batch), takes
+  the rest of the layer's clocks: four multiplier stages and two of
   overhead per pair.  The layer's ``LayerCycles`` holds only those counts.
 
 ``load_input`` refuses, before it writes anything, a length ``NetworkSpec``
-refuses or a ReLU image over its output buffer, and builds the run plan both
-paths walk, so a run can fail only on data (``SimFault``).  Each plan step
-names the buffer its layer reads (the input buffer for layer 0, then ping or
-pong by layer parity) and the one it writes.  Both paths record into one last
+refuses, an image over the input buffer or a ReLU image over its output
+buffer, and builds the run plan both paths walk, so a run can fail only on
+data (``SimFault``).  Each plan step names the buffer its layer reads and
+the one it writes: layer 0 reads the input buffer, layer i writes pong when
+i is even and ping when it is odd, and layer i + 1 reads what layer i wrote,
+so the machine keeps no ping-pong toggle.  Both paths record into one last
 run: an entry per completed layer (its u8 output image, or none for the head,
 and its cycle split), the logits and the micro stepper.  ``load_model`` drops
 the plan and the last run; ``load_input`` and each new run drop the last run,
-and every readback reads that run alone.  ``modeltools`` defines the memory
-map, the weight layout and the word packing of every plane and image.
+and every readback reads that run alone, so a faulted run reports only the
+layers it completed and a micro run that another run overtook cannot be
+stepped.  ``modeltools`` defines the memory map, the weight layout and the
+word packing of every plane and image.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past

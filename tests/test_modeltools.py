@@ -464,7 +464,7 @@ def test_quantize_model_produces_valid_packed_model():
             bias=rng.normal(0, 0.05, s.c_out), bn=bn))
     fm = FloatModel(net=net, layers=params)
     calib = rng.normal(size=(8, 512))
-    model = quantize_model(fm, calibrate_activation_scales(fm, calib, 1/32))
+    model = quantize_model(fm, calibrate_activation_scales(fm, calib))
     model.validate()
     assert len(model.layers) == 5
     for spec in model.layers:
@@ -497,6 +497,6 @@ def test_calibration_refuses_windows_it_cannot_measure(rng, windows, match):
         FloatLayerParams(weights=rng.normal(size=(s.c_out, s.c_in, s.kernel)),
                          bias=np.zeros(s.c_out)) for s in net.layers])
     with pytest.raises(ShapeError, match=match):
-        calibrate_activation_scales(fm, windows(rng), 1 / 32)
-    scales = calibrate_activation_scales(fm, rng.normal(size=512), 1 / 32)
+        calibrate_activation_scales(fm, windows(rng))
+    scales = calibrate_activation_scales(fm, rng.normal(size=512))
     assert len(scales) == 6 and all(s > 1e-12 / 255 for s in scales)

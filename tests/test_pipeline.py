@@ -12,7 +12,7 @@ from scgaccel.metrics import LabeledWindowSet, synth_windows
 from scgaccel.modeltools import calibrate_activation_scales, quantize_model
 from scgaccel.pipeline import (CALIB_WINDOWS, GOLDEN_CHUNK, build_reference_model,
                                golden_predict, reference_float_model)
-from scgaccel.qnn import INPUT_SCALE, NetworkSpec
+from scgaccel.qnn import NetworkSpec
 
 
 @pytest.mark.parametrize("n, seed", [(96, 3), (96, 7), (192, 11)])
@@ -20,7 +20,7 @@ def test_one_pass_scales_equal_a_separate_calibration_pass(n, seed):
     calib = synth_windows(n, seed=seed)
     fm, scales = reference_float_model(calib, seed=seed)
     assert scales == calibrate_activation_scales(
-        fm, calib.windows[:CALIB_WINDOWS], INPUT_SCALE)
+        fm, calib.windows[:CALIB_WINDOWS])
     model, logit_scale = build_reference_model(calib, seed=seed)
     assert model.to_bytes() == quantize_model(fm, scales).to_bytes()
     assert logit_scale == scales[-1]
