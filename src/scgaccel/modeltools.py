@@ -171,10 +171,16 @@ def image_words(channels: int, length: int) -> int:
 
 def unpack_weight_bytes(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
     """Inverse of pack_weight_bytes: the [channels, count] u8 bytes of the
-    `channels` channel-aligned rows at the start of `words`."""
+    `channels` channel-aligned rows at the start of `words`.
+
+    A view of `words` whenever they are contiguous little-endian u16 words
+    (numpy's uint16 on a little-endian host, as the simulator's memories
+    are), so writing to it writes the words; otherwise a view of a converted
+    copy.  A caller that keeps the bytes beyond the words' life, or hands
+    them out, copies them."""
     wpc = image_words(1, count)
     words = np.ascontiguousarray(words[:channels * wpc], dtype="<u2")
-    return words.reshape(channels, wpc).view(np.uint8)[:, :count].copy()
+    return words.reshape(channels, wpc).view(np.uint8)[:, :count]
 
 
 def layer_word_count(spec: LayerSpec) -> int:
@@ -183,10 +189,11 @@ def layer_word_count(spec: LayerSpec) -> int:
 
 
 def layer_weights(spec: LayerSpec, words: np.ndarray) -> np.ndarray:
-    """A layer's int8 weights [c_out, c_in, K] from the words at its base."""
+    """A copy of a layer's int8 weights [c_out, c_in, K] from the words at
+    its base."""
     n = spec.c_out * spec.c_in * spec.kernel
     return unpack_weight_bytes(words, n).view(np.int8).reshape(
-        spec.c_out, spec.c_in, spec.kernel)
+        spec.c_out, spec.c_in, spec.kernel).copy()
 
 
 def pack_sram_image(ws: WeightSet) -> np.ndarray:

@@ -16,10 +16,11 @@ A layer is conv, bias, maxpool or GAP, then requantize (conv1d_acc,
 maxpool2_acc, gap_shift_acc, requantize).  layer_step, which infer_window,
 golden_predict and the simulator's fast path run, gives the same result in
 fewer passes: it max-pools the exact float sums before it widens them to
-int64 and adds the bias, since a per-channel bias b commutes with max,
-max(a + b, c + b) = max(a, c) + b.  It does not commute with the GAP's
-per-element shift, so a GAP layer adds the bias to every position before
-the shift.
+int64, since a per-channel bias b commutes with max,
+max(a + b, c + b) = max(a, c) + b, and it widens them straight into the
+requant product s*m + b*m, which it rounds and saturates in place.  The
+bias does not commute with the GAP's per-element shift, so a GAP layer adds
+it to every position before the shift.
 
 NetworkSpec is the one layout rule: ReLU conv layers, then one FC head whose
 signed i32 outputs are the logits; only the input has a zero point, every ReLU
@@ -515,19 +516,52 @@ def round_shift(p, shift: int):
     and drops that bit: ((p - (p < 0)) >> (shift - 1)) + 1 >> 1.  Taking 1
     off a negative p first makes its ties round away from zero too.  Built
     from operators only (no branch on the sign), so the same definition is
-    bit-exact on int64 arrays and cheap on Python ints; on an array it
-    allocates once, for p - (p < 0), and works in place on that, so p is
-    left as it is.  No intermediate is further than |p| + 1 from zero, so
-    int64 is exact for every shift 0..63 on any i32 x i32 product,
-    INT32_MIN * INT32_MIN = 2^62 included.  Shift 0 returns p.
+    bit-exact on int64 arrays and cheap on Python ints.  No intermediate is
+    further than |p| + 1 from zero, so int64 is exact for every shift 0..63
+    on any i32 x i32 product, INT32_MIN * INT32_MIN = 2^62 included.
+
+    Shift 0 returns p itself.  Otherwise a signed array is left as it is:
+    the result is a fresh array, made once for p - (p < 0) and worked on in
+    place.  An unsigned array holds no negative p, so its sign term is 0
+    and is skipped: the array itself is shifted in place and returned.  The
+    ReLU epilogue (_saturate) relies on that to round its fresh product,
+    clamped at 0, as a uint64 view without a copy.
     """
     if shift == 0:
         return p
-    q = p - (p < 0)
+    q = p if isinstance(p, np.ndarray) and p.dtype.kind == "u" else p - (p < 0)
     q >>= shift - 1
     q += 1
     q >>= 1
     return q
+
+
+def _saturate(p: np.ndarray, shift: int, activation: Activation,
+              out_zero_point: int = 0) -> np.ndarray:
+    """The fresh int64 product p rounded by `shift` (round_shift) and
+    saturated, in place on p, then cast once: the epilogue of requantize
+    and layer_step.
+
+    A ReLU at zero point 0 clamps p at 0 first, which changes no result
+    since a negative p rounds to at most 0; round_shift then shifts a
+    uint64 view of p in place, without a sign term, and the result is
+    capped at 255 and cast to u8.  A ReLU at another zero point is rounded
+    signed, offset, then saturated to [0, 255]; a signed layer is rounded
+    and saturated to i32.  A shift outside 0..63 is refused with
+    ConfigError.
+    """
+    if not 0 <= shift <= 63:
+        raise ConfigError("shift must be in [0, 63]")
+    if activation == Activation.RELU_SATURATE and not out_zero_point:
+        r = round_shift(np.maximum(p, 0, out=p).view(np.uint64), shift)
+        return np.minimum(r, 255, out=r).astype(np.uint8)
+    r = round_shift(p, shift)
+    if activation == Activation.RELU_SATURATE:
+        r += out_zero_point
+        np.minimum(np.maximum(r, 0, out=r), 255, out=r)
+        return r.astype(np.uint8)
+    np.minimum(np.maximum(r, INT32_MIN, out=r), INT32_MAX, out=r)
+    return r.astype(np.int32)
 
 
 def requantize(acc, multiplier: int, shift: int, activation: Activation,
@@ -536,21 +570,13 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
 
     64-bit product, round to nearest with ties away from zero (round_shift,
     exact for every shift 0..63), then either unsigned saturation to
-    [0, 255] (fused ReLU) or signed 32-bit saturation for raw logits, in
-    place on the fresh product, then one cast.  out_zero_point is an
-    op-level offset; the network passes 0.
+    [0, 255] (fused ReLU) or signed 32-bit saturation for raw logits
+    (_saturate).  The result is a fresh u8 or i32 array: the product is a
+    new int64 array, rounded and saturated in place, and acc is left as it
+    is.  out_zero_point is an op-level offset; the network passes 0.
     """
-    if not 0 <= shift <= 63:
-        raise ConfigError("shift must be in [0, 63]")
-    r = round_shift(np.asarray(acc, dtype=np.int64) * np.int64(multiplier),
-                    int(shift))
-    if activation == Activation.RELU_SATURATE:
-        if out_zero_point:
-            r += out_zero_point
-        np.minimum(np.maximum(r, 0, out=r), 255, out=r)
-        return r.astype(np.uint8)
-    np.minimum(np.maximum(r, INT32_MIN, out=r), INT32_MAX, out=r)
-    return r.astype(np.int32)
+    return _saturate(np.asarray(acc, dtype=np.int64) * np.int64(multiplier),
+                     int(shift), activation, out_zero_point)
 
 
 def layer_step(x: np.ndarray, zero_point: int, layer: LayerSpec,
@@ -559,32 +585,43 @@ def layer_step(x: np.ndarray, zero_point: int, layer: LayerSpec,
     """One layer of u8 codes x [c_in, ..., L] at zero_point: conv, keep the
     first `length` positions (all by default), maxpool or GAP, then
     requantize.  The middle axes, if any, index windows, and each window's
-    slice of the result is what it gives alone.  x is taken as it is: a
-    window is checked where it enters (infer_window, SimMachine.load_input,
-    golden_predict's check_windows).
+    slice of the result is what it gives alone.  x is taken as it is, and
+    may be a view (the simulator passes one of its memory): it is only
+    read.  A window is checked where it enters (infer_window,
+    SimMachine.load_input, golden_predict's check_windows).  The result is
+    a fresh array, u8 for a ReLU layer and i32 for the head.
 
     The result equals conv1d_acc, then [..., :length], then maxpool2_acc or
     gap_shift_acc, then requantize, with fewer passes over the map.  The
-    exact float sums are trimmed and max-pooled before they are widened to
-    int64 and biased: max is exact on integer-valued floats, and a
-    per-channel bias commutes with it, max(a + b, c + b) = max(a, c) + b.
-    GAP shifts each biased element before it sums, and the bias cannot move
-    past the shift, so a GAP layer widens and biases every position first.
-    The overflow scan (_exact_sums) sees every position, pooled away or
-    trimmed, as conv1d_acc's does.  A maxpool `length` is even
-    (LayerSpec.out_length); an odd tail padded with INT32_MIN before the
-    bias equals one padded after it only while no unbiased sum is below
-    INT32_MIN, i.e. C*K*255*128 <= 2^31.
+    exact float sums s are trimmed and max-pooled before they are widened:
+    max is exact on integer-valued floats, and a per-channel bias b
+    commutes with it, max(a + b, c + b) = max(a, c) + b.  The pooled sums
+    then go to int64 as s*m + b*m, with b*m a per-channel column, and are
+    rounded and saturated in place (_saturate), so the biased accumulator
+    s + b is never made.  int64 holds every term: the scan or the bound
+    (_exact_sums) holds each s + b to i32, and b is an i32, so
+    |s| <= 2^32 - 1 and |s*m| <= (2^32 - 1) * 2^31 < 2^63, |b*m| <= 2^62,
+    and their sum, (s + b) * m, is at most 2^62 from zero.  GAP shifts each
+    biased element before it sums, and neither the bias nor the multiplier
+    can move past the shift, so a GAP layer widens and biases every
+    position, then requantizes the GAP sums.  The overflow scan sees every
+    position, pooled away or trimmed, as conv1d_acc's does.  A maxpool
+    `length` is even (LayerSpec.out_length); an odd tail padded with
+    INT32_MIN before the bias equals one padded after it only while no
+    unbiased sum is below INT32_MIN, i.e. C*K*255*128 <= 2^31.
     """
     sums, bias = _exact_sums(x, zero_point, layer, lw)
     sums = sums[..., :length]
     if layer.pool_mode == PoolMode.MAXPOOL2:
         sums = maxpool2_acc(sums)
-    acc = sums.astype(np.int64)
-    acc += bias
+    p = sums.astype(np.int64)
     if layer.pool_mode == PoolMode.GLOBAL_AVG:
-        acc = gap_shift_acc(acc)[..., np.newaxis]
-    return requantize(acc, multiplier, shift, layer.activation)
+        p += bias
+        return requantize(gap_shift_acc(p)[..., np.newaxis], multiplier, shift,
+                          layer.activation)
+    p *= multiplier
+    p += bias * multiplier
+    return _saturate(p, shift, layer.activation)
 
 
 def _check_input(net: NetworkSpec, ws: WeightSet, channels: int,

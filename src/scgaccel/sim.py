@@ -8,9 +8,15 @@ the result packer, and the nested-loop control FSM.
 Two execution paths produce bit-identical outputs and identical cycle splits:
 
 * ``run_inference`` is the fast path used for full-network runs.  Each layer
-  unpacks its input plane from simulated memory, runs ``qnn.layer_step`` on
-  it, packs the result into its output buffer and takes its cycle split from
-  the run plan (``cyclemodel.layer_cycles``).
+  reads its input plane as a u8 view of simulated memory
+  (``modeltools.unpack_weight_bytes``) and copies it once into whole
+  batches with the overhang at the zero point, decodes its int8 weights
+  from memory (``modeltools.layer_weights``, a copy made on every run and
+  kept by no one), runs ``qnn.layer_step``, writes the result into its
+  output buffer through a u8 view of the buffer's rows, zero high bytes
+  included, and takes its cycle split from the run plan
+  (``cyclemodel.layer_cycles``).  The image a run keeps is
+  ``layer_step``'s fresh result, never a view of a buffer.
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
@@ -77,7 +83,7 @@ from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
                      SimFault, StateError)
 from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
                          PackedModel, image_words, layer_weights,
-                         pack_weight_bytes, unpack_weight_bytes)
+                         unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
                   LayerWeights, Logits, PoolMode, QuantTensor, layer_step,
                   round_shift)
@@ -253,8 +259,9 @@ class SimMachine:
                          layer_cycles(spec, w_in), src, dst))
             src = dst
         self._plan = plan
+        # the clear leaves an odd-length row's high byte 0
         mem.input_words[:] = 0
-        mem.input_words[:n_words] = pack_weight_bytes(x.data)
+        unpack_weight_bytes(mem.input_words, x.length, x.channels)[:] = x.data
         self._clear_run()
 
     # -- run set-up shared by both paths ------------------------------------
@@ -284,11 +291,18 @@ class SimMachine:
 
     def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int, lc,
                         src: np.ndarray, dst: np.ndarray):
-        """One layer: qnn.layer_step on the plane held in simulated memory."""
+        """One layer: qnn.layer_step on the plane held in simulated memory.
+
+        The input rows are read, and the output image is written, through
+        u8 views of the buffers (unpack_weight_bytes), so no packed or
+        unpacked copy of a plane is made; the image kept for readback is
+        layer_step's own fresh result, never a view of a buffer.
+        """
         mem = self.mem
         # whole batches of six; the overhang lanes read the zero point
-        ext = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
+        ext = np.empty((spec.c_in, lc.n_batches * PE_COUNT), dtype=np.uint8)
         ext[:, :w_in] = unpack_weight_bytes(src, w_in, spec.c_in)
+        ext[:, w_in:] = zp
         # read as PackedModel.to_weight_set reads them, on every run, so the
         # GEMM operands LayerWeights keeps follow an upset in mem; the
         # model's build bounds its image by the weight memory
@@ -303,8 +317,11 @@ class SimMachine:
         if spec.activation == Activation.SIGNED_BYPASS:
             self._run.logits, image = Logits(out[:, 0]), None
         else:
-            image, words = out, pack_weight_bytes(out)
-            dst[:words.size] = words
+            image, w_out = out, out.shape[1]
+            # whole rows, so an odd-length row's high byte is written as 0
+            rows = unpack_weight_bytes(dst, w_out + w_out % 2, spec.c_out)
+            rows[:, :w_out] = out
+            rows[:, w_out:] = 0
         self.cycle_counter += lc.total
         self._run.layers.append(_LayerEntry(image, lc))
 
@@ -463,8 +480,9 @@ class SimMachine:
         if signed:
             self._run.logits = Logits(logits)
             image = None
-        else:   # the image as the packer wrote it
-            image = unpack_weight_bytes(dst, spec.out_length(w_in), spec.c_out)
+        else:   # a copy of the image as the packer wrote it
+            image = unpack_weight_bytes(dst, spec.out_length(w_in),
+                                        spec.c_out).copy()
         # the requant engine counted the layer's other clocks
         requant_cycles = self.cycle_counter - first_cycle - prime - compute
         self._run.layers.append(_LayerEntry(

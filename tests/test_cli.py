@@ -237,10 +237,20 @@ def test_bad_window_options_are_usage_errors(model_file, window_file, tmp_path,
               "--zero-point", "128"], "--zero-point applies to u8 windows only"),
             (["run", "--connect", closed, "--input", window_file,
               "--format", "f32", "--zero-point", "0"],
-             "--zero-point applies to u8 windows only"),
+             "--zero-point applies to u8 windows only")]:
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err
+
+
+def test_bad_counts_seeds_lengths_and_removed_options_are_usage_errors(
+        model_file, tmp_path, capsys):
+    u8_file = tmp_path / "window.u8"
+    u8_file.write_bytes(bytes(512))
+    for argv, message in [
             (["selftest", "--sweeps", "-3"],
              "argument --sweeps: must be >= 1, got -3"),
-            (["trace", "--model", model_file, *u8, "--cycles", "0"],
+            (["trace", "--model", model_file, "--input", str(u8_file),
+              "--format", "u8", "--cycles", "0"],
              "argument --cycles: must be >= 1, got 0"),
             (["synth", "--n", "0", "--out", str(tmp_path / "none.npz")],
              "argument --n: must be >= 1, got 0"),

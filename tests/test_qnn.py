@@ -129,6 +129,56 @@ def test_requant_shift63_rounds_the_largest_product_exactly():
     assert r.tolist() == [1]
 
 
+def _requant_edges(mult, shift):
+    """i32 accumulators at the i32 limits, around 0 and on each side of the
+    ReLU's 0/1 and 254/255 boundaries: for each boundary product (v + 1/2)
+    * 2^shift, the accumulators whose products lie nearest it, ties
+    included wherever mult divides it."""
+    accs = {0, 1, -1, INT32_MIN, INT32_MIN + 1, INT32_MAX - 1, INT32_MAX}
+    for v in (0, 1, 254, 255):
+        a = ((2 * v + 1) << shift) // (2 * mult)
+        accs.update(a + d for d in range(-2, 3))
+    return sorted(a for a in accs if INT32_MIN <= a <= INT32_MAX)
+
+
+@pytest.mark.parametrize("mult", [INT32_MIN, -1, 1, INT32_MAX])
+def test_requant_epilogue_matches_oracle_at_every_shift_and_boundary(mult):
+    # The ReLU epilogue clamps the product at 0 before it rounds and rounds
+    # a uint64 view; layer_step forms the product as s*m + b*m.  Each
+    # accumulator runs through requantize and through a 1x1 BYPASS
+    # layer_step, one output channel per accumulator, whose input d = 255
+    # puts s = w * d on the accumulator's own side of 0 and the rest in the
+    # bias, so the scan runs and both terms are exercised.
+    rng = np.random.default_rng(mult & 0xFFFF)
+    ties = set()
+    for shift in range(64):
+        accs = _requant_edges(mult, shift)
+        acc = np.array(accs, dtype=np.int64)
+        w = np.where(acc >= 0, rng.integers(0, 128, acc.size),
+                     rng.integers(-128, 0, acc.size))
+        lw = LayerWeights(weights=w.reshape(-1, 1, 1), biases=acc - 255 * w)
+        for act in Activation:
+            expect = [oracle_requant(a, mult, shift,
+                                     act == Activation.SIGNED_BYPASS) for a in accs]
+            got = requantize(acc, mult, shift, act)
+            assert got.tolist() == expect, (shift, act)
+            spec = LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=acc.size,
+                             kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
+                             activation=act)
+            step = layer_step(np.array([[255]], dtype=np.uint8), 0, spec, lw,
+                              mult, shift)
+            assert step.dtype == got.dtype and step[:, 0].tolist() == expect, \
+                (shift, act)
+        if shift:
+            ties.update((shift, a * mult >> shift) for a in accs
+                        if a * mult % (1 << shift) == 1 << (shift - 1))
+    # the 0/1 and 254/255 ties are exact products at every shift where
+    # some i32 accumulator makes one: (2v + 1) * 2^(shift - 1) / mult
+    shifts = {1: range(1, 24), -1: range(1, 24), INT32_MIN: range(32, 55),
+              INT32_MAX: ()}[mult]
+    assert {(s, v) for s in shifts for v in (0, 254)} <= ties
+
+
 def test_gap_element_shift_differs_from_sum_shift():
     # shifting each element before accumulation loses low bits per element,
     # which a shift of the final sum would not
