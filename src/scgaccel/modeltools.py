@@ -169,18 +169,39 @@ def image_words(channels: int, length: int) -> int:
     return channels * ((length + 1) // 2)
 
 
+_LE_WORD = np.dtype("<u2")   # the memories' word: u16, low byte first
+
+
+def _rows(words: np.ndarray, count: int, channels: int) -> np.ndarray:
+    """The [channels, count] u8 view of contiguous little-endian words."""
+    wpc = image_words(1, count)
+    return words[:channels * wpc].reshape(channels, wpc).view(np.uint8)[:, :count]
+
+
+def byte_rows(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
+    """The [channels, count] u8 bytes of the `channels` channel-aligned rows
+    at the start of `words`, as a view of the words: writing it writes them.
+
+    The words must be contiguous little-endian u16, as numpy's uint16 is on
+    a little-endian host and the simulator's memories are.  Any other words
+    have no such view and are refused with ConfigError, so a write can
+    never land in a copy."""
+    if words.dtype != _LE_WORD or not words.flags.c_contiguous:
+        raise ConfigError("byte rows need contiguous little-endian u16 words, "
+                          f"got {words.dtype.str} words")
+    return _rows(words, count, channels)
+
+
 def unpack_weight_bytes(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
     """Inverse of pack_weight_bytes: the [channels, count] u8 bytes of the
     `channels` channel-aligned rows at the start of `words`.
 
-    A view of `words` whenever they are contiguous little-endian u16 words
-    (numpy's uint16 on a little-endian host, as the simulator's memories
-    are), so writing to it writes the words; otherwise a view of a converted
-    copy.  A caller that keeps the bytes beyond the words' life, or hands
-    them out, copies them."""
-    wpc = image_words(1, count)
-    words = np.ascontiguousarray(words[:channels * wpc], dtype="<u2")
-    return words.reshape(channels, wpc).view(np.uint8)[:, :count]
+    A view of the words whenever byte_rows can view them; otherwise a view
+    of a converted copy.  So it is for reading only: a caller that writes
+    bytes into words uses byte_rows, and one that keeps the bytes beyond
+    the words' life, or hands them out, copies them."""
+    n = channels * image_words(1, count)
+    return _rows(np.ascontiguousarray(words[:n], dtype=_LE_WORD), count, channels)
 
 
 def layer_word_count(spec: LayerSpec) -> int:

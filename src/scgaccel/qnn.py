@@ -536,30 +536,23 @@ def round_shift(p, shift: int):
     return q
 
 
-def _saturate(p: np.ndarray, shift: int, activation: Activation,
-              out_zero_point: int = 0) -> np.ndarray:
+def _saturate(p: np.ndarray, shift: int, activation: Activation) -> np.ndarray:
     """The fresh int64 product p rounded by `shift` (round_shift) and
     saturated, in place on p, then cast once: the epilogue of requantize
     and layer_step.
 
-    A ReLU at zero point 0 clamps p at 0 first, which changes no result
-    since a negative p rounds to at most 0; round_shift then shifts a
-    uint64 view of p in place, without a sign term, and the result is
-    capped at 255 and cast to u8.  A ReLU at another zero point is rounded
-    signed, offset, then saturated to [0, 255]; a signed layer is rounded
-    and saturated to i32.  A shift outside 0..63 is refused with
-    ConfigError.
+    A ReLU clamps p at 0 first, which changes no result since a negative p
+    rounds to at most 0; round_shift then shifts a uint64 view of p in
+    place, without a sign term, and the result is capped at 255 and cast
+    to u8.  A signed layer is rounded and saturated to i32.  A shift
+    outside 0..63 is refused with ConfigError.
     """
     if not 0 <= shift <= 63:
         raise ConfigError("shift must be in [0, 63]")
-    if activation == Activation.RELU_SATURATE and not out_zero_point:
+    if activation == Activation.RELU_SATURATE:
         r = round_shift(np.maximum(p, 0, out=p).view(np.uint64), shift)
         return np.minimum(r, 255, out=r).astype(np.uint8)
     r = round_shift(p, shift)
-    if activation == Activation.RELU_SATURATE:
-        r += out_zero_point
-        np.minimum(np.maximum(r, 0, out=r), 255, out=r)
-        return r.astype(np.uint8)
     np.minimum(np.maximum(r, INT32_MIN, out=r), INT32_MAX, out=r)
     return r.astype(np.int32)
 
@@ -573,10 +566,14 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
     [0, 255] (fused ReLU) or signed 32-bit saturation for raw logits
     (_saturate).  The result is a fresh u8 or i32 array: the product is a
     new int64 array, rounded and saturated in place, and acc is left as it
-    is.  out_zero_point is an op-level offset; the network passes 0.
+    is.  out_zero_point is LayerSpec.out_zero_point, always 0; any other
+    value is refused with ConfigError.
     """
+    if out_zero_point:
+        raise ConfigError("out_zero_point must be 0: a ReLU output's range "
+                          "starts at 0")
     return _saturate(np.asarray(acc, dtype=np.int64) * np.int64(multiplier),
-                     int(shift), activation, out_zero_point)
+                     int(shift), activation)
 
 
 def layer_step(x: np.ndarray, zero_point: int, layer: LayerSpec,

@@ -13,10 +13,10 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   batches with the overhang at the zero point, decodes its int8 weights
   from memory (``modeltools.layer_weights``, a copy made on every run and
   kept by no one), runs ``qnn.layer_step``, writes the result into its
-  output buffer through a u8 view of the buffer's rows, zero high bytes
-  included, and takes its cycle split from the run plan
-  (``cyclemodel.layer_cycles``).  The image a run keeps is
-  ``layer_step``'s fresh result, never a view of a buffer.
+  output buffer through a u8 view of the buffer's rows
+  (``modeltools.byte_rows``), zero high bytes included, and takes its
+  cycle split from the run plan (``cyclemodel.layer_cycles``).  The image
+  a run keeps is ``layer_step``'s fresh result, never a view of a buffer.
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
@@ -82,8 +82,8 @@ from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
 from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
                      SimFault, StateError)
 from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
-                         PackedModel, image_words, layer_weights,
-                         unpack_weight_bytes)
+                         PackedModel, byte_rows, image_words,
+                         layer_weights, unpack_weight_bytes)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
                   LayerWeights, Logits, PoolMode, QuantTensor, layer_step,
                   round_shift)
@@ -261,7 +261,7 @@ class SimMachine:
         self._plan = plan
         # the clear leaves an odd-length row's high byte 0
         mem.input_words[:] = 0
-        unpack_weight_bytes(mem.input_words, x.length, x.channels)[:] = x.data
+        byte_rows(mem.input_words, x.length, x.channels)[:] = x.data
         self._clear_run()
 
     # -- run set-up shared by both paths ------------------------------------
@@ -294,9 +294,9 @@ class SimMachine:
         """One layer: qnn.layer_step on the plane held in simulated memory.
 
         The input rows are read, and the output image is written, through
-        u8 views of the buffers (unpack_weight_bytes), so no packed or
-        unpacked copy of a plane is made; the image kept for readback is
-        layer_step's own fresh result, never a view of a buffer.
+        u8 views of the buffers (unpack_weight_bytes, byte_rows), so no
+        packed or unpacked copy of a plane is made; the image kept for
+        readback is layer_step's own fresh result, never a view of a buffer.
         """
         mem = self.mem
         # whole batches of six; the overhang lanes read the zero point
@@ -319,7 +319,7 @@ class SimMachine:
         else:
             image, w_out = out, out.shape[1]
             # whole rows, so an odd-length row's high byte is written as 0
-            rows = unpack_weight_bytes(dst, w_out + w_out % 2, spec.c_out)
+            rows = byte_rows(dst, w_out + w_out % 2, spec.c_out)
             rows[:, :w_out] = out
             rows[:, w_out:] = 0
         self.cycle_counter += lc.total

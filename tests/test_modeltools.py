@@ -13,6 +13,7 @@ from scgaccel.errors import (BadMagicError, CapacityError, ConfigError,
                              SerializationError, ShapeError, TruncationError)
 from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, INPUT_MEM_WORDS,
                                  PINGPONG_WORDS, BatchNorm, FloatLayerParams,
+                                 byte_rows,
                                  FloatModel, PackedModel, WEIGHT_MEM_WORDS,
                                  calibrate_activation_scales,
                                  derive_requant_constants, float_layer_forward,
@@ -246,6 +247,21 @@ def test_pack_unpack_round_trip():
         words = pack_weight_bytes(flat)
         assert words.size == (n + 1) // 2
         assert np.array_equal(unpack_weight_bytes(words, n)[0].view(np.int8), flat)
+
+
+def test_byte_rows_writes_the_words_or_refuses_them():
+    rows = np.arange(1, 15, dtype=np.uint8).reshape(2, 7)
+    words = np.full(10, 0xFFFF, dtype=np.uint16)
+    byte_rows(words, 8, 2)[:] = np.pad(rows, ((0, 0), (0, 1)))
+    assert np.array_equal(words[:8], pack_weight_bytes(rows))
+    assert (words[8:] == 0xFFFF).all()
+    # unpack_weight_bytes would read these through a converted copy, so a
+    # write through it would be lost
+    for bad in (words.astype(">u2"), np.zeros(16, dtype=np.uint16)[::2]):
+        assert np.array_equal(unpack_weight_bytes(bad, 7, 2),
+                              unpack_weight_bytes(np.array(bad, dtype="<u2"), 7, 2))
+        with pytest.raises(ConfigError, match="contiguous little-endian u16"):
+            byte_rows(bad, 7, 2)
 
 
 @pytest.mark.parametrize("length", [6, 7])

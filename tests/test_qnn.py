@@ -129,6 +129,14 @@ def test_requant_shift63_rounds_the_largest_product_exactly():
     assert r.tolist() == [1]
 
 
+@pytest.mark.parametrize("activation", list(Activation))
+def test_requant_refuses_a_nonzero_out_zero_point(activation):
+    # a ReLU output's range starts at 0: the epilogue has no offset
+    with pytest.raises(ConfigError, match="out_zero_point must be 0"):
+        requantize(np.array([1]), 1, 0, activation, 1)
+    assert requantize(np.array([1]), 1, 0, activation, 0).tolist() == [1]
+
+
 def _requant_edges(mult, shift):
     """i32 accumulators at the i32 limits, around 0 and on each side of the
     ReLU's 0/1 and 254/255 boundaries: for each boundary product (v + 1/2)

@@ -129,32 +129,24 @@ def _odd_image_net() -> NetworkSpec:
 
 @pytest.mark.parametrize("run", [SimMachine.run_inference, SimMachine.run_micro],
                          ids=["fast", "micro"])
-def test_odd_length_images_are_written_whole_and_read_back_as_copies(rng, run):
+def test_odd_length_images_are_written_whole(rng, run):
     """Over buffers of 0xFFFF words, each odd-length row ends in a zero high
-    byte and nothing past the image is written; an image read back keeps
-    its bytes through a later run of another window."""
+    byte and nothing past the image is written."""
     model = random_model(_odd_image_net(), rng)
     net, ws = model.to_network_spec(14), model.to_weight_set()
+    x = random_input(rng, net)
     machine = SimMachine()
     machine.load_model(model)
-    runs = []
-    for x in (random_input(rng, net), random_input(rng, net)):
-        machine.load_input(x)
-        machine.mem.ping[:] = machine.mem.pong[:] = 0xFFFF
-        run(machine)
-        _, golden = infer_window(net, ws, x)
-        images = [machine.read_layer_activation(li) for li in range(2)]
-        for img, expect, buf in zip(images, golden,
-                                    (machine.mem.pong, machine.mem.ping)):
-            assert np.array_equal(img.data, expect.data)
-            words = pack_weight_bytes(img.data)
-            assert np.array_equal(buf[:words.size], words)
-            assert (buf[words.size:] == 0xFFFF).all()
-        runs.append((images, [img.data.copy() for img in images]))
-    (first, kept), (second, _) = runs
-    assert not all(np.array_equal(a.data, b.data) for a, b in zip(first, second))
-    for img, data in zip(first, kept):
-        assert np.array_equal(img.data, data)
+    machine.load_input(x)
+    machine.mem.ping[:] = machine.mem.pong[:] = 0xFFFF
+    run(machine)
+    _, golden = infer_window(net, ws, x)
+    for li, buf in enumerate((machine.mem.pong, machine.mem.ping)):
+        img = machine.read_layer_activation(li).data
+        assert np.array_equal(img, golden[li].data)
+        words = pack_weight_bytes(img)
+        assert np.array_equal(buf[:words.size], words)
+        assert (buf[words.size:] == 0xFFFF).all()
 
 
 def test_layer_i_reads_the_buffer_layer_i_minus_1_wrote(rng):
