@@ -15,6 +15,7 @@ be bound.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import socket
@@ -105,12 +106,12 @@ def _connect(addr: str) -> HostClient:
     return HostClient(SocketTransport(sock), timeout=30.0)
 
 
-def _emit(text: str, out: str | None):
+def _output(out: str | None):
+    """The text file at `out`, to write in a with block, or stdout for None
+    or '-'."""
     if out is None or out == "-":
-        print(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +182,15 @@ def cmd_trace(args) -> int:
     machine.load_model(model)
     machine.load_input(x)
     machine.start()
-    lines = []
-    try:
-        for _ in range(args.cycles):
-            lines.append(machine.step().to_json())
-    except StateError:
-        pass    # the run ended before --cycles
-    finally:
-        # a fault still writes the lines traced up to it, then exits 1
-        _emit("\n".join(lines), args.out)
+    # opened once the run has started, so a window the model cannot run
+    # leaves no file; each line is written as it is stepped, so a fault
+    # leaves the lines traced up to it, then exits 1
+    with _output(args.out) as fh:
+        try:
+            for _ in range(args.cycles):
+                print(machine.step().to_json(), file=fh)
+        except StateError:
+            pass    # the run ended before --cycles
     return 0
 
 
@@ -375,7 +376,8 @@ def cmd_eval(args) -> int:
                 for t, p, l in zip(labels, preds, logits)]
         with open(args.dump, "w", encoding="utf-8") as fh:
             json.dump(rows, fh)
-    _emit(json.dumps(summary.to_dict(), indent=2), args.out)
+    with _output(args.out) as fh:
+        print(json.dumps(summary.to_dict(), indent=2), file=fh)
     return 0
 
 

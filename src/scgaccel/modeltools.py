@@ -144,64 +144,46 @@ def derive_requant_constants(s_in: float, s_w: float, s_out: float) -> tuple[int
 # Packing
 # ---------------------------------------------------------------------------
 
-def pack_weight_bytes(rows: np.ndarray) -> np.ndarray:
-    """Pack bytes two per 16-bit word, low byte first.
-
-    Each row of a [C, L] array starts on a fresh word, so an odd-length row
-    ends in a zero high byte: the channel-aligned layout shared by the weight
-    image, the input buffer and the activation buffers.  A 1-D array is one
-    row; signed bytes are stored as their two's-complement bit pattern.
-    """
-    rows = np.atleast_2d(np.asarray(rows))
-    c, n = rows.shape
-    raw = np.zeros((c, n + n % 2), dtype=np.uint8)
-    raw[:, :n] = rows    # wraps signed bytes to their bit pattern
-    # a little-endian word holds its low byte first
-    return raw.view("<u2").reshape(-1).astype(np.uint16, copy=False)
-
-
 def image_words(channels: int, length: int) -> int:
-    """Words that pack_weight_bytes makes of a [channels, length] array:
-    the one words-per-row rule, which unpack_weight_bytes, layer_word_count
-    and SimMachine.load_input read, so the simulator derives no plane or
-    image size itself (only its micro path keeps its own row width, as part
-    of the independent check)."""
+    """Words of a [channels, length] byte image, each row on fresh words:
+    the one words-per-row rule, which byte_rows, layer_word_count and the
+    simulator read, so the simulator derives no plane or image size itself
+    (only its micro path keeps its own row width, as part of the
+    independent check)."""
     return channels * ((length + 1) // 2)
 
 
 _LE_WORD = np.dtype("<u2")   # the memories' word: u16, low byte first
 
 
-def _rows(words: np.ndarray, count: int, channels: int) -> np.ndarray:
-    """The [channels, count] u8 view of contiguous little-endian words."""
+def byte_rows(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
+    """The [channels, count] u8 bytes of the `channels` channel-aligned rows
+    at the start of `words`, as a view of the words: the one way bytes are
+    read from or written to them.  An odd-length row's high byte is not in
+    the view; a writer that wants it 0 zeroes the words first.
+
+    The words must be contiguous little-endian u16, as numpy's uint16 is on
+    a little-endian host and the simulator's memories and a PackedModel's
+    image are.  Any other words have no such view and are refused with
+    ConfigError, so a write can never land in a copy."""
+    if words.dtype != _LE_WORD or not words.flags.c_contiguous:
+        raise ConfigError("byte rows need contiguous little-endian u16 words, "
+                          f"got {words.dtype.str} words")
     wpc = image_words(1, count)
     return words[:channels * wpc].reshape(channels, wpc).view(np.uint8)[:, :count]
 
 
-def byte_rows(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
-    """The [channels, count] u8 bytes of the `channels` channel-aligned rows
-    at the start of `words`, as a view of the words: writing it writes them.
-
-    The words must be contiguous little-endian u16, as numpy's uint16 is on
-    a little-endian host and the simulator's memories are.  Any other words
-    have no such view and are refused with ConfigError, so a write can
-    never land in a copy."""
-    if words.dtype != _LE_WORD or not words.flags.c_contiguous:
-        raise ConfigError("byte rows need contiguous little-endian u16 words, "
-                          f"got {words.dtype.str} words")
-    return _rows(words, count, channels)
-
-
-def unpack_weight_bytes(words: np.ndarray, count: int, channels: int = 1) -> np.ndarray:
-    """Inverse of pack_weight_bytes: the [channels, count] u8 bytes of the
-    `channels` channel-aligned rows at the start of `words`.
-
-    A view of the words whenever byte_rows can view them; otherwise a view
-    of a converted copy.  So it is for reading only: a caller that writes
-    bytes into words uses byte_rows, and one that keeps the bytes beyond
-    the words' life, or hands them out, copies them."""
-    n = channels * image_words(1, count)
-    return _rows(np.ascontiguousarray(words[:n], dtype=_LE_WORD), count, channels)
+def pack_weight_bytes(rows: np.ndarray) -> np.ndarray:
+    """Pack bytes two per 16-bit word, low byte first, through byte_rows
+    into fresh zeroed words, so an odd-length row ends in a zero high byte:
+    the channel-aligned layout of the weight image, the input buffer and the
+    activation buffers.  A 1-D array is one row; signed bytes are stored as
+    their two's-complement bit pattern."""
+    rows = np.atleast_2d(np.asarray(rows))
+    c, n = rows.shape
+    words = np.zeros(image_words(c, n), dtype=_LE_WORD)
+    byte_rows(words, n, c)[:] = rows    # wraps signed bytes to their bit pattern
+    return words
 
 
 def layer_word_count(spec: LayerSpec) -> int:
@@ -210,10 +192,12 @@ def layer_word_count(spec: LayerSpec) -> int:
 
 
 def layer_weights(spec: LayerSpec, words: np.ndarray) -> np.ndarray:
-    """A copy of a layer's int8 weights [c_out, c_in, K] from the words at
-    its base."""
+    """A copy of a layer's int8 weights [c_out, c_in, K], read through
+    byte_rows from the words at its base: the copy does not follow later
+    writes to them, and the sim fast path, which decodes them on every run,
+    caches none (a view raised the device-session bench's peak RSS)."""
     n = spec.c_out * spec.c_in * spec.kernel
-    return unpack_weight_bytes(words, n).view(np.int8).reshape(
+    return byte_rows(words, n).view(np.int8).reshape(
         spec.c_out, spec.c_in, spec.kernel).copy()
 
 
@@ -241,10 +225,11 @@ class PackedModel:
 
     layers: list[LayerSpec]
     biases: list[np.ndarray]          # i32 per output channel per layer
-    weight_words: np.ndarray          # uint16 SRAM image, layer-aligned
+    weight_words: np.ndarray          # <u2 SRAM image, layer-aligned
 
     def __post_init__(self):
-        self.weight_words = np.asarray(self.weight_words, dtype=np.uint16)
+        # contiguous little-endian, so every reader can view it (byte_rows)
+        self.weight_words = np.ascontiguousarray(self.weight_words, dtype=_LE_WORD)
         self.biases = [np.asarray(b, dtype=np.int32) for b in self.biases]
         self.validate()
 
@@ -311,7 +296,7 @@ class PackedModel:
                                     spec.requant_multiplier, 0)
         for b in self.biases:
             out += b.astype("<i4").tobytes()
-        out += self.weight_words.astype("<u2").tobytes()
+        out += self.weight_words.tobytes()
         return bytes(out)
 
     @staticmethod

@@ -36,6 +36,7 @@ cannot run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -79,16 +80,28 @@ class Activation(IntEnum):
 
 
 def _as_int_array(values, dtype, what: str) -> np.ndarray:
-    """`values` as a `dtype` array.  A value outside the dtype's range raises
-    ShapeError, where numpy would wrap it or raise OverflowError; an input
-    already of `dtype` is taken as it is, so the hot paths pay nothing."""
+    """`values` as a `dtype` array.  A value outside the dtype's range, or a
+    fractional one, raises ShapeError, where numpy would wrap it, raise
+    OverflowError or truncate it; an input already of `dtype` is taken as it
+    is, so the hot paths pay nothing."""
     a = np.asarray(values)
     if a.dtype == dtype:
         return a
     info = np.iinfo(dtype)
     if a.size and not (info.min <= a.min() and a.max() <= info.max):
         raise ShapeError(f"{what} must be in [{info.min}, {info.max}]")
+    if a.dtype.kind not in "biu" and (a % 1).any():
+        raise ShapeError(f"{what} must be integers")
     return a.astype(dtype)
+
+
+def _as_int(value, what: str, error: type[Exception]) -> int:
+    """`value` as an int; a value that is not an integer, such as 1.0 or
+    127.5, raises `error`, where int() would take or truncate it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass
@@ -104,6 +117,7 @@ class QuantTensor:
             raise ShapeError(f"expected [channels][length], got shape {self.data.shape}")
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ShapeError("channels and length must be >= 1")
+        self.zero_point = _as_int(self.zero_point, "zero_point", ShapeError)
         if not 0 <= self.zero_point <= 255:
             raise ShapeError(f"zero_point {self.zero_point} outside u8 range")
 
@@ -132,6 +146,12 @@ class LayerSpec:
     out_zero_point: ClassVar[int] = 0   # a ReLU output's range starts at 0
 
     def __post_init__(self):
+        # a plain int costs one type test, as every model load builds specs;
+        # anything else must pass operator.index
+        for name in ("c_in", "c_out", "kernel", "padding", "requant_multiplier",
+                     "requant_shift"):
+            if type(getattr(self, name)) is not int:
+                _as_int(getattr(self, name), name, ConfigError)
         if self.c_in < 1 or self.c_out < 1 or self.kernel < 1:
             raise ConfigError("channel counts and kernel must be >= 1")
         if self.padding < 0:

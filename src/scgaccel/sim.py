@@ -7,16 +7,16 @@ the result packer, and the nested-loop control FSM.
 
 Two execution paths produce bit-identical outputs and identical cycle splits:
 
-* ``run_inference`` is the fast path used for full-network runs.  Each layer
-  reads its input plane as a u8 view of simulated memory
-  (``modeltools.unpack_weight_bytes``) and copies it once into whole
-  batches with the overhang at the zero point, decodes its int8 weights
-  from memory (``modeltools.layer_weights``, a copy made on every run and
-  kept by no one), runs ``qnn.layer_step``, writes the result into its
-  output buffer through a u8 view of the buffer's rows
-  (``modeltools.byte_rows``), zero high bytes included, and takes its
-  cycle split from the run plan (``cyclemodel.layer_cycles``).  The image
-  a run keeps is ``layer_step``'s fresh result, never a view of a buffer.
+* ``run_inference`` is the fast path used for full-network runs.  It reads
+  and writes simulated memory only through ``modeltools.byte_rows``, the
+  one u8 view of channel-aligned words.  Each layer copies its input plane
+  out of that view once, into whole batches with the overhang at the zero
+  point, decodes its int8 weights from memory (``modeltools.layer_weights``,
+  a copy made on every run and kept by no one), runs ``qnn.layer_step``,
+  zeroes its output image's words (``modeltools.image_words``) and writes
+  the result through the view, and takes its cycle split from the run plan
+  (``cyclemodel.layer_cycles``).  The image a run keeps is ``layer_step``'s
+  fresh result, never a view of a buffer.
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
@@ -82,8 +82,7 @@ from .cyclemodel import (LayerCycles, PE_COUNT, REQUANT_CYCLES_TABLE,
 from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
                      SimFault, StateError)
 from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
-                         PackedModel, byte_rows, image_words,
-                         layer_weights, unpack_weight_bytes)
+                         PackedModel, byte_rows, image_words, layer_weights)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
                   LayerWeights, Logits, PoolMode, QuantTensor, layer_step,
                   round_shift)
@@ -294,14 +293,15 @@ class SimMachine:
         """One layer: qnn.layer_step on the plane held in simulated memory.
 
         The input rows are read, and the output image is written, through
-        u8 views of the buffers (unpack_weight_bytes, byte_rows), so no
-        packed or unpacked copy of a plane is made; the image kept for
-        readback is layer_step's own fresh result, never a view of a buffer.
+        byte_rows views of the buffers, so no packed or unpacked copy of a
+        plane is made; the image's words are zeroed first, so an odd-length
+        row's high byte is 0.  The image kept for readback is layer_step's
+        own fresh result, never a view of a buffer.
         """
         mem = self.mem
         # whole batches of six; the overhang lanes read the zero point
         ext = np.empty((spec.c_in, lc.n_batches * PE_COUNT), dtype=np.uint8)
-        ext[:, :w_in] = unpack_weight_bytes(src, w_in, spec.c_in)
+        ext[:, :w_in] = byte_rows(src, w_in, spec.c_in)
         ext[:, w_in:] = zp
         # read as PackedModel.to_weight_set reads them, on every run, so the
         # GEMM operands LayerWeights keeps follow an upset in mem; the
@@ -318,10 +318,8 @@ class SimMachine:
             self._run.logits, image = Logits(out[:, 0]), None
         else:
             image, w_out = out, out.shape[1]
-            # whole rows, so an odd-length row's high byte is written as 0
-            rows = byte_rows(dst, w_out + w_out % 2, spec.c_out)
-            rows[:, :w_out] = out
-            rows[:, w_out:] = 0
+            dst[:image_words(spec.c_out, w_out)] = 0
+            byte_rows(dst, w_out, spec.c_out)[:] = out
         self.cycle_counter += lc.total
         self._run.layers.append(_LayerEntry(image, lc))
 
@@ -481,8 +479,7 @@ class SimMachine:
             self._run.logits = Logits(logits)
             image = None
         else:   # a copy of the image as the packer wrote it
-            image = unpack_weight_bytes(dst, spec.out_length(w_in),
-                                        spec.c_out).copy()
+            image = byte_rows(dst, spec.out_length(w_in), spec.c_out).copy()
         # the requant engine counted the layer's other clocks
         requant_cycles = self.cycle_counter - first_cycle - prime - compute
         self._run.layers.append(_LayerEntry(

@@ -1,11 +1,14 @@
 """CLI surface: exit codes, output formats, and command plumbing."""
 
+import gc
+import io
 import json
 import os
 import select
 import socket
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -293,6 +296,33 @@ def test_trace_past_the_end_of_a_run_writes_every_clock(tmp_path, rng, capsys):
                  "--out", str(out_file)]) == 0
     lines = out_file.read_text().strip().splitlines()
     assert [json.loads(l)["cycle"] for l in lines] == list(range(1, 10_419))
+
+
+def test_trace_holds_no_more_memory_for_more_clocks(tmp_path, rng):
+    """A streamed trace holds at most its output buffer and the line it is
+    writing, whatever the clock count: its peak over every_kind_net's 10,418
+    clocks exceeds its peak over 100 clocks by no more than that."""
+    model_file = tmp_path / "model.bin"
+    model_file.write_bytes(random_model(every_kind_net(), rng).to_bytes())
+    window_file = tmp_path / "window.u8"
+    window_file.write_bytes(rng.integers(0, 256, 128, dtype=np.uint8).tobytes())
+    out_file = tmp_path / "trace.jsonl"
+
+    def peak(cycles: int) -> int:
+        gc.collect()    # garbage from an earlier run would free at random
+        tracemalloc.start()
+        try:
+            assert main(["trace", "--model", str(model_file), "--input",
+                         str(window_file), "--format", "u8", "--cycles",
+                         str(cycles), "--out", str(out_file)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, whole = peak(100), peak(20_000)
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == 10_418
+    assert whole - short <= io.DEFAULT_BUFFER_SIZE + max(map(len, lines)) + 1
 
 
 def test_trace_fault_writes_the_lines_before_it_and_exits_1(tmp_path, capsys):
@@ -605,7 +635,10 @@ def _two_channel_layout(arrays):
     (lambda a: a.update(b0=np.full_like(a["b0"], 1e12)),
      "quantized bias exceeds i32"),
     (_two_channel_layout, "channel mismatch in float forward"),
-], ids=["w0-2d", "b0-short", "w1-kernel", "b0-huge", "two-channel-layout"])
+    (lambda a: a.update(layout=_layout(NetworkSpec.default()).replace(
+        '"c_in": 1,', '"c_in": 1.0,')), "c_in 1.0 is not an integer"),
+], ids=["w0-2d", "b0-short", "w1-kernel", "b0-huge", "two-channel-layout",
+        "layout-float-c-in"])
 def test_pack_refuses_float_parameters_it_cannot_quantize(edit, message,
                                                           tmp_path, rng, capsys):
     arrays = _float_arrays(rng, NetworkSpec.default())

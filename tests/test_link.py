@@ -676,43 +676,20 @@ def test_replies_that_do_not_answer_the_request_are_dropped():
     assert (retries + 1) * timeout <= elapsed < (retries + 1) * timeout + 0.15
 
 
-class _ScriptedTransport(Transport):
-    """A peer that answers each request at once, on its seq, with the
-    (command, payload) that `replies` gives for the request's command."""
+class _ScriptedPeer(Transport):
+    """A peer that answers each request at once with the frames that
+    `answer` gives for it, and records the requests.  Each receive hands
+    back one reply frame, or times out when none is left."""
 
-    def __init__(self, replies: dict):
-        self.replies = replies
-        self.pending = b""
-
-    def send(self, data: bytes):
-        frame = decode_frame(data)
-        command, payload = self.replies[frame.command]
-        self.pending += encode_frame(Frame(command, seq=frame.seq, payload=payload))
-
-    def recv(self, timeout=None):
-        data, self.pending = self.pending, b""
-        return data
-
-    def close(self):
-        pass
-
-
-class _UnreadableOnceTransport(Transport):
-    """A peer that answers the first request with three seq-0 BAD_CRC
-    NACKs, as the rest of an unreadable frame arriving late can draw, and
-    the retransmit with an ACK on its seq; one frame per receive."""
-
-    def __init__(self):
-        self.sends = 0
+    def __init__(self, answer):
+        self.answer = answer
+        self.requests: list[Frame] = []
         self.pending: list[Frame] = []
 
     def send(self, data: bytes):
-        self.sends += 1
-        if self.sends == 1:
-            self.pending += [Frame(Command.NACK, seq=0,
-                                   payload=bytes([NackReason.BAD_CRC]))] * 3
-        else:
-            self.pending.append(Frame(Command.ACK, seq=decode_frame(data).seq))
+        frame = decode_frame(data)
+        self.requests.append(frame)
+        self.pending += self.answer(frame)
 
     def recv(self, timeout=None):
         if not self.pending:
@@ -723,93 +700,71 @@ class _UnreadableOnceTransport(Transport):
         pass
 
 
+def _replying(replies: dict):
+    """An answer: the (command, payload) that `replies` gives for the
+    request's command, on its seq."""
+    def answer(frame: Frame) -> list[Frame]:
+        command, payload = replies[frame.command]
+        return [Frame(command, seq=frame.seq, payload=payload)]
+    return answer
+
+
 def test_seq0_nacks_after_a_retransmit_are_dropped_as_stale():
-    transport = _UnreadableOnceTransport()
-    client = HostClient(transport, timeout=0.2, retries=1)
+    # the first request draws three seq-0 BAD_CRC NACKs, as the rest of an
+    # unreadable frame arriving late can, and the retransmit an ACK
+    def answer(frame):
+        if len(peer.requests) == 1:
+            return [Frame(Command.NACK, seq=0,
+                          payload=bytes([NackReason.BAD_CRC]))] * 3
+        return [Frame(Command.ACK, seq=frame.seq)]
+    peer = _ScriptedPeer(answer)
+    client = HostClient(peer, timeout=0.2, retries=1)
     reply = client.request(Frame(Command.VERIFY_MEM, seq=1))
     assert reply.command == Command.ACK and reply.seq == 1
-    assert transport.sends == 2
-
-
-class _UnknownKindFirstTransport(Transport):
-    """A peer that answers each request at once with a CRC-valid frame of an
-    unknown command on its seq, then an ACK on its seq; it counts sends."""
-
-    def __init__(self):
-        self.sends = 0
-        self.pending = b""
-
-    def send(self, data: bytes):
-        self.sends += 1
-        seq = decode_frame(data).seq
-        self.pending += (encode_frame(Frame(0x06, seq=seq))
-                         + encode_frame(Frame(Command.ACK, seq=seq)))
-
-    def recv(self, timeout=None):
-        data, self.pending = self.pending, b""
-        return data
-
-    def close(self):
-        pass
+    assert len(peer.requests) == 2
 
 
 def test_a_readable_reply_of_an_unknown_kind_is_dropped_not_retransmitted():
-    transport = _UnknownKindFirstTransport()
-    client = HostClient(transport, timeout=0.2)
+    # a CRC-valid frame of an unknown command on the request's seq, then an
+    # ACK on it
+    peer = _ScriptedPeer(lambda frame: [Frame(0x06, seq=frame.seq),
+                                        Frame(Command.ACK, seq=frame.seq)])
+    client = HostClient(peer, timeout=0.2)
     reply = client.request(Frame(Command.LOAD_INPUT, seq=1, payload=b"\x80\x00"))
     assert (reply.command, reply.seq) == (Command.ACK, 1)
-    assert transport.sends == 1
+    assert len(peer.requests) == 1
 
 
 def test_a_nack_reason_outside_the_protocol_is_a_protocol_error():
-    client = HostClient(_ScriptedTransport({
-        Command.READ_RESULT: (Command.NACK, b"\xEE")}), timeout=0.2)
+    client = HostClient(_ScriptedPeer(_replying({
+        Command.READ_RESULT: (Command.NACK, b"\xEE")})), timeout=0.2)
     with pytest.raises(ProtocolError, match="READ_RESULT.*NACK reason 0xEE"):
         client.request(Frame(Command.READ_RESULT, seq=1))
 
 
 @pytest.mark.parametrize("size", [0, 4, 10])
 def test_a_result_payload_not_4n_plus_5_bytes_is_a_protocol_error(size):
-    client = HostClient(_ScriptedTransport({
+    client = HostClient(_ScriptedPeer(_replying({
         Command.LOAD_INPUT: (Command.ACK, b""),
-        Command.RUN_INFERENCE: (Command.RESULT, bytes(size))}), timeout=0.2)
+        Command.RUN_INFERENCE: (Command.RESULT, bytes(size))})), timeout=0.2)
     with pytest.raises(ProtocolError, match=f"RESULT payload of {size} bytes"):
         client.run(QuantTensor(np.zeros((1, 16), dtype=np.uint8), zero_point=128))
 
 
 def test_a_verify_ack_with_another_digest_is_a_verification_error(rng):
     model = _small_model(rng)
-    client = HostClient(_ScriptedTransport({
-        Command.VERIFY_MEM: (Command.ACK, bytes(32))}), timeout=0.2)
+    client = HostClient(_ScriptedPeer(_replying({
+        Command.VERIFY_MEM: (Command.ACK, bytes(32))})), timeout=0.2)
     with pytest.raises(VerificationError, match="digest mismatch"):
         client.verify(model)
 
 
-class _EchoTransport(Transport):
-    """A peer that answers each request at once with the reply kind the
-    request expects, on its seq, and records the requests."""
-
-    def __init__(self):
-        self.requests: list[Frame] = []
-        self.pending = b""
-
-    def send(self, data: bytes):
-        frame = decode_frame(data)
-        self.requests.append(frame)
-        payload = frame.payload if frame.command == Command.VERIFY_MEM else b""
-        self.pending += encode_frame(Frame(Command.ACK, seq=frame.seq, payload=payload))
-
-    def recv(self, timeout=None):
-        data, self.pending = self.pending, b""
-        return data
-
-    def close(self):
-        pass
-
-
 def test_request_seqs_follow_the_transfer_and_wrap_past_zero(rng):
     model = _small_model(rng)
-    peer = _EchoTransport()
+    # an ACK on each request's seq, which echoes a VERIFY's digest
+    peer = _ScriptedPeer(lambda frame: [Frame(
+        Command.ACK, seq=frame.seq,
+        payload=frame.payload if frame.command == Command.VERIFY_MEM else b"")])
     client = HostClient(peer)
     client.load_model(model)
     for _ in range(300):

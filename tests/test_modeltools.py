@@ -19,10 +19,9 @@ from scgaccel.modeltools import (DESCRIPTOR_SIZE, HEADER_SIZE, INPUT_MEM_WORDS,
                                  derive_requant_constants, float_layer_forward,
                                  fold_batchnorm, image_words, layer_word_count,
                                  pack_weight_bytes, quantize_model,
-                                 quantize_weights, random_model,
-                                 unpack_weight_bytes)
+                                 quantize_weights, random_input, random_model)
 from scgaccel.qnn import (Activation, LayerKind, LayerSpec, LayerWeights,
-                          NetworkSpec, PoolMode, WeightSet)
+                          NetworkSpec, PoolMode, WeightSet, infer_window)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,7 @@ def test_pack_unpack_round_trip():
         flat = rng.integers(-128, 128, size=n).astype(np.int8)
         words = pack_weight_bytes(flat)
         assert words.size == (n + 1) // 2
-        assert np.array_equal(unpack_weight_bytes(words, n)[0].view(np.int8), flat)
+        assert np.array_equal(byte_rows(words, n)[0].view(np.int8), flat)
 
 
 def test_byte_rows_writes_the_words_or_refuses_them():
@@ -255,13 +254,27 @@ def test_byte_rows_writes_the_words_or_refuses_them():
     byte_rows(words, 8, 2)[:] = np.pad(rows, ((0, 0), (0, 1)))
     assert np.array_equal(words[:8], pack_weight_bytes(rows))
     assert (words[8:] == 0xFFFF).all()
-    # unpack_weight_bytes would read these through a converted copy, so a
-    # write through it would be lost
+    # these words have no byte view, so a write through one would be lost
     for bad in (words.astype(">u2"), np.zeros(16, dtype=np.uint16)[::2]):
-        assert np.array_equal(unpack_weight_bytes(bad, 7, 2),
-                              unpack_weight_bytes(np.array(bad, dtype="<u2"), 7, 2))
         with pytest.raises(ConfigError, match="contiguous little-endian u16"):
             byte_rows(bad, 7, 2)
+
+
+@pytest.mark.parametrize("as_words", [
+    lambda w: w.astype(">u2"),
+    lambda w: np.repeat(w, 2)[::2],
+], ids=["big-endian", "strided"])
+def test_a_model_built_from_any_u16_words_is_the_same_model(as_words):
+    rng = np.random.default_rng(21)
+    net = NetworkSpec.default(l3_width=16)
+    plain = random_model(net, rng)
+    model = PackedModel(layers=plain.layers, biases=plain.biases,
+                        weight_words=as_words(plain.weight_words))
+    assert model.to_bytes() == plain.to_bytes()
+    x = random_input(rng, net)
+    got, _ = infer_window(net, model.to_weight_set(), x)
+    want, _ = infer_window(net, plain.to_weight_set(), x)
+    assert np.array_equal(got.values, want.values)
 
 
 @pytest.mark.parametrize("length", [6, 7])

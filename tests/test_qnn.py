@@ -728,6 +728,9 @@ def test_quant_tensor_validation():
         QuantTensor(np.zeros(8, dtype=np.uint8))
     with pytest.raises(ShapeError):
         QuantTensor(np.zeros((1, 8), dtype=np.uint8), zero_point=300)
+    # a numpy integer zero point is taken, as a Python int
+    x = QuantTensor(np.zeros((1, 8), dtype=np.uint8), zero_point=np.uint8(128))
+    assert type(x.zero_point) is int and x.zero_point == 128
 
 
 @pytest.mark.parametrize("make, message", [
@@ -740,12 +743,24 @@ def test_quant_tensor_validation():
     (lambda: LayerWeights([[[-129]]], [0]), r"weights must be in"),
     (lambda: LayerWeights([[[1]]], [-2**31 - 1]), r"biases must be in"),
     (lambda: Logits(np.array([2**31, 5])), r"logits must be in"),
+    (lambda: LayerWeights([[[1.5]]], [2]), r"weights must be integers"),
+    (lambda: LayerWeights(np.ones((1, 1, 1)), [2.7]), r"biases must be integers"),
 ], ids=["u8-array", "u8-list", "i8-array", "i32-array", "i8-list", "i32-list",
-        "logits"])
+        "logits", "i8-fraction", "i32-fraction"])
 def test_wrappers_refuse_values_outside_their_dtype(make, message):
-    # numpy would wrap an array (300 -> 44) and raise OverflowError on a list
+    # numpy would wrap an array (300 -> 44), raise OverflowError on a list
+    # and truncate a fraction (2.7 -> 2); an integral float is taken
     with pytest.raises(ShapeError, match=message):
         make()
+
+
+@pytest.mark.parametrize("name", ["c_in", "c_out", "kernel", "padding",
+                                  "requant_multiplier", "requant_shift"])
+def test_layer_spec_refuses_an_integer_field_that_is_not_an_integer(name):
+    value = getattr(_layer(), name)
+    with pytest.raises(ConfigError, match=f"^{name} {value}.0 is not an integer$"):
+        _layer(**{name: float(value)})
+    _layer(**{name: np.int64(value)})     # a numpy integer is taken
 
 
 def test_weight_set_check_against():
@@ -780,6 +795,10 @@ def _infer_at_length(length):
 @pytest.mark.parametrize("make, error, message", [
     (lambda: QuantTensor(np.zeros((0, 4), dtype=np.uint8)),
      ShapeError, "channels and length must be >= 1"),
+    # a fractional zero point reads differently in the golden model and the
+    # sim fast path, whose u8 overhang truncates it
+    (lambda: QuantTensor(np.zeros((1, 4), dtype=np.uint8), zero_point=127.5),
+     ShapeError, "zero_point 127.5 is not an integer"),
     (lambda: _layer(padding=-1), ConfigError, "padding must be >= 0"),
     (lambda: _layer(requant_multiplier=INT32_MAX + 1),
      ConfigError, "requant multiplier must fit in i32"),
@@ -803,9 +822,9 @@ def _infer_at_length(length):
      ConfigError, "shift must be in [0, 63]"),
     (lambda: _infer_at_length(256),
      ShapeError, "input 1x256 does not match network 1x512"),
-], ids=["tensor-empty", "padding", "multiplier", "weights-2d", "bias-count",
-        "weight-set-layers", "conv-channels", "conv-weights", "maxpool-1d",
-        "gap-1d", "requant-shift", "infer-length"])
+], ids=["tensor-empty", "zero-point-fraction", "padding", "multiplier",
+        "weights-2d", "bias-count", "weight-set-layers", "conv-channels",
+        "conv-weights", "maxpool-1d", "gap-1d", "requant-shift", "infer-length"])
 def test_golden_model_refuses_a_malformed_argument(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()

@@ -18,8 +18,7 @@ from scgaccel.cyclemodel import (PE_COUNT, LayerCycles, layer_cycles,
 from scgaccel.errors import (AccumulatorOverflow, CapacityError, ConfigError,
                              MemoryFault, ShapeError, SimFault, StateError)
 from scgaccel.modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, PackedModel,
-                                 pack_weight_bytes, random_model,
-                                 unpack_weight_bytes)
+                                 byte_rows, pack_weight_bytes, random_model)
 from scgaccel.modeltools import WEIGHT_MEM_WORDS as WEIGHT_ADDR_LIMIT
 from scgaccel.qnn import (GAP_LENGTH, INT32_MAX, INT32_MIN, MAX_REQUANT_SHIFT,
                           LayerSpec, LayerWeights, NetworkSpec, PoolMode,
@@ -90,7 +89,7 @@ def test_input_buffer_round_trip(default_pair):
     machine = SimMachine()
     machine.load_model(model)
     machine.load_input(x)
-    got = unpack_weight_bytes(machine.mem.input_words, x.length, x.channels)
+    got = byte_rows(machine.mem.input_words, x.length, x.channels)
     assert np.array_equal(got, x.data)
 
 
