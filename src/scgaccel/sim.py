@@ -9,14 +9,15 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
 
 * ``run_inference`` is the fast path used for full-network runs.  It reads
   and writes simulated memory only through ``modeltools.byte_rows``, the
-  one u8 view of channel-aligned words.  Each layer copies its input plane
-  out of that view once, into whole batches with the overhang at the zero
-  point, decodes its int8 weights from memory (``modeltools.layer_weights``,
-  a copy made on every run and kept by no one), runs ``qnn.layer_step``,
-  zeroes its output image's words (``modeltools.image_words``) and writes
-  the result through the view, and takes its cycle split from the run plan
-  (``cyclemodel.layer_cycles``).  The image a run keeps is ``layer_step``'s
-  fresh result, never a view of a buffer.
+  one u8 view of channel-aligned words, and the run plan holds those views.
+  Each layer copies its input rows out of memory once, into the plan's
+  plane of whole batches, whose overhang columns already hold the zero
+  point; decodes its int8 weights from memory (``modeltools.layer_weights``,
+  a copy made on every run and kept by no one); runs ``qnn.layer_step``;
+  zeroes its output image's words and writes the result through the view;
+  and takes its cycle split from the plan (``cyclemodel.layer_cycles``).
+  The image a run keeps is ``layer_step``'s fresh result, never a view of a
+  buffer, and the plane is scratch that no run hands out.
 * ``start``/``step`` drive a per-clock micro model that walks the loop nest
   one cycle at a time with its own MAC, multiplier stages, saturation,
   packer and address counters, emitting a structured trace event per cycle.
@@ -48,17 +49,22 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
 ``load_input`` refuses, before it writes anything, a length ``NetworkSpec``
 refuses, an image over the input buffer or a ReLU image over its output
 buffer, and builds the run plan both paths walk, so a run can fail only on
-data (``SimFault``).  Each plan step names the buffer its layer reads and
-the one it writes: layer 0 reads the input buffer, layer i writes pong when
-i is even and ping when it is odd, and layer i + 1 reads what layer i wrote,
-so the machine keeps no ping-pong toggle.  Both paths record into one last
-run: an entry per completed layer (its u8 output image, or none for the head,
-and its cycle split), the logits and the micro stepper.  ``load_model`` drops
-the plan and the last run; ``load_input`` and each new run drop the last run,
-and every readback reads that run alone, so a faulted run reports only the
-layers it completed and a micro run that another run overtook cannot be
-stepped.  ``modeltools`` defines the memory map, the weight layout and the
-word packing of every plane and image.
+data (``SimFault``).  A plan depends only on the loaded model and the
+window's length and zero point, so ``load_input`` keeps the one it built
+last and reuses it for the next window of that length and zero point; a
+window of any other shape gets a new plan in its place, and one it refuses
+leaves the last, so the machine never holds more than one.  Each plan step
+names the buffer its layer reads and the one it writes: layer 0 reads the
+input buffer, layer i writes pong when i is even and ping when it is odd,
+and layer i + 1 reads what layer i wrote, so the machine keeps no ping-pong
+toggle.  Both paths record into one last run: an entry per completed layer
+(its u8 output image, or none for the head, and its cycle split), the logits
+and the micro stepper.  ``load_model`` drops the plan and the last run;
+``load_input`` and each new run drop the last run, and every readback reads
+that run alone, so a faulted run reports only the layers it completed and a
+micro run that another run overtook cannot be stepped.  ``modeltools``
+defines the memory map, the weight layout and the word packing of every
+plane and image.
 
 Batch overhang: the array always computes whole batches of six positions, so
 a layer whose input length is not a multiple of six has overhang lanes past
@@ -74,6 +80,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +91,8 @@ from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
 from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
                          PackedModel, byte_rows, image_words, layer_weights)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
-                  LayerWeights, Logits, PoolMode, QuantTensor, layer_step,
-                  round_shift)
+                  LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
+                  layer_step, round_shift)
 
 REQUANT_MUL_STAGES = 4           # serial multiplier partial products
 REQUANT_OVERHEAD = REQUANT_CYCLES_TABLE - REQUANT_MUL_STAGES
@@ -210,13 +217,39 @@ class _Run:
     stepper: Iterator[CycleEvent] | None = None
 
 
+class _Step(NamedTuple):
+    """One layer of a window's run plan.
+
+    The layer, its input length and zero point and its cycle split; the
+    buffer it reads (`src`) and the one it writes (`dst`); and the fast
+    path's views of them: `rows`, the byte_rows view of its input rows in
+    `src`, and for a ReLU layer `words`, its output image's words in `dst`,
+    and `image`, the byte_rows view of those words (both None for the
+    head).  `plane` is scratch of whole batches, u8 [c_in, n_batches * 6],
+    whose overhang columns past `w_in` hold `zp`; a run writes only its
+    first `w_in` columns.
+    """
+    li: int
+    spec: LayerSpec
+    w_in: int
+    zp: int
+    base: int                   # the layer's first word in weight memory
+    cycles: LayerCycles
+    src: np.ndarray
+    dst: np.ndarray
+    rows: np.ndarray
+    words: np.ndarray | None
+    image: np.ndarray | None
+    plane: np.ndarray
+
+
 class SimMachine:
     def __init__(self, trace_sink=None):
         self.mem = MemorySubsystem()
         self.cycle_counter = 0
         self.trace_sink = trace_sink
         self.model: PackedModel | None = None
-        self._plan: list[tuple] | None = None    # the loaded input's run plan
+        self._plan: list[_Step] | None = None   # the last accepted window's plan
         self._run = _Run()
 
     # -- loading ------------------------------------------------------------
@@ -233,45 +266,60 @@ class SimMachine:
         self._clear_run()
 
     def load_input(self, x: QuantTensor):
-        """Write the window and its run plan, or refuse it before writing."""
+        """Write the window, or refuse it before writing.
+
+        The run plan of the last window accepted is reused when this one has
+        its length and zero point (its first step holds both); a window of
+        any other shape is checked and gets a new plan, which replaces it.
+        """
         if self.model is None:
             raise StateError("load a model before the input window")
-        layers = self.model.layers
-        if x.channels != layers[0].c_in:
+        if x.channels != (c_in := self.model.layers[0].c_in):
             raise ShapeError(f"input has {x.channels} channels, "
-                             f"model expects {layers[0].c_in}")
-        mem = self.mem
-        if (n_words := image_words(x.channels, x.length)) > mem.input_words.size:
+                             f"model expects {c_in}")
+        plan = self._plan
+        if plan is None or (plan[0].w_in, plan[0].zp) != (x.length, x.zero_point):
+            plan = self._plan = self._build_plan(x.length, x.zero_point)
+        # the clear leaves an odd-length row's high byte 0
+        self.mem.input_words[:] = 0
+        plan[0].rows[:] = x.data
+        self._clear_run()
+
+    def _build_plan(self, length: int, zero_point: int) -> list[_Step]:
+        """The run plan of a window of `length` samples at `zero_point`, or
+        ShapeError or ConfigError for a window the machine cannot run."""
+        layers, mem = self.model.layers, self.mem
+        if (n_words := image_words(layers[0].c_in, length)) > mem.input_words.size:
             raise ShapeError(f"input needs {n_words} words, buffer has "
                              f"{mem.input_words.size}")
-        lengths = self.model.to_network_spec(x.length).layer_input_lengths()
-        plan, src = [], mem.input_words
+        lengths = self.model.to_network_spec(length).layer_input_lengths()
+        plan, src, zp = [], mem.input_words, zero_point
         for li, (spec, w_in, base) in enumerate(
                 zip(layers, lengths, self.model.layer_word_base)):
             dst = (mem.pong, mem.ping)[li % 2]
+            lc = layer_cycles(spec, w_in)
+            words = image = None
             # each layer but the head writes a ReLU image into dst
-            out_words = image_words(spec.c_out, spec.out_length(w_in))
-            if spec.activation == Activation.RELU_SATURATE and out_words > dst.size:
-                raise ShapeError(f"layer {li}: {out_words}-word output image "
-                                 "overflows the ping-pong buffer")
-            plan.append((li, spec, w_in, 0 if li else x.zero_point, base,
-                         layer_cycles(spec, w_in), src, dst))
-            src = dst
-        self._plan = plan
-        # the clear leaves an odd-length row's high byte 0
-        mem.input_words[:] = 0
-        byte_rows(mem.input_words, x.length, x.channels)[:] = x.data
-        self._clear_run()
+            if spec.activation == Activation.RELU_SATURATE:
+                w_out = spec.out_length(w_in)
+                if (out_words := image_words(spec.c_out, w_out)) > dst.size:
+                    raise ShapeError(f"layer {li}: {out_words}-word output image "
+                                     "overflows the ping-pong buffer")
+                words, image = dst[:out_words], byte_rows(dst, w_out, spec.c_out)
+            # whole batches of six; the overhang lanes read the zero point
+            plane = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
+            plan.append(_Step(li, spec, w_in, zp, base, lc, src, dst,
+                              byte_rows(src, w_in, spec.c_in), words, image, plane))
+            src, zp = dst, 0
+        return plan
 
     # -- run set-up shared by both paths ------------------------------------
 
     def _clear_run(self):
         self._run = _Run()
 
-    def _begin_run(self) -> list[tuple]:
-        """Clear the last run; returns the run plan: per layer (index, spec,
-        input length, input zero point, weight base, LayerCycles, the buffer
-        it reads, the buffer it writes)."""
+    def _begin_run(self) -> list[_Step]:
+        """Clear the last run; returns the run plan, one _Step per layer."""
         if self._plan is None:
             raise StateError("model and input must be loaded before running")
         self._clear_run()
@@ -284,52 +332,50 @@ class SimMachine:
 
         Returns (Logits, cycles_this_run, per-layer LayerCycles).
         """
-        for layer in self._begin_run():
-            self._run_layer_fast(*layer)
+        for step in self._begin_run():
+            self._run_layer_fast(step)
         return self._last_run()
 
-    def _run_layer_fast(self, li: int, spec, w_in: int, zp: int, base: int, lc,
-                        src: np.ndarray, dst: np.ndarray):
+    def _run_layer_fast(self, step: _Step):
         """One layer: qnn.layer_step on the plane held in simulated memory.
 
-        The input rows are read, and the output image is written, through
-        byte_rows views of the buffers, so no packed or unpacked copy of a
-        plane is made; the image's words are zeroed first, so an odd-length
-        row's high byte is 0.  The image kept for readback is layer_step's
+        The input rows are copied, through the step's byte_rows view, into
+        the first w_in columns of its plane, whose overhang already holds
+        the zero point; the output image's words are zeroed, so an
+        odd-length row's high byte is 0, and the image is written through
+        the step's view of them.  Weights, biases and scales are read from
+        memory on every run.  The image kept for readback is layer_step's
         own fresh result, never a view of a buffer.
         """
-        mem = self.mem
-        # whole batches of six; the overhang lanes read the zero point
-        ext = np.empty((spec.c_in, lc.n_batches * PE_COUNT), dtype=np.uint8)
-        ext[:, :w_in] = byte_rows(src, w_in, spec.c_in)
-        ext[:, w_in:] = zp
+        mem, li, spec = self.mem, step.li, step.spec
+        step.plane[:, :step.w_in] = step.rows
         # read as PackedModel.to_weight_set reads them, on every run, so the
         # GEMM operands LayerWeights keeps follow an upset in mem; the
         # model's build bounds its image by the weight memory
-        lw = LayerWeights(layer_weights(spec, mem.weight_mem[base:]),
+        lw = LayerWeights(layer_weights(spec, mem.weight_mem[step.base:]),
                           mem.bias_rom[li])
         try:
-            out = layer_step(ext, zp, spec, lw, *mem.scale_regs[li],
-                             length=w_in)
+            out = layer_step(step.plane, step.zp, spec, lw, *mem.scale_regs[li],
+                             length=step.w_in)
         except AccumulatorOverflow as exc:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
                            f"{self.cycle_counter}") from exc
-        if spec.activation == Activation.SIGNED_BYPASS:
+        if step.image is None:      # the signed head writes no image
             self._run.logits, image = Logits(out[:, 0]), None
         else:
-            image, w_out = out, out.shape[1]
-            dst[:image_words(spec.c_out, w_out)] = 0
-            byte_rows(dst, w_out, spec.c_out)[:] = out
-        self.cycle_counter += lc.total
-        self._run.layers.append(_LayerEntry(image, lc))
+            image = out
+            step.words[:] = 0
+            step.image[:] = out
+        self.cycle_counter += step.cycles.total
+        self._run.layers.append(_LayerEntry(image, step.cycles))
 
     # -- micro (per-cycle) path ---------------------------------------------
 
     def start(self):
         """Arm the per-cycle stepper; each step() then advances one clock."""
-        layers = self._begin_run()
+        plan = self._begin_run()
         self._run.stepper = chain.from_iterable(
-            self._micro_layer(*layer) for layer in layers)
+            self._micro_layer(step) for step in plan)
 
     def step(self) -> CycleEvent:
         stepper = self._run.stepper
@@ -362,9 +408,9 @@ class SimMachine:
         """(Logits, cycles, per-layer LayerCycles) of the last run."""
         return self.last_logits, self.last_cycles, [e.cycles for e in self._run.layers]
 
-    def _micro_layer(self, li: int, spec, w_in: int, zp: int, base: int, _lc,
-                     src: np.ndarray, dst: np.ndarray):
-        mem = self.mem
+    def _micro_layer(self, step: _Step):
+        mem, li, spec, w_in, zp, base = (self.mem, step.li, step.spec, step.w_in,
+                                         step.zp, step.base)
         n_batches = -(-w_in // PE_COUNT)
         c_in, k, pad = spec.c_in, spec.kernel, spec.padding
         multiplier, shift = mem.scale_regs[li]
@@ -372,7 +418,7 @@ class SimMachine:
         # live views: each read sees simulated memory as it is on that clock;
         # load_input bounds each image by its buffer, so an in-range sample
         # at an even row reads inside it, low byte first
-        act_words, wpc = memoryview(src), (w_in + 1) // 2
+        act_words, wpc = memoryview(step.src), (w_in + 1) // 2
         weights = memoryview(mem.weight_mem)
         top = LANE_BITS * (PE_COUNT - 1)        # the pipe's entry field
         lane_shifts = range(0, LANE_BITS * PE_COUNT, LANE_BITS)
@@ -381,7 +427,7 @@ class SimMachine:
             raise ConfigError(f"GAP layer requires input length {GAP_LENGTH}")
 
         first_cycle, prime, compute = self.cycle_counter, 0, 0
-        packer = ResultPacker(dst)
+        packer = ResultPacker(step.dst)
         logits = np.zeros(spec.c_out, dtype=np.int64) if signed else None
         for o in range(spec.c_out):
             gap_acc = 0
@@ -479,7 +525,7 @@ class SimMachine:
             self._run.logits = Logits(logits)
             image = None
         else:   # a copy of the image as the packer wrote it
-            image = byte_rows(dst, spec.out_length(w_in), spec.c_out).copy()
+            image = byte_rows(step.dst, spec.out_length(w_in), spec.c_out).copy()
         # the requant engine counted the layer's other clocks
         requant_cycles = self.cycle_counter - first_cycle - prime - compute
         self._run.layers.append(_LayerEntry(

@@ -339,12 +339,18 @@ def test_read_result_answers_only_for_the_current_model_and_input(rng):
     assert request(Command.LOAD_INPUT, _window_payload(rng, 512)).command \
         == Command.ACK
     assert_no_result()
-    # a window the model cannot run is refused on arrival and changes nothing
+    # a window the model cannot run is refused on arrival and changes nothing:
+    # the machine keeps its run plan, READ_RESULT replays the last RUN, and
+    # the next RUN equals it, until the next good window
     result = request(Command.RUN_INFERENCE)
+    plan = device.machine._plan
     for length in (511, 256):
         reply = request(Command.LOAD_INPUT, _window_payload(rng, length))
         assert reply.payload == bytes([NackReason.BAD_LENGTH])
+        assert device.machine._plan is plan
         assert request(Command.READ_RESULT).payload == result.payload
+        assert request(Command.RUN_INFERENCE).payload == result.payload
+    assert run_window(_window_payload(rng, 512)).command == Command.RESULT
     # a RUN that fails: the GAP layer's accumulator overflows
     net = every_kind_net()
     model = random_model(net, rng)

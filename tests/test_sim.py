@@ -235,13 +235,25 @@ def test_batch_overhang_lane_overflow_is_a_fault():
                     zero_point=128)
     gold, _ = infer_window(net, ws, x)     # golden never computes lane 4
     assert gold.values.shape == (3,)
+    # on one machine, `other` (4 samples at zero point 255) runs before x,
+    # and on another after it.  Had a machine kept a plan across zero
+    # points, x would not fault on an overhang of 255, or `other` would: at
+    # zero point 128, or with 128 in its overhang, a lane sees 127 * 127
+    other = QuantTensor(np.full((1, 4), 255, dtype=np.uint8), zero_point=255)
+    other_gold, _ = infer_window(net, ws, other)
     model = PackedModel.from_weights(net, ws)
     for run in (SimMachine.run_inference, SimMachine.run_micro):
-        machine = SimMachine()
-        machine.load_model(model)
-        machine.load_input(x)
-        with pytest.raises(SimFault):
-            run(machine)
+        for order in ((other, x), (x, other)):
+            machine = SimMachine()
+            machine.load_model(model)
+            for window in order:
+                machine.load_input(window)
+                if window is x:
+                    with pytest.raises(SimFault):
+                        run(machine)
+                else:
+                    assert np.array_equal(run(machine)[0].values,
+                                          other_gold.values)
 
 
 def test_overflow_the_maxpool_would_hide_is_a_fault():
@@ -283,22 +295,29 @@ def _flip_multiplier_bit(mem):
                          ids=["weight_mem", "bias_rom", "scale_regs"])
 def test_fast_path_follows_an_upset_in_memory_between_runs(upset):
     # the fast path reads weights, biases and scales from mem on every run,
-    # so a bit flipped after one run reaches the next; the golden model of
-    # what the machine now holds is the reference
+    # so a bit flipped after one run reaches the next, also when the window
+    # is loaded again in between and the run reuses its plan; the golden
+    # model of what the machine now holds is the reference
     rng = np.random.default_rng(2901)
     net = NetworkSpec.default()
     x = random_input(rng, net)
-    machine = SimMachine()
-    machine.load_model(random_model(net, rng))
-    machine.load_input(x)
-    before = machine.run_inference()[0].values.tolist()
-    upset(machine.mem)
-    after = machine.run_inference()[0].values.tolist()
-    exported = machine.export_model()
-    gold, snaps = infer_window(exported.to_network_spec(), exported.to_weight_set(), x)
-    assert after == gold.values.tolist() != before
-    for li, snap in enumerate(snaps):
-        assert np.array_equal(machine.read_layer_activation(li).data, snap.data)
+    model = random_model(net, rng)
+    for reload in (False, True):
+        machine = SimMachine()
+        machine.load_model(model)
+        machine.load_input(x)
+        before, plan = machine.run_inference()[0].values.tolist(), machine._plan
+        upset(machine.mem)
+        if reload:
+            machine.load_input(x)
+            assert machine._plan is plan
+        after = machine.run_inference()[0].values.tolist()
+        exported = machine.export_model()
+        gold, snaps = infer_window(exported.to_network_spec(),
+                                   exported.to_weight_set(), x)
+        assert after == gold.values.tolist() != before
+        for li, snap in enumerate(snaps):
+            assert np.array_equal(machine.read_layer_activation(li).data, snap.data)
 
 
 @pytest.mark.parametrize("c_in, k", [(1, 1), (3, 5), (103, 5)])
@@ -440,6 +459,50 @@ def test_an_image_over_the_pingpong_buffer_is_refused_at_load(rng):
         machine, QuantTensor(x.data[:, :505]), ShapeError,
         "layer 0: 16445-word output image overflows the ping-pong buffer")
     _assert_refused_load_keeps_the_last_input(machine, x, ShapeError, "ping-pong")
+
+
+def test_a_run_plan_lasts_while_the_model_and_window_shape_stay(rng):
+    """One machine, windows of alternating lengths and zero points and a
+    second model, of other layers, at a length the first ran: each run of
+    either path equals infer_window and layer_cycles.  A window of the last
+    plan's model, length and zero point reuses that plan; any other gets a
+    new one, also when it returns to an earlier shape."""
+    def net(c_mid, k_mid):
+        return NetworkSpec(layers=(
+            LayerSpec(c_in=2, c_out=3, kernel=3, padding=1,
+                      pool_mode=PoolMode.BYPASS, **_RELU),
+            LayerSpec(c_in=3, c_out=c_mid, kernel=k_mid, padding=k_mid // 2,
+                      pool_mode=PoolMode.BYPASS, **_RELU),
+            LayerSpec(c_in=c_mid, c_out=3, **_FC),
+        ), input_length=8)
+    models = [random_model(net(2, 5), rng), random_model(net(4, 3), rng)]
+    series = [(0, 7, 128), (0, 7, 128), (0, 12, 128), (0, 7, 128), (0, 7, 3),
+              (1, 7, 3), (1, 7, 3), (1, 13, 200), (1, 6, 200), (1, 13, 200)]
+    machine, plans, last = SimMachine(), [], None
+    for m, length, zp in series:
+        model = models[m]
+        if machine.model is not model:
+            machine.load_model(model)
+        x = QuantTensor(rng.integers(0, 256, (2, length), dtype=np.uint8),
+                        zero_point=zp)
+        machine.load_input(x)
+        if (m, length, zp) == last:
+            assert machine._plan is plans[-1]
+        else:
+            assert all(machine._plan is not plan for plan in plans)
+            plans.append(machine._plan)
+        last = (m, length, zp)
+        spec = model.to_network_spec(length)
+        gold, snaps = infer_window(spec, model.to_weight_set(), x)
+        want = [layer_cycles(s, w)
+                for s, w in zip(spec.layers, spec.layer_input_lengths())]
+        for run in (SimMachine.run_inference, SimMachine.run_micro):
+            logits, cycles, split = run(machine)
+            assert np.array_equal(logits.values, gold.values)
+            assert (split, cycles) == (want, sum(lc.total for lc in want))
+            for li, snap in enumerate(snaps):
+                assert np.array_equal(machine.read_layer_activation(li).data,
+                                      snap.data)
 
 
 def test_rerun_is_deterministic(default_pair):
