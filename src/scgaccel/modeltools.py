@@ -192,13 +192,17 @@ def layer_word_count(spec: LayerSpec) -> int:
 
 
 def layer_weights(spec: LayerSpec, words: np.ndarray) -> np.ndarray:
-    """A copy of a layer's int8 weights [c_out, c_in, K], read through
-    byte_rows from the words at its base: the copy does not follow later
-    writes to them, and the sim fast path, which decodes them on every run,
-    caches none (a view raised the device-session bench's peak RSS)."""
+    """A layer's int8 weights [c_out, c_in, K], as a view through byte_rows
+    of the words at its base: the one rule for where a layer's weights lie.
+
+    Each caller copies it, so what it keeps does not follow later writes to
+    the words: to_weight_set once per weight set, and the sim fast path on
+    every run, from the view its run plan holds, so no decoded weight
+    outlives a run.  Running on the view itself raised the device-session
+    bench's peak RSS, by arena growth in the device thread."""
     n = spec.c_out * spec.c_in * spec.kernel
     return byte_rows(words, n).view(np.int8).reshape(
-        spec.c_out, spec.c_in, spec.kernel).copy()
+        spec.c_out, spec.c_in, spec.kernel)
 
 
 def pack_sram_image(ws: WeightSet) -> np.ndarray:
@@ -279,7 +283,7 @@ class PackedModel:
 
     def to_weight_set(self) -> WeightSet:
         return WeightSet(layers=[
-            LayerWeights(weights=layer_weights(spec, self.weight_words[base:]),
+            LayerWeights(weights=layer_weights(spec, self.weight_words[base:]).copy(),
                          biases=b.copy())
             for spec, b, base in zip(self.layers, self.biases, self.layer_word_base)])
 

@@ -404,9 +404,11 @@ def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int,
     form is float32 when x or w is float32, else float64, and so is the
     result:
 
-    - float32: one im2col [C, K, ..., L] of the plane, built by K slice
-      copies, and one GEMM of w as [O, C*K] against it as [C*K, B*L], where
-      B is the number of windows.
+    - float32: one im2col [C, K, ..., L] of the plane, a strided view in
+      which each tap j starts j samples further along and reuses the length
+      stride, so cols[c, j, ..., t] = plane[c, ..., j + t]; the reshape to
+      [C*K, B*L], where B is the number of windows, copies it once, and one
+      GEMM takes w as [O, C*K] against it.
     - float64: one GEMM per tap j over plane[..., j:j + L], so no im2col
       buffer is built; with windows, a broadcasting matmul over a view of
       the plane whose channel axis sits next to its length axis.
@@ -436,9 +438,12 @@ def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int,
     plane = np.zeros((c, *mid, pad + n + max(k - 1 - pad, 0)), dtype=dtype)
     np.subtract(x, zero_point, out=plane[..., pad:pad + n], dtype=dtype)
     if dtype == np.float32:
-        cols = np.empty((c, k, *mid, n), dtype=np.float32)
-        for j in range(k):
-            cols[:, j] = plane[..., j:j + n]
+        # the view needs the plane fresh and contiguous; j + t <= n + K - 2
+        # stays inside each row, which holds at least n + K - 1 samples, and
+        # ndarray refuses a view that would reach past the buffer
+        step = plane.strides[-1]
+        cols = np.ndarray((c, k, *mid, n), np.float32, buffer=plane,
+                          strides=(plane.strides[0], step, *plane.strides[1:-1], step))
         return (w.reshape(o, c * k).astype(np.float32, copy=False)
                 @ cols.reshape(c * k, -1)).reshape(o, *mid, n)
     taps = w.transpose(2, 0, 1).astype(np.float64, copy=False)    # [K, O, C]
@@ -542,14 +547,20 @@ def round_shift(p, shift: int):
 
     Shift 0 returns p itself.  Otherwise a signed array is left as it is:
     the result is a fresh array, made once for p - (p < 0) and worked on in
-    place.  An unsigned array holds no negative p, so its sign term is 0
-    and is skipped: the array itself is shifted in place and returned.  The
-    ReLU epilogue (_saturate) relies on that to round its fresh product,
-    clamped at 0, as a uint64 view without a copy.
+    place.  An unsigned array holds no negative p, so it takes the same
+    rounding in one shift, (p + 2^(shift - 1)) >> shift, in place on the
+    array itself, which is returned: two passes instead of three.  It is
+    exact while p + 2^(shift - 1) < 2^64, so on every p the ReLU epilogue
+    (_saturate) gives it, its fresh product clamped at 0 as a uint64 view
+    without a copy: p <= 2^62, and 2^62 + 2^62 < 2^64 at every shift.
     """
     if shift == 0:
         return p
-    q = p if isinstance(p, np.ndarray) and p.dtype.kind == "u" else p - (p < 0)
+    if isinstance(p, np.ndarray) and p.dtype.kind == "u":
+        p += 1 << (shift - 1)
+        p >>= shift
+        return p
+    q = p - (p < 0)
     q >>= shift - 1
     q += 1
     q >>= 1
@@ -562,9 +573,9 @@ def _saturate(p: np.ndarray, shift: int, activation: Activation) -> np.ndarray:
     and layer_step.
 
     A ReLU clamps p at 0 first, which changes no result since a negative p
-    rounds to at most 0; round_shift then shifts a uint64 view of p in
-    place, without a sign term, and the result is capped at 255 and cast
-    to u8.  A signed layer is rounded and saturated to i32.  A shift
+    rounds to at most 0; round_shift then rounds a uint64 view of p in
+    place, in one add and one shift, and the result is capped at 255 and
+    cast to u8.  A signed layer is rounded and saturated to i32.  A shift
     outside 0..63 is refused with ConfigError.
     """
     if not 0 <= shift <= 63:

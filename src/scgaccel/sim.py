@@ -1,9 +1,12 @@
 """Cycle-accurate functional simulator of the accelerator.
 
-Models the memory subsystem (banked weight SPRAM, dual-bank input buffer,
-ping-pong activation buffers, bias/scale storage), the six-PE systolic
-cluster, the staged 32x32 serial multiplier in the requantization engine,
-the result packer, and the nested-loop control FSM.
+Models the memory subsystem, the six-PE systolic cluster, the staged
+32x32 serial multiplier in the requantization engine, the result packer,
+and the nested-loop control FSM.  In the memory subsystem the weight SPRAM,
+the input buffer and the two ping-pong activation buffers are each one flat
+array of u16 words, at its size in ``modeltools``' memory map; no bank of
+any of them is modelled or switched.  The bias ROM is one int32 table per
+layer, and the scale registers one (multiplier, shift) pair per layer.
 
 Two execution paths produce bit-identical outputs and identical cycle splits:
 
@@ -12,8 +15,9 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   one u8 view of channel-aligned words, and the run plan holds those views.
   Each layer copies its input rows out of memory once, into the plan's
   plane of whole batches, whose overhang columns already hold the zero
-  point; decodes its int8 weights from memory (``modeltools.layer_weights``,
-  a copy made on every run and kept by no one); runs ``qnn.layer_step``;
+  point; copies its int8 weights out of memory through the plan's
+  ``modeltools.layer_weights`` view, on every run, into a ``LayerWeights``
+  that no one keeps past the run; runs ``qnn.layer_step``;
   zeroes its output image's words and writes the result through the view;
   and takes its cycle split from the plan (``cyclemodel.layer_cycles``).
   The image a run keeps is ``layer_step``'s fresh result, never a view of a
@@ -225,9 +229,11 @@ class _Step(NamedTuple):
     path's views of them: `rows`, the byte_rows view of its input rows in
     `src`, and for a ReLU layer `words`, its output image's words in `dst`,
     and `image`, the byte_rows view of those words (both None for the
-    head).  `plane` is scratch of whole batches, u8 [c_in, n_batches * 6],
-    whose overhang columns past `w_in` hold `zp`; a run writes only its
-    first `w_in` columns.
+    head).  `weights` is the layer_weights view of its int8 weights in
+    weight memory, which each run copies.  `plane` is scratch of whole
+    batches, u8 [c_in, n_batches * 6], whose overhang columns past `w_in`
+    hold `zp`; a run writes only its first `w_in` columns.  Every other
+    array here is a view of memory, so a step holds no decoded weight.
     """
     li: int
     spec: LayerSpec
@@ -240,6 +246,7 @@ class _Step(NamedTuple):
     rows: np.ndarray
     words: np.ndarray | None
     image: np.ndarray | None
+    weights: np.ndarray
     plane: np.ndarray
 
 
@@ -308,8 +315,10 @@ class SimMachine:
                 words, image = dst[:out_words], byte_rows(dst, w_out, spec.c_out)
             # whole batches of six; the overhang lanes read the zero point
             plane = np.full((spec.c_in, lc.n_batches * PE_COUNT), zp, dtype=np.uint8)
+            # the model's build bounds its image by the weight memory
             plan.append(_Step(li, spec, w_in, zp, base, lc, src, dst,
-                              byte_rows(src, w_in, spec.c_in), words, image, plane))
+                              byte_rows(src, w_in, spec.c_in), words, image,
+                              layer_weights(spec, mem.weight_mem[base:]), plane))
             src, zp = dst, 0
         return plan
 
@@ -344,16 +353,14 @@ class SimMachine:
         the zero point; the output image's words are zeroed, so an
         odd-length row's high byte is 0, and the image is written through
         the step's view of them.  Weights, biases and scales are read from
-        memory on every run.  The image kept for readback is layer_step's
-        own fresh result, never a view of a buffer.
+        memory on every run: the weights as a copy of the step's view, so
+        the LayerWeights, and the GEMM operands it builds, follow an upset
+        in memory and last only the run.  The image kept for readback is
+        layer_step's own fresh result, never a view of a buffer.
         """
         mem, li, spec = self.mem, step.li, step.spec
         step.plane[:, :step.w_in] = step.rows
-        # read as PackedModel.to_weight_set reads them, on every run, so the
-        # GEMM operands LayerWeights keeps follow an upset in mem; the
-        # model's build bounds its image by the weight memory
-        lw = LayerWeights(layer_weights(spec, mem.weight_mem[step.base:]),
-                          mem.bias_rom[li])
+        lw = LayerWeights(step.weights.copy(), mem.bias_rom[li])
         try:
             out = layer_step(step.plane, step.zp, spec, lw, *mem.scale_regs[li],
                              length=step.w_in)

@@ -121,6 +121,13 @@ def test_round_shift_matches_divmod_oracle_every_shift():
         assert [round_shift(v, shift) for v in values] == expect, shift
         assert round_shift(np.array(values, dtype=np.int64), shift).tolist() \
             == expect, shift
+        # an unsigned array takes the one-shift form, in place: at shift 63
+        # p = 2^62 reaches 2^62 + 2^62 = 2^63 before its shift
+        unsigned = [(v, e) for v, e in zip(values, expect) if v >= 0]
+        p = np.array([v for v, _ in unsigned], dtype=np.uint64)
+        got = round_shift(p, shift)
+        assert got.dtype == np.uint64 and np.shares_memory(got, p), shift
+        assert got.tolist() == [e for _, e in unsigned], shift
 
 
 def test_requant_shift63_rounds_the_largest_product_exactly():
@@ -248,20 +255,27 @@ def test_conv_overflow_scan_bound_at_its_edge(c_in, k, top):
 
 
 def test_conv_gemm_matches_einsum_reference():
+    # one window [C, n], or B = 1 to 3 windows [C, B, n], each of which
+    # must get the reference conv of itself alone, at every pad 0..k+1
     rng = np.random.default_rng(11)
-    for _ in range(200):
+    for _ in range(400):
         c, o = (int(v) for v in rng.integers(1, 5, size=2))
         k = int(rng.choice([1, 2, 3, 5, 9]))
         n = int(rng.integers(1, 20))
         pad = int(rng.integers(0, k + 2))
-        x = rng.integers(-255, 256, size=(c, n))
+        b = int(rng.integers(0, 4))
+        xs = rng.integers(-255, 256, size=(c, max(b, 1), n))
+        x = xs[:, 0] if b == 0 else xs
         w = rng.integers(-128, 128, size=(o, c, k))
+        expect = einsum_conv(xs.swapaxes(0, 1), w, pad)      # [B, O, n]
         # int64 takes the per-tap float64 form, float32 (C*K <= 36, under
         # the 2^24 bound) the one-GEMM form
         for xin, dtype in ((x, np.float64), (x.astype(np.float32), np.float32)):
             got = conv1d_gemm(xin, w, pad)
-            assert got.dtype == dtype and got.shape == (o, n)
-            assert np.array_equal(got, einsum_conv(x[np.newaxis], w, pad)[0])
+            assert got.dtype == dtype and got.shape == (o, *x.shape[1:])
+            windows = [got] if b == 0 else np.moveaxis(got, 1, 0)
+            for window, want in zip(windows, expect, strict=True):
+                assert np.array_equal(window, want), (c, k, n, pad, b)
 
 
 @pytest.mark.parametrize("c_in, k, small", [(257, 2, None), (103, 5, (40, 3))])

@@ -505,6 +505,34 @@ def test_a_run_plan_lasts_while_the_model_and_window_shape_stay(rng):
                                       snap.data)
 
 
+@pytest.mark.parametrize("net", [NetworkSpec.default(), every_kind_net()],
+                         ids=["default", "every_kind"])
+def test_a_run_plan_holds_views_of_memory_and_a_scratch_plane(rng, net):
+    """Each plan step's arrays but its plane are views of the machine's
+    memories, its weights among them, and the plane shares memory with none
+    of them, so a plan holds no decoded weight.  A weight set read from a
+    model keeps weights of its own when the model's words change."""
+    model = random_model(net, rng)
+    machine = SimMachine()
+    machine.load_model(model)
+    machine.load_input(random_input(rng, net))
+    memories = [a for v in vars(machine.mem).values()
+                for a in (v if isinstance(v, list) else [v])
+                if isinstance(a, np.ndarray)]
+    ws = model.to_weight_set()
+    for step, lw in zip(machine._plan, ws.layers):
+        arrays = {name: value for name, value in step._asdict().items()
+                  if isinstance(value, np.ndarray)}
+        assert {"rows", "weights", "plane"} <= arrays.keys()
+        for name, value in arrays.items():
+            shared = any(np.shares_memory(value, m) for m in memories)
+            assert shared != (name == "plane"), (step.li, name)
+        assert np.array_equal(step.weights, lw.weights)
+    kept = [lw.weights.copy() for lw in ws.layers]
+    model.weight_words[:] = ~model.weight_words
+    assert all(np.array_equal(lw.weights, w) for lw, w in zip(ws.layers, kept))
+
+
 def test_rerun_is_deterministic(default_pair):
     _, model, x = default_pair
     machine = SimMachine()
