@@ -363,6 +363,8 @@ def cmd_eval(args) -> int:
         windows, labels = archive["windows"], archive["labels"]
         if windows.ndim != 2:
             raise ValueError(f"windows must be [n][length], not {windows.shape}")
+        if len(windows) == 0:
+            raise ValueError("it holds no windows")
         if labels.shape != windows.shape[:1]:
             raise ValueError(f"labels must be [n], one per window: "
                              f"{labels.shape} labels for {len(windows)} windows")

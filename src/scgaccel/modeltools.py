@@ -195,11 +195,11 @@ def layer_weights(spec: LayerSpec, words: np.ndarray) -> np.ndarray:
     """A layer's int8 weights [c_out, c_in, K], as a view through byte_rows
     of the words at its base: the one rule for where a layer's weights lie.
 
-    Each caller copies it, so what it keeps does not follow later writes to
-    the words: to_weight_set once per weight set, and the sim fast path on
-    every run, from the view its run plan holds, so no decoded weight
-    outlives a run.  Running on the view itself raised the device-session
-    bench's peak RSS, by arena growth in the device thread."""
+    No caller keeps the view itself, so what it keeps does not follow later
+    writes to the words: to_weight_set copies it once per weight set, and
+    the sim fast path converts the view its run plan holds into fresh float
+    GEMM operands (qnn.gemm_operands) on every run, so no decoded weight
+    outlives a run."""
     n = spec.c_out * spec.c_in * spec.kernel
     return byte_rows(words, n).view(np.int8).reshape(
         spec.c_out, spec.c_in, spec.kernel)

@@ -250,6 +250,29 @@ class NetworkSpec:
         return NetworkSpec(layers=layers)
 
 
+def gemm_operands(weights: np.ndarray, biases: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(weights, bias, scan): the GEMM operands of a layer's int8 weights
+    [c_out, c_in, K] and int32 biases [c_out], the one place they are
+    derived.
+
+    |x - zero_point| <= 255 and |w| <= 128, so no conv sum moves further
+    than reach = C*K*255*128 from its bias.  The weights come in the float
+    dtype their sums are exact in (float32 where reach < 2^24, else
+    float64; see conv1d_gemm), the biases as an int64 [c_out, 1] column,
+    and scan tells whether a sum plus its bias can leave i32: whether
+    max|bias| + reach exceeds INT32_MAX.  Both arrays are fresh, so they
+    do not follow later writes to what they were built from: the sim fast
+    path builds them on every run from its views of memory, and the
+    weights' float conversion is its one copy of them.
+    """
+    _, c, k = weights.shape
+    reach = c * k * 255 * 128
+    bias = biases.astype(np.int64)[:, np.newaxis]
+    return (weights.astype(np.float32 if reach < 1 << 24 else np.float64),
+            bias, int(np.abs(bias).max()) + reach > INT32_MAX)
+
+
 @dataclass(frozen=True, init=False)
 class LayerWeights:
     """INT8 weights and INT32 biases for one layer.
@@ -257,8 +280,8 @@ class LayerWeights:
     Frozen, so the GEMM operands built from the fields on first use
     (gemm_operands) can be kept for the life of the object: one weight set
     converts each layer's weights once, not once per window.  The sim fast
-    path builds its LayerWeights from simulated memory on every run, so no
-    operand outlives a run.
+    path builds no LayerWeights: it takes qnn.gemm_operands of its views of
+    memory on every run, so no operand outlives a run.
     """
 
     weights: np.ndarray  # int8, [c_out, c_in, K]
@@ -278,20 +301,8 @@ class LayerWeights:
 
     @cached_property
     def gemm_operands(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(weights, bias, scan), built on first use and kept.
-
-        |x - zero_point| <= 255 and |w| <= 128, so no conv sum moves further
-        than reach = C*K*255*128 from its bias.  The weights come in the
-        float dtype their sums are exact in (float32 where reach < 2^24,
-        else float64; see conv1d_gemm), the biases as an int64 [c_out, 1]
-        column, and scan tells whether a sum plus its bias can leave i32:
-        whether max|bias| + reach exceeds INT32_MAX.
-        """
-        _, c, k = self.weights.shape
-        reach = c * k * 255 * 128
-        bias = self.biases.astype(np.int64)[:, np.newaxis]
-        return (self.weights.astype(np.float32 if reach < 1 << 24 else np.float64),
-                bias, int(np.abs(bias).max()) + reach > INT32_MAX)
+        """qnn.gemm_operands of the fields, built on first use and kept."""
+        return gemm_operands(self.weights, self.biases)
 
 
 @dataclass
@@ -414,16 +425,16 @@ def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int,
       the plane whose channel axis sits next to its length axis.
 
     w is converted to the form's dtype only when it is not already in it,
-    so a caller that keeps the converted weights (LayerWeights.gemm_operands)
-    pays for the conversion once.
+    so weights that come from gemm_operands, already in it, are not
+    converted again.
 
     Exact on integer operands while the sum of |products| of one output stays
     below 2^24 in float32 or 2^53 in float64, since every partial sum, in
     any order the BLAS takes, is an integer no larger than that.  With u8
     activations minus a u8 zero point (|x| <= 255) and i8 weights
     (|w| <= 128), float32 holds for C*K*255*128 < 2^24, i.e. C*K <= 514,
-    which LayerWeights.gemm_operands checks; every layer of the default net
-    qualifies.  float64 holds for any layer the SANN field widths that
+    which gemm_operands checks; every layer of the default net qualifies.
+    float64 holds for any layer the SANN field widths that
     LayerSpec enforces allow (c_in <= 65535, K <= 255): 65535*255*255*128
     ~ 5.5e11.
 
@@ -455,24 +466,25 @@ def conv1d_gemm(x: np.ndarray, w: np.ndarray, pad: int,
 
 
 def _exact_sums(x: np.ndarray, zero_point: int, layer: LayerSpec,
-                lw: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
+                operands: tuple[np.ndarray, np.ndarray, bool]
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The exact conv sums [c_out, ..., length] of x [c_in, ..., length],
     as floats and before the bias, and the int64 bias column, shaped
-    [c_out, 1, ...] to broadcast against them.
+    [c_out, 1, ...] to broadcast against them, from the layer's
+    gemm_operands.
 
     Out-of-range taps read the zero point, i.e. contribute nothing after the
-    offset subtraction.  Where a sum plus its bias can leave i32
-    (LayerWeights.gemm_operands), every position of every window is
-    scanned, as each row's max and min plus that row's bias, before any
-    caller trims or pools the sums; one outside i32 raises
-    AccumulatorOverflow, so several windows raise it exactly when one of
-    them would alone.
+    offset subtraction.  Where a sum plus its bias can leave i32 (the
+    operands' scan flag), every position of every window is scanned, as
+    each row's max and min plus that row's bias, before any caller trims
+    or pools the sums; one outside i32 raises AccumulatorOverflow, so
+    several windows raise it exactly when one of them would alone.
     """
     if x.shape[0] != layer.c_in:
         raise ShapeError(f"input has {x.shape[0]} channels, layer expects {layer.c_in}")
-    if lw.weights.shape != (layer.c_out, layer.c_in, layer.kernel):
+    w, bias, scan = operands
+    if w.shape != (layer.c_out, layer.c_in, layer.kernel):
         raise ShapeError("weight tensor does not match layer geometry")
-    w, bias, scan = lw.gemm_operands
     sums = conv1d_gemm(x, w, layer.padding, zero_point)
     if scan:
         positions = tuple(range(1, sums.ndim))
@@ -492,7 +504,7 @@ def conv1d_acc(x: QuantTensor, layer: LayerSpec, lw: LayerWeights) -> np.ndarray
     conv1d_gemm, the bias is added in int64, and the map is scanned for
     an i32 overflow only where a bound cannot rule one out (_exact_sums).
     """
-    sums, bias = _exact_sums(x.data, x.zero_point, layer, lw)
+    sums, bias = _exact_sums(x.data, x.zero_point, layer, lw.gemm_operands)
     acc = sums.astype(np.int64)
     acc += bias
     return acc
@@ -608,14 +620,16 @@ def requantize(acc, multiplier: int, shift: int, activation: Activation,
 
 
 def layer_step(x: np.ndarray, zero_point: int, layer: LayerSpec,
-               lw: LayerWeights, multiplier: int, shift: int,
-               length: int | None = None) -> np.ndarray:
-    """One layer of u8 codes x [c_in, ..., L] at zero_point: conv, keep the
-    first `length` positions (all by default), maxpool or GAP, then
-    requantize.  The middle axes, if any, index windows, and each window's
-    slice of the result is what it gives alone.  x is taken as it is, and
-    may be a view (the simulator passes one of its memory): it is only
-    read.  A window is checked where it enters (infer_window,
+               operands: tuple[np.ndarray, np.ndarray, bool], multiplier: int,
+               shift: int, length: int | None = None) -> np.ndarray:
+    """One layer of u8 codes x [c_in, ..., L] at zero_point: conv with the
+    layer's gemm_operands, keep the first `length` positions (all by
+    default), maxpool or GAP, then requantize.  The golden model passes a
+    LayerWeights' kept operands, the sim fast path ones it builds from
+    memory for the run.  The middle axes, if any, index windows, and each
+    window's slice of the result is what it gives alone.  x is taken as it
+    is, and may be a view (the simulator passes one of its memory): it is
+    only read.  A window is checked where it enters (infer_window,
     SimMachine.load_input, golden_predict's check_windows).  The result is
     a fresh array, u8 for a ReLU layer and i32 for the head.
 
@@ -638,7 +652,7 @@ def layer_step(x: np.ndarray, zero_point: int, layer: LayerSpec,
     INT32_MIN before the bias equals one padded after it only while no
     unbiased sum is below INT32_MIN, i.e. C*K*255*128 <= 2^31.
     """
-    sums, bias = _exact_sums(x, zero_point, layer, lw)
+    sums, bias = _exact_sums(x, zero_point, layer, operands)
     sums = sums[..., :length]
     if layer.pool_mode == PoolMode.MAXPOOL2:
         sums = maxpool2_acc(sums)
@@ -670,8 +684,8 @@ def _layer_outputs(net: NetworkSpec, ws: WeightSet, x: np.ndarray,
     (_check_input)."""
     outs = []
     for layer, lw in zip(net.layers, ws.layers):
-        x = layer_step(x, zero_point, layer, lw, layer.requant_multiplier,
-                       layer.requant_shift)
+        x = layer_step(x, zero_point, layer, lw.gemm_operands,
+                       layer.requant_multiplier, layer.requant_shift)
         zero_point = 0
         outs.append(x)
     return outs

@@ -15,9 +15,10 @@ Two execution paths produce bit-identical outputs and identical cycle splits:
   one u8 view of channel-aligned words, and the run plan holds those views.
   Each layer copies its input rows out of memory once, into the plan's
   plane of whole batches, whose overhang columns already hold the zero
-  point; copies its int8 weights out of memory through the plan's
-  ``modeltools.layer_weights`` view, on every run, into a ``LayerWeights``
-  that no one keeps past the run; runs ``qnn.layer_step``;
+  point; builds its GEMM operands (``qnn.gemm_operands``) on every run
+  from the plan's ``modeltools.layer_weights`` view of its int8 weights and
+  from the bias ROM, so the weights' float conversion is the run's one copy
+  of them and no operand outlives the run; runs ``qnn.layer_step``;
   zeroes its output image's words and writes the result through the view;
   and takes its cycle split from the plan (``cyclemodel.layer_cycles``).
   The image a run keeps is ``layer_step``'s fresh result, never a view of a
@@ -95,7 +96,7 @@ from .errors import (AccumulatorOverflow, ConfigError, MemoryFault, ShapeError,
 from .modeltools import (INPUT_MEM_WORDS, PINGPONG_WORDS, WEIGHT_MEM_WORDS,
                          PackedModel, byte_rows, image_words, layer_weights)
 from .qnn import (GAP_LENGTH, GAP_SHIFT, INT32_MAX, INT32_MIN, Activation,
-                  LayerSpec, LayerWeights, Logits, PoolMode, QuantTensor,
+                  LayerSpec, Logits, PoolMode, QuantTensor, gemm_operands,
                   layer_step, round_shift)
 
 REQUANT_MUL_STAGES = 4           # serial multiplier partial products
@@ -230,10 +231,11 @@ class _Step(NamedTuple):
     `src`, and for a ReLU layer `words`, its output image's words in `dst`,
     and `image`, the byte_rows view of those words (both None for the
     head).  `weights` is the layer_weights view of its int8 weights in
-    weight memory, which each run copies.  `plane` is scratch of whole
-    batches, u8 [c_in, n_batches * 6], whose overhang columns past `w_in`
-    hold `zp`; a run writes only its first `w_in` columns.  Every other
-    array here is a view of memory, so a step holds no decoded weight.
+    weight memory, from which each run builds its GEMM operands afresh
+    (qnn.gemm_operands).  `plane` is scratch of whole batches, u8
+    [c_in, n_batches * 6], whose overhang columns past `w_in` hold `zp`; a
+    run writes only its first `w_in` columns.  Every other array here is a
+    view of memory, so a step holds no decoded weight.
     """
     li: int
     spec: LayerSpec
@@ -353,17 +355,18 @@ class SimMachine:
         the zero point; the output image's words are zeroed, so an
         odd-length row's high byte is 0, and the image is written through
         the step's view of them.  Weights, biases and scales are read from
-        memory on every run: the weights as a copy of the step's view, so
-        the LayerWeights, and the GEMM operands it builds, follow an upset
-        in memory and last only the run.  The image kept for readback is
-        layer_step's own fresh result, never a view of a buffer.
+        memory on every run: qnn.gemm_operands converts the step's weight
+        view and the bias ROM into fresh arrays, and decides the overflow
+        scan, so the operands follow an upset in memory and last only the
+        run.  The image kept for readback is layer_step's own fresh result,
+        never a view of a buffer.
         """
         mem, li, spec = self.mem, step.li, step.spec
         step.plane[:, :step.w_in] = step.rows
-        lw = LayerWeights(step.weights.copy(), mem.bias_rom[li])
+        operands = gemm_operands(step.weights, mem.bias_rom[li])
         try:
-            out = layer_step(step.plane, step.zp, spec, lw, *mem.scale_regs[li],
-                             length=step.w_in)
+            out = layer_step(step.plane, step.zp, spec, operands,
+                             *mem.scale_regs[li], length=step.w_in)
         except AccumulatorOverflow as exc:
             raise SimFault(f"layer {li}: 32-bit accumulator overflow at cycle "
                            f"{self.cycle_counter}") from exc

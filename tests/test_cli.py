@@ -553,6 +553,15 @@ def test_eval_refuses_a_logit_scale_it_cannot_apply(scale, message,
     assert out == "" and err.startswith(f"error: {message}")
 
 
+def test_eval_refuses_a_dataset_with_no_windows(model_file, tmp_path, capsys):
+    # an empty set has no accuracy, ECE or AP, where evaluate would give 0.0
+    data = tmp_path / "empty.npz"
+    np.savez(data, windows=np.zeros((0, 512)), labels=np.zeros(0, dtype=np.int64))
+    assert main(["eval", "--model", model_file, "--data", str(data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"cannot read dataset {data}: it holds no windows" in err
+
+
 def test_eval_refuses_windows_that_are_not_numbers(model_file, tmp_path, capsys):
     data = tmp_path / "ds.npz"
     np.savez(data, windows=np.full((2, 512), "0.5"), labels=[0, 1])

@@ -16,16 +16,16 @@ from hypothesis import strategies as st
 from conftest import _FC, einsum_conv, wide_image_net
 from scgaccel.errors import AccumulatorOverflow, ConfigError, ShapeError
 from scgaccel.metrics import softmax, synth_windows
-from scgaccel.modeltools import PackedModel, random_model
+from scgaccel.modeltools import PackedModel, layer_weights, random_model
 from scgaccel.pipeline import (GOLDEN_CHUNK, build_reference_model, golden_predict,
                                quantize_windows)
 from scgaccel.qnn import (GAP_LENGTH, GAP_SHIFT, INPUT_SCALE,
                           INPUT_ZERO_POINT, INT32_MAX, INT32_MIN, Activation,
                           LayerKind, LayerSpec, Logits, NetworkSpec,
                           LayerWeights, PoolMode, QuantTensor, WeightSet,
-                          conv1d_acc, conv1d_gemm, gap_shift_acc, infer_window,
-                          layer_step, maxpool2_acc, quantize_zscores, requantize,
-                          round_shift, zscore_quantize)
+                          conv1d_acc, conv1d_gemm, gap_shift_acc, gemm_operands,
+                          infer_window, layer_step, maxpool2_acc, quantize_zscores,
+                          requantize, round_shift, zscore_quantize)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,8 @@ def test_requant_epilogue_matches_oracle_at_every_shift_and_boundary(mult):
             spec = LayerSpec(kind=LayerKind.CONV1D, c_in=1, c_out=acc.size,
                              kernel=1, padding=0, pool_mode=PoolMode.BYPASS,
                              activation=act)
-            step = layer_step(np.array([[255]], dtype=np.uint8), 0, spec, lw,
-                              mult, shift)
+            step = layer_step(np.array([[255]], dtype=np.uint8), 0, spec,
+                              lw.gemm_operands, mult, shift)
             assert step.dtype == got.dtype and step[:, 0].tolist() == expect, \
                 (shift, act)
         if shift:
@@ -298,6 +298,38 @@ def test_conv_exact_at_the_float32_bound(c_in, k, small):
     assert acc[0, 0] == expect
     ref = einsum_conv(x[np.newaxis].astype(np.int64) - 255, w.astype(np.int64), 0)
     assert np.array_equal(acc, ref[0])
+
+
+@pytest.mark.parametrize("c_in, k, dtype", [(257, 2, np.float32),
+                                             (103, 5, np.float64)])
+def test_gemm_operands_of_a_memory_view_are_fresh(c_in, k, dtype):
+    # the sim fast path builds its operands on every run from views of
+    # memory: they must share nothing with the words or the biases, so a
+    # later write to memory cannot reach them, and must equal the operands
+    # a weight set keeps; C*K = 514 sums in float32 and 515 in float64
+    net = NetworkSpec(layers=(
+        _layer(c_in=c_in, c_out=2, kernel=k),
+        LayerSpec(c_in=2, c_out=3, **_FC),
+    ), input_length=8)
+    model = random_model(net, np.random.default_rng(c_in))
+    words, biases = model.weight_words.copy(), [b.copy() for b in model.biases]
+    kept = model.to_weight_set()
+    built = [gemm_operands(layer_weights(spec, words[base:]), b)
+             for spec, b, base in zip(model.layers, biases, model.layer_word_base)]
+    assert built[0][0].dtype == dtype
+    snapshot = [(w.copy(), bias.copy()) for w, bias, _ in built]
+    for (w, bias, scan), lw, b in zip(built, kept.layers, biases):
+        for a in (w, bias):
+            assert not np.shares_memory(a, words) and not np.shares_memory(a, b)
+        kw, kbias, kscan = lw.gemm_operands
+        assert w.dtype == kw.dtype and np.array_equal(w, kw)
+        assert bias.dtype == kbias.dtype and np.array_equal(bias, kbias)
+        assert scan == kscan
+    words[:] = ~words
+    for b in biases:
+        b[:] = ~b
+    for (w, bias, _), (w0, bias0) in zip(built, snapshot):
+        assert np.array_equal(w, w0) and np.array_equal(bias, bias0)
 
 
 def test_conv_gemm_exact_at_widest_layer_spec():
@@ -444,7 +476,7 @@ def test_layer_step_equals_its_op_by_op_composition(data):
             acc = conv1d_acc(QuantTensor(xd, zero_point=zp), spec, lw)[:, :length]
         except AccumulatorOverflow:
             with pytest.raises(AccumulatorOverflow):
-                layer_step(xd, zp, spec, lw, mult, shift, length)
+                layer_step(xd, zp, spec, lw.gemm_operands, mult, shift, length)
             expects.append(None)
             continue
         if pool == PoolMode.MAXPOOL2:
@@ -452,14 +484,14 @@ def test_layer_step_equals_its_op_by_op_composition(data):
         elif pool == PoolMode.GLOBAL_AVG:
             acc = gap_shift_acc(acc)[:, np.newaxis]
         expect = requantize(acc, mult, shift, act)
-        got = layer_step(xd, zp, spec, lw, mult, shift, length)
+        got = layer_step(xd, zp, spec, lw.gemm_operands, mult, shift, length)
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
         expects.append(expect)
     if any(e is None for e in expects):
         with pytest.raises(AccumulatorOverflow):
-            layer_step(xs, zp, spec, lw, mult, shift, length)
+            layer_step(xs, zp, spec, lw.gemm_operands, mult, shift, length)
         return
-    got = layer_step(xs, zp, spec, lw, mult, shift, length)
+    got = layer_step(xs, zp, spec, lw.gemm_operands, mult, shift, length)
     assert got.dtype == expects[0].dtype
     assert got.shape == (c_out, len(expects)) + expects[0].shape[1:]
     for i, expect in enumerate(expects):

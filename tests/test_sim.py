@@ -167,8 +167,8 @@ def test_layer_i_reads_the_buffer_layer_i_minus_1_wrote(rng):
             break
     spec, ws = model.layers[2], model.to_weight_set()
     zeros = np.zeros((spec.c_in, GAP_LENGTH), dtype=np.uint8)
-    expect = layer_step(zeros, 0, spec, ws.layers[2], spec.requant_multiplier,
-                        spec.requant_shift)
+    expect = layer_step(zeros, 0, spec, ws.layers[2].gemm_operands,
+                        spec.requant_multiplier, spec.requant_shift)
     assert np.array_equal(machine.read_layer_activation(2).data, expect)
     clean = infer_window(model.to_network_spec(x.length), ws, x)[1][2]
     assert not np.array_equal(clean.data, expect)
@@ -318,6 +318,42 @@ def test_fast_path_follows_an_upset_in_memory_between_runs(upset):
         assert after == gold.values.tolist() != before
         for li, snap in enumerate(snaps):
             assert np.array_equal(machine.read_layer_activation(li).data, snap.data)
+
+
+def test_a_scan_decision_lasts_one_run():
+    # at bias 0 no sum of the 1x1 layer can leave i32, so its first run
+    # skips the overflow scan; a bias written into the ROM after that run
+    # must be scanned on the next, also when the window is loaded again and
+    # the run reuses its plan: 255 * 127 on top of INT32_MAX - 100 overflows
+    net = NetworkSpec(layers=(
+        LayerSpec(c_in=1, c_out=1, kernel=1, padding=0,
+                  pool_mode=PoolMode.BYPASS, **_RELU),
+        LayerSpec(c_in=1, c_out=3, **_FC),
+    ), input_length=6)
+    ws = WeightSet(layers=[
+        LayerWeights(weights=[[[127]]], biases=[0]),
+        LayerWeights(weights=[[[1]], [[-1]], [[2]]], biases=[0, 0, 0]),
+    ])
+    x = QuantTensor(np.full((1, 6), 255, dtype=np.uint8), zero_point=0)
+    model = PackedModel.from_weights(net, ws)
+    gold, _ = infer_window(net, ws, x)
+    for reload in (False, True):
+        machine = SimMachine()
+        machine.load_model(model)
+        machine.load_input(x)
+        assert machine.run_inference()[0].values.tolist() == gold.values.tolist()
+        plan = machine._plan
+        machine.mem.bias_rom[0][0] = INT32_MAX - 100
+        if reload:
+            machine.load_input(x)
+            assert machine._plan is plan
+        for run in (SimMachine.run_inference, SimMachine.run_micro):
+            with pytest.raises(SimFault):
+                run(machine)
+        exported = machine.export_model()
+        with pytest.raises(AccumulatorOverflow):
+            infer_window(exported.to_network_spec(x.length),
+                         exported.to_weight_set(), x)
 
 
 @pytest.mark.parametrize("c_in, k", [(1, 1), (3, 5), (103, 5)])
