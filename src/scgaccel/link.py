@@ -1,6 +1,6 @@
 """Packet-based host/device link: framing, device emulator, host client.
 
-The wire format is a minimal stop-and-wait protocol over a byte stream:
+The wire format is a framed request/reply protocol over a byte stream:
 
     SOF (0xA5) | command u8 | seq u8 | length u16 LE | payload | crc8
 
@@ -21,13 +21,15 @@ LOAD_INPUT NACKs BAD_LENGTH, on its seq, a window SimMachine.load_input
 refuses (too long for the input buffer, an image over a ping-pong buffer, or
 a length the model cannot run); the previous input and its RESULT stay.
 
-Replies are matched to requests by seq, which the device echoes.  The chunks
-of a transfer are numbered 0, 1, 2, ...; every other request takes the seq
-one past the previous request's, counting 1 to 255 and then 1 again.  Seq 0
-is skipped there: it names only the first chunk of a transfer and the
-device's reply to a frame it could not read.  Consecutive requests thus
-never share a seq.  A frame is readable if it declares a payload within the
-cap and passes its CRC; the decoder checks only that.  The device gives one
+Every request but a model upload is stop-and-wait: the host sends one frame
+and waits for its reply.  Replies are matched to requests by seq, which the
+device echoes.  The chunks of a transfer are numbered 0, 1, 2, ...; every
+other request takes the seq one past the previous request's, counting 1 to
+255 and then 1 again.  Seq 0 is skipped there: it names only the first chunk
+of a transfer and the device's reply to a frame it could not read.
+Consecutive requests thus never share a seq, but for a restarted upload's
+chunks (below).  A frame is readable if it declares a payload within the cap
+and passes its CRC; the decoder checks only that.  The device gives one
 reply to each readable frame, on its seq; a command byte that names no
 request gets UNKNOWN_CMD.  It answers an unreadable frame with a seq-0 NACK:
 BAD_CRC if it fails its CRC, so its seq cannot be trusted, or BAD_LENGTH if
@@ -44,8 +46,33 @@ decoder drops all it holds at an unreadable frame, since a false SOF in the
 rest would wait for bytes and swallow the retransmit; but the rest of the
 frame may still be in flight, and its false SOFs draw more NACKs, so once
 the host has retransmitted on a seq-0 NACK it drops more as stale.  Each
-attempt waits at most `timeout`, dropped frames included, so a request
-gives up after at most (retries + 1) * timeout.
+attempt waits at most `timeout`, dropped frames included, so a request gives
+up after at most (retries + 1) * timeout.
+
+A model upload streams: the host writes every LOAD_WEIGHTS chunk in one go
+and then reads one reply per chunk, in order.  The device answers frames in
+the order it reads them, re-ACKs a duplicate chunk, NACKs one out of order
+BAD_SEQ, and starts its staging afresh at seq 0.  Each chunk draws one
+6-byte reply, so the device never blocks on its replies while the host is
+still writing.  At the first reply that is not its chunk's ACK (a NACK, a
+seq-0 NACK, an unreadable reply, or none within `timeout`) the host drops
+its decoder and sends the transfer again from chunk 0, one request at a
+time, with seq-0 NACKs to the first attempt at chunk 0 dropped as stale,
+so that the stream's garbage cannot use up its retries.  VERIFY then seals
+the transfer.  This is sound:
+
+- After a failure other than a timeout, every reply to the stream reaches
+  the host before the reply to the restarted chunk 0, since the restart's
+  bytes follow the stream's.  Each such reply has another seq or is a
+  seq-0 NACK, since the reply to the stream's chunk 0 was the first the host
+  read, so the restart never takes a streamed reply as the answer to one of
+  its own frames.
+- After a timeout, a late streamed reply can be taken that way, as can a
+  repeated seq in a transfer of more than 256 chunks.  The device still
+  takes the restarted chunks in order, so only a second fault can leave one
+  missing, and VERIFY's digest refuses that loudly.
+- Every wait is bounded by `timeout`, as a request's is, so a transfer gives
+  up after at most n_chunks * (retries + 2) * timeout.
 """
 
 from __future__ import annotations
@@ -152,9 +179,9 @@ def crc8(data: bytes) -> int:
     against 4 for the masks, about as long at 128 to 160 bytes, and 115-175
     against 6-9 at 4,100 bytes, so bodies from 128 bytes take the masks.
     Bodies longer than the table covers take the loop.  On bench/run.py's
-    device-session a 64.5 KB model uploads and verifies in about 1.1
-    ref_ms, against about 5.2 with one look-up per byte and about 99 with
-    the bit loop.
+    device-session a 64.5 KB model uploaded stop-and-wait and verified in
+    about 1.1 ref_ms, against about 5.2 with one look-up per byte and about
+    99 with the bit loop.
     """
     n = len(data)
     if not _CRC8_VECTOR_MIN <= n <= _CRC8_MASKS.shape[1]:
@@ -263,9 +290,13 @@ class SocketTransport(Transport):
             raise TransportError(str(exc)) from exc
 
     def recv(self, timeout: float | None = None) -> bytes:
+        """Up to one maximal frame's bytes, as a decoder never needs more at
+        once.  Read 64 KB at a time, a streamed upload raised bench/run.py
+        device-session's peak RSS by about 4 MB (9%), against 1.3 MB (3%)
+        with this cap."""
         self.sock.settimeout(timeout)
         try:
-            return self.sock.recv(65536)
+            return self.sock.recv(FRAME_OVERHEAD + MAX_PAYLOAD)
         except socket.timeout as exc:
             raise TransportError("receive timeout") from exc
         except OSError:
@@ -290,7 +321,12 @@ def memory_pair() -> tuple[Transport, Transport]:
 
 def model_digest(model: PackedModel) -> bytes:
     """Canonical digest over the deployable model content."""
-    return hashlib.sha256(model.to_bytes()).digest()
+    return _digest(model.to_bytes())
+
+
+def _digest(blob: bytes) -> bytes:
+    """SHA-256 of a model's canonical bytes, as VERIFY_MEM carries it."""
+    return hashlib.sha256(blob).digest()
 
 
 def machine_digest(machine: SimMachine) -> bytes:
@@ -466,7 +502,8 @@ def _unread(reply: Frame) -> bool:
 
 
 class HostClient:
-    """Blocking stop-and-wait client."""
+    """Blocking client: stop-and-wait for every request but a model upload,
+    whose chunks it streams."""
 
     def __init__(self, transport: Transport, timeout: float = 5.0, retries: int = 3):
         self.transport = transport
@@ -507,18 +544,21 @@ class HostClient:
             elif reply.seq == request.seq and reply.command in kinds:
                 return reply
 
-    def request(self, frame: Frame) -> Frame:
+    def request(self, frame: Frame, stale: bool = False) -> Frame:
         """Send one frame, wait for its reply, retrying on NACK/timeout.
 
         A corrupt reply counts as lost, and a timeout drops any partial
         reply, whose corrupted length would hold back later ones.  Repeated
         LOAD_WEIGHTS chunks are re-ACKed; the other commands are idempotent.
+        Seq-0 NACKs are dropped as stale after a retransmit on one and, with
+        `stale`, on the first attempt too.
         """
         last_reason = None
         self._last_seq = frame.seq
-        for _ in range(self.retries + 1):
+        for attempt in range(self.retries + 1):
             self.transport.send(encode_frame(frame))
-            stale = last_reason in (NackReason.BAD_CRC, NackReason.BAD_LENGTH)
+            stale = (stale and attempt == 0) or last_reason in (
+                NackReason.BAD_CRC, NackReason.BAD_LENGTH)
             try:
                 reply = self._recv_reply(frame, time.monotonic() + self.timeout, stale)
             except TransportError:
@@ -545,15 +585,45 @@ class HostClient:
                             f"after {self.retries + 1} attempts ({last_reason})")
 
     def load_model(self, model: PackedModel):
+        """Upload `model` as LOAD_WEIGHTS chunks and seal it with VERIFY_MEM.
+
+        The chunks go out in one write, and their ACKs are read in order,
+        each within `timeout`.  At the first reply that is not its chunk's
+        ACK (a NACK, an unreadable reply, or a timeout) the stream stops and
+        the transfer starts again at chunk 0, one `request` at a time, with
+        seq-0 NACKs to the first attempt at chunk 0 dropped as stale (see the
+        module docstring).
+        """
         blob = model.to_bytes()
-        for chunk, off in enumerate(range(0, len(blob), CHUNK_SIZE)):
-            self.request(Frame(Command.LOAD_WEIGHTS, seq=chunk % 256,
-                               payload=blob[off:off + CHUNK_SIZE]))
-        self.verify(model)
+        frames = [Frame(Command.LOAD_WEIGHTS, seq=chunk % 256,
+                        payload=blob[off:off + CHUNK_SIZE])
+                  for chunk, off in enumerate(range(0, len(blob), CHUNK_SIZE))]
+        if not self._stream(frames):
+            self._decoder = FrameDecoder()
+            for chunk, frame in enumerate(frames):
+                self.request(frame, stale=chunk == 0)
+        self._verify(_digest(blob))
+
+    def _stream(self, frames: list[Frame]) -> bool:
+        """Send `frames` in one write, then read one reply to each in order:
+        whether every reply was its frame's ACK."""
+        self._last_seq = frames[-1].seq
+        self.transport.send(b"".join(map(encode_frame, frames)))
+        for frame in frames:
+            try:
+                reply = self._recv_reply(frame, time.monotonic() + self.timeout,
+                                         stale=False)
+            except (TransportError, FramingError):   # CrcError included
+                return False
+            if reply.command != Command.ACK:
+                return False
+        return True
 
     def verify(self, model: PackedModel):
         """Re-check device memory against the host's model."""
-        digest = model_digest(model)
+        self._verify(model_digest(model))
+
+    def _verify(self, digest: bytes):
         reply = self.request(Frame(Command.VERIFY_MEM, seq=self._next_seq(),
                                    payload=digest))
         if reply.payload != digest:

@@ -504,9 +504,21 @@ def test_serve_nacks_a_request_whose_handler_raises(rng):
     assert not thread.is_alive()
 
 
+def _split_frames(data: bytes) -> list[bytes]:
+    """The frames of one write, which is made of whole encoded frames."""
+    frames = []
+    while data:
+        (length,) = struct.unpack_from("<H", data, 3)
+        size = HEADER_SIZE + length + 1
+        frames.append(data[:size])
+        data = data[size:]
+    return frames
+
+
 class _CorruptingTransport(Transport):
     """Flips one byte of the Nth outgoing frame, once: byte `index`, or the
-    middle one."""
+    middle one.  Frames are counted, not writes, since a write may carry
+    several."""
 
     def __init__(self, inner: Transport, corrupt_send: int,
                  index: int | None = None):
@@ -515,18 +527,30 @@ class _CorruptingTransport(Transport):
         self.index = index
 
     def send(self, data: bytes):
-        self.remaining -= 1
-        if self.remaining == 0:
-            data = bytearray(data)
-            data[len(data) // 2 if self.index is None else self.index] ^= 0x40
-            data = bytes(data)
-        self.inner.send(data)
+        frames = _split_frames(data)
+        for i, frame in enumerate(frames):
+            self.remaining -= 1
+            if self.remaining == 0:
+                frames[i] = self._corrupt(frame)
+        self.inner.send(b"".join(frames))
+
+    def _corrupt(self, frame: bytes) -> bytes:
+        frame = bytearray(frame)
+        frame[len(frame) // 2 if self.index is None else self.index] ^= 0x40
+        return bytes(frame)
 
     def recv(self, timeout=None):
         return self.inner.recv(timeout)
 
     def close(self):
         self.inner.close()
+
+
+class _SwallowingTransport(_CorruptingTransport):
+    """Drops the Nth outgoing frame, once."""
+
+    def _corrupt(self, frame: bytes) -> bytes:
+        return b""
 
 
 def test_unreadable_length_is_retransmitted_at_once(rng):
@@ -683,9 +707,10 @@ def test_replies_that_do_not_answer_the_request_are_dropped():
 
 
 class _ScriptedPeer(Transport):
-    """A peer that answers each request at once with the frames that
-    `answer` gives for it, and records the requests.  Each receive hands
-    back one reply frame, or times out when none is left."""
+    """A peer that answers each request frame at once with the frames that
+    `answer` gives for it, and records the requests; a write may carry
+    several.  Each receive hands back one reply frame, or times out when
+    none is left."""
 
     def __init__(self, answer):
         self.answer = answer
@@ -693,9 +718,10 @@ class _ScriptedPeer(Transport):
         self.pending: list[Frame] = []
 
     def send(self, data: bytes):
-        frame = decode_frame(data)
-        self.requests.append(frame)
-        self.pending += self.answer(frame)
+        for raw in _split_frames(data):
+            frame = decode_frame(raw)
+            self.requests.append(frame)
+            self.pending += self.answer(frame)
 
     def recv(self, timeout=None):
         if not self.pending:
@@ -781,6 +807,147 @@ def test_request_seqs_follow_the_transfer_and_wrap_past_zero(rng):
     # VERIFY seals the transfer with the next seq; later requests count on
     # to 255 and then start again at 1
     assert seqs[n_chunks:] == [(n_chunks - 2 + k) % 255 + 1 for k in range(1, 302)]
+
+
+class _RecordingTransport(Transport):
+    """Records each write, as the frames it carries, and each read."""
+
+    def __init__(self, inner: Transport):
+        self.inner = inner
+        self.log: list[list[Frame] | str] = []
+
+    def send(self, data: bytes):
+        self.log.append([decode_frame(raw) for raw in _split_frames(data)])
+        self.inner.send(data)
+
+    def recv(self, timeout=None):
+        self.log.append("recv")
+        return self.inner.recv(timeout)
+
+    def close(self):
+        self.inner.close()
+
+    def sent(self) -> list[tuple[Command, int]]:
+        return [(frame.command, frame.seq) for entry in self.log
+                if entry != "recv" for frame in entry]
+
+
+def _chunks(model: PackedModel) -> list[tuple[Command, int]]:
+    n_chunks = -(-len(model.to_bytes()) // CHUNK_SIZE)
+    return [(Command.LOAD_WEIGHTS, seq) for seq in range(n_chunks)]
+
+
+def _upload(model, device_end_wrap=None, host_end_wrap=None,
+            device=None, timeout=1.0):
+    """Serve `device` and upload `model` to it: the recording host end and
+    the seconds the upload took.  The wraps, if given, wrap either end."""
+    device = device or DeviceEmulator()
+    host_end, device_end = memory_pair()
+    if device_end_wrap:
+        device_end = device_end_wrap(device_end)
+    thread = threading.Thread(target=device.serve, args=(device_end,), daemon=True)
+    thread.start()
+    recording = _RecordingTransport(host_end_wrap(host_end) if host_end_wrap
+                                    else host_end)
+    client = HostClient(recording, timeout=timeout)
+    start = time.monotonic()
+    try:
+        client.load_model(model)
+        elapsed = time.monotonic() - start
+    finally:
+        client.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert machine_digest(device.machine) == model_digest(model)
+    return recording, elapsed
+
+
+def test_an_upload_writes_every_chunk_before_it_reads_a_reply(rng):
+    model = random_model(NetworkSpec.default(), rng)
+    recording, _ = _upload(model)
+    chunks = _chunks(model)
+    assert len(chunks) == 17
+    # the first write carries every chunk, and the first read follows it
+    assert [(f.command, f.seq) for f in recording.log[0]] == chunks
+    assert recording.log[1] == "recv"
+    # nothing is retransmitted: VERIFY follows the stream
+    assert recording.sent() == chunks + [(Command.VERIFY_MEM, len(chunks))]
+
+
+@pytest.mark.parametrize("index", [-1, 4], ids=["crc", "length"])
+def test_a_chunk_corrupted_mid_stream_restarts_at_once(rng, index):
+    # chunk 8 fails its CRC, or declares 0x5000 payload bytes, over the
+    # cap: the device NACKs it on seq 0, and the host starts again at chunk 0
+    timeout = 1.0
+    model = random_model(NetworkSpec.default(), rng)
+    recording, elapsed = _upload(
+        model, host_end_wrap=lambda end: _CorruptingTransport(end, 9, index),
+        timeout=timeout)
+    chunks = _chunks(model)
+    assert recording.sent() == chunks + chunks + [(Command.VERIFY_MEM, len(chunks))]
+    assert elapsed < timeout / 2
+
+
+def test_an_ack_corrupted_mid_stream_restarts_at_once(rng):
+    # the ACK of chunk 8 has its seq byte flipped: it fails its CRC at the host
+    timeout = 1.0
+    model = random_model(NetworkSpec.default(), rng)
+    recording, elapsed = _upload(
+        model, device_end_wrap=lambda end: _CorruptingTransport(end, 9, 2),
+        timeout=timeout)
+    chunks = _chunks(model)
+    assert recording.sent() == chunks + chunks + [(Command.VERIFY_MEM, len(chunks))]
+    assert elapsed < timeout / 2
+
+
+def test_an_ack_lost_mid_stream_costs_one_timeout(rng):
+    # the ACK of chunk 8 never arrives: the host drops the later ACKs while
+    # it waits for it, times out once and starts again at chunk 0
+    timeout = 0.5
+    model = random_model(NetworkSpec.default(), rng)
+    recording, elapsed = _upload(
+        model, device_end_wrap=lambda end: _SwallowingTransport(end, 9),
+        timeout=timeout)
+    chunks = _chunks(model)
+    assert recording.sent() == chunks + chunks + [(Command.VERIFY_MEM, len(chunks))]
+    assert timeout <= elapsed < 2 * timeout
+
+
+def test_an_upload_replaces_the_staging_of_an_interrupted_transfer(rng):
+    # three chunks of another model are staged when the upload starts
+    device = DeviceEmulator()
+    other = random_model(NetworkSpec.default(), rng).to_bytes()
+    for seq in range(3):
+        reply = device.handle_frame(Frame(
+            Command.LOAD_WEIGHTS, seq=seq,
+            payload=other[seq * CHUNK_SIZE:(seq + 1) * CHUNK_SIZE]))
+        assert reply.command == Command.ACK
+    model = _small_model(rng)
+    recording, _ = _upload(model, device=device)
+    chunks = _chunks(model)
+    assert recording.sent() == chunks + [(Command.VERIFY_MEM, len(chunks))]
+
+
+def test_the_restart_drops_the_streams_seq0_nacks_as_stale(rng):
+    # chunk 1 of the stream draws more seq-0 NACKs than a request has
+    # attempts, as the rest of an unreadable stream can; they all come
+    # before the restarted chunk 0's ACK and must not use up its retries
+    model = random_model(NetworkSpec.default(), rng)
+    retries = 1
+
+    def answer(frame):
+        if frame.command == Command.VERIFY_MEM:
+            return [Frame(Command.ACK, seq=frame.seq, payload=frame.payload)]
+        if len(peer.requests) == 2:
+            return [Frame(Command.NACK, seq=0,
+                          payload=bytes([NackReason.BAD_CRC]))] * (retries + 2)
+        return [Frame(Command.ACK, seq=frame.seq)]
+    peer = _ScriptedPeer(answer)
+    HostClient(peer, timeout=0.2, retries=retries).load_model(model)
+    chunks = _chunks(model)
+    assert [(f.command, f.seq) for f in peer.requests] \
+        == chunks + chunks + [(Command.VERIFY_MEM, len(chunks))]
+    assert peer.requests[-1].payload == model_digest(model)
 
 
 def test_digest_mismatch_after_host_side_mutation(rng):
